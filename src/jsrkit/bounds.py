@@ -11,6 +11,31 @@ Berger-Wang formula.  This module enumerates products exactly up to a
 multiplication budget, assembles the resulting sandwich enclosure,
 prunes the word tree in a Gripenberg-style best-first search, and fits
 an empirical convergence rate to the gap.
+
+Level kernel.  All m^n products of a level are formed by batched matrix
+multiplication, in float64 when every generator is real and in
+complex128 otherwise.  Their per-level maxima are exact but screened by
+
+    rho(P) <= ||P||_2 <= ||P||_F,
+
+where ``||P||_F`` is computed for every word in one pass.  The exact
+Euclidean norm ``||P||_2 = sqrt(lambda_max(P^H P))`` (batched Gram
+matrix and ``eigvalsh``) is computed only for words whose ``||P||_F``
+is at least ``(1 - SCREEN_SLACK)`` times the level's running norm
+maximum, seeded by the ``SCREEN_SEED`` words of largest bound; ``rho``
+(``eigvals``) only for words whose bound, the exact norm where known and
+``||P||_F`` elsewhere, reaches the running ``rho`` maximum in the same
+sense.  ``SCREEN_SLACK`` = 1e-8 is a roundoff allowance: it covers the
+relative error of the computed bound and kernels (a small multiple of
+d**2 * 2**-53; both kernels are backward stable, so a computed norm or
+eigenvalue modulus exceeds ``||P||_2`` by no more) and the ``TIE_RTOL``
+tie window, so the per-level values, argmax words and tie lists equal
+those of evaluating every word.  Below ``SCREEN_FLOOR`` the squares in
+``||P||_F`` may underflow and nothing is screened.  Screening charges no
+multiplications.
+Argmax words at roundoff-level near-ties, such as rotations of one
+word, are the lexicographically first under this arithmetic and may
+differ from those of a complex-typed evaluation.
 """
 
 import heapq
@@ -47,6 +72,16 @@ BUDGET_ENV = "JSRKIT_BUDGET"
 
 # relative tie window for reporting near-maximal words
 TIE_RTOL = 1e-12
+
+# Level screen (module docstring): a word is evaluated exactly while its
+# bound is at least (1 - SCREEN_SLACK) times the running level maximum.
+# The slack covers TIE_RTOL plus the relative roundoff of the bound and
+# of the exact kernels, a small multiple of d**2 * 2**-53.
+SCREEN_SLACK = 1e-8
+# words of largest bound evaluated before the first cut
+SCREEN_SEED = 64
+# below this cutoff Frobenius squares may have underflowed: no screening
+SCREEN_FLOOR = 1e-150
 
 
 class BudgetExceededError(RuntimeError):
@@ -161,9 +196,20 @@ def _word_of_index(index, n, m):
 
 
 def _chunked(total, workers):
-    """Contiguous chunk boundaries; the partition depends only on sizes."""
-    workers = max(1, int(workers))
-    return np.array_split(np.arange(total), min(workers, total) or 1)
+    """Contiguous chunk slices; the partition depends only on sizes."""
+    count = min(max(1, int(workers)), total) or 1
+    size, extra = divmod(total, count)
+    edges = [k * size + min(k, extra) for k in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+
+
+def _batched_map(fn, P, workers):
+    chunks = _chunked(len(P), workers)
+    if len(chunks) == 1:
+        return fn(P[chunks[0]])
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = list(pool.map(lambda idx: fn(P[idx]), chunks))
+    return np.concatenate(parts)
 
 
 def _extend_level(stack, P, counter, workers):
@@ -176,51 +222,89 @@ def _extend_level(stack, P, counter, workers):
     """
     m, d = stack.shape[0], stack.shape[1]
     counter.charge(len(P) * m)
-
-    def block(idx):
-        return np.einsum("jab,ibc->ijac", stack, P[idx])
-
-    chunks = _chunked(len(P), workers)
-    if len(chunks) == 1:
-        out = block(chunks[0])
-        return out.reshape(len(P) * m, d, d)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(block, chunks))
-    return np.concatenate(parts).reshape(len(P) * m, d, d)
+    children = _batched_map(lambda Q: np.matmul(stack, Q[:, None]), P, workers)
+    return children.reshape(len(P) * m, d, d)
 
 
 def _iter_levels(mset, n_max, counter, workers=1):
-    """Yield ``(n, P_n)`` for n = 1..n_max, P_n indexed lexicographically."""
+    """Yield ``(n, P_n)`` for n = 1..n_max, P_n indexed lexicographically.
+
+    The level arrays are float64 when every generator is real and
+    complex128 otherwise.
+    """
     stack = mset.stack()
-    P = np.eye(mset.d, dtype=complex)[None]
+    if not stack.imag.any():
+        stack = np.ascontiguousarray(stack.real)
+    P = np.eye(mset.d, dtype=stack.dtype)[None]
     for n in range(1, n_max + 1):
         P = _extend_level(stack, P, counter, workers)
         yield n, P
 
 
-def _batched_map(fn, P, workers):
-    chunks = _chunked(len(P), workers)
-    if len(chunks) == 1:
-        return fn(P[chunks[0]])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda idx: fn(P[idx]), chunks))
-    return np.concatenate(parts)
+def _frobenius_norms(P, workers):
+    """``||P||_F`` per matrix: the cheap screening bound."""
+    flat = P.reshape(len(P), -1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    return _batched_map(lambda Q: np.sqrt(np.einsum("ni,ni->n", Q, Q)), flat, workers)
 
 
-def _euclidean_norms(P, workers):
-    return _batched_map(lambda Q: np.linalg.svd(Q, compute_uv=False)[:, 0], P, workers)
+def _euclidean_norms(Q):
+    """``||Q||_2 = sqrt(lambda_max(Q^H Q))`` per matrix of a batch."""
+    # scaling by a power of two is exact and keeps Q^H Q clear of
+    # overflow and underflow
+    scale = np.ldexp(1.0, np.frexp(np.abs(Q).max(axis=(1, 2)))[1])
+    Q = Q / scale[:, None, None]
+    gram = np.swapaxes(Q, 1, 2).conj() @ Q
+    return scale * np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
 
 
-def _spectral_radii(P, workers):
-    return _batched_map(lambda Q: np.abs(np.linalg.eigvals(Q)).max(axis=1), P, workers)
+def _spectral_radii(Q):
+    """Largest eigenvalue modulus per matrix of a batch."""
+    return np.abs(np.linalg.eigvals(Q)).max(axis=1)
 
 
 def _matrix_norms(P, norm, workers):
-    if norm is None or norm == "euclidean" or getattr(norm, "kind", None) == "euclidean":
-        return _euclidean_norms(P, workers)
     if hasattr(norm, "matrix_norms_batch"):
         return norm.matrix_norms_batch(P, workers=workers)
     return np.array([norm.matrix_norm(M) for M in P])
+
+
+def _screen_cutoff(best):
+    """Smallest bound a word needs to stay a candidate for the maximum."""
+    cutoff = best * (1.0 - SCREEN_SLACK)
+    # NaN, or a level so small that squares may underflow: screen nothing
+    return cutoff if cutoff >= SCREEN_FLOOR else 0.0
+
+
+def _screened(bound, kernel, P):
+    """Exact ``kernel`` values of the words that can reach the level maximum.
+
+    ``bound[i]`` must bound ``kernel(P[i])`` from above up to roundoff.
+    The ``SCREEN_SEED`` words of largest bound are evaluated first; the
+    rest are evaluated in batches of decreasing bound, as long as their
+    bound reaches the running maximum less ``SCREEN_SLACK``.  Every other
+    word reads ``-inf``, so the maximum, its lexicographically first
+    argmax and the ``TIE_RTOL`` tie window equal those of an unscreened
+    evaluation.  The batches are small, so they run on the calling thread.
+    """
+    total = len(bound)
+    values = np.full(total, -np.inf)
+    size = min(SCREEN_SEED, total)
+    batch = np.argpartition(bound, total - size)[total - size:]
+    values[batch] = kernel(P[batch])
+    best = values[batch].max()
+    fresh = np.ones(total, dtype=bool)
+    fresh[batch] = False
+    rest = np.nonzero(fresh & ~(bound < _screen_cutoff(best)))[0]
+    rest = rest[np.argsort(-bound[rest], kind="stable")]
+    while len(rest):
+        batch, rest = rest[:size], rest[size:]
+        values[batch] = kernel(P[batch])
+        best = np.max([best, values[batch].max()])
+        rest = rest[~(bound[rest] < _screen_cutoff(best))]
+        size *= 2
+    return values
 
 
 @dataclass(frozen=True)
@@ -244,32 +328,68 @@ def _level_bound(values, n, m, nth_root_of, ties):
     return LevelBound(value, word, tie_words)
 
 
+def _level_bounds(P, n, m, norm=None, workers=1, ties=False):
+    """``(rho_plus, rho_minus)`` level bounds of one level ``P``.
+
+    ``||P||_F`` is computed for every word.  Euclidean norms are screened
+    by it, spectral radii by the exact norm where one was computed and by
+    ``||P||_F`` elsewhere (``rho(P) <= ||P||_2 <= ||P||_F``).  Norms with
+    another ``norm`` are evaluated on every word, unscreened.
+    """
+    fro = _frobenius_norms(P, workers)
+    radius_bound = fro
+    if norm is None or norm == "euclidean" or getattr(norm, "kind", None) == "euclidean":
+        norms = _screened(fro, _euclidean_norms, P)
+        radius_bound = np.where(np.isneginf(norms), fro, norms)
+    else:
+        norms = _matrix_norms(P, norm, workers)
+    radii = _screened(radius_bound, _spectral_radii, P)
+    root = lambda v: v ** (1.0 / n)
+    return _level_bound(norms, n, m, root, ties), _level_bound(radii, n, m, root, ties)
+
+
+def _level(mset, n, norm, budget, workers, ties):
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
+    for level, P in _iter_levels(mset, n, counter, workers):
+        if level == n:
+            return _level_bounds(P, n, len(mset), norm, workers, ties)
+
+
 def rho_plus_n(mset, n, norm=None, budget=None, workers=1, ties=False):
     """Largest ``||A_w||^(1/n)`` over all words of length ``n``.
 
-    The maximum is exact for the Euclidean norm; adapted norms evaluate
-    their operator norm by the deterministic search documented in
-    :mod:`jsrkit.extremal`.  Ties are broken towards the
-    lexicographically smallest word.
+    The maximum is exact for the Euclidean norm, computed as
+    ``sqrt(lambda_max(A_w^H A_w))`` only on the words whose Frobenius
+    norm reaches the level maximum less ``SCREEN_SLACK`` (see the module
+    docstring).  Adapted norms evaluate their operator norm on every word
+    by the deterministic search documented in :mod:`jsrkit.extremal`.
+    Ties are broken towards the lexicographically smallest word.  At
+    roundoff-level near-ties, such as rotations of one word, that is the
+    first word under the real-typed arithmetic used for real families,
+    which may differ from the choice of a complex-typed evaluation.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
-    for level, P in _iter_levels(mset, n, counter, workers):
-        if level == n:
-            values = _matrix_norms(P, norm, workers)
-            return _level_bound(values, n, len(mset), lambda v: v ** (1.0 / n), ties)
+    return _level(mset, n, norm, budget, workers, ties)[0]
 
 
 def rho_minus_n(mset, n, budget=None, workers=1, ties=False):
-    """Largest ``rho(A_w)^(1/n)`` over all words of length ``n``."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
-    for level, P in _iter_levels(mset, n, counter, workers):
-        if level == n:
-            values = _spectral_radii(P, workers)
-            return _level_bound(values, n, len(mset), lambda v: v ** (1.0 / n), ties)
+    """Largest ``rho(A_w)^(1/n)`` over all words of length ``n``.
+
+    Exact; ``eigvals`` runs only on the words whose norm bound reaches
+    the level's running maximum less ``SCREEN_SLACK`` (module docstring).
+    Ties and near-ties are broken as in :func:`rho_plus_n`.
+    """
+    return _level(mset, n, None, budget, workers, ties)[1]
+
+
+def _check_enclosure(lower, upper, where):
+    """Raise :class:`InternalInvariantError` if ``lower`` exceeds ``upper``
+    by more than roundoff (``1e-9 * max(1, upper)``)."""
+    if upper - lower < -1e-9 * max(1.0, upper):
+        raise InternalInvariantError(
+            "lower bound %.17g exceeds upper bound %.17g %s" % (lower, upper, where)
+        )
 
 
 @dataclass(frozen=True)
@@ -310,7 +430,13 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     row; the two running bounds are checked against each other and an
     :class:`InternalInvariantError` is raised if they ever cross beyond
     roundoff.  Exhausting the multiplication budget truncates the report
-    (flagged) rather than raising.
+    (flagged) rather than raising; level n charges m^n multiplications.
+
+    Each level goes through the screened kernel of the module docstring:
+    ``||P||_F`` for every word, the Gram-based ``||P||_2`` and ``eigvals``
+    only where ``rho(P) <= ||P||_2 <= ||P||_F`` lets the word reach the
+    level maximum less ``SCREEN_SLACK``.  Adapted norms are evaluated on
+    every word; their ``rho`` side is screened by ``||P||_F``.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -321,18 +447,15 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     m = len(mset)
     try:
         for n, P in _iter_levels(mset, N, counter, workers):
-            plus = _level_bound(_matrix_norms(P, norm, workers), n, m, lambda v: v ** (1.0 / n), False)
-            minus = _level_bound(_spectral_radii(P, workers), n, m, lambda v: v ** (1.0 / n), False)
+            plus, minus = _level_bounds(P, n, m, norm, workers)
             best_lower = max(best_lower, minus.value)
             best_upper = min(best_upper, plus.value)
-            gap = best_upper - best_lower
-            if gap < -1e-9 * max(1.0, best_upper):
-                raise InternalInvariantError(
-                    "lower bound %.17g exceeds upper bound %.17g at n=%d"
-                    % (best_lower, best_upper, n)
-                )
+            _check_enclosure(best_lower, best_upper, "at n=%d" % n)
             report.rows.append(
-                BoundsRow(n, plus.value, minus.value, best_lower, best_upper, gap, plus.word, minus.word)
+                BoundsRow(
+                    n, plus.value, minus.value, best_lower, best_upper, best_upper - best_lower,
+                    plus.word, minus.word,
+                )
             )
     except BudgetExceededError:
         report.truncated = True
@@ -356,7 +479,9 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
     normalised norm over the final frontier, which is sound because
     every long product factors through frontier words.  Hitting
     ``max_depth`` or the budget before the gap closes yields an
-    inconclusive result (flag, not an exception).
+    inconclusive result (flag, not an exception).  A lower bound above
+    the upper bound beyond roundoff raises
+    :class:`InternalInvariantError`, as in :func:`sandwich`.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -410,9 +535,8 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
                 heapq.heappush(heap, (-sc, wc, Pc))
 
     upper = current_upper()
-    if not heap and not conclusive:
-        conclusive = upper - lower <= delta
-    return PrunedBounds(lower, max(upper, lower), conclusive or upper - lower <= delta, expanded, deepest)
+    _check_enclosure(lower, upper, "in the pruned search")
+    return PrunedBounds(lower, upper, conclusive or upper - lower <= delta, expanded, deepest)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ class RunConfig:
     rho_hat: float = None
     delta: float = 0.05
     gamma: str = None
-    seed: int = 0
     workers: int = 1
     cycle: str = "0"
     svg: str = None
@@ -258,7 +257,6 @@ def build_parser():
         cmd.add_argument("--rho-hat", type=float, default=None, dest="rho_hat")
         cmd.add_argument("--delta", type=float, default=0.05)
         cmd.add_argument("--gamma", help="comma list of convergents p/q")
-        cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--workers", type=int, default=1)
         cmd.add_argument("--cycle", default="0", help="comma list of symbols for the orbit")
         cmd.add_argument("--svg", default=None, help="optional SVG plot of the gap column")

@@ -240,6 +240,98 @@ class TestPrunedBounds:
             pruned_bounds(rank_one_pair(), delta=0.0)
 
 
+def unscreened_level(P, n, m, ties):
+    """Both level bounds with every word evaluated by the exact kernels."""
+    root = lambda v: v ** (1.0 / n)
+    return (
+        bounds._level_bound(bounds._euclidean_norms(P), n, m, root, ties),
+        bounds._level_bound(bounds._spectral_radii(P), n, m, root, ties),
+    )
+
+
+def random_family(seed, complex_entries):
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    mats = rng.standard_normal((m, d, d))
+    if complex_entries:
+        mats = mats + 1j * rng.standard_normal((m, d, d))
+    return MatrixSet(list(mats))
+
+
+# the two gallery families (the data/ fixtures), whose levels have exact
+# ties, and seeded random real and complex families (m <= 3, d <= 4)
+SCREEN_FAMILIES = [rank_one_pair(), antidiagonal_pair()] + [
+    random_family(seed, complex_entries) for seed in range(4) for complex_entries in (False, True)
+]
+
+
+class TestScreenedLevelKernel:
+    @pytest.mark.parametrize("mset", SCREEN_FAMILIES)
+    def test_matches_unscreened_evaluation_bit_for_bit(self, mset):
+        m = len(mset)
+        for n, P in bounds._iter_levels(mset, 8, BudgetCounter()):
+            screened = bounds._level_bounds(P, n, m, ties=True)
+            assert screened == unscreened_level(P, n, m, ties=True)
+
+    def test_screen_skips_words(self):
+        levels = bounds._iter_levels(random_family(0, complex_entries=False), 8, BudgetCounter())
+        _, P = list(levels)[-1]
+        norms = bounds._screened(bounds._frobenius_norms(P, 1), bounds._euclidean_norms, P)
+        assert np.isneginf(norms).sum() > len(P) // 2
+
+    @pytest.mark.parametrize("exponent", [-76, 76])
+    def test_extreme_scales_match_unscreened(self, exponent):
+        # level-7 products near 2**(+-532): Frobenius squares underflow or
+        # overflow, the Gram matrices of the scaled words do not
+        base = random_family(1, complex_entries=False)
+        mset = base.scaled(2.0**exponent)
+        for n, P in bounds._iter_levels(mset, 7, BudgetCounter()):
+            assert bounds._level_bounds(P, n, len(mset)) == unscreened_level(P, n, len(mset), False)
+        got, ref = rho_plus_n(mset, 7), rho_plus_n(base, 7)
+        assert got.word == ref.word
+        assert got.value == pytest.approx(2.0**exponent * ref.value, rel=1e-14)
+
+    def test_underflowing_bound_screens_nothing(self):
+        # ||P||_F**2 = 2**-1120 rounds to 0 while ||P||_2 = 2**-560: below
+        # SCREEN_FLOOR every word must still be evaluated
+        P = np.zeros((100, 2, 2))
+        P[:, 0, 0] = 2.0**-560
+        bound = bounds._frobenius_norms(P, 1)
+        assert not bound.any()
+        values = bounds._screened(bound, bounds._euclidean_norms, P)
+        assert (values == 2.0**-560).all()
+
+    def test_level_dtype_follows_the_generators(self):
+        for mset, dtype in ((rank_one_pair(), np.float64), (random_family(0, True), np.complex128)):
+            for _, P in bounds._iter_levels(mset, 3, BudgetCounter()):
+                assert P.dtype == dtype
+
+    @pytest.mark.parametrize("mset", SCREEN_FAMILIES[:4])
+    def test_budget_charges_the_products_only(self, mset):
+        m = len(mset)
+        counter = BudgetCounter()
+        sandwich(mset, 7, budget=counter)
+        assert counter.used == sum(m**k for k in range(1, 8))
+        for fn in (rho_plus_n, rho_minus_n):
+            counter = BudgetCounter()
+            fn(mset, 5, budget=counter)
+            assert counter.used == sum(m**k for k in range(1, 6))
+
+    @pytest.mark.parametrize("mset", SCREEN_FAMILIES)
+    def test_sandwich_identical_for_any_worker_count(self, mset):
+        reports = [sandwich(mset, 7, workers=w) for w in (1, 2, 8)]
+        assert reports[0] == reports[1] == reports[2]
+
+
+class TestCheckEnclosure:
+    def test_crossed_pair_raises(self):
+        with pytest.raises(bounds.InternalInvariantError, match="exceeds upper bound"):
+            bounds._check_enclosure(2.0, 1.9, "at n=3")
+
+    def test_roundoff_crossing_is_tolerated(self):
+        bounds._check_enclosure(2.0, 2.0 - 1e-12, "at n=3")
+
+
 def synthetic_report(gaps):
     rows = [
         BoundsRow(n, 2.0 + g, 2.0, 2.0, 2.0 + g, g, (0,), (0,))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from jsrkit import fileio
+from jsrkit import cli, fileio
 from jsrkit.bounds import MatrixSet
 from jsrkit.fileio import MatrixSetFormatError, load_matrix_set, save_matrix_set
 from jsrkit.gallery import antidiagonal_pair, golden_rotation_convergents, rank_one_pair
@@ -94,6 +95,11 @@ class TestBoundsCommand:
         meta = json.loads((tmp_path / "bounds.csv.meta.json").read_text())
         assert meta["config"]["max_depth"] == 10
         assert meta["budget_used"] > 0
+
+    def test_seed_flag_is_rejected(self):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["bounds", "--out", "x.csv", "--seed", "1"])
+        assert "seed" not in {f.name for f in dataclasses.fields(cli.RunConfig)}
 
     def test_missing_input_exits_two(self, tmp_path):
         proc = run_cli("bounds", "--out", str(tmp_path / "x.csv"))
