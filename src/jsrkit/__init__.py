@@ -16,7 +16,6 @@ from .bounds import (
     BudgetExceededError,
     MatrixSet,
     fit_rate,
-    product_of_word,
     pruned_bounds,
     rho_minus_n,
     rho_plus_n,

@@ -33,6 +33,8 @@ tie window, so the per-level values, argmax words and tie lists equal
 those of evaluating every word.  Below ``SCREEN_FLOOR`` the squares in
 ``||P||_F`` may underflow and nothing is screened.  Screening charges no
 multiplications.
+The same level generator and kernels serve the pruned search, the
+adapted-norm family and :func:`jsrkit.extremal.is_product_bounded`.
 Argmax words at roundoff-level near-ties, such as rotations of one
 word, are the lexicographically first under this arithmetic and may
 differ from those of a complex-typed evaluation.
@@ -54,7 +56,6 @@ __all__ = [
     "InternalInvariantError",
     "MatrixSet",
     "Word",
-    "product_of_word",
     "LevelBound",
     "rho_plus_n",
     "rho_minus_n",
@@ -183,10 +184,6 @@ class MatrixSet:
         return P
 
 
-def product_of_word(mset, word):
-    return mset.product(word)
-
-
 def _word_of_index(index, n, m):
     """Digits of ``index`` base ``m``, most significant first (= w_1)."""
     digits = [0] * n
@@ -226,15 +223,21 @@ def _extend_level(stack, P, counter, workers):
     return children.reshape(len(P) * m, d, d)
 
 
-def _iter_levels(mset, n_max, counter, workers=1):
-    """Yield ``(n, P_n)`` for n = 1..n_max, P_n indexed lexicographically.
-
-    The level arrays are float64 when every generator is real and
-    complex128 otherwise.
-    """
+def _typed_stack(mset):
+    """The generators as one array: float64 when all are real, else complex128."""
     stack = mset.stack()
     if not stack.imag.any():
         stack = np.ascontiguousarray(stack.real)
+    return stack
+
+
+def _iter_levels(mset, n_max, counter, workers=1):
+    """Yield ``(n, P_n)`` for n = 1..n_max, P_n indexed lexicographically.
+
+    The level arrays have the dtype of :func:`_typed_stack`.  Level n
+    charges m^n multiplications to ``counter`` before it is formed.
+    """
+    stack = _typed_stack(mset)
     P = np.eye(mset.d, dtype=stack.dtype)[None]
     for n in range(1, n_max + 1):
         P = _extend_level(stack, P, counter, workers)
@@ -262,12 +265,6 @@ def _euclidean_norms(Q):
 def _spectral_radii(Q):
     """Largest eigenvalue modulus per matrix of a batch."""
     return np.abs(np.linalg.eigvals(Q)).max(axis=1)
-
-
-def _matrix_norms(P, norm, workers):
-    if hasattr(norm, "matrix_norms_batch"):
-        return norm.matrix_norms_batch(P, workers=workers)
-    return np.array([norm.matrix_norm(M) for M in P])
 
 
 def _screen_cutoff(best):
@@ -331,18 +328,20 @@ def _level_bound(values, n, m, nth_root_of, ties):
 def _level_bounds(P, n, m, norm=None, workers=1, ties=False):
     """``(rho_plus, rho_minus)`` level bounds of one level ``P``.
 
-    ``||P||_F`` is computed for every word.  Euclidean norms are screened
-    by it, spectral radii by the exact norm where one was computed and by
-    ``||P||_F`` elsewhere (``rho(P) <= ||P||_2 <= ||P||_F``).  Norms with
-    another ``norm`` are evaluated on every word, unscreened.
+    ``norm`` is None or an object of the norm protocol of
+    :mod:`jsrkit.extremal`.  Euclidean norms (None, or ``kind ==
+    "euclidean"``) are screened by ``||P||_F``, spectral radii by the
+    exact norm where one was computed and by ``||P||_F`` elsewhere
+    (``rho(P) <= ||P||_2 <= ||P||_F``).  Any other norm is evaluated on
+    every word by its ``matrix_norms_batch``, unscreened.
     """
     fro = _frobenius_norms(P, workers)
     radius_bound = fro
-    if norm is None or norm == "euclidean" or getattr(norm, "kind", None) == "euclidean":
+    if norm is None or norm.kind == "euclidean":
         norms = _screened(fro, _euclidean_norms, P)
         radius_bound = np.where(np.isneginf(norms), fro, norms)
     else:
-        norms = _matrix_norms(P, norm, workers)
+        norms = norm.matrix_norms_batch(P)
     radii = _screened(radius_bound, _spectral_radii, P)
     root = lambda v: v ** (1.0 / n)
     return _level_bound(norms, n, m, root, ties), _level_bound(radii, n, m, root, ties)
@@ -441,7 +440,7 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     if N < 1:
         raise ValueError("N must be at least 1")
     counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
-    label = "euclidean" if norm is None else getattr(norm, "label", str(norm))
+    label = "euclidean" if norm is None else norm.label
     report = BoundsReport(rows=[], norm_label=label)
     best_lower, best_upper = 0.0, math.inf
     m = len(mset)
@@ -482,24 +481,37 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
     inconclusive result (flag, not an exception).  A lower bound above
     the upper bound beyond roundoff raises
     :class:`InternalInvariantError`, as in :func:`sandwich`.
+
+    Products are typed as in the level kernel (float64 for real
+    families).  The m children of an expanded node are formed by one
+    batched multiplication (m charged) and scored by the level kernel's
+    batched ``||.||_2`` (Gram matrix and ``eigvalsh``) and ``eigvals``.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
-    m = len(mset)
+    stack = _typed_stack(mset)
 
-    lower = 0.0
     retired_max = 0.0
     heap = []  # (-normalised norm, word, product)
     expanded = 0
     deepest = 1
 
-    counter.charge(m)
-    for j in range(m):
-        P = mset.matrices[j]
-        s = float(np.linalg.norm(P, 2))
-        lower = max(lower, linalg.spectral_radius(P))
-        heapq.heappush(heap, (-s, (j,), P))
+    def expand(word, children, keep_threshold):
+        """Push the children of ``word`` whose normalised norm exceeds
+        ``keep_threshold``, retire the others, and return the children's
+        largest normalised spectral radius."""
+        nonlocal retired_max
+        root = 1.0 / (len(word) + 1)
+        for j, s in enumerate((_euclidean_norms(children) ** root).tolist()):
+            if s <= keep_threshold:
+                retired_max = max(retired_max, s)
+            else:
+                heapq.heappush(heap, (-s, word + (j,), children[j]))
+        return float(_spectral_radii(children).max()) ** root
+
+    counter.charge(len(stack))
+    lower = expand((), stack, -math.inf)
 
     def current_upper():
         alive = -heap[0][0] if heap else 0.0
@@ -512,27 +524,18 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
             conclusive = True
             break
         neg_s, word, P = heapq.heappop(heap)
-        depth = len(word)
-        if depth >= max_depth:
+        if len(word) >= max_depth:
             retired_max = max(retired_max, -neg_s)
             continue
         expanded += 1
         try:
-            counter.charge(m)
+            counter.charge(len(stack))
         except BudgetExceededError:
             retired_max = max(retired_max, -neg_s)
             break
+        deepest = max(deepest, len(word) + 1)
         keep_threshold = lower * (1.0 - delta / 4.0)
-        for j in range(m):
-            Pc = mset.matrices[j] @ P
-            wc = word + (j,)
-            deepest = max(deepest, len(wc))
-            sc = float(np.linalg.norm(Pc, 2)) ** (1.0 / len(wc))
-            lower = max(lower, linalg.spectral_radius(Pc) ** (1.0 / len(wc)))
-            if sc <= keep_threshold:
-                retired_max = max(retired_max, sc)
-            else:
-                heapq.heappush(heap, (-sc, wc, Pc))
+        lower = max(lower, expand(word, np.matmul(stack, P), keep_threshold))
 
     upper = current_upper()
     _check_enclosure(lower, upper, "in the pruned search")

@@ -13,6 +13,7 @@ budget.
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -69,19 +70,24 @@ def _parse_gamma(text):
         token = token.strip()
         if not token:
             continue
-        p, q = token.split("/")
-        out.append(Fraction(int(p), int(q)))
+        p, q = (int(part) for part in token.split("/"))
+        if q == 0:
+            raise ValueError("--gamma convergent %r has a zero denominator" % token)
+        out.append(Fraction(p, q))
     return out
 
 
-def _make_norm(cfg, mset):
+def _make_norm(cfg, mset, counter):
+    """The run's norm; the adapted norm's probe and family are charged to ``counter``."""
     if cfg.norm == "euclidean":
         return extremal.EuclideanNorm()
     rho_hat = cfg.rho_hat
     if rho_hat is None:
-        probe = bounds.pruned_bounds(mset, delta=max(cfg.delta, 0.05), max_depth=12)
+        probe = bounds.pruned_bounds(
+            mset, delta=max(cfg.delta, 0.05), max_depth=12, budget=counter
+        )
         rho_hat = 0.5 * (probe.lower + probe.upper)
-    return extremal.AdaptedNorm(mset, rho_hat=rho_hat, depth=cfg.adapted_depth)
+    return extremal.AdaptedNorm(mset, rho_hat=rho_hat, depth=cfg.adapted_depth, budget=counter)
 
 
 def _metadata(cfg, counter, started, extra=None):
@@ -118,7 +124,7 @@ def _run_bounds(cfg, fit=False):
     started = time.monotonic()
     mset = fileio.load_matrix_set(cfg.input)
     counter = bounds.BudgetCounter()
-    norm = _make_norm(cfg, mset)
+    norm = _make_norm(cfg, mset, counter)
     report = bounds.sandwich(
         mset, cfg.max_depth, norm=norm, budget=counter, workers=cfg.workers
     )
@@ -176,7 +182,7 @@ def _run_splitting(cfg):
     word = shiftspace.PeriodicWord([int(s) for s in cfg.cycle.split(",")])
     word.validate_for(mset)
     probe = bounds.pruned_bounds(mset, delta=0.05, max_depth=14, budget=counter)
-    rho_hat = cfg.rho_hat or 0.5 * (probe.lower + probe.upper)
+    rho_hat = cfg.rho_hat if cfg.rho_hat is not None else 0.5 * (probe.lower + probe.upper)
     working = mset.scaled(1.0 / rho_hat)
     horizon = max(4 * word.period, 2 * cfg.max_depth)
     p, thetas = cocycle.detect_p(working, word, horizon)
@@ -274,6 +280,8 @@ def run(cfg):
         return _fail("input", "--out must be nonempty", EXIT_INPUT)
     if cfg.max_depth < 1:
         return _fail("input", "--max-depth must be at least 1", EXIT_INPUT)
+    if cfg.rho_hat is not None and not (cfg.rho_hat > 0 and math.isfinite(cfg.rho_hat)):
+        return _fail("input", "--rho-hat must be a positive finite number", EXIT_INPUT)
     try:
         if cfg.command == "bounds":
             return _run_bounds(cfg)

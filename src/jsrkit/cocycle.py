@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .bounds import product_of_word
 from .extremal import EuclideanNorm
 
 __all__ = [
@@ -51,7 +50,7 @@ def cocycle_product(mset, x, n, start=0):
     if n < 0:
         raise ValueError("n must be non-negative")
     word = tuple(x.symbol(start + i) for i in range(n))
-    return product_of_word(mset, word)
+    return mset.product(word)
 
 
 def _theta_slopes(mset, x, horizon):
@@ -443,7 +442,7 @@ def certify_lower(mset, word, powers=8):
     word = mset.check_word(word)
     if len(word) == 0:
         raise ValueError("word must be nonempty")
-    P = product_of_word(mset, word)
+    P = mset.product(word)
     n = len(word)
     rho = linalg.spectral_radius(P)
     value = rho ** (1.0 / n)

@@ -12,6 +12,23 @@ extremal norm as N grows (when rho_hat is right).  On a normalised
 family the set of symbol sequences whose partial products keep norm one
 is the candidate extremal set; membership along a periodic word is
 checked to finite depth and reported as consistent or rejected.
+
+Norm protocol.  Every function of the package that takes a ``norm``
+accepts an object with
+
+- ``kind``: ``"euclidean"`` or another string;
+- ``label``: the name written to reports;
+- ``vector_norm(v)`` and ``vector_norms(V)``, the latter over the
+  columns of a d x r array;
+- ``matrix_norm(M)``: the induced operator norm of one matrix;
+- ``matrix_norms_batch(P)``: operator norms of a stack of matrices,
+  required unless ``kind == "euclidean"``.
+
+The bound sequences of :mod:`jsrkit.bounds` also accept ``None``.  There,
+None and any norm of kind ``"euclidean"`` (:class:`EuclideanNorm`) take
+the screened Gram-based level kernel and the norm object is not called;
+other norms, such as :class:`AdaptedNorm`, are called through
+``matrix_norms_batch`` on whole levels.
 """
 
 import math
@@ -20,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from . import linalg
-from .bounds import BudgetCounter, BudgetExceededError, product_of_word, sandwich
+from . import bounds, linalg
+from .bounds import BudgetCounter, BudgetExceededError, sandwich
 
 __all__ = [
     "EuclideanNorm",
@@ -40,6 +57,9 @@ __all__ = [
 
 # |||A(x,n)||| may deviate from 1 by this much before a verdict is drawn
 Y_MEMBERSHIP_TOL = 1e-6
+# AdaptedNorm.matrix_norms_batch re-evaluates this many of the largest
+# candidate values with the full single-matrix search
+REFINE_TOP = 16
 
 
 class NormalizationError(ValueError):
@@ -60,9 +80,6 @@ class EuclideanNorm:
 
     def matrix_norm(self, M):
         return float(np.linalg.norm(M, 2))
-
-    def matrix_norms_batch(self, P, workers=1, refine_top=0):
-        return np.linalg.svd(P, compute_uv=False)[:, 0]
 
     def __repr__(self):
         return "EuclideanNorm()"
@@ -119,12 +136,8 @@ class AdaptedNorm:
         self.depth = int(depth)
         self.label = "adapted(depth=%d, rho_hat=%.6g)" % (self.depth, self.rho_hat)
 
-        blocks = [np.eye(d, dtype=complex)[None]]
-        stack = mset.stack()
-        level = blocks[0]
-        for k in range(1, depth + 1):
-            counter.charge(len(level) * m)
-            level = np.einsum("jab,ibc->ijac", stack, level).reshape(-1, d, d)
+        blocks = [np.eye(d)[None]]
+        for k, level in bounds._iter_levels(mset, depth, counter):
             blocks.append(level * self.rho_hat ** (-k))
         family = np.concatenate(blocks)
         self._flat = family.reshape(-1, d)  # (f*d, d) stacked for fast apply
@@ -148,12 +161,6 @@ class AdaptedNorm:
 
     def vector_norm(self, v):
         return float(self.vector_norms(np.asarray(v, dtype=complex))[0])
-
-    def _ratio(self, M, v):
-        den = self.vector_norms(v[:, None])[0]
-        if den == 0.0:
-            return 0.0
-        return float(self.vector_norms((M @ v)[:, None])[0] / den)
 
     def _refine(self, M, v0):
         d, fam = self.d, self._family_size
@@ -210,13 +217,13 @@ class AdaptedNorm:
             value = max(value, self._refine(M, C[:, best] / np.linalg.norm(C[:, best])))
         return value
 
-    def matrix_norms_batch(self, P, workers=1, refine_top=16):
+    def matrix_norms_batch(self, P):
         """Operator norms of a batch of matrices.
 
         A cheap candidate pass (fixed mesh plus each matrix's own top
-        right singular vector) ranks the batch; the ``refine_top``
+        right singular vector) ranks the batch; the ``REFINE_TOP``
         highest entries are then re-evaluated with the full single-matrix
-        search.  Chunking by ``workers`` does not change any result.
+        search.
         """
         P = np.asarray(P, dtype=complex)
         mesh = self._mesh
@@ -250,17 +257,16 @@ class AdaptedNorm:
         values = np.concatenate(
             [cheap(P[i : i + chunk_size]) for i in range(0, len(P), chunk_size)]
         )
-        if refine_top:
-            # refinement only raises a value, by at most a modest factor, so
-            # candidates already more than 10% below the running best cannot
-            # change the maximum and are left alone
-            order = np.argsort(-values, kind="stable")[:refine_top]
-            best = 0.0
-            for idx in order:
-                if values[idx] < 0.9 * best:
-                    break
-                values[idx] = max(values[idx], self.matrix_norm(P[idx], refine=True))
-                best = max(best, values[idx])
+        # refinement only raises a value, by at most a modest factor, so
+        # candidates already more than 10% below the running best cannot
+        # change the maximum and are left alone
+        order = np.argsort(-values, kind="stable")[:REFINE_TOP]
+        best = 0.0
+        for idx in order:
+            if values[idx] < 0.9 * best:
+                break
+            values[idx] = max(values[idx], self.matrix_norm(P[idx], refine=True))
+            best = max(best, values[idx])
         return values
 
     def __repr__(self):
@@ -332,13 +338,10 @@ def is_product_bounded(mset, depth, bound_guess, budget=None):
         raise ValueError("depth must be at least 1")
     counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
     maxima = []
-    stack = mset.stack()
-    P = np.eye(mset.d, dtype=complex)[None]
     try:
-        for _ in range(depth):
-            counter.charge(len(P) * len(mset))
-            P = np.einsum("jab,ibc->ijac", stack, P).reshape(-1, mset.d, mset.d)
-            maxima.append(float(np.linalg.svd(P, compute_uv=False)[:, 0].max()))
+        for _, P in bounds._iter_levels(mset, depth, counter):
+            norms = bounds._screened(bounds._frobenius_norms(P, 1), bounds._euclidean_norms, P)
+            maxima.append(float(norms.max()))
     except BudgetExceededError:
         return ProductBoundedness(INCONCLUSIVE, maxima, bound_guess)
     exceeded = any(v > bound_guess for v in maxima)
@@ -384,8 +387,7 @@ def y_membership(mset, norm, pword, depth, tol=Y_MEMBERSHIP_TOL):
     values, margins, excess = [], [], []
     verdict, rejected_at = "consistent", None
     for n in range(1, depth + 1):
-        M = product_of_word(mset, pword.prefix(n))
-        v = linalg.operator_norm(M, norm)
+        v = norm.matrix_norm(mset.product(pword.prefix(n)))
         values.append(v)
         margins.append(1.0 - v)
         if v > 1.0 + tol:

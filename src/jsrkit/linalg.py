@@ -89,19 +89,15 @@ def right_singular_subspaces(M, p):
     return Subspace(V[:, :p]), Subspace(V[:, p:])
 
 
-def operator_norm(M, norm=None):
-    """Operator norm of ``M`` induced by a vector norm.
+def operator_norm(M):
+    """Euclidean operator norm of ``M``: its largest singular value (SVD).
 
-    ``norm`` may be None or ``"euclidean"`` (largest singular value), or
-    any object exposing ``matrix_norm`` (see the adapted norms in
-    :mod:`jsrkit.extremal`, which evaluate by deterministic search).
+    A single-matrix reference.  Whole product levels and the pruned
+    search use the batched Gram-based kernel of :mod:`jsrkit.bounds`;
+    other norms evaluate themselves through the norm protocol of
+    :mod:`jsrkit.extremal` (``norm.matrix_norm``).
     """
-    M = as_matrix(M)
-    if norm is None or norm == "euclidean" or getattr(norm, "kind", None) == "euclidean":
-        return float(np.linalg.norm(M, 2))
-    if hasattr(norm, "matrix_norm"):
-        return float(norm.matrix_norm(M))
-    raise TypeError("norm must be None, 'euclidean', or expose matrix_norm()")
+    return float(np.linalg.norm(as_matrix(M), 2))
 
 
 class Subspace:

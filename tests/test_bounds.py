@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 
@@ -11,14 +12,16 @@ from jsrkit.bounds import (
     BudgetCounter,
     BudgetExceededError,
     MatrixSet,
+    PrunedBounds,
     fit_rate,
-    product_of_word,
     pruned_bounds,
     rho_minus_n,
     rho_plus_n,
     sandwich,
 )
+from jsrkit.extremal import EuclideanNorm
 from jsrkit.gallery import antidiagonal_pair, rank_one_pair
+from jsrkit.linalg import operator_norm, spectral_radius
 
 SQRT2 = math.sqrt(2.0)
 
@@ -34,32 +37,75 @@ def brute_force_level(mset, n):
     return out
 
 
+def random_family(seed, complex_entries):
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    mats = rng.standard_normal((m, d, d))
+    if complex_entries:
+        mats = mats + 1j * rng.standard_normal((m, d, d))
+    return MatrixSet(list(mats))
+
+
+def reference_pruned(mset, delta, max_depth, counter):
+    """The pruned search evaluated one child at a time, in complex
+    arithmetic, by the single-matrix SVD and ``eigvals`` references."""
+    m = len(mset)
+    heap, lower, retired, expanded, deepest = [], 0.0, 0.0, 0, 1
+    counter.charge(m)
+    for j, A in enumerate(mset.matrices):
+        lower = max(lower, spectral_radius(A))
+        heapq.heappush(heap, (-operator_norm(A), (j,), A))
+    upper = lambda: max(-heap[0][0] if heap else 0.0, retired)
+    while heap and upper() - lower > delta:
+        neg_s, word, P = heapq.heappop(heap)
+        if len(word) >= max_depth:
+            retired = max(retired, -neg_s)
+            continue
+        expanded += 1
+        try:
+            counter.charge(m)
+        except BudgetExceededError:
+            retired = max(retired, -neg_s)
+            break
+        keep = lower * (1.0 - delta / 4.0)
+        for j, A in enumerate(mset.matrices):
+            child, root = A @ P, 1.0 / (len(word) + 1)
+            deepest = max(deepest, len(word) + 1)
+            s = operator_norm(child) ** root
+            lower = max(lower, spectral_radius(child) ** root)
+            if s <= keep:
+                retired = max(retired, s)
+            else:
+                heapq.heappush(heap, (-s, word + (j,), child))
+    return PrunedBounds(lower, upper(), upper() - lower <= delta, expanded, deepest)
+
+
 class TestProductOfWord:
     def test_applies_first_index_first(self):
         E1 = antidiagonal_pair()
         # word (swap, double-swap): swap acts first, so the product is
         # double-swap @ swap = diag(2, 1/2)
-        P = product_of_word(E1, (1, 0))
+        P = E1.product((1, 0))
         assert P == pytest.approx(np.diag([2.0, 0.5]))
 
     def test_empty_word_is_identity(self):
         E1 = antidiagonal_pair()
-        assert product_of_word(E1, ()) == pytest.approx(np.eye(2))
+        assert E1.product(()) == pytest.approx(np.eye(2))
 
     def test_involution_squares_to_identity(self):
         E1 = antidiagonal_pair()
-        assert product_of_word(E1, (0, 0)) == pytest.approx(np.eye(2))
+        assert E1.product((0, 0)) == pytest.approx(np.eye(2))
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            product_of_word(antidiagonal_pair(), (0, 2))
+            antidiagonal_pair().product((0, 2))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         mats = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         mset = MatrixSet(list(mats))
         for word, P in brute_force_level(mset, 3).items():
-            assert product_of_word(mset, word) == pytest.approx(P)
+            assert mset.product(word) == pytest.approx(P)
 
 
 class TestRhoPlus:
@@ -235,6 +281,21 @@ class TestPrunedBounds:
         assert not result.conclusive
         assert result.upper - result.lower > 1e-6
 
+    @pytest.mark.parametrize(
+        "mset",
+        [rank_one_pair(), antidiagonal_pair()]
+        + [random_family(seed, c) for seed in range(6) for c in (False, True)],
+    )
+    def test_matches_the_per_child_reference(self, mset):
+        counters = BudgetCounter(6000), BudgetCounter(6000)
+        got = pruned_bounds(mset, 0.01, max_depth=20, budget=counters[0])
+        ref = reference_pruned(mset, 0.01, 20, counters[1])
+        shape = lambda r: (r.conclusive, r.expanded, r.deepest)
+        assert shape(got) == shape(ref)
+        assert got.lower == pytest.approx(ref.lower, rel=1e-12)
+        assert got.upper == pytest.approx(ref.upper, rel=1e-12)
+        assert counters[0].used == counters[1].used
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             pruned_bounds(rank_one_pair(), delta=0.0)
@@ -247,15 +308,6 @@ def unscreened_level(P, n, m, ties):
         bounds._level_bound(bounds._euclidean_norms(P), n, m, root, ties),
         bounds._level_bound(bounds._spectral_radii(P), n, m, root, ties),
     )
-
-
-def random_family(seed, complex_entries):
-    rng = np.random.default_rng(seed)
-    m, d = int(rng.integers(2, 4)), int(rng.integers(2, 5))
-    mats = rng.standard_normal((m, d, d))
-    if complex_entries:
-        mats = mats + 1j * rng.standard_normal((m, d, d))
-    return MatrixSet(list(mats))
 
 
 # the two gallery families (the data/ fixtures), whose levels have exact
@@ -316,6 +368,14 @@ class TestScreenedLevelKernel:
             counter = BudgetCounter()
             fn(mset, 5, budget=counter)
             assert counter.used == sum(m**k for k in range(1, 6))
+
+    @pytest.mark.parametrize("mset", SCREEN_FAMILIES)
+    def test_euclidean_norm_object_is_the_default(self, mset):
+        # EuclideanNorm() takes the screened kernel, as norm=None does
+        default = sandwich(mset, 7)
+        named = sandwich(mset, 7, norm=EuclideanNorm())
+        assert named.rows == default.rows
+        assert named == default
 
     @pytest.mark.parametrize("mset", SCREEN_FAMILIES)
     def test_sandwich_identical_for_any_worker_count(self, mset):

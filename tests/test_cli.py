@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from jsrkit import cli, fileio
-from jsrkit.bounds import MatrixSet
+from jsrkit.bounds import BudgetCounter, MatrixSet, pruned_bounds
 from jsrkit.fileio import MatrixSetFormatError, load_matrix_set, save_matrix_set
 from jsrkit.gallery import antidiagonal_pair, golden_rotation_convergents, rank_one_pair
 
@@ -137,6 +137,64 @@ class TestBoundsCommand:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestBudgetLedger:
+    """The adapted norm's probe and family are charged to the run's counter."""
+
+    def _meta(self, fixtures, name, *extra):
+        out = fixtures["dir"] / (name + ".csv")
+        argv = ["bounds", "--input", fixtures["e2"], "--out", str(out), "--max-depth", "8"]
+        code = cli.main(argv + list(extra))
+        return code, json.loads((fixtures["dir"] / (name + ".csv.meta.json")).read_text())
+
+    def _probe_and_family(self):
+        # the probe _make_norm runs without --rho-hat, and the depth-6 family
+        probe = BudgetCounter()
+        pruned_bounds(rank_one_pair(), delta=0.05, max_depth=12, budget=probe)
+        return probe.used + sum(2**k for k in range(1, 7))
+
+    def test_adapted_run_reports_probe_and_family(self, fixtures):
+        code_e, euclidean = self._meta(fixtures, "euclidean")
+        code_a, adapted = self._meta(fixtures, "adapted", "--norm", "adapted")
+        assert code_e == code_a == cli.EXIT_OK
+        assert adapted["budget_used"] >= euclidean["budget_used"] + self._probe_and_family()
+
+    def test_budget_env_caps_the_whole_adapted_run(self, fixtures, monkeypatch):
+        # room for the probe, the family and levels 1..5 of the sandwich only
+        monkeypatch.setenv("JSRKIT_BUDGET", str(self._probe_and_family() + 100))
+        code, meta = self._meta(fixtures, "capped", "--norm", "adapted")
+        assert code == cli.EXIT_INCONCLUSIVE
+        assert meta["truncated"] is True
+        rows = (fixtures["dir"] / "capped.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 5
+
+
+class TestInputErrors:
+    def test_zero_denominator_in_gamma_exits_two(self, tmp_path):
+        proc = run_cli("epsilon", "--gamma", "1/2,1/0", "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("jsrkit: input:")
+        assert "zero denominator" in proc.stderr
+
+    @pytest.mark.parametrize("value", ["0", "-2", "nan"])
+    @pytest.mark.parametrize(
+        "command", ["bounds", "convergence", "pruned", "splitting", "sturmian", "epsilon"]
+    )
+    def test_invalid_rho_hat_exits_two(self, fixtures, tmp_path, capsys, command, value):
+        out = tmp_path / "never.csv"
+        argv = [command, "--out", str(out), "--rho-hat=" + value,
+                "--input", fixtures["e2"], "--gamma", "1/2"]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("jsrkit: input: --rho-hat")
+        assert not out.exists()
+
+    def test_explicit_rho_hat_is_used_by_splitting(self, fixtures, tmp_path):
+        out = tmp_path / "split.csv"
+        argv = ["splitting", "--input", fixtures["e2"], "--out", str(out), "--cycle", "0",
+                "--max-depth", "8", "--rho-hat", "2.0"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads((tmp_path / "split.csv.meta.json").read_text())["rho_hat"] == 2.0
 
 
 class TestOtherCommands:

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from jsrkit.bounds import BudgetExceededError, MatrixSet
+from jsrkit.bounds import BudgetCounter, BudgetExceededError, MatrixSet
 from jsrkit.extremal import (
     BOUNDED,
     GROWTH,
@@ -15,9 +16,18 @@ from jsrkit.extremal import (
     y_membership,
 )
 from jsrkit.gallery import antidiagonal_pair, rank_one_pair
+from jsrkit.linalg import operator_norm
 from jsrkit.shiftspace import PeriodicWord
 
 SQRT2 = math.sqrt(2.0)
+
+
+def seeded_family(seed, d, m, complex_entries):
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((m, d, d))
+    if complex_entries:
+        mats = mats + 1j * rng.standard_normal((m, d, d))
+    return MatrixSet(list(mats))
 
 
 @pytest.fixture
@@ -95,6 +105,16 @@ class TestAdaptedNormEvaluation:
         with pytest.raises(BudgetExceededError):
             AdaptedNorm(rank_one_pair(), rho_hat=1.0, depth=30, budget=100)
 
+    @pytest.mark.parametrize(
+        "mset,depth", [(rank_one_pair(), 6), (seeded_family(3, 3, 2, True), 4)]
+    )
+    def test_family_charges_every_product_to_the_counter(self, mset, depth):
+        m = len(mset)
+        counter = BudgetCounter()
+        counter.charge(7)  # earlier work of the same run
+        AdaptedNorm(mset, rho_hat=1.0, depth=depth, budget=counter)
+        assert counter.used == 7 + sum(m**k for k in range(1, depth + 1))
+
 
 class TestExtremalityResidual:
     def test_euclidean_already_extremal_for_diagonal(self):
@@ -128,6 +148,19 @@ class TestProductBounded:
 
     def test_scaled_antidiagonal_bounded(self, scaled_antidiagonal):
         assert is_product_bounded(scaled_antidiagonal, 12, 4.0).verdict == BOUNDED
+
+    @pytest.mark.parametrize(
+        "mset",
+        [rank_one_pair(), antidiagonal_pair()]
+        + [seeded_family(seed, d, 2, c) for seed in (0, 1) for d in (2, 3) for c in (False, True)],
+    )
+    def test_level_maxima_match_brute_force(self, mset):
+        maxima = is_product_bounded(mset, 8, 1.0).level_maxima
+        assert len(maxima) == 8
+        for n, value in enumerate(maxima, start=1):
+            words = itertools.product(range(len(mset)), repeat=n)
+            expected = max(operator_norm(mset.product(w)) for w in words)
+            assert value == pytest.approx(expected, rel=1e-12)
 
 
 class TestYMembership:
