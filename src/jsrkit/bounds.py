@@ -35,6 +35,8 @@ those of evaluating every word.  Below ``SCREEN_FLOOR`` the squares in
 multiplications.
 The same level generator and kernels serve the pruned search, the
 adapted-norm family and :func:`jsrkit.extremal.is_product_bounded`.
+Levels are computed serially on the calling thread; the ``workers``
+keyword of :func:`sandwich` is accepted and ignored.
 Argmax words at roundoff-level near-ties, such as rotations of one
 word, are the lexicographically first under this arithmetic and may
 differ from those of a complex-typed evaluation.
@@ -43,7 +45,6 @@ differ from those of a complex-typed evaluation.
 import heapq
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,37 +193,6 @@ def _word_of_index(index, n, m):
     return tuple(digits)
 
 
-def _chunked(total, workers):
-    """Contiguous chunk slices; the partition depends only on sizes."""
-    count = min(max(1, int(workers)), total) or 1
-    size, extra = divmod(total, count)
-    edges = [k * size + min(k, extra) for k in range(count + 1)]
-    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
-
-
-def _batched_map(fn, P, workers):
-    chunks = _chunked(len(P), workers)
-    if len(chunks) == 1:
-        return fn(P[chunks[0]])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda idx: fn(P[idx]), chunks))
-    return np.concatenate(parts)
-
-
-def _extend_level(stack, P, counter, workers):
-    """All one-symbol extensions of the products in ``P``.
-
-    Index order is preserved so that numeric order equals lexicographic
-    order on words: child ``i*m + j`` appends symbol ``j`` to word ``i``.
-    The per-element results do not depend on the chunking, so any worker
-    count yields bit-identical output.
-    """
-    m, d = stack.shape[0], stack.shape[1]
-    counter.charge(len(P) * m)
-    children = _batched_map(lambda Q: np.matmul(stack, Q[:, None]), P, workers)
-    return children.reshape(len(P) * m, d, d)
-
-
 def _typed_stack(mset):
     """The generators as one array: float64 when all are real, else complex128."""
     stack = mset.stack()
@@ -231,25 +201,30 @@ def _typed_stack(mset):
     return stack
 
 
-def _iter_levels(mset, n_max, counter, workers=1):
+def _iter_levels(mset, n_max, counter):
     """Yield ``(n, P_n)`` for n = 1..n_max, P_n indexed lexicographically.
 
-    The level arrays have the dtype of :func:`_typed_stack`.  Level n
-    charges m^n multiplications to ``counter`` before it is formed.
+    Each level is one batched multiplication of the previous one: child
+    ``i*m + j`` appends symbol ``j`` to word ``i``, so numeric order
+    equals lexicographic order on words.  The level arrays have the dtype
+    of :func:`_typed_stack`.  Level n charges m^n multiplications to
+    ``counter`` before it is formed.
     """
     stack = _typed_stack(mset)
-    P = np.eye(mset.d, dtype=stack.dtype)[None]
+    m, d = len(stack), mset.d
+    P = np.eye(d, dtype=stack.dtype)[None]
     for n in range(1, n_max + 1):
-        P = _extend_level(stack, P, counter, workers)
+        counter.charge(len(P) * m)
+        P = np.matmul(stack, P[:, None]).reshape(len(P) * m, d, d)
         yield n, P
 
 
-def _frobenius_norms(P, workers):
+def _frobenius_norms(P):
     """``||P||_F`` per matrix: the cheap screening bound."""
     flat = P.reshape(len(P), -1)
     if np.iscomplexobj(flat):
         flat = flat.view(np.float64)
-    return _batched_map(lambda Q: np.sqrt(np.einsum("ni,ni->n", Q, Q)), flat, workers)
+    return np.sqrt(np.einsum("ni,ni->n", flat, flat))
 
 
 def _euclidean_norms(Q):
@@ -283,7 +258,7 @@ def _screened(bound, kernel, P):
     bound reaches the running maximum less ``SCREEN_SLACK``.  Every other
     word reads ``-inf``, so the maximum, its lexicographically first
     argmax and the ``TIE_RTOL`` tie window equal those of an unscreened
-    evaluation.  The batches are small, so they run on the calling thread.
+    evaluation.
     """
     total = len(bound)
     values = np.full(total, -np.inf)
@@ -325,7 +300,7 @@ def _level_bound(values, n, m, nth_root_of, ties):
     return LevelBound(value, word, tie_words)
 
 
-def _level_bounds(P, n, m, norm=None, workers=1, ties=False):
+def _level_bounds(P, n, m, norm=None, ties=False):
     """``(rho_plus, rho_minus)`` level bounds of one level ``P``.
 
     ``norm`` is None or an object of the norm protocol of
@@ -335,7 +310,7 @@ def _level_bounds(P, n, m, norm=None, workers=1, ties=False):
     (``rho(P) <= ||P||_2 <= ||P||_F``).  Any other norm is evaluated on
     every word by its ``matrix_norms_batch``, unscreened.
     """
-    fro = _frobenius_norms(P, workers)
+    fro = _frobenius_norms(P)
     radius_bound = fro
     if norm is None or norm.kind == "euclidean":
         norms = _screened(fro, _euclidean_norms, P)
@@ -347,16 +322,16 @@ def _level_bounds(P, n, m, norm=None, workers=1, ties=False):
     return _level_bound(norms, n, m, root, ties), _level_bound(radii, n, m, root, ties)
 
 
-def _level(mset, n, norm, budget, workers, ties):
+def _level(mset, n, norm, budget, ties):
     if n < 1:
         raise ValueError("n must be at least 1")
     counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
-    for level, P in _iter_levels(mset, n, counter, workers):
+    for level, P in _iter_levels(mset, n, counter):
         if level == n:
-            return _level_bounds(P, n, len(mset), norm, workers, ties)
+            return _level_bounds(P, n, len(mset), norm, ties)
 
 
-def rho_plus_n(mset, n, norm=None, budget=None, workers=1, ties=False):
+def rho_plus_n(mset, n, norm=None, budget=None, ties=False):
     """Largest ``||A_w||^(1/n)`` over all words of length ``n``.
 
     The maximum is exact for the Euclidean norm, computed as
@@ -369,17 +344,17 @@ def rho_plus_n(mset, n, norm=None, budget=None, workers=1, ties=False):
     first word under the real-typed arithmetic used for real families,
     which may differ from the choice of a complex-typed evaluation.
     """
-    return _level(mset, n, norm, budget, workers, ties)[0]
+    return _level(mset, n, norm, budget, ties)[0]
 
 
-def rho_minus_n(mset, n, budget=None, workers=1, ties=False):
+def rho_minus_n(mset, n, budget=None, ties=False):
     """Largest ``rho(A_w)^(1/n)`` over all words of length ``n``.
 
     Exact; ``eigvals`` runs only on the words whose norm bound reaches
     the level's running maximum less ``SCREEN_SLACK`` (module docstring).
     Ties and near-ties are broken as in :func:`rho_plus_n`.
     """
-    return _level(mset, n, None, budget, workers, ties)[1]
+    return _level(mset, n, None, budget, ties)[1]
 
 
 def _check_enclosure(lower, upper, where):
@@ -436,6 +411,9 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     only where ``rho(P) <= ||P||_2 <= ||P||_F`` lets the word reach the
     level maximum less ``SCREEN_SLACK``.  Adapted norms are evaluated on
     every word; their ``rho`` side is screened by ``||P||_F``.
+
+    ``workers`` is accepted and ignored, so that existing callers keep
+    running: every level is computed serially on the calling thread.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -445,8 +423,8 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     best_lower, best_upper = 0.0, math.inf
     m = len(mset)
     try:
-        for n, P in _iter_levels(mset, N, counter, workers):
-            plus, minus = _level_bounds(P, n, m, norm, workers)
+        for n, P in _iter_levels(mset, N, counter):
+            plus, minus = _level_bounds(P, n, m, norm)
             best_lower = max(best_lower, minus.value)
             best_upper = min(best_upper, plus.value)
             _check_enclosure(best_lower, best_upper, "at n=%d" % n)
@@ -555,6 +533,16 @@ class RateFit:
 GAP_FLOOR = 1e-13
 
 
+def _line_fit(x, y):
+    """Least-squares line through ``(x, y)``: ``(slope, intercept, R^2)``."""
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return slope, intercept, r2
+
+
 def fit_rate(report, tail_fraction=0.5):
     """Least-squares slope of log(gap) against log(n) over the tail rows.
 
@@ -572,11 +560,5 @@ def fit_rate(report, tail_fraction=0.5):
     gaps = np.array([row.gap for row in tail], dtype=float)
     if np.any(gaps <= GAP_FLOOR):
         return RateFit(r_hat=math.nan, r_squared=math.nan, converged=True)
-    x = np.log([row.n for row in tail])
-    y = np.log(gaps)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, _, r2 = _line_fit(np.log([row.n for row in tail]), np.log(gaps))
     return RateFit(r_hat=float(-slope), r_squared=r2)

@@ -49,7 +49,7 @@ class RunConfig:
     rho_hat: float = None
     delta: float = 0.05
     gamma: str = None
-    workers: int = 1
+    workers: int = 1  # accepted and ignored; echoed in meta.json
     cycle: str = "0"
     svg: str = None
     tail_fraction: float = 0.5
@@ -77,16 +77,19 @@ def _parse_gamma(text):
     return out
 
 
+def _rho_hat(cfg, mset, counter, delta, max_depth):
+    """``--rho-hat`` if given; else the midpoint of a pruned enclosure charged to ``counter``."""
+    if cfg.rho_hat is not None:
+        return cfg.rho_hat
+    probe = bounds.pruned_bounds(mset, delta=delta, max_depth=max_depth, budget=counter)
+    return 0.5 * (probe.lower + probe.upper)
+
+
 def _make_norm(cfg, mset, counter):
     """The run's norm; the adapted norm's probe and family are charged to ``counter``."""
     if cfg.norm == "euclidean":
         return extremal.EuclideanNorm()
-    rho_hat = cfg.rho_hat
-    if rho_hat is None:
-        probe = bounds.pruned_bounds(
-            mset, delta=max(cfg.delta, 0.05), max_depth=12, budget=counter
-        )
-        rho_hat = 0.5 * (probe.lower + probe.upper)
+    rho_hat = _rho_hat(cfg, mset, counter, max(cfg.delta, 0.05), 12)
     return extremal.AdaptedNorm(mset, rho_hat=rho_hat, depth=cfg.adapted_depth, budget=counter)
 
 
@@ -125,9 +128,7 @@ def _run_bounds(cfg, fit=False):
     mset = fileio.load_matrix_set(cfg.input)
     counter = bounds.BudgetCounter()
     norm = _make_norm(cfg, mset, counter)
-    report = bounds.sandwich(
-        mset, cfg.max_depth, norm=norm, budget=counter, workers=cfg.workers
-    )
+    report = bounds.sandwich(mset, cfg.max_depth, norm=norm, budget=counter)
     extra = {"norm": report.norm_label, "truncated": report.truncated}
     if fit and len(report.rows) >= 12:
         rate = bounds.fit_rate(report, cfg.tail_fraction)
@@ -181,8 +182,7 @@ def _run_splitting(cfg):
     counter = bounds.BudgetCounter()
     word = shiftspace.PeriodicWord([int(s) for s in cfg.cycle.split(",")])
     word.validate_for(mset)
-    probe = bounds.pruned_bounds(mset, delta=0.05, max_depth=14, budget=counter)
-    rho_hat = cfg.rho_hat if cfg.rho_hat is not None else 0.5 * (probe.lower + probe.upper)
+    rho_hat = _rho_hat(cfg, mset, counter, 0.05, 14)
     working = mset.scaled(1.0 / rho_hat)
     horizon = max(4 * word.period, 2 * cfg.max_depth)
     p, thetas = cocycle.detect_p(working, word, horizon)
@@ -263,6 +263,7 @@ def build_parser():
         cmd.add_argument("--rho-hat", type=float, default=None, dest="rho_hat")
         cmd.add_argument("--delta", type=float, default=0.05)
         cmd.add_argument("--gamma", help="comma list of convergents p/q")
+        # accepted and ignored, so that existing scripts keep running
         cmd.add_argument("--workers", type=int, default=1)
         cmd.add_argument("--cycle", default="0", help="comma list of symbols for the orbit")
         cmd.add_argument("--svg", default=None, help="optional SVG plot of the gap column")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .bounds import _line_fit
 from .extremal import EuclideanNorm
 
 __all__ = [
@@ -180,12 +181,7 @@ def _loglinear_fit(ns, values, floor=1e-13):
     if len(pairs) < 2:
         return math.nan, math.nan, math.nan
     xs = np.array([p[0] for p in pairs], dtype=float)
-    ys = np.log([p[1] for p in pairs])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, intercept, r2 = _line_fit(xs, np.log([p[1] for p in pairs]))
     return float(math.exp(slope)), r2, float(math.exp(intercept))
 
 

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from . import bounds, linalg
 from .bounds import BudgetCounter, BudgetExceededError, sandwich
@@ -163,6 +162,9 @@ class AdaptedNorm:
         return float(self.vector_norms(np.asarray(v, dtype=complex))[0])
 
     def _refine(self, M, v0):
+        # imported here: only refined adapted norms need scipy
+        from scipy import optimize
+
         d, fam = self.d, self._family_size
         flat = self._flat
         flat_m = flat @ M
@@ -340,7 +342,7 @@ def is_product_bounded(mset, depth, bound_guess, budget=None):
     maxima = []
     try:
         for _, P in bounds._iter_levels(mset, depth, counter):
-            norms = bounds._screened(bounds._frobenius_norms(P, 1), bounds._euclidean_norms, P)
+            norms = bounds._screened(bounds._frobenius_norms(P), bounds._euclidean_norms, P)
             maxima.append(float(norms.max()))
     except BudgetExceededError:
         return ProductBoundedness(INCONCLUSIVE, maxima, bound_guess)

@@ -234,16 +234,6 @@ class TestProperties:
             for n in range(1, 5):
                 assert rho_minus_n(mset, n).value <= rho_plus_n(mset, n).value * (1 + 1e-12)
 
-    def test_worker_count_does_not_change_anything(self):
-        E1 = antidiagonal_pair()
-        for n in (1, 3, 5):
-            results = [rho_plus_n(E1, n, workers=w) for w in (1, 2, 8)]
-            assert len({r.value for r in results}) == 1
-            assert len({r.word for r in results}) == 1
-            results = [rho_minus_n(E1, n, workers=w) for w in (1, 2, 8)]
-            assert len({r.value for r in results}) == 1
-            assert len({r.word for r in results}) == 1
-
 
 class TestPrunedBounds:
     def test_rank_one_pair(self):
@@ -328,7 +318,7 @@ class TestScreenedLevelKernel:
     def test_screen_skips_words(self):
         levels = bounds._iter_levels(random_family(0, complex_entries=False), 8, BudgetCounter())
         _, P = list(levels)[-1]
-        norms = bounds._screened(bounds._frobenius_norms(P, 1), bounds._euclidean_norms, P)
+        norms = bounds._screened(bounds._frobenius_norms(P), bounds._euclidean_norms, P)
         assert np.isneginf(norms).sum() > len(P) // 2
 
     @pytest.mark.parametrize("exponent", [-76, 76])
@@ -348,7 +338,7 @@ class TestScreenedLevelKernel:
         # SCREEN_FLOOR every word must still be evaluated
         P = np.zeros((100, 2, 2))
         P[:, 0, 0] = 2.0**-560
-        bound = bounds._frobenius_norms(P, 1)
+        bound = bounds._frobenius_norms(P)
         assert not bound.any()
         values = bounds._screened(bound, bounds._euclidean_norms, P)
         assert (values == 2.0**-560).all()

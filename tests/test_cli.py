@@ -33,6 +33,17 @@ def fixtures(tmp_path):
     return {"e1": str(e1), "e2": str(e2), "dir": tmp_path}
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # only the adapted norm's refinement imports scipy
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, jsrkit.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestMatrixSetFiles:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(51)
@@ -194,7 +205,9 @@ class TestInputErrors:
         argv = ["splitting", "--input", fixtures["e2"], "--out", str(out), "--cycle", "0",
                 "--max-depth", "8", "--rho-hat", "2.0"]
         assert cli.main(argv) == cli.EXIT_OK
-        assert json.loads((tmp_path / "split.csv.meta.json").read_text())["rho_hat"] == 2.0
+        meta = json.loads((tmp_path / "split.csv.meta.json").read_text())
+        assert meta["rho_hat"] == 2.0
+        assert meta["budget_used"] == 0  # no pruned probe when --rho-hat is given
 
 
 class TestOtherCommands:
