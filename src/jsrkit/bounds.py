@@ -34,7 +34,9 @@ those of evaluating every word.  Below ``SCREEN_FLOOR`` the squares in
 ``||P||_F`` may underflow and nothing is screened.  Screening charges no
 multiplications.
 The same level generator and kernels serve the pruned search, the
-adapted-norm family and :func:`jsrkit.extremal.is_product_bounded`.
+adapted-norm family and :func:`jsrkit.extremal.is_product_bounded`, and
+the same screen, cut at the 16th largest value instead of the maximum,
+serves the candidate pass of the adapted norm.
 Levels are computed serially on the calling thread; the ``workers``
 keyword of :func:`sandwich` is accepted and ignored.
 Argmax words at roundoff-level near-ties, such as rotations of one
@@ -243,38 +245,48 @@ def _spectral_radii(Q):
 
 
 def _screen_cutoff(best):
-    """Smallest bound a word needs to stay a candidate for the maximum."""
+    """Smallest bound a word needs to stay a candidate for a value at
+    least ``best``."""
     cutoff = best * (1.0 - SCREEN_SLACK)
     # NaN, or a level so small that squares may underflow: screen nothing
     return cutoff if cutoff >= SCREEN_FLOOR else 0.0
 
 
-def _screened(bound, kernel, P):
-    """Exact ``kernel`` values of the words that can reach the level maximum.
+def _screened(bound, kernel, P, rank=1):
+    """Exact ``kernel`` values of the words that can reach the top ``rank``.
 
     ``bound[i]`` must bound ``kernel(P[i])`` from above up to roundoff.
     The ``SCREEN_SEED`` words of largest bound are evaluated first; the
     rest are evaluated in batches of decreasing bound, as long as their
-    bound reaches the running maximum less ``SCREEN_SLACK``.  Every other
-    word reads ``-inf``, so the maximum, its lexicographically first
-    argmax and the ``TIE_RTOL`` tie window equal those of an unscreened
-    evaluation.
+    bound reaches the running ``rank``-th largest value less
+    ``SCREEN_SLACK``.  Every other word reads ``-inf``; its value lies
+    below the ``rank``-th largest, so the ``rank`` largest values, the
+    maximum, its lexicographically first argmax and the ``TIE_RTOL`` tie
+    window equal those of an unscreened evaluation.
     """
     total = len(bound)
     values = np.full(total, -np.inf)
+    top = np.full(rank, -np.inf)  # the rank largest values evaluated so far
+
+    def evaluate(batch):
+        nonlocal top
+        got = kernel(P[batch])
+        values[batch] = got
+        top = np.partition(np.concatenate([top, got]), -rank)[-rank:]
+        # NaN sorts last and stays in ``top``: its cutoff screens nothing
+        return _screen_cutoff(top.min())
+
     size = min(SCREEN_SEED, total)
     batch = np.argpartition(bound, total - size)[total - size:]
-    values[batch] = kernel(P[batch])
-    best = values[batch].max()
+    cutoff = evaluate(batch)
     fresh = np.ones(total, dtype=bool)
     fresh[batch] = False
-    rest = np.nonzero(fresh & ~(bound < _screen_cutoff(best)))[0]
+    rest = np.nonzero(fresh & ~(bound < cutoff))[0]
     rest = rest[np.argsort(-bound[rest], kind="stable")]
     while len(rest):
         batch, rest = rest[:size], rest[size:]
-        values[batch] = kernel(P[batch])
-        best = np.max([best, values[batch].max()])
-        rest = rest[~(bound[rest] < _screen_cutoff(best))]
+        cutoff = evaluate(batch)
+        rest = rest[~(bound[rest] < cutoff)]
         size *= 2
     return values
 
@@ -307,8 +319,12 @@ def _level_bounds(P, n, m, norm=None, ties=False):
     :mod:`jsrkit.extremal`.  Euclidean norms (None, or ``kind ==
     "euclidean"``) are screened by ``||P||_F``, spectral radii by the
     exact norm where one was computed and by ``||P||_F`` elsewhere
-    (``rho(P) <= ||P||_2 <= ||P||_F``).  Any other norm is evaluated on
-    every word by its ``matrix_norms_batch``, unscreened.
+    (``rho(P) <= ||P||_2 <= ||P||_F``).  Any other norm is called as
+    ``norm.matrix_norms_batch(P)``, which is exact on every word that can
+    reach the level maximum or its tie window and may read ``-inf``
+    elsewhere; :class:`jsrkit.extremal.AdaptedNorm` screens its candidate
+    pass by ``L * ||P||_F``.  The spectral radii of those levels are
+    screened by ``||P||_F``.
     """
     fro = _frobenius_norms(P)
     radius_bound = fro
@@ -337,8 +353,10 @@ def rho_plus_n(mset, n, norm=None, budget=None, ties=False):
     The maximum is exact for the Euclidean norm, computed as
     ``sqrt(lambda_max(A_w^H A_w))`` only on the words whose Frobenius
     norm reaches the level maximum less ``SCREEN_SLACK`` (see the module
-    docstring).  Adapted norms evaluate their operator norm on every word
-    by the deterministic search documented in :mod:`jsrkit.extremal`.
+    docstring).  Adapted norms run their candidate pass only on the words
+    whose bound ``L * ||A_w||_F`` can reach the 16 largest candidates, and
+    refine those by the deterministic search documented in
+    :mod:`jsrkit.extremal`.
     Ties are broken towards the lexicographically smallest word.  At
     roundoff-level near-ties, such as rotations of one word, that is the
     first word under the real-typed arithmetic used for real families,
@@ -409,8 +427,10 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     Each level goes through the screened kernel of the module docstring:
     ``||P||_F`` for every word, the Gram-based ``||P||_2`` and ``eigvals``
     only where ``rho(P) <= ||P||_2 <= ||P||_F`` lets the word reach the
-    level maximum less ``SCREEN_SLACK``.  Adapted norms are evaluated on
-    every word; their ``rho`` side is screened by ``||P||_F``.
+    level maximum less ``SCREEN_SLACK``.  Adapted norms screen their
+    candidate pass by ``L * ||P||_F``
+    (:meth:`jsrkit.extremal.AdaptedNorm.matrix_norms_batch`); their
+    ``rho`` side is screened by ``||P||_F``.
 
     ``workers`` is accepted and ignored, so that existing callers keep
     running: every level is computed serially on the calling thread.

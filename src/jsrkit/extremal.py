@@ -22,13 +22,16 @@ accepts an object with
   columns of a d x r array;
 - ``matrix_norm(M)``: the induced operator norm of one matrix;
 - ``matrix_norms_batch(P)``: operator norms of a stack of matrices,
-  required unless ``kind == "euclidean"``.
+  required unless ``kind == "euclidean"``.  It must be exact on every
+  word that can reach the batch maximum or its ``TIE_RTOL`` tie window,
+  and may read ``-inf`` on the others.
 
 The bound sequences of :mod:`jsrkit.bounds` also accept ``None``.  There,
 None and any norm of kind ``"euclidean"`` (:class:`EuclideanNorm`) take
 the screened Gram-based level kernel and the norm object is not called;
 other norms, such as :class:`AdaptedNorm`, are called through
-``matrix_norms_batch`` on whole levels.
+``matrix_norms_batch`` on whole levels.  :class:`AdaptedNorm` screens
+its own candidate pass with the level screen of :mod:`jsrkit.bounds`.
 """
 
 import math
@@ -139,6 +142,8 @@ class AdaptedNorm:
         for k, level in bounds._iter_levels(mset, depth, counter):
             blocks.append(level * self.rho_hat ** (-k))
         family = np.concatenate(blocks)
+        # L = max_f ||F_f||_2, the factor of the screening bound L * ||P||_F
+        self._family_norm = float(bounds._euclidean_norms(family).max())
         self._flat = family.reshape(-1, d)  # (f*d, d) stacked for fast apply
         self._family_size = family.shape[0]
         self._mesh = _phase_mesh(d)
@@ -220,14 +225,28 @@ class AdaptedNorm:
         return value
 
     def matrix_norms_batch(self, P):
-        """Operator norms of a batch of matrices.
+        """Operator norms of a batch of matrices, screened.
 
         A cheap candidate pass (fixed mesh plus each matrix's own top
         right singular vector) ranks the batch; the ``REFINE_TOP``
         highest entries are then re-evaluated with the full single-matrix
-        search.
+        search.  The cheap pass is screened by the level screen of
+        :mod:`jsrkit.bounds` with the bound
+
+            cheap(M) <= |||M||| <= max_f ||F_f M||_2 <= L ||M||_2 <= L ||M||_F,
+
+        where ``L = max_f ||F_f||_2`` over the norm's family ``F``, which
+        contains the identity, so ``|||v||| >= ||v||``.  It runs only on
+        words that can enter the ``REFINE_TOP`` largest cheap values; the
+        others read ``-inf``.  Their bound lies below the ``REFINE_TOP``-th
+        cheap value less ``SCREEN_SLACK``, so the refined values, the
+        maximum, its lexicographically first argmax and the ``TIE_RTOL``
+        tie window equal those of running the cheap pass on every word.
+        One caveat holds with or without the screen: the cheap values of a
+        batch come from one gemm, so a value's last bit can depend on the
+        word's position in the batch.
         """
-        P = np.asarray(P, dtype=complex)
+        P = np.asarray(P)
         mesh = self._mesh
         if self._mesh_norms is None:
             self._mesh_norms = self.vector_norms(mesh)
@@ -256,9 +275,17 @@ class AdaptedNorm:
             return np.maximum(vals, vals_t)
 
         chunk_size = max(256, 2_000_000 // max(1, f * r))
-        values = np.concatenate(
-            [cheap(P[i : i + chunk_size]) for i in range(0, len(P), chunk_size)]
-        )
+
+        def chunked(Q):
+            Q = np.asarray(Q, dtype=complex)
+            return np.concatenate(
+                [cheap(Q[i : i + chunk_size]) for i in range(0, len(Q), chunk_size)]
+            )
+
+        # below SCREEN_FLOOR, ||P||_F may have lost its squares to underflow,
+        # but the true value is below SCREEN_FLOOR as well
+        fro = np.maximum(bounds._frobenius_norms(P), bounds.SCREEN_FLOOR)
+        values = bounds._screened(self._family_norm * fro, chunked, P, rank=REFINE_TOP)
         # refinement only raises a value, by at most a modest factor, so
         # candidates already more than 10% below the running best cannot
         # change the maximum and are left alone

@@ -41,11 +41,16 @@ def format_number(x):
     return "%.17g" % float(x)
 
 
+def _is_real(value):
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _entry(value, label, position):
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(part, (int, float)) for part in value)
+        or not all(_is_real(part) for part in value)
     ):
         raise MatrixSetFormatError(
             "matrix %r entry %r must be a [re, im] pair" % (label, position)
@@ -69,7 +74,7 @@ def load_matrix_set(path):
     if not isinstance(doc, dict) or "d" not in doc or "matrices" not in doc:
         raise MatrixSetFormatError("document must carry 'd' and 'matrices'")
     d = doc["d"]
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise MatrixSetFormatError("'d' must be a positive integer")
     entries = doc["matrices"]
     if not isinstance(entries, list) or not entries:

@@ -125,6 +125,23 @@ class TestBoundsCommand:
         assert proc.returncode == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"d": 1, "matrices": [{"label": "x", "rows": [[[true, false]]]}]}',
+            '{"d": true, "matrices": [{"label": "x", "rows": [[[1, 0]]]}]}',
+        ],
+    )
+    def test_json_booleans_exit_two(self, tmp_path, doc):
+        # Python counts true/false as the ints 1/0; the schema does not
+        bad = tmp_path / "bool.json"
+        bad.write_text(doc)
+        out = tmp_path / "never.csv"
+        proc = run_cli("bounds", "--input", str(bad), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("jsrkit: input:")
+        assert not out.exists()
+
     def test_budget_env_cap_exits_three(self, fixtures, tmp_path):
         out = tmp_path / "trunc.csv"
         env = dict(os.environ, JSRKIT_BUDGET="60")

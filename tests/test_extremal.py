@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from jsrkit.bounds import BudgetCounter, BudgetExceededError, MatrixSet
+from jsrkit import bounds
+from jsrkit.bounds import BudgetCounter, BudgetExceededError, MatrixSet, sandwich
 from jsrkit.extremal import (
     BOUNDED,
     GROWTH,
+    REFINE_TOP,
     AdaptedNorm,
     EuclideanNorm,
     NormalizationError,
@@ -20,6 +22,7 @@ from jsrkit.linalg import operator_norm
 from jsrkit.shiftspace import PeriodicWord
 
 SQRT2 = math.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 def seeded_family(seed, d, m, complex_entries):
@@ -114,6 +117,133 @@ class TestAdaptedNormEvaluation:
         counter.charge(7)  # earlier work of the same run
         AdaptedNorm(mset, rho_hat=1.0, depth=depth, budget=counter)
         assert counter.used == 7 + sum(m**k for k in range(1, depth + 1))
+
+
+class UnscreenedAdaptedNorm(AdaptedNorm):
+    """The reference for the screened batch: the cheap candidate pass on
+    every word of the batch, in one complex array, then the refine loop."""
+
+    def matrix_norms_batch(self, P):
+        P = np.asarray(P, dtype=complex)
+        mesh, flat = self._mesh, self._flat
+        f, d, r = self._family_size, self.d, mesh.shape[1]
+        den_mesh = self.vector_norms(mesh)
+
+        def columnwise(V):
+            Y = flat @ V
+            sq = (Y.real**2 + Y.imag**2).reshape(f, d, -1).sum(axis=1)
+            return np.sqrt(sq.max(axis=0))
+
+        def cheap(chunk):
+            mc = len(chunk)
+            X = (chunk @ mesh).transpose(1, 0, 2).reshape(d, mc * r)
+            vals = (columnwise(X).reshape(mc, r) / den_mesh).max(axis=1)
+            tops = np.linalg.svd(chunk)[2][:, 0, :].conj()
+            Mt = np.einsum("mab,mb->ma", chunk, tops)
+            num_t, den_t = columnwise(Mt.T), columnwise(tops.T)
+            vals_t = np.where(den_t > 0, num_t / np.maximum(den_t, 1e-300), 0.0)
+            return np.maximum(vals, vals_t)
+
+        size = max(256, 2_000_000 // max(1, f * r))
+        values = np.concatenate([cheap(P[i : i + size]) for i in range(0, len(P), size)])
+        order = np.argsort(-values, kind="stable")[:REFINE_TOP]
+        best = 0.0
+        for idx in order:
+            if values[idx] < 0.9 * best:
+                break
+            values[idx] = max(values[idx], self.matrix_norm(P[idx], refine=True))
+            best = max(best, values[idx])
+        return values
+
+
+# the two data/ fixtures at their jsr, and 8 seeded real and complex
+# families with m, d in {2, 3}: (mset, rho_hat, depth)
+ADAPTED_CASES = [(antidiagonal_pair(), SQRT2, 6), (rank_one_pair(), 2.0, 6)] + [
+    (seeded_family(seed, 2 + seed // 2, 2 + seed % 2, c), 1.5, 4)
+    for seed in range(4)
+    for c in (False, True)
+]
+
+
+def level_summary(values, n, m):
+    root = lambda v: v ** (1.0 / n)
+    return bounds._level_bound(values, n, m, root, ties=True)
+
+
+class TestScreenedAdaptedBatch:
+    @pytest.mark.parametrize("mset,rho_hat,depth", ADAPTED_CASES)
+    def test_levels_match_the_unscreened_reference(self, mset, rho_hat, depth):
+        norm = AdaptedNorm(mset, rho_hat, depth)
+        reference = UnscreenedAdaptedNorm(mset, rho_hat, depth)
+        m = len(mset)
+        for n, P in bounds._iter_levels(mset, 8, BudgetCounter()):
+            got, want = norm.matrix_norms_batch(P), reference.matrix_norms_batch(P)
+            assert level_summary(got, n, m) == level_summary(want, n, m)
+            evaluated = ~np.isneginf(got)
+            # the last bit of a cheap value follows the word's position in
+            # the batched gemm, which the screen changes
+            np.testing.assert_allclose(got[evaluated], want[evaluated], rtol=8 * EPS, atol=0)
+            # a skipped word is below the REFINE_TOP-th value
+            if not evaluated.all():
+                kth = np.sort(want)[-REFINE_TOP]
+                assert want[~evaluated].max() < kth
+
+    @pytest.mark.parametrize("mset,rho_hat,depth", ADAPTED_CASES)
+    def test_sandwich_matches_the_unscreened_reference(self, mset, rho_hat, depth):
+        norm = AdaptedNorm(mset, rho_hat, depth)
+        reference = UnscreenedAdaptedNorm(mset, rho_hat, depth)
+        assert sandwich(mset, 8, norm=norm).rows == sandwich(mset, 8, norm=reference).rows
+
+    def test_screen_skips_words(self):
+        mset = antidiagonal_pair()
+        norm = AdaptedNorm(mset, SQRT2, 6)
+        _, P = list(bounds._iter_levels(mset, 12, BudgetCounter()))[-1]
+        values = norm.matrix_norms_batch(P)
+        assert np.isneginf(values).sum() > len(P) // 2
+
+    def test_refines_every_word_of_the_top_refine_top(self):
+        # depth 0 is the Euclidean norm (L = 1): the bound ||M||_F is tight
+        # on rank-one words and loose by sqrt(2) on rotations.  The 127
+        # rotations (bound 2.12, value 1.5) fill the seed and the next
+        # batch with the peak word (2.05); the rank-one words (1.6 to 1.9)
+        # come later and hold 15 of the 16 largest values.
+        norm = AdaptedNorm(MatrixSet([np.eye(2)]), 1.0, 0)
+        rng = np.random.default_rng(43)
+        angles = rng.uniform(0.0, 2.0 * np.pi, 127)
+        c, s = np.cos(angles), np.sin(angles)
+        rotations = 1.5 * np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+        rank_one = lambda t: t * np.outer([0.6, 0.8], [0.8, -0.6])
+        P = np.concatenate(
+            [rotations, [rank_one(2.05)], [rank_one(t) for t in np.linspace(1.6, 1.9, 20)]]
+        )
+        got = norm.matrix_norms_batch(P)
+        want = UnscreenedAdaptedNorm(norm.mset, 1.0, 0).matrix_norms_batch(P)
+        top = np.argsort(-want, kind="stable")[:REFINE_TOP]
+        assert not np.isneginf(got[top]).any()
+        assert level_summary(got, 1, len(P)) == level_summary(want, 1, len(P))
+
+    @pytest.mark.parametrize("mset,rho_hat,depth", ADAPTED_CASES)
+    def test_norm_is_below_the_screening_bound(self, mset, rho_hat, depth):
+        norm = AdaptedNorm(mset, rho_hat, depth)
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            M = rng.standard_normal((mset.d, mset.d)) + 1j * rng.standard_normal((mset.d, mset.d))
+            value = norm.matrix_norm(M)
+            assert value <= norm._family_norm * operator_norm(M) * (1 + 1e-12)
+            assert value <= norm._family_norm * np.linalg.norm(M) * (1 + 1e-12)
+
+    def test_underflowing_frobenius_norms_screen_nothing(self):
+        # |||.||| weighs e2 by 2**40, so these words have adapted norms
+        # near 2**-498 > SCREEN_FLOOR while the squares in ||P||_F
+        # (2**-1076 and below) round to zero or to one subnormal
+        norm = AdaptedNorm(MatrixSet([np.diag([1.0, 2.0**40])]), 1.0, 1)
+        rng = np.random.default_rng(41)
+        P = np.zeros((300, 2, 2))
+        P[:, 1, 0] = 2.0**-538 * rng.uniform(1.0, 2.0, 300)
+        got = norm.matrix_norms_batch(P)
+        want = UnscreenedAdaptedNorm(norm.mset, 1.0, 1).matrix_norms_batch(P)
+        assert got.min() > bounds.SCREEN_FLOOR
+        assert np.array_equal(got, want)
 
 
 class TestExtremalityResidual:
