@@ -9,8 +9,10 @@ normed upper values (decreasing limit by submultiplicativity) and the
 spectral-radius lower values, whose supremum equals jsr(A) by the
 Berger-Wang formula.  This module enumerates products exactly up to a
 multiplication budget, assembles the resulting sandwich enclosure,
-prunes the word tree in a Gripenberg-style best-first search, and fits
-an empirical convergence rate to the gap.
+prunes the word tree level by level under Gripenberg's keep rule (a word
+stays only while its normalised norm exceeds the lower bound by more
+than the target width), and fits an empirical convergence rate to the
+gap.
 
 Level kernel.  All m^n products of a level are formed by batched matrix
 multiplication, in float64 when every generator is real and in
@@ -33,10 +35,12 @@ tie window, so the per-level values, argmax words and tie lists equal
 those of evaluating every word.  Below ``SCREEN_FLOOR`` the squares in
 ``||P||_F`` may underflow and nothing is screened.  Screening charges no
 multiplications.
-The same level generator and kernels serve the pruned search, the
-adapted-norm family and :func:`jsrkit.extremal.is_product_bounded`, and
-the same screen, cut at the 16th largest value instead of the maximum,
-serves the candidate pass of the adapted norm.
+The same level generator and kernels serve the adapted-norm family and
+:func:`jsrkit.extremal.is_product_bounded`; the pruned search forms its
+frontier levels by the same batched multiplication and scores them by
+the same kernels and ``eigvals`` screen; and the same screen, cut at the
+16th largest value instead of the maximum, serves the candidate pass of
+the adapted norm.
 Levels are computed serially on the calling thread; the ``workers``
 keyword of :func:`sandwich` is accepted and ignored.
 Argmax words at roundoff-level near-ties, such as rotations of one
@@ -44,7 +48,6 @@ word, are the lexicographically first under this arithmetic and may
 differ from those of a complex-typed evaluation.
 """
 
-import heapq
 import math
 import os
 from dataclasses import dataclass
@@ -86,6 +89,10 @@ SCREEN_SLACK = 1e-8
 SCREEN_SEED = 64
 # below this cutoff Frobenius squares may have underflowed: no screening
 SCREEN_FLOOR = 1e-150
+
+# parents whose children the pruned search forms in one batch; bounds the
+# temporaries and does not change any result
+PRUNED_BLOCK = 4096
 
 
 class BudgetExceededError(RuntimeError):
@@ -468,76 +475,98 @@ class PrunedBounds:
     deepest: int
 
 
-def pruned_bounds(mset, delta, max_depth=40, budget=None):
-    """Best-first word-tree search for an enclosure of width ``delta``.
+def _pruned_level(stack, parents, n, lower, delta):
+    """Children at depth ``n`` of the ``parents`` products, with Gripenberg's keep rule.
 
-    A branch ``w`` stays alive while ``||A_w||^(1/|w|)`` exceeds
-    ``lower * (1 - delta/4)``.  The reported upper bound is the largest
-    normalised norm over the final frontier, which is sound because
-    every long product factors through frontier words.  Hitting
-    ``max_depth`` or the budget before the gap closes yields an
-    inconclusive result (flag, not an exception).  A lower bound above
-    the upper bound beyond roundoff raises
-    :class:`InternalInvariantError`, as in :func:`sandwich`.
+    Returns ``(kept, scores, lower, retired)``: the children whose
+    normalised norm ``s = ||P||_2^(1/n)`` satisfies ``s - lower > delta``
+    for the ``lower`` raised by this level's spectral radii, their scores
+    in child order, that ``lower``, and the largest score retired.  The
+    children are formed ``PRUNED_BLOCK`` parents at a time; each block is
+    pre-filtered with the running ``lower``, which only grows, so the
+    result does not depend on the block size.
+    """
+    d = stack.shape[1]
+    root = 1.0 / n
+    kept, scores, retired = [], [], 0.0
+    for start in range(0, len(parents), PRUNED_BLOCK):
+        children = np.matmul(stack, parents[start:start + PRUNED_BLOCK, None]).reshape(-1, d, d)
+        norms = _euclidean_norms(children)
+        lower = max(lower, float(_screened(norms, _spectral_radii, children).max()) ** root)
+        s = norms ** root
+        alive = s - lower > delta
+        retired = max(retired, s[~alive].max(initial=0.0))
+        kept.append(children[alive])
+        scores.append(s[alive])
+    s = np.concatenate(scores)
+    alive = s - lower > delta
+    retired = max(retired, s[~alive].max(initial=0.0))
+    return np.concatenate(kept)[alive], s[alive], lower, float(retired)
+
+
+def pruned_bounds(mset, delta, max_depth=40, budget=None):
+    """Level-synchronous Gripenberg search for an enclosure of width ``delta``.
+
+    The search expands the word tree one length at a time.  Every child
+    ``w`` of a level raises ``lower`` to ``rho(A_w)^(1/|w|)`` if larger;
+    it stays on the frontier iff its normalised norm
+    ``s = ||A_w||_2^(1/|w|)`` satisfies ``s - lower > delta`` for the
+    ``lower`` reached at the end of its level (Gripenberg, LAA 234
+    (1996)), and is retired otherwise.  The retired and frontier words
+    form a cut of the word tree, so every long product factors through
+    one of them and ``upper = max(retired, frontier)`` of their ``s`` is
+    sound.  A retired word cannot block closure, so an empty frontier
+    means ``upper - lower <= delta``.  The older best-first order popped
+    one node at a time by largest ``s`` and kept children while
+    ``s > lower * (1 - delta/4)``: that rule keeps words that cannot
+    block closure, and its visiting order depends on ``lower`` mid-level.
+
+    The search stops when the frontier is empty (conclusive), when the
+    depth reaches ``max_depth``, or when the budget cannot cover the whole
+    frontier: then the affordable nodes of largest ``s`` (stable order)
+    are expanded, the rest retired, and the search stops after that
+    level.  Any stop with a gap above ``delta`` yields an inconclusive
+    result (flag, not an exception).  A lower bound above the upper bound
+    beyond roundoff raises :class:`InternalInvariantError`, as in
+    :func:`sandwich`.
 
     Products are typed as in the level kernel (float64 for real
-    families).  The m children of an expanded node are formed by one
-    batched multiplication (m charged) and scored by the level kernel's
-    batched ``||.||_2`` (Gram matrix and ``eigvalsh``) and ``eigvals``.
+    families).  Each expanded node charges m multiplications, the root
+    included; a level's children are formed by batched multiplication
+    and scored by the batched ``||.||_2`` (Gram matrix and ``eigvalsh``),
+    with ``eigvals`` screened as in the level kernel.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
     stack = _typed_stack(mset)
+    m = len(stack)
 
-    retired_max = 0.0
-    heap = []  # (-normalised norm, word, product)
-    expanded = 0
-    deepest = 1
-
-    def expand(word, children, keep_threshold):
-        """Push the children of ``word`` whose normalised norm exceeds
-        ``keep_threshold``, retire the others, and return the children's
-        largest normalised spectral radius."""
-        nonlocal retired_max
-        root = 1.0 / (len(word) + 1)
-        for j, s in enumerate((_euclidean_norms(children) ** root).tolist()):
-            if s <= keep_threshold:
-                retired_max = max(retired_max, s)
-            else:
-                heapq.heappush(heap, (-s, word + (j,), children[j]))
-        return float(_spectral_radii(children).max()) ** root
-
-    counter.charge(len(stack))
-    lower = expand((), stack, -math.inf)
-
-    def current_upper():
-        alive = -heap[0][0] if heap else 0.0
-        return max(alive, retired_max)
-
-    conclusive = False
-    while heap:
-        upper = current_upper()
-        if upper - lower <= delta:
-            conclusive = True
+    counter.charge(m)
+    parents = np.eye(mset.d, dtype=stack.dtype)[None]
+    lower = retired_max = 0.0
+    expanded = depth = 0
+    capped = False
+    while True:
+        depth += 1
+        parents, scores, lower, retired = _pruned_level(stack, parents, depth, lower, delta)
+        retired_max = max(retired_max, retired)
+        if capped or not len(parents) or depth >= max_depth:
             break
-        neg_s, word, P = heapq.heappop(heap)
-        if len(word) >= max_depth:
-            retired_max = max(retired_max, -neg_s)
-            continue
-        expanded += 1
-        try:
-            counter.charge(len(stack))
-        except BudgetExceededError:
-            retired_max = max(retired_max, -neg_s)
-            break
-        deepest = max(deepest, len(word) + 1)
-        keep_threshold = lower * (1.0 - delta / 4.0)
-        lower = max(lower, expand(word, np.matmul(stack, P), keep_threshold))
+        affordable = (counter.limit - counter.used) // m
+        if affordable < len(parents):
+            order = np.argsort(-scores, kind="stable")
+            retired_max = max(retired_max, float(scores[order[affordable:]].max()))
+            parents, scores = parents[order[:affordable]], scores[order[:affordable]]
+            capped = True
+            if not affordable:
+                break
+        counter.charge(m * len(parents))
+        expanded += len(parents)
 
-    upper = current_upper()
+    upper = max(retired_max, float(scores.max(initial=0.0)))
     _check_enclosure(lower, upper, "in the pruned search")
-    return PrunedBounds(lower, upper, conclusive or upper - lower <= delta, expanded, deepest)
+    return PrunedBounds(lower, upper, upper - lower <= delta, expanded, depth)
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,10 @@ def run(cfg):
         return _fail("input", "--max-depth must be at least 1", EXIT_INPUT)
     if cfg.rho_hat is not None and not (cfg.rho_hat > 0 and math.isfinite(cfg.rho_hat)):
         return _fail("input", "--rho-hat must be a positive finite number", EXIT_INPUT)
+    if not (cfg.delta > 0 and math.isfinite(cfg.delta)):
+        return _fail("input", "--delta must be a positive finite number", EXIT_INPUT)
+    if not 0 < cfg.tail_fraction < 1:
+        return _fail("input", "--tail-fraction must lie in (0, 1)", EXIT_INPUT)
     try:
         if cfg.command == "bounds":
             return _run_bounds(cfg)

@@ -43,7 +43,6 @@ class WeightedGraph:
         self.n = int(vertices)
         self.edges = []  # (u, v, weight)
         self._out = [[] for _ in range(self.n)]
-        self._in = [[] for _ in range(self.n)]
 
     def add_edge(self, u, v, weight):
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -52,15 +51,11 @@ class WeightedGraph:
         if not math.isfinite(w):
             raise ValueError("edge weights must be finite")
         self._out[u].append((v, w))
-        self._in[v].append((u, w))
         self.edges.append((u, v, w))
         return self
 
     def out_edges(self, u):
         return self._out[u]
-
-    def in_edges(self, v):
-        return self._in[v]
 
 
 def _strong_components(G):

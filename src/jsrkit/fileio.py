@@ -148,8 +148,21 @@ def write_csv(path, header, rows):
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _strict(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def write_metadata(path, payload):
-    write_atomic(path, json.dumps(payload, indent=2, default=str) + "\n")
+    """Write ``payload`` as RFC 8259 JSON: NaN and infinities become ``null``."""
+    text = json.dumps(_strict(payload), indent=2, default=str, allow_nan=False)
+    write_atomic(path, text + "\n")
 
 
 def write_gap_svg(path, ns, gaps, title="gap vs n (log-log)"):

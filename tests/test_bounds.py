@@ -1,4 +1,3 @@
-import heapq
 import itertools
 import math
 
@@ -47,37 +46,35 @@ def random_family(seed, complex_entries):
 
 
 def reference_pruned(mset, delta, max_depth, counter):
-    """The pruned search evaluated one child at a time, in complex
-    arithmetic, by the single-matrix SVD and ``eigvals`` references."""
+    """The level-synchronous search evaluated one child at a time, in
+    complex arithmetic, by the single-matrix SVD and ``eigvals`` references."""
     m = len(mset)
-    heap, lower, retired, expanded, deepest = [], 0.0, 0.0, 0, 1
     counter.charge(m)
-    for j, A in enumerate(mset.matrices):
-        lower = max(lower, spectral_radius(A))
-        heapq.heappush(heap, (-operator_norm(A), (j,), A))
-    upper = lambda: max(-heap[0][0] if heap else 0.0, retired)
-    while heap and upper() - lower > delta:
-        neg_s, word, P = heapq.heappop(heap)
-        if len(word) >= max_depth:
-            retired = max(retired, -neg_s)
-            continue
-        expanded += 1
-        try:
-            counter.charge(m)
-        except BudgetExceededError:
-            retired = max(retired, -neg_s)
+    frontier, lower, retired, expanded, depth = [(math.inf, np.eye(mset.d))], 0.0, 0.0, 0, 0
+    capped = False
+    while True:
+        depth += 1
+        children = []
+        for _, P in frontier:
+            for A in mset.matrices:
+                child = A @ P
+                children.append((operator_norm(child) ** (1.0 / depth), child))
+                lower = max(lower, spectral_radius(child) ** (1.0 / depth))
+        retired = max([retired] + [s for s, _ in children if not s - lower > delta])
+        frontier = [(s, P) for s, P in children if s - lower > delta]
+        if capped or not frontier or depth >= max_depth:
             break
-        keep = lower * (1.0 - delta / 4.0)
-        for j, A in enumerate(mset.matrices):
-            child, root = A @ P, 1.0 / (len(word) + 1)
-            deepest = max(deepest, len(word) + 1)
-            s = operator_norm(child) ** root
-            lower = max(lower, spectral_radius(child) ** root)
-            if s <= keep:
-                retired = max(retired, s)
-            else:
-                heapq.heappush(heap, (-s, word + (j,), child))
-    return PrunedBounds(lower, upper(), upper() - lower <= delta, expanded, deepest)
+        affordable = (counter.limit - counter.used) // m
+        if affordable < len(frontier):
+            frontier.sort(key=lambda node: -node[0])  # stable: ties keep child order
+            retired = max([retired] + [s for s, _ in frontier[affordable:]])
+            frontier, capped = frontier[:affordable], True
+            if not frontier:
+                break
+        counter.charge(m * len(frontier))
+        expanded += len(frontier)
+    upper = max([retired] + [s for s, _ in frontier])
+    return PrunedBounds(lower, upper, upper - lower <= delta, expanded, depth)
 
 
 class TestProductOfWord:
@@ -286,9 +283,56 @@ class TestPrunedBounds:
         assert got.upper == pytest.approx(ref.upper, rel=1e-12)
         assert counters[0].used == counters[1].used
 
+    def test_budget_stops_mid_level(self):
+        # frontiers of 3, 7, 11, 16 and 23 nodes at depths 1-5: the budget
+        # covers the root, the first 37 expansions and 10 of the 23 nodes
+        mset = random_family(5, complex_entries=True)
+        counters = BudgetCounter(3 * (1 + 37 + 10) + 2), BudgetCounter(3 * (1 + 37 + 10) + 2)
+        got = pruned_bounds(mset, 1e-3, max_depth=40, budget=counters[0])
+        ref = reference_pruned(mset, 1e-3, 40, counters[1])
+        assert (got.conclusive, got.expanded, got.deepest) == (False, 47, 6)
+        assert counters[0].used == counters[1].used == 3 * (1 + 47)
+        assert (ref.conclusive, ref.expanded, ref.deepest) == (False, 47, 6)
+        assert got.lower == pytest.approx(ref.lower, rel=1e-12)
+        assert got.upper == pytest.approx(ref.upper, rel=1e-12)
+        # the 13 nodes left unexpanded are retired into the upper bound
+        uncapped = pruned_bounds(mset, 1e-3, max_depth=6)
+        assert uncapped.expanded == 60
+        assert got.upper >= uncapped.upper
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_identical_for_any_block_size(self, monkeypatch, block):
+        families = [random_family(seed, complex_entries=True) for seed in (0, 4, 5)]
+        families += [random_family(seed, complex_entries=False) for seed in (0, 1)]
+
+        def search():
+            results = []
+            for mset in families:
+                counter = BudgetCounter(400)
+                results.append((pruned_bounds(mset, 1e-3, max_depth=12, budget=counter), counter.used))
+            return results
+
+        default = search()
+        monkeypatch.setattr(bounds, "PRUNED_BLOCK", block)
+        assert search() == default
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_encloses_the_sandwich(self, complex_entries):
+        for seed in range(12):
+            mset = random_family(seed, complex_entries)
+            result = pruned_bounds(mset, 0.01, max_depth=20, budget=BudgetCounter(20000))
+            report = sandwich(mset, 8)
+            assert result.lower <= report.best_upper() * (1 + 1e-12)
+            assert report.best_lower() <= result.upper * (1 + 1e-12)
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             pruned_bounds(rank_one_pair(), delta=0.0)
+
+    @pytest.mark.parametrize("delta", [-1.0, math.inf, math.nan])
+    def test_rejects_negative_or_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            pruned_bounds(rank_one_pair(), delta=delta)
 
 
 def unscreened_level(P, n, m, ties):

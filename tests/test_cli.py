@@ -217,6 +217,22 @@ class TestInputErrors:
         assert capsys.readouterr().err.startswith("jsrkit: input: --rho-hat")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["pruned", "--delta", "nan"], "--delta"),
+            (["pruned", "--delta", "inf"], "--delta"),
+            (["bounds", "--norm", "adapted", "--delta", "nan"], "--delta"),
+            (["convergence", "--tail-fraction", "2", "--max-depth", "8"], "--tail-fraction"),
+        ],
+        ids=["pruned-nan", "pruned-inf", "adapted-nan", "tail-fraction-2"],
+    )
+    def test_invalid_delta_or_tail_fraction_exits_two(self, fixtures, tmp_path, capsys, argv, flag):
+        out = tmp_path / "never.csv"
+        assert cli.main(argv + ["--input", fixtures["e1"], "--out", str(out)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("jsrkit: input: " + flag)
+        assert not out.exists()
+
     def test_explicit_rho_hat_is_used_by_splitting(self, fixtures, tmp_path):
         out = tmp_path / "split.csv"
         argv = ["splitting", "--input", fixtures["e2"], "--out", str(out), "--cycle", "0",
@@ -289,6 +305,48 @@ class TestOtherCommands:
     def test_epsilon_requires_gamma(self, tmp_path):
         proc = run_cli("epsilon", "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 2
+
+
+def _reject_constant(token):
+    raise ValueError("non-standard JSON token %s" % token)
+
+
+class TestMetadata:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--input", "e1", "--norm", "adapted", "--adapted-depth", "4"],
+            ["convergence", "--input", "e2", "--max-depth", "12"],
+            ["pruned", "--input", "e1", "--delta", "0.01"],
+            ["splitting", "--input", "e2", "--cycle", "0", "--max-depth", "12"],
+            ["sturmian", "--gamma", GOLDEN],
+            ["epsilon", "--gamma", GOLDEN, "--max-depth", "13"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_meta_json_is_strict_json(self, fixtures, tmp_path, argv):
+        out = tmp_path / "report.csv"
+        argv = [fixtures.get(a, a) for a in argv] + ["--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        text = (tmp_path / "report.csv.meta.json").read_text()
+        json.loads(text, parse_constant=_reject_constant)
+
+    def test_non_finite_values_become_null(self, tmp_path):
+        path = tmp_path / "meta.json"
+        payload = {"a": math.nan, "b": [1.0, -math.inf, [math.inf]], "c": {"d": np.float64("nan")}}
+        fileio.write_metadata(str(path), payload)
+        got = json.loads(path.read_text(), parse_constant=_reject_constant)
+        assert got == {"a": None, "b": [1.0, None, [None]], "c": {"d": None}}
+
+    def test_splitting_on_the_rank_one_pair_writes_null(self, fixtures, tmp_path):
+        # growth exponent -inf and undefined fits on the rank-one fixture
+        out = tmp_path / "split.csv"
+        argv = ["splitting", "--input", fixtures["e2"], "--out", str(out),
+                "--cycle", "0", "--max-depth", "12"]
+        assert cli.main(argv) == cli.EXIT_OK
+        meta = json.loads((tmp_path / "split.csv.meta.json").read_text(), parse_constant=_reject_constant)
+        assert None in meta["theta_estimates"]
+        assert meta["xi_hat"] is None
 
 
 class TestAtomicWrites:
