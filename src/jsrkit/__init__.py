@@ -1,11 +1,11 @@
 """jsrkit: joint spectral radius bounds and cocycle diagnostics.
 
-A numpy/scipy library for finite families of complex matrices: exact
+A numpy library for finite families of complex matrices: exact
 upper/lower bound sequences and their sandwich enclosure, pruned
-branch-and-bound, finite-horizon extremal norms, invariant splittings
-along periodic symbol orbits, cone propagation, Sturmian words and
-periodic-orbit approximation of shift-invariant sets, and exact cycle
-means on weighted digraphs.
+branch-and-bound, finite-horizon extremal norms with certified operator
+norms, invariant splittings along periodic symbol orbits, cone
+propagation, Sturmian words and periodic-orbit approximation of
+shift-invariant sets, and exact cycle means on weighted digraphs.
 """
 
 __version__ = "0.1.0"

@@ -38,9 +38,8 @@ multiplications.
 The same level generator and kernels serve the adapted-norm family and
 :func:`jsrkit.extremal.is_product_bounded`; the pruned search forms its
 frontier levels by the same batched multiplication and scores them by
-the same kernels and ``eigvals`` screen; and the same screen, cut at the
-16th largest value instead of the maximum, serves the candidate pass of
-the adapted norm.
+the same kernels and ``eigvals`` screen; and the same screen serves the
+certified kernel of the adapted norm.
 Levels are computed serially on the calling thread; the ``workers``
 keyword of :func:`sandwich` is accepted and ignored.
 Argmax words at roundoff-level near-ties, such as rotations of one
@@ -118,12 +117,15 @@ class BudgetCounter:
     """Counts matrix multiplications against a hard cap.
 
     The default cap is ``DEFAULT_BUDGET`` unless the ``JSRKIT_BUDGET``
-    environment variable overrides it.
+    environment variable overrides it; a value that is not a non-negative
+    integer raises ``ValueError``.
     """
 
     def __init__(self, limit=None):
         if limit is None:
-            env = os.environ.get(BUDGET_ENV)
+            env = os.environ.get(BUDGET_ENV, "")
+            if env and not env.strip().isdecimal():
+                raise ValueError("%s must be a non-negative integer, got %r" % (BUDGET_ENV, env))
             limit = int(env) if env else DEFAULT_BUDGET
         self.limit = int(limit)
         self.used = 0
@@ -259,41 +261,33 @@ def _screen_cutoff(best):
     return cutoff if cutoff >= SCREEN_FLOOR else 0.0
 
 
-def _screened(bound, kernel, P, rank=1):
-    """Exact ``kernel`` values of the words that can reach the top ``rank``.
+def _screened(bound, kernel, P):
+    """Exact ``kernel`` values of the words that can reach the maximum.
 
     ``bound[i]`` must bound ``kernel(P[i])`` from above up to roundoff.
     The ``SCREEN_SEED`` words of largest bound are evaluated first; the
     rest are evaluated in batches of decreasing bound, as long as their
-    bound reaches the running ``rank``-th largest value less
-    ``SCREEN_SLACK``.  Every other word reads ``-inf``; its value lies
-    below the ``rank``-th largest, so the ``rank`` largest values, the
-    maximum, its lexicographically first argmax and the ``TIE_RTOL`` tie
-    window equal those of an unscreened evaluation.
+    bound reaches the running maximum less ``SCREEN_SLACK``.  Every other
+    word reads ``-inf``; its value lies below the maximum, so the maximum,
+    its lexicographically first argmax and the ``TIE_RTOL`` tie window
+    equal those of an unscreened evaluation.
     """
     total = len(bound)
     values = np.full(total, -np.inf)
-    top = np.full(rank, -np.inf)  # the rank largest values evaluated so far
-
-    def evaluate(batch):
-        nonlocal top
-        got = kernel(P[batch])
-        values[batch] = got
-        top = np.partition(np.concatenate([top, got]), -rank)[-rank:]
-        # NaN sorts last and stays in ``top``: its cutoff screens nothing
-        return _screen_cutoff(top.min())
-
     size = min(SCREEN_SEED, total)
     batch = np.argpartition(bound, total - size)[total - size:]
-    cutoff = evaluate(batch)
+    values[batch] = kernel(P[batch])
+    # a NaN value makes ``best`` NaN: its cutoff screens nothing
+    best = values[batch].max()
     fresh = np.ones(total, dtype=bool)
     fresh[batch] = False
-    rest = np.nonzero(fresh & ~(bound < cutoff))[0]
+    rest = np.nonzero(fresh & ~(bound < _screen_cutoff(best)))[0]
     rest = rest[np.argsort(-bound[rest], kind="stable")]
     while len(rest):
         batch, rest = rest[:size], rest[size:]
-        cutoff = evaluate(batch)
-        rest = rest[~(bound[rest] < cutoff)]
+        values[batch] = kernel(P[batch])
+        best = np.max([best, values[batch].max()])
+        rest = rest[~(bound[rest] < _screen_cutoff(best))]
         size *= 2
     return values
 
@@ -327,11 +321,11 @@ def _level_bounds(P, n, m, norm=None, ties=False):
     "euclidean"``) are screened by ``||P||_F``, spectral radii by the
     exact norm where one was computed and by ``||P||_F`` elsewhere
     (``rho(P) <= ||P||_2 <= ||P||_F``).  Any other norm is called as
-    ``norm.matrix_norms_batch(P)``, which is exact on every word that can
-    reach the level maximum or its tie window and may read ``-inf``
-    elsewhere; :class:`jsrkit.extremal.AdaptedNorm` screens its candidate
-    pass by ``L * ||P||_F``.  The spectral radii of those levels are
-    screened by ``||P||_F``.
+    ``norm.matrix_norms_batch(P)``, which returns the norm's values on
+    every word that can reach the level maximum or its tie window and may
+    read ``-inf`` elsewhere; :class:`jsrkit.extremal.AdaptedNorm` screens
+    its certified kernel by ``L * ||P||_F``.  The spectral radii of those
+    levels are screened by ``||P||_F``.
     """
     fro = _frobenius_norms(P)
     radius_bound = fro
@@ -360,10 +354,10 @@ def rho_plus_n(mset, n, norm=None, budget=None, ties=False):
     The maximum is exact for the Euclidean norm, computed as
     ``sqrt(lambda_max(A_w^H A_w))`` only on the words whose Frobenius
     norm reaches the level maximum less ``SCREEN_SLACK`` (see the module
-    docstring).  Adapted norms run their candidate pass only on the words
-    whose bound ``L * ||A_w||_F`` can reach the 16 largest candidates, and
-    refine those by the deterministic search documented in
-    :mod:`jsrkit.extremal`.
+    docstring).  Adapted norms give certified upper values of the adapted
+    operator norm (the S-procedure bound of :mod:`jsrkit.extremal`), so
+    the maximum is a sound upper value; they are computed only on the
+    words whose bound ``L * ||A_w||_F`` can reach the level maximum.
     Ties are broken towards the lexicographically smallest word.  At
     roundoff-level near-ties, such as rotations of one word, that is the
     first word under the real-typed arithmetic used for real families,
@@ -435,7 +429,7 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     ``||P||_F`` for every word, the Gram-based ``||P||_2`` and ``eigvals``
     only where ``rho(P) <= ||P||_2 <= ||P||_F`` lets the word reach the
     level maximum less ``SCREEN_SLACK``.  Adapted norms screen their
-    candidate pass by ``L * ||P||_F``
+    certified kernel by ``L * ||P||_F``
     (:meth:`jsrkit.extremal.AdaptedNorm.matrix_norms_batch`); their
     ``rho`` side is screened by ``||P||_F``.
 

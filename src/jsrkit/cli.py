@@ -167,12 +167,11 @@ def _run_pruned(cfg):
     )
     fileio.write_metadata(cfg.out + ".meta.json", _metadata(cfg, counter, started))
     if not result.conclusive:
-        return _fail(
-            "inconclusive",
-            "gap %.6g above delta %.6g at depth %d"
-            % (result.upper - result.lower, cfg.delta, cfg.max_depth),
-            EXIT_INCONCLUSIVE,
-        )
+        gap = result.upper - result.lower
+        message = "gap %.6g above delta %.6g at depth %d" % (gap, cfg.delta, result.deepest)
+        if result.deepest < cfg.max_depth:
+            message += ", where the multiplication budget (%d) stopped the search" % counter.limit
+        return _fail("inconclusive", message, EXIT_INCONCLUSIVE)
     return EXIT_OK
 
 

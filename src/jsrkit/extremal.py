@@ -13,6 +13,20 @@ family the set of symbol sequences whose partial products keep norm one
 is the candidate extremal set; membership along a periodic word is
 checked to finite depth and reported as consistent or rejected.
 
+Certified operator norms.  With ``F`` the scaled products (the identity
+among them), ``|||v||| = max_f ||F_f v||`` and, for weights lambda in the
+simplex, ``|||v|||^2 >= sum_g lambda_g ||F_g v||^2 = v^H G_lambda v``.
+Hence, with ``H_f = (F_f M)^H (F_f M)`` and ``L = max_f ||F_f||_2``,
+
+    |||M||| <= max_f min_lambda sqrt(lambda_max(H_f, G_lambda))
+            <= max_f ||F_f M||_2 <= L ||M||_2 <= L ||M||_F,
+
+an S-procedure bound (Polik and Terlaky, SIAM Review 49, 2007).  Every
+lambda gives a sound value, so :class:`AdaptedNorm` reports, for
+``matrix_norm`` and ``matrix_norms_batch`` alike, certified upper values
+of ``|||M|||`` (up to roundoff): the least value over the weights it
+tries, without any search over vectors.
+
 Norm protocol.  Every function of the package that takes a ``norm``
 accepts an object with
 
@@ -20,9 +34,10 @@ accepts an object with
 - ``label``: the name written to reports;
 - ``vector_norm(v)`` and ``vector_norms(V)``, the latter over the
   columns of a d x r array;
-- ``matrix_norm(M)``: the induced operator norm of one matrix;
-- ``matrix_norms_batch(P)``: operator norms of a stack of matrices,
-  required unless ``kind == "euclidean"``.  It must be exact on every
+- ``matrix_norm(M)``: the induced operator norm of one matrix, or a
+  certified upper value of it;
+- ``matrix_norms_batch(P)``: the same values for a stack of matrices,
+  required unless ``kind == "euclidean"``.  It must return them on every
   word that can reach the batch maximum or its ``TIE_RTOL`` tie window,
   and may read ``-inf`` on the others.
 
@@ -31,7 +46,7 @@ None and any norm of kind ``"euclidean"`` (:class:`EuclideanNorm`) take
 the screened Gram-based level kernel and the norm object is not called;
 other norms, such as :class:`AdaptedNorm`, are called through
 ``matrix_norms_batch`` on whole levels.  :class:`AdaptedNorm` screens
-its own candidate pass with the level screen of :mod:`jsrkit.bounds`.
+its certified kernel with the level screen of :mod:`jsrkit.bounds`.
 """
 
 import math
@@ -59,9 +74,20 @@ __all__ = [
 
 # |||A(x,n)||| may deviate from 1 by this much before a verdict is drawn
 Y_MEMBERSHIP_TOL = 1e-6
-# AdaptedNorm.matrix_norms_batch re-evaluates this many of the largest
-# candidate values with the full single-matrix search
-REFINE_TOP = 16
+
+# The certified kernel of AdaptedNorm (AdaptedNorm.matrix_norms_batch).
+# exponentiated-gradient steps per (matrix, member) pair at most
+DESCENT_STEPS = 100
+# a pair stops descending once its value is within this of a lower value
+DESCENT_RTOL = 1e-12
+# total weight floor: the members other than the identity share it, so
+# that they cost at most about this much relative tightness
+WEIGHT_FLOOR = 1e-12
+# single-member weights are tried on the members of at most this condition
+# number, so that their values carry a roundoff of about 1e4 * 2**-53
+SINGLE_MEMBER_COND = 1e4
+# matrices per block of the kernel's temporaries
+CERTIFY_BLOCK = 1 << 14
 
 
 class NormalizationError(ValueError):
@@ -103,13 +129,18 @@ def _phase_mesh(d):
 class AdaptedNorm:
     """Scaled-product maximum norm at a finite horizon.
 
+    ``|||v||| = max_f ||F_f v||`` over the family ``F = {rho_hat^(-k) A_w :
+    |w| = k <= N}``, which contains the identity (the empty word), so
+    ``|||v||| >= ||v||``.  Operator norms are certified upper values of
+    ``|||M|||``; see :meth:`matrix_norms_batch`.
+
     Parameters
     ----------
     mset : MatrixSet
         The family whose products define the norm.
     rho_hat : float
         Working estimate of the joint spectral radius; products of
-        length k are scaled by rho_hat**(-k).
+        length k are scaled by rho_hat**(-k).  Must be positive and finite.
     depth : int
         Horizon N; all words up to this length enter the maximum.
     """
@@ -117,8 +148,8 @@ class AdaptedNorm:
     kind = "adapted"
 
     def __init__(self, mset, rho_hat, depth, budget=None):
-        if rho_hat <= 0:
-            raise ValueError("rho_hat must be positive")
+        if not 0.0 < rho_hat < math.inf:
+            raise ValueError("rho_hat must be positive and finite")
         if depth < 0:
             raise ValueError("depth must be non-negative")
         counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
@@ -142,12 +173,19 @@ class AdaptedNorm:
         for k, level in bounds._iter_levels(mset, depth, counter):
             blocks.append(level * self.rho_hat ** (-k))
         family = np.concatenate(blocks)
+        self._family = family
+        self._flat = family.reshape(-1, d)  # (f*d, d) stacked for fast apply
+        self._family_size = f = len(family)
         # L = max_f ||F_f||_2, the factor of the screening bound L * ||P||_F
         self._family_norm = float(bounds._euclidean_norms(family).max())
-        self._flat = family.reshape(-1, d)  # (f*d, d) stacked for fast apply
-        self._family_size = family.shape[0]
-        self._mesh = _phase_mesh(d)
-        self._mesh_norms = None
+        # row g holds F_g^H F_g: weights @ rows is G_lambda
+        self._grams = (np.swapaxes(family, 1, 2).conj() @ family).reshape(f, d * d)
+        # the other members share WEIGHT_FLOOR; the identity's floor keeps
+        # cond(G_lambda) <= 1 / WEIGHT_FLOOR, since ||G_lambda|| <= L**2
+        self._floor = np.full(f, WEIGHT_FLOOR / f)
+        self._floor[0] = WEIGHT_FLOOR * max(1.0, self._family_norm**2)
+        self._single = np.nonzero(np.linalg.cond(family) <= SINGLE_MEMBER_COND)[0]
+        self._inverses = np.linalg.inv(family[self._single])  # the identity first
 
     @property
     def d(self):
@@ -166,137 +204,154 @@ class AdaptedNorm:
     def vector_norm(self, v):
         return float(self.vector_norms(np.asarray(v, dtype=complex))[0])
 
-    def _refine(self, M, v0):
-        # imported here: only refined adapted norms need scipy
-        from scipy import optimize
+    def _lower(self, M, u):
+        """``|||M u||| / |||u|||`` per pair, and ``||F_g u||^2`` per pair and member."""
+        X = np.concatenate([u[:, :, None], np.matmul(M, u[:, :, None])], axis=2)
+        Y = np.matmul(self._flat, X).reshape(len(u), self._family_size, self.d, 2)
+        a, b = np.moveaxis((Y.real**2 + Y.imag**2).sum(axis=2), 2, 0)
+        return np.sqrt(b.max(axis=1) / a.max(axis=1)), a
 
-        d, fam = self.d, self._family_size
-        flat = self._flat
-        flat_m = flat @ M
+    def _gram(self, lam):
+        """``G_lambda = sum_g lambda_g F_g^H F_g`` per row of weights."""
+        return np.matmul(lam[:, None], self._grams).reshape(-1, self.d, self.d)
 
-        def ratio(v):
-            num = np.sqrt((np.abs(flat_m @ v) ** 2).reshape(fam, d).sum(axis=1)).max()
-            den = np.sqrt((np.abs(flat @ v) ** 2).reshape(fam, d).sum(axis=1)).max()
-            return num / den if den > 0 else 0.0
+    def _pencil(self, Q, G):
+        """``sqrt(lambda_max(Q^H Q, G))`` per pair, and a generalised
+        eigenvector ``u`` with ``u^H G u = 1``."""
+        inv_h = np.swapaxes(np.linalg.inv(np.linalg.cholesky(G)), 1, 2).conj()
+        R = np.matmul(Q, inv_h)
+        w, V = np.linalg.eigh(np.swapaxes(R, 1, 2).conj() @ R)
+        return np.sqrt(np.maximum(w[:, -1], 0.0)), np.matmul(inv_h, V[:, :, -1:])[:, :, 0]
 
-        def objective(x):
-            v = x[:d] + 1j * x[d:]
-            nv = np.linalg.norm(v)
-            if nv < 1e-12:
-                return 0.0
-            return -ratio(v / nv)
+    def _descend(self, M, Q, floor):
+        """Certified values of the pairs ``Q[k] = F_f M[k]``, and the weights
+        each descent ended at.
 
-        x0 = np.concatenate([v0.real, v0.imag])
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-11, "fatol": 1e-12, "maxiter": 300},
-        )
-        return max(-float(res.fun), ratio(v0))
-
-    def matrix_norm(self, M, refine=True):
-        """Induced operator norm by deterministic search over the sphere.
-
-        Candidates are a fixed phase mesh, the right singular vectors of
-        M, and the top right singular vectors of every family element
-        applied to M; the best candidate is polished with a local
-        simplex search.  The result is a certified lower bound on the
-        true operator norm that is exact in practice for the small
-        families used here.
+        Each value is the least ``sqrt(lambda_max(H_f, G_lambda))`` over
+        the single-member weights and the iterates of an
+        exponentiated-gradient descent, which starts halfway between the
+        best single member and uniform weights.  A pair stops descending
+        once its value is within ``DESCENT_RTOL`` of ``floor[k]`` or of the
+        lower value ``|||M u||| / |||u|||`` at a generalised eigenvector
+        ``u``, and otherwise after ``DESCENT_STEPS`` steps.
         """
+        p, f, d = len(Q), self._family_size, self.d
+        # lambda = e_g gives ||F_f M F_g^-1||_2; g = 0 is the identity
+        QG = np.matmul(Q[:, None], self._inverses)
+        single = bounds._euclidean_norms(QG.reshape(-1, d, d)).reshape(QG.shape[:2])
+        g = self._single[np.argmin(single, axis=1)]
+        best = single.min(axis=1)
+        lower, _ = self._lower(M, self._pencil(Q, self._grams[g].reshape(p, d, d))[1])
+
+        # ``anchor`` holds each pair's best iterate and its gradient; the
+        # rate grows after an improving step and is halved, from the
+        # anchor, after any other
+        trial = np.full((p, f), 0.5 / f)
+        trial[np.arange(p), g] += 0.5
+        anchor, grad = trial.copy(), np.zeros((p, f))
+        reached, rate = np.full(p, np.inf), np.ones(p)
+        live = np.nonzero(best > (1.0 + DESCENT_RTOL) * np.maximum(floor, lower))[0]
+        for _ in range(DESCENT_STEPS):
+            if not len(live):
+                break
+            lam = trial[live]
+            value, u = self._pencil(Q[live], self._gram(lam))
+            low, a = self._lower(M[live], u)
+            best[live] = np.minimum(best[live], value)
+            lower[live] = np.maximum(lower[live], low)
+            better = value < reached[live]
+            k = live[better]
+            anchor[k], grad[k], reached[k] = lam[better], a[better], value[better]
+            rate[live] *= np.where(better, 1.2, 0.5)
+            # the relative gradient of 1 / value**2 in lambda_g is a_g - 1
+            step = rate[live, None] * grad[live]
+            lam = anchor[live] * np.exp(step - step.max(axis=1, keepdims=True))
+            lam = np.maximum(lam / lam.sum(axis=1, keepdims=True), self._floor)
+            trial[live] = lam / lam.sum(axis=1, keepdims=True)
+            live = live[best[live] > (1.0 + DESCENT_RTOL) * np.maximum(floor[live], lower[live])]
+        return best, anchor
+
+    def _certified(self, P):
+        """Certified upper values of ``|||M|||`` for the matrices ``M`` of ``P``.
+
+        The pair ``(M, F_f)`` of largest ``||F_f M||_2`` (the first such f)
+        is certified first.  Every other pair whose ``||F_f M||_2`` exceeds
+        that value is then tried at the weights the first pair's descent
+        ended at and, if it still exceeds that value by more than
+        ``DESCENT_RTOL``, certified on its own.  A value depends on its own
+        matrix only, not on the rest of ``P``.
+        """
+        f, d, n = self._family_size, self.d, len(P)
+        step = max(1, CERTIFY_BLOCK // f)
+        if n > step:
+            return np.concatenate([self._certified(P[i:i + step]) for i in range(0, n, step)])
+        # scaling by a power of two is exact and keeps the squares clear of
+        # overflow and underflow
+        scale = np.ldexp(1.0, np.frexp(np.abs(P).max(axis=(1, 2)))[1])
+        M = P / scale[:, None, None]
+        FM = np.matmul(self._family, M[:, None])
+        # the values of the identity weights, ||F_f M||_2
+        ident = bounds._euclidean_norms(FM.reshape(n * f, d, d)).reshape(n, f)
+        words = np.arange(n)
+        top = np.argmax(ident, axis=1)
+        values, weights = self._descend(M, FM[words, top], np.zeros(n))
+        rest = ident > values[:, None]
+        rest[words, top] = False
+        i, g = np.nonzero(rest)
+        more, _ = self._pencil(FM[i, g], self._gram(weights)[i])
+        hard = np.nonzero(more > values[i] * (1.0 + DESCENT_RTOL))[0]
+        for start in range(0, len(hard), step):
+            k = hard[start:start + step]
+            more[k] = np.minimum(more[k], self._descend(M[i[k]], FM[i[k], g[k]], values[i[k]])[0])
+        np.maximum.at(values, i, more)
+        return values * scale
+
+    def matrix_norm(self, M):
+        """Certified upper value of the induced operator norm ``|||M|||``,
+        by the kernel of :meth:`matrix_norms_batch`."""
         M = linalg.as_matrix(M)
         if M.shape != (self.d, self.d):
             raise linalg.DimensionError("matrix must be %d x %d" % (self.d, self.d))
-        cands = [self._mesh]
-        _, _, vh = np.linalg.svd(M)
-        cands.append(vh.conj().T)
-        stacked = (self._flat @ M).reshape(self._family_size, self.d, self.d)
-        tops = np.linalg.svd(stacked)[2][:, 0, :].conj().T  # (d, f)
-        cands.append(tops)
-        C = np.column_stack(cands)
-        num = self.vector_norms(M @ C)
-        den = self.vector_norms(C)
-        ratios = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        best = int(np.argmax(ratios))
-        value = float(ratios[best])
-        if refine:
-            value = max(value, self._refine(M, C[:, best] / np.linalg.norm(C[:, best])))
-        return value
+        return float(self._certified(M[None])[0])
 
     def matrix_norms_batch(self, P):
-        """Operator norms of a batch of matrices, screened.
+        """Certified upper values of the operator norms of a batch, screened.
 
-        A cheap candidate pass (fixed mesh plus each matrix's own top
-        right singular vector) ranks the batch; the ``REFINE_TOP``
-        highest entries are then re-evaluated with the full single-matrix
-        search.  The cheap pass is screened by the level screen of
-        :mod:`jsrkit.bounds` with the bound
+        For weights lambda in the simplex, ``|||v|||^2 >= sum_g lambda_g
+        ||F_g v||^2 = v^H G_lambda v`` (an S-procedure relaxation), so
 
-            cheap(M) <= |||M||| <= max_f ||F_f M||_2 <= L ||M||_2 <= L ||M||_F,
+            |||M||| <= max_f min_lambda sqrt(lambda_max(H_f, G_lambda)),
+            H_f = (F_f M)^H (F_f M),
 
-        where ``L = max_f ||F_f||_2`` over the norm's family ``F``, which
-        contains the identity, so ``|||v||| >= ||v||``.  It runs only on
-        words that can enter the ``REFINE_TOP`` largest cheap values; the
-        others read ``-inf``.  Their bound lies below the ``REFINE_TOP``-th
-        cheap value less ``SCREEN_SLACK``, so the refined values, the
-        maximum, its lexicographically first argmax and the ``TIE_RTOL``
-        tie window equal those of running the cheap pass on every word.
-        One caveat holds with or without the screen: the cheap values of a
-        batch come from one gemm, so a value's last bit can depend on the
-        word's position in the batch.
+        with the generalised eigenvalue of the pencil ``(H_f, G_lambda)``.
+        Every lambda gives a sound value; the kernel takes, per pair
+        ``(M, F_f)``, the least value over ``lambda = e_g`` for the
+        well-conditioned members ``F_g`` (``||F_f M F_g^-1||_2``; the
+        identity among them gives ``||F_f M||_2``) and over
+        exponentiated-gradient iterates on lambda, deterministically and
+        without charging the budget.  So every value lies between
+        ``|||M|||`` and
+
+            max_f ||F_f M||_2 <= L ||M||_2 <= L ||M||_F,
+
+        where ``L = max_f ||F_f||_2``, up to roundoff.  Equal matrices are
+        certified once, and the level screen of :mod:`jsrkit.bounds`
+        evaluates only the words whose bound ``L ||M||_F`` can reach the
+        batch maximum; the others read ``-inf``.  The maximum, its
+        lexicographically first argmax and the ``TIE_RTOL`` tie window
+        equal those of evaluating every word, since a word's value does
+        not depend on the rest of the batch.
         """
-        P = np.asarray(P)
-        mesh = self._mesh
-        if self._mesh_norms is None:
-            self._mesh_norms = self.vector_norms(mesh)
-        den_mesh = self._mesh_norms
-        f, d = self._family_size, self.d
-        flat = self._flat
-        r = mesh.shape[1]
-
-        def columnwise(V):
-            # V is (d, K): adapted norms of the K columns via one gemm
-            Y = flat @ V
-            sq = (Y.real**2 + Y.imag**2).reshape(f, d, -1).sum(axis=1)
-            return np.sqrt(sq.max(axis=0))
-
-        def cheap(chunk):
-            mc = len(chunk)
-            X = (chunk @ mesh).transpose(1, 0, 2).reshape(d, mc * r)
-            num = columnwise(X).reshape(mc, r)
-            vals = (num / den_mesh).max(axis=1)
-            # each matrix's own top right singular vector as an extra candidate
-            tops = np.linalg.svd(chunk)[2][:, 0, :].conj()  # (mc, d)
-            Mt = np.einsum("mab,mb->ma", chunk, tops)
-            num_t = columnwise(Mt.T)
-            den_t = columnwise(tops.T)
-            vals_t = np.where(den_t > 0, num_t / np.maximum(den_t, 1e-300), 0.0)
-            return np.maximum(vals, vals_t)
-
-        chunk_size = max(256, 2_000_000 // max(1, f * r))
-
-        def chunked(Q):
-            Q = np.asarray(Q, dtype=complex)
-            return np.concatenate(
-                [cheap(Q[i : i + chunk_size]) for i in range(0, len(Q), chunk_size)]
-            )
-
+        P = np.ascontiguousarray(P)
+        # equal matrices, frequent among the products of structured
+        # families, are certified once: bytes are compared, not values
+        keys = P.reshape(len(P), -1).view(np.dtype((np.void, P.itemsize * self.d**2))).ravel()
+        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+        P = P[first]
         # below SCREEN_FLOOR, ||P||_F may have lost its squares to underflow,
         # but the true value is below SCREEN_FLOOR as well
         fro = np.maximum(bounds._frobenius_norms(P), bounds.SCREEN_FLOOR)
-        values = bounds._screened(self._family_norm * fro, chunked, P, rank=REFINE_TOP)
-        # refinement only raises a value, by at most a modest factor, so
-        # candidates already more than 10% below the running best cannot
-        # change the maximum and are left alone
-        order = np.argsort(-values, kind="stable")[:REFINE_TOP]
-        best = 0.0
-        for idx in order:
-            if values[idx] < 0.9 * best:
-                break
-            values[idx] = max(values[idx], self.matrix_norm(P[idx], refine=True))
-            best = max(best, values[idx])
-        return values
+        return bounds._screened(self._family_norm * fro, self._certified, P)[index]
 
     def __repr__(self):
         return "AdaptedNorm(depth=%d, rho_hat=%g, |family|=%d)" % (
@@ -390,9 +445,13 @@ class YMembershipReport:
 
     ``margins[n-1]`` is ``1 - |||A(x, n)|||``.  The verdict is
     ``"consistent"`` unless some partial product's norm drops below
-    ``1 - tol`` (rejection at the first such depth).  Norms exceeding
-    ``1 + tol`` do not reject; they indicate the norm itself is not yet
-    extremal and are listed separately.
+    ``1 - tol`` (rejection at the first such depth).  The values of
+    :class:`EuclideanNorm` are the true norms and those of
+    :class:`AdaptedNorm` certified upper values of them, so with either
+    a rejection is sound up to roundoff.  Norms
+    exceeding ``1 + tol`` do not reject; they indicate that the norm
+    itself is not yet extremal, or that the upper value is not tight,
+    and are listed separately as an indication only.
     """
 
     word: object
@@ -405,7 +464,12 @@ class YMembershipReport:
 
 
 def y_membership(mset, norm, pword, depth, tol=Y_MEMBERSHIP_TOL):
-    """Track |||A(x, n)||| along a periodic word for n = 1..depth."""
+    """Track |||A(x, n)||| along a periodic word for n = 1..depth.
+
+    ``norm.matrix_norm`` gives each value; for :class:`AdaptedNorm` it is
+    a certified upper value, so a rejection is sound while the excess
+    list stays an indication (:class:`YMembershipReport`).
+    """
     pword.validate_for(mset)
     estimate = _coarse_jsr_estimate(mset)
     if abs(estimate - 1.0) > 0.2:

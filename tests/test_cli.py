@@ -33,15 +33,24 @@ def fixtures(tmp_path):
     return {"e1": str(e1), "e2": str(e2), "dir": tmp_path}
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only the adapted norm's refinement imports scipy
+def test_cli_import_leaves_scipy_unloaded(fixtures):
+    # numpy is the only runtime dependency: with scipy blocked, importing
+    # jsrkit and an adapted bounds run both succeed
+    out = fixtures["dir"] / "blocked.csv"
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import jsrkit, jsrkit.cli\n"
+        "sys.exit(jsrkit.cli.main(sys.argv[1:]))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, jsrkit.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", script, "bounds", "--input", fixtures["e1"], "--out", str(out),
+         "--norm", "adapted", "--max-depth", "8"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert len(out.read_text().splitlines()) == 9
 
 
 class TestMatrixSetFiles:
@@ -154,6 +163,22 @@ class TestBoundsCommand:
         assert "inconclusive" in proc.stderr
         assert out.exists()  # partial report kept, flagged in metadata
 
+    def test_adapted_enclosure_of_a_complex_triple_is_sound(self, tmp_path):
+        # the Nelder-Mead norm search read an upper value below the lower
+        # value 2.1278401838255179 at n=5 here, and the run exited 4
+        rng = np.random.default_rng(5)
+        mats = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        path = str(tmp_path / "triple.json")
+        save_matrix_set(MatrixSet(list(mats)), path)
+        out = tmp_path / "triple.csv"
+        argv = ["bounds", "--input", path, "--out", str(out), "--norm", "adapted",
+                "--adapted-depth", "4", "--max-depth", "7"]
+        assert cli.main(argv) == cli.EXIT_OK
+        last = out.read_text().strip().splitlines()[-1].split(",")
+        lower, upper, gap = float(last[3]), float(last[4]), float(last[5])
+        assert lower <= 2.1278402 <= upper
+        assert gap <= 0.01
+
     def test_worker_count_gives_identical_bytes(self, fixtures, tmp_path):
         outputs = []
         for w in (1, 2, 8):
@@ -233,6 +258,14 @@ class TestInputErrors:
         assert capsys.readouterr().err.startswith("jsrkit: input: " + flag)
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1e6", "-5"])
+    def test_malformed_budget_env_exits_two(self, fixtures, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("JSRKIT_BUDGET", value)
+        out = tmp_path / "never.csv"
+        assert cli.main(["bounds", "--input", fixtures["e1"], "--out", str(out)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("jsrkit: input: JSRKIT_BUDGET")
+        assert not out.exists()
+
     def test_explicit_rho_hat_is_used_by_splitting(self, fixtures, tmp_path):
         out = tmp_path / "split.csv"
         argv = ["splitting", "--input", fixtures["e2"], "--out", str(out), "--cycle", "0",
@@ -274,6 +307,20 @@ class TestOtherCommands:
         )
         assert proc.returncode == 3
         assert out.exists()
+
+    def test_budget_stopped_pruned_search_reports_its_depth(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "quad.json")
+        save_matrix_set(MatrixSet(list(np.random.default_rng(1010).standard_normal((2, 4, 4)))), path)
+        out = tmp_path / "pruned.csv"
+        monkeypatch.setenv("JSRKIT_BUDGET", "2000")
+        argv = ["pruned", "--input", path, "--out", str(out), "--delta", "0.001", "--max-depth", "40"]
+        assert cli.main(argv) == cli.EXIT_INCONCLUSIVE
+        header, row = out.read_text().strip().splitlines()
+        deepest = int(dict(zip(header.split(","), row.split(",")))["deepest"])
+        assert deepest < 40
+        err = capsys.readouterr().err
+        assert "at depth %d," % deepest in err
+        assert "budget" in err
 
     def test_splitting_metadata(self, fixtures, tmp_path):
         out = tmp_path / "split.csv"
