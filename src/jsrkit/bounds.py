@@ -261,7 +261,7 @@ def _screen_cutoff(best):
     return cutoff if cutoff >= SCREEN_FLOOR else 0.0
 
 
-def _screened(bound, kernel, P):
+def _screened(bound, kernel, P, cutoff=False):
     """Exact ``kernel`` values of the words that can reach the maximum.
 
     ``bound[i]`` must bound ``kernel(P[i])`` from above up to roundoff.
@@ -270,7 +270,11 @@ def _screened(bound, kernel, P):
     bound reaches the running maximum less ``SCREEN_SLACK``.  Every other
     word reads ``-inf``; its value lies below the maximum, so the maximum,
     its lexicographically first argmax and the ``TIE_RTOL`` tie window
-    equal those of an unscreened evaluation.
+    equal those of an unscreened evaluation.  With ``cutoff``, the later
+    batches are evaluated as ``kernel(batch, c)`` for the running cutoff
+    ``c``, and the kernel may read ``-inf`` on words whose values lie
+    below ``(1 + TIE_RTOL) * c``, which ``SCREEN_SLACK`` keeps outside the
+    tie window.
     """
     total = len(bound)
     values = np.full(total, -np.inf)
@@ -285,7 +289,7 @@ def _screened(bound, kernel, P):
     rest = rest[np.argsort(-bound[rest], kind="stable")]
     while len(rest):
         batch, rest = rest[:size], rest[size:]
-        values[batch] = kernel(P[batch])
+        values[batch] = kernel(P[batch], _screen_cutoff(best)) if cutoff else kernel(P[batch])
         best = np.max([best, values[batch].max()])
         rest = rest[~(bound[rest] < _screen_cutoff(best))]
         size *= 2

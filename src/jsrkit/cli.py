@@ -169,8 +169,9 @@ def _run_pruned(cfg):
     if not result.conclusive:
         gap = result.upper - result.lower
         message = "gap %.6g above delta %.6g at depth %d" % (gap, cfg.delta, result.deepest)
-        if result.deepest < cfg.max_depth:
-            message += ", where the multiplication budget (%d) stopped the search" % counter.limit
+        # a capped frontier leaves less than one node's m multiplications
+        if counter.limit - counter.used < len(mset):
+            message += ", with the multiplication budget (%d) spent" % counter.limit
         return _fail("inconclusive", message, EXIT_INCONCLUSIVE)
     return EXIT_OK
 

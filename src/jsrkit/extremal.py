@@ -24,8 +24,8 @@ Hence, with ``H_f = (F_f M)^H (F_f M)`` and ``L = max_f ||F_f||_2``,
 an S-procedure bound (Polik and Terlaky, SIAM Review 49, 2007).  Every
 lambda gives a sound value, so :class:`AdaptedNorm` reports, for
 ``matrix_norm`` and ``matrix_norms_batch`` alike, certified upper values
-of ``|||M|||`` (up to roundoff): the least value over the weights it
-tries, without any search over vectors.
+of ``|||M|||`` (up to roundoff; see ``matrix_norms_batch``): the least
+value over the weights it tries, without any search over vectors.
 
 Norm protocol.  Every function of the package that takes a ``norm``
 accepts an object with
@@ -81,7 +81,9 @@ DESCENT_STEPS = 100
 # a pair stops descending once its value is within this of a lower value
 DESCENT_RTOL = 1e-12
 # total weight floor: the members other than the identity share it, so
-# that they cost at most about this much relative tightness
+# that they cost at most about this much relative tightness; the identity's
+# share keeps cond(G_lambda) <= 1 / WEIGHT_FLOOR, which caps the roundoff
+# of a Cholesky-based pencil value, about 2**-54 * cond(G_lambda) relative
 WEIGHT_FLOOR = 1e-12
 # single-member weights are tried on the members of at most this condition
 # number, so that their values carry a roundoff of about 1e4 * 2**-53
@@ -174,7 +176,6 @@ class AdaptedNorm:
             blocks.append(level * self.rho_hat ** (-k))
         family = np.concatenate(blocks)
         self._family = family
-        self._flat = family.reshape(-1, d)  # (f*d, d) stacked for fast apply
         self._family_size = f = len(family)
         # L = max_f ||F_f||_2, the factor of the screening bound L * ||P||_F
         self._family_norm = float(bounds._euclidean_norms(family).max())
@@ -198,17 +199,17 @@ class AdaptedNorm:
             V = V[:, None]
         if V.shape[0] != self.d:
             raise linalg.DimensionError("vectors must live in C^%d" % self.d)
-        images = (self._flat @ V).reshape(self._family_size, self.d, -1)
-        return np.linalg.norm(images, axis=1).max(axis=0)
+        return np.linalg.norm(np.matmul(self._family, V), axis=1).max(axis=0)
 
     def vector_norm(self, v):
         return float(self.vector_norms(np.asarray(v, dtype=complex))[0])
 
     def _lower(self, M, u):
         """``|||M u||| / |||u|||`` per pair, and ``||F_g u||^2`` per pair and member."""
-        X = np.concatenate([u[:, :, None], np.matmul(M, u[:, :, None])], axis=2)
-        Y = np.matmul(self._flat, X).reshape(len(u), self._family_size, self.d, 2)
-        a, b = np.moveaxis((Y.real**2 + Y.imag**2).sum(axis=2), 2, 0)
+        X = np.stack([u, np.matmul(M, u[:, :, None])[:, :, 0]], axis=1)
+        # ||F_g x||^2 = x^H (F_g^H F_g) x: one product with the rows of _grams
+        O = (X.conj()[:, :, :, None] * X[:, :, None, :]).reshape(len(u), 2, self.d**2)
+        a, b = np.moveaxis(np.matmul(O, self._grams.T).real, 1, 0)
         return np.sqrt(b.max(axis=1) / a.max(axis=1)), a
 
     def _gram(self, lam):
@@ -223,9 +224,9 @@ class AdaptedNorm:
         w, V = np.linalg.eigh(np.swapaxes(R, 1, 2).conj() @ R)
         return np.sqrt(np.maximum(w[:, -1], 0.0)), np.matmul(inv_h, V[:, :, -1:])[:, :, 0]
 
-    def _descend(self, M, Q, floor):
-        """Certified values of the pairs ``Q[k] = F_f M[k]``, and the weights
-        each descent ended at.
+    def _descend(self, M, Q, floor, cutoff):
+        """Certified values of the pairs ``Q[k] = F_f M[k]``, the weights
+        each descent ended at, and which descents the cutoff stopped.
 
         Each value is the least ``sqrt(lambda_max(H_f, G_lambda))`` over
         the single-member weights and the iterates of an
@@ -233,7 +234,9 @@ class AdaptedNorm:
         best single member and uniform weights.  A pair stops descending
         once its value is within ``DESCENT_RTOL`` of ``floor[k]`` or of the
         lower value ``|||M u||| / |||u|||`` at a generalised eigenvector
-        ``u``, and otherwise after ``DESCENT_STEPS`` steps.
+        ``u``, and otherwise after ``DESCENT_STEPS`` steps.  Short of that,
+        a pair whose value falls below ``cutoff[k]`` stops early: its value
+        is then below the cutoff, and no lower than its full descent's.
         """
         p, f, d = len(Q), self._family_size, self.d
         # lambda = e_g gives ||F_f M F_g^-1||_2; g = 0 is the identity
@@ -250,8 +253,11 @@ class AdaptedNorm:
         trial[np.arange(p), g] += 0.5
         anchor, grad = trial.copy(), np.zeros((p, f))
         reached, rate = np.full(p, np.inf), np.ones(p)
-        live = np.nonzero(best > (1.0 + DESCENT_RTOL) * np.maximum(floor, lower))[0]
+        live, cut = np.arange(p), np.zeros(p, dtype=bool)
         for _ in range(DESCENT_STEPS):
+            live = live[best[live] > (1.0 + DESCENT_RTOL) * np.maximum(floor[live], lower[live])]
+            cut[live[best[live] < cutoff[live]]] = True
+            live = live[~cut[live]]
             if not len(live):
                 break
             lam = trial[live]
@@ -268,10 +274,9 @@ class AdaptedNorm:
             lam = anchor[live] * np.exp(step - step.max(axis=1, keepdims=True))
             lam = np.maximum(lam / lam.sum(axis=1, keepdims=True), self._floor)
             trial[live] = lam / lam.sum(axis=1, keepdims=True)
-            live = live[best[live] > (1.0 + DESCENT_RTOL) * np.maximum(floor[live], lower[live])]
-        return best, anchor
+        return best, anchor, cut
 
-    def _certified(self, P):
+    def _certified(self, P, cutoff=-np.inf):
         """Certified upper values of ``|||M|||`` for the matrices ``M`` of ``P``.
 
         The pair ``(M, F_f)`` of largest ``||F_f M||_2`` (the first such f)
@@ -280,31 +285,42 @@ class AdaptedNorm:
         ended at and, if it still exceeds that value by more than
         ``DESCENT_RTOL``, certified on its own.  A value depends on its own
         matrix only, not on the rest of ``P``.
+
+        Given a ``cutoff``, the first pair's descent also stops once its
+        value falls below it.  A matrix that such a cut leaves below the
+        cutoff reads ``-inf``: its full value is below ``(1 + DESCENT_RTOL)``
+        times the cutoff, since the values it was left with bound
+        ``|||M|||``, and so the lower values at which the full descents may
+        stop.  A matrix that a cut leaves at or above the cutoff is
+        certified again without it.
         """
         f, d, n = self._family_size, self.d, len(P)
         step = max(1, CERTIFY_BLOCK // f)
         if n > step:
-            return np.concatenate([self._certified(P[i:i + step]) for i in range(0, n, step)])
+            blocks = [P[i:i + step] for i in range(0, n, step)]
+            return np.concatenate([self._certified(block, cutoff) for block in blocks])
         # scaling by a power of two is exact and keeps the squares clear of
         # overflow and underflow
         scale = np.ldexp(1.0, np.frexp(np.abs(P).max(axis=(1, 2)))[1])
-        M = P / scale[:, None, None]
+        M, c = P / scale[:, None, None], cutoff / scale
         FM = np.matmul(self._family, M[:, None])
         # the values of the identity weights, ||F_f M||_2
         ident = bounds._euclidean_norms(FM.reshape(n * f, d, d)).reshape(n, f)
-        words = np.arange(n)
         top = np.argmax(ident, axis=1)
-        values, weights = self._descend(M, FM[words, top], np.zeros(n))
-        rest = ident > values[:, None]
-        rest[words, top] = False
-        i, g = np.nonzero(rest)
+        values, weights, cut = self._descend(M, FM[np.arange(n), top], np.zeros(n), c)
+        i, g = np.nonzero((ident > values[:, None]) & (np.arange(f) != top[:, None]))
         more, _ = self._pencil(FM[i, g], self._gram(weights)[i])
         hard = np.nonzero(more > values[i] * (1.0 + DESCENT_RTOL))[0]
         for start in range(0, len(hard), step):
             k = hard[start:start + step]
-            more[k] = np.minimum(more[k], self._descend(M[i[k]], FM[i[k], g[k]], values[i[k]])[0])
+            low = self._descend(M[i[k]], FM[i[k], g[k]], values[i[k]], np.full(len(k), -np.inf))[0]
+            more[k] = np.minimum(more[k], low)
         np.maximum.at(values, i, more)
-        return values * scale
+        redo = cut & (values >= c)
+        values = np.where(cut & (values < c), -np.inf, values * scale)
+        if redo.any():
+            values[redo] = self._certified(P[redo])
+        return values
 
     def matrix_norm(self, M):
         """Certified upper value of the induced operator norm ``|||M|||``,
@@ -334,24 +350,25 @@ class AdaptedNorm:
 
             max_f ||F_f M||_2 <= L ||M||_2 <= L ||M||_F,
 
-        where ``L = max_f ||F_f||_2``, up to roundoff.  Equal matrices are
-        certified once, and the level screen of :mod:`jsrkit.bounds`
-        evaluates only the words whose bound ``L ||M||_F`` can reach the
-        batch maximum; the others read ``-inf``.  The maximum, its
+        where ``L = max_f ||F_f||_2``, up to roundoff, as values are not
+        outward-rounded: about ``SINGLE_MEMBER_COND * 2**-53`` relative on
+        single-member values, and on the others up to about
+        ``2**-54 * cond(G_lambda)``, which ``WEIGHT_FLOOR`` caps at 6e-5.
+
+        The level screen of :mod:`jsrkit.bounds` evaluates only the words
+        whose bound ``L ||M||_F`` can reach the batch maximum, and passes
+        the kernel its running cutoff: the first descent of a word stops
+        once it falls below the cutoff, and a word it leaves there reads
+        ``-inf``, as do the words the bound screens out.  The maximum, its
         lexicographically first argmax and the ``TIE_RTOL`` tie window
-        equal those of evaluating every word, since a word's value does
-        not depend on the rest of the batch.
+        equal those of evaluating every word, since a word's value does not
+        depend on the rest of the batch.
         """
-        P = np.ascontiguousarray(P)
-        # equal matrices, frequent among the products of structured
-        # families, are certified once: bytes are compared, not values
-        keys = P.reshape(len(P), -1).view(np.dtype((np.void, P.itemsize * self.d**2))).ravel()
-        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-        P = P[first]
+        P = np.asarray(P)
         # below SCREEN_FLOOR, ||P||_F may have lost its squares to underflow,
         # but the true value is below SCREEN_FLOOR as well
         fro = np.maximum(bounds._frobenius_norms(P), bounds.SCREEN_FLOOR)
-        return bounds._screened(self._family_norm * fro, self._certified, P)[index]
+        return bounds._screened(self._family_norm * fro, self._certified, P, cutoff=True)
 
     def __repr__(self):
         return "AdaptedNorm(depth=%d, rho_hat=%g, |family|=%d)" % (

@@ -322,6 +322,20 @@ class TestOtherCommands:
         assert "at depth %d," % deepest in err
         assert "budget" in err
 
+    @pytest.mark.parametrize("max_depth,spent", [(27, True), (26, False)])
+    def test_budget_is_named_only_when_spent(self, tmp_path, capsys, monkeypatch, max_depth, spent):
+        # under this budget the search caps the frontier of depth 26 and
+        # stops at depth 27, which is also the depth limit in the first case
+        path = str(tmp_path / "quad.json")
+        save_matrix_set(MatrixSet(list(np.random.default_rng(1010).standard_normal((2, 4, 4)))), path)
+        monkeypatch.setenv("JSRKIT_BUDGET", "2000")
+        argv = ["pruned", "--input", path, "--out", str(tmp_path / "pruned.csv"),
+                "--delta", "0.001", "--max-depth", str(max_depth)]
+        assert cli.main(argv) == cli.EXIT_INCONCLUSIVE
+        err = capsys.readouterr().err
+        assert "at depth %d" % max_depth in err
+        assert ("multiplication budget (2000) spent" in err) == spent
+
     def test_splitting_metadata(self, fixtures, tmp_path):
         out = tmp_path / "split.csv"
         proc = run_cli(

@@ -124,12 +124,44 @@ class TestAdaptedNormEvaluation:
         assert counter.used == 7 + sum(m**k for k in range(1, depth + 1))
 
 
+# reference values per (norm family, batch), shared by the tests of a family
+REFERENCE_VALUES = {}
+
+
 class UnscreenedAdaptedNorm(AdaptedNorm):
-    """The reference for the screened batch: the certified kernel on every
-    word of the batch."""
+    """The reference for the screened batch: the certified kernel, without
+    the level screen or its cutoff, on every word that can reach the tie
+    window of the batch maximum.
+
+    Words are certified in decreasing order of ``U = max_f ||F_f M||_F``
+    until ``U`` falls 1e-6 relative below the running maximum; every later
+    word reads ``U``, which bounds its value from above (the kernel's
+    values lie below ``max_f ||F_f M||_2``; checked on every certified
+    word).  So the maximum, its first argmax and the tie window equal those
+    of certifying every word, and a word that reads ``U`` lies outside the
+    window, as its value does.  A value depends on its own matrix only, so
+    the values of a batch are computed once and shared.
+    """
 
     def matrix_norms_batch(self, P):
-        return self._certified(np.asarray(P))
+        P = np.asarray(P)
+        key = (self._family.tobytes(), P.tobytes())
+        if key not in REFERENCE_VALUES:
+            REFERENCE_VALUES[key] = self._reference(P)
+        return REFERENCE_VALUES[key].copy()
+
+    def _reference(self, P):
+        U = np.concatenate([
+            np.linalg.norm(np.matmul(self._family, P[i:i + 256, None]), axis=(2, 3)).max(axis=1)
+            for i in range(0, len(P), 256)
+        ])
+        values, order, best = U.copy(), np.argsort(-U, kind="stable"), -np.inf
+        while len(order) and U[order[0]] * (1 + 1e-9) >= best * (1 - 1e-6):
+            batch, order = order[:128], order[128:]
+            values[batch] = self._certified(P[batch])
+            assert (values[batch] <= U[batch] * (1 + 1e-9)).all()
+            best = max(best, values[batch].max())
+        return values
 
 
 # the two data/ fixtures at their jsr, and 8 seeded real and complex
@@ -139,12 +171,6 @@ ADAPTED_CASES = [(antidiagonal_pair(), SQRT2, 6), (rank_one_pair(), 2.0, 6)] + [
     for seed in range(4)
     for c in (False, True)
 ]
-
-
-def reference_depth(mset):
-    """Levels compared with the unscreened reference, which certifies every
-    word: 8 for pairs, 5 for triples (243 words at the last level)."""
-    return 8 if len(mset) == 2 else 5
 
 
 def level_summary(values, n, m):
@@ -158,11 +184,12 @@ class TestScreenedAdaptedBatch:
         norm = AdaptedNorm(mset, rho_hat, depth)
         reference = UnscreenedAdaptedNorm(mset, rho_hat, depth)
         m = len(mset)
-        for n, P in bounds._iter_levels(mset, reference_depth(mset), BudgetCounter()):
+        for n, P in bounds._iter_levels(mset, 8, BudgetCounter()):
             got, want = norm.matrix_norms_batch(P), reference.matrix_norms_batch(P)
             assert level_summary(got, n, m) == level_summary(want, n, m)
             evaluated = ~np.isneginf(got)
-            np.testing.assert_allclose(got[evaluated], want[evaluated], rtol=8 * EPS, atol=0)
+            exact = reference._certified(P[evaluated])
+            np.testing.assert_allclose(got[evaluated], exact, rtol=8 * EPS, atol=0)
             # a skipped word is outside the tie window of the maximum
             if not evaluated.all():
                 assert want[~evaluated].max() < want.max() * (1 - bounds.TIE_RTOL)
@@ -171,15 +198,12 @@ class TestScreenedAdaptedBatch:
     def test_sandwich_matches_the_unscreened_reference(self, mset, rho_hat, depth):
         norm = AdaptedNorm(mset, rho_hat, depth)
         reference = UnscreenedAdaptedNorm(mset, rho_hat, depth)
-        N = reference_depth(mset)
-        assert sandwich(mset, N, norm=norm).rows == sandwich(mset, N, norm=reference).rows
+        assert sandwich(mset, 8, norm=norm).rows == sandwich(mset, 8, norm=reference).rows
 
     def test_screen_skips_words(self):
-        # a seeded family: the fixtures' levels hold only a few distinct
-        # products, which are certified once each
-        mset = seeded_family(0, 2, 2, False)
-        norm = AdaptedNorm(mset, 1.5, 4)
-        _, P = list(bounds._iter_levels(mset, 10, BudgetCounter()))[-1]
+        mset = antidiagonal_pair()
+        norm = AdaptedNorm(mset, SQRT2, 6)
+        _, P = list(bounds._iter_levels(mset, 12, BudgetCounter()))[-1]
         values = norm.matrix_norms_batch(P)
         assert np.isneginf(values).sum() > len(P) // 2
 
@@ -260,6 +284,22 @@ class TestCertifiedKernel:
         order = np.random.default_rng(5).permutation(len(P))
         assert np.array_equal(norm._certified(P[order]), values[order])
         assert [norm.matrix_norm(M) for M in P[:4]] == list(values[:4])
+
+    @pytest.mark.parametrize("mset", [ENSEMBLE[0], ENSEMBLE[7]])
+    def test_cutoff_reads_full_values_or_minus_inf_below_it(self, mset):
+        norm = ensemble_norm(mset)
+        _, P = list(bounds._iter_levels(mset, 5, BudgetCounter()))[-1]
+        full = norm._certified(P)
+        cutoffs, kernel = [], norm._certified
+        norm._certified = lambda P, cutoff=-np.inf: cutoffs.append(cutoff) or kernel(P, cutoff)
+        for q in (0.3, 0.6, 0.9):
+            cutoff = np.quantile(full, q)
+            got = norm._certified(P, cutoff)
+            shown = ~np.isneginf(got)
+            assert np.array_equal(got[shown], full[shown])
+            assert 0 < (~shown).sum() and (full[~shown] < cutoff * (1 + 1e-12)).all()
+        # some word was left above the cutoff by a cut and certified again
+        assert -np.inf in cutoffs
 
     def test_generators_are_not_under_read(self):
         # the Nelder-Mead search read generator 0 as 2.162022; a multistart
