@@ -4,9 +4,9 @@ The maximum cycle mean of a finite graph equals the limit of the best
 average weight of length-n paths; on a finite subshift with a locally
 constant potential these are the two sides of the uniform ergodic
 averaging identity.  The cycle mean is computed exactly (Karp's dynamic
-program in rational arithmetic, per strongly connected component) with a
-witnessing cycle; path averages come from the straightforward
-longest-path recursion.
+program in rational arithmetic) with a witnessing cycle read off the
+same table; path averages come from the straightforward longest-path
+recursion.
 """
 
 import math
@@ -42,7 +42,6 @@ class WeightedGraph:
             raise ValueError("need at least one vertex")
         self.n = int(vertices)
         self.edges = []  # (u, v, weight)
-        self._out = [[] for _ in range(self.n)]
 
     def add_edge(self, u, v, weight):
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -50,60 +49,8 @@ class WeightedGraph:
         w = float(weight)
         if not math.isfinite(w):
             raise ValueError("edge weights must be finite")
-        self._out[u].append((v, w))
         self.edges.append((u, v, w))
         return self
-
-    def out_edges(self, u):
-        return self._out[u]
-
-
-def _strong_components(G):
-    """Tarjan's algorithm, iterative; returns a list of vertex lists."""
-    index = [None] * G.n
-    low = [0] * G.n
-    on_stack = [False] * G.n
-    stack, comps = [], []
-    counter = [0]
-
-    for root in range(G.n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(G.out_edges(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w, _ in it:
-                if index[w] is None:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(G.out_edges(w))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
 
 
 @dataclass
@@ -113,130 +60,56 @@ class CycleMean:
     cycle: list  # vertices, cycle[0] == cycle[-1]
 
 
-def _karp_component(G, comp):
-    """Karp's recurrence on one strongly connected component, exact."""
-    pos = {v: i for i, v in enumerate(comp)}
-    edges = [
-        (pos[u], pos[v], Fraction(w))
-        for u, v, w in G.edges
-        if u in pos and v in pos
-    ]
-    if not edges:
-        return None
-    n = len(comp)
-    source = 0
-    D = [[None] * n for _ in range(n + 1)]
-    D[0][source] = Fraction(0)
-    for k in range(1, n + 1):
-        row = D[k]
-        prev = D[k - 1]
-        for u, v, w in edges:
-            if prev[u] is None:
-                continue
-            cand = prev[u] + w
-            if row[v] is None or cand > row[v]:
-                row[v] = cand
-    best = None
-    for v in range(n):
-        if D[n][v] is None:
-            continue
-        worst = None
-        for k in range(n):
-            if D[k][v] is None:
-                continue
-            ratio = (D[n][v] - D[k][v]) / (n - k)
-            if worst is None or ratio < worst:
-                worst = ratio
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    return best
-
-
-def _zero_cycle_witness(G, comp, mean):
-    """A cycle of mean exactly ``mean`` inside ``comp``, via reweighting.
-
-    After subtracting the mean, every cycle has non-positive weight and
-    some cycle has weight zero; max-plus powers of the reweighted
-    adjacency matrix locate the first zero diagonal entry, whose walk is
-    recovered by backtracking.
-    """
-    pos = {v: i for i, v in enumerate(comp)}
-    n = len(comp)
-    W = [[None] * n for _ in range(n)]
-    for u, v, w in G.edges:
-        if u in pos and v in pos:
-            i, j = pos[u], pos[v]
-            shifted = Fraction(w) - mean
-            if W[i][j] is None or shifted > W[i][j]:
-                W[i][j] = shifted
-
-    def maxplus_mul(A, B):
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for mid in range(n):
-                if A[i][mid] is None:
-                    continue
-                for j in range(n):
-                    if B[mid][j] is None:
-                        continue
-                    cand = A[i][mid] + B[mid][j]
-                    if out[i][j] is None or cand > out[i][j]:
-                        out[i][j] = cand
-        return out
-
-    powers = [None, W]
-    for length in range(1, n + 1):
-        if length >= 2:
-            powers.append(maxplus_mul(powers[length - 1], W))
-        P = powers[length]
-        start = next((i for i in range(n) if P[i][i] == 0), None)
-        if start is not None:
-            walk = _backtrack_walk(powers, W, start, start, length, n)
-            return [comp[i] for i in walk]
-    raise InternalWitnessError("no zero-mean cycle found after reweighting")
-
-
-class InternalWitnessError(RuntimeError):
-    pass
-
-
-def _backtrack_walk(powers, W, i, j, length, n):
-    """Vertex sequence of a maximal path realising powers[length][i][j]."""
-    if length == 1:
-        return [i, j]
-    target = powers[length][i][j]
-    for mid in range(n):
-        left = powers[length - 1][i][mid]
-        if left is None or W[mid][j] is None:
-            continue
-        if left + W[mid][j] == target:
-            return _backtrack_walk(powers, W, i, mid, length - 1, n) + [j]
-    raise InternalWitnessError("backtracking lost the optimal walk")
-
-
 def max_cycle_mean(G):
     """Exact maximum over directed cycles of mean edge weight.
 
+    Karp's recurrence in rational arithmetic, with walks starting at
+    every vertex: ``D[k][v]`` is the best total weight of a k-edge walk
+    into ``v`` (``D[0][v] = 0``), and with ``n`` vertices the maximum
+    cycle mean is
+
+        lambda* = max_v min_{k<n} (D[n][v] - D[k][v]) / (n - k)
+
+    over the vertices ``v`` that an n-edge walk reaches.  Each table
+    entry keeps the vertex it came from, so the best n-edge walk into
+    the maximising vertex ``v*`` can be traced back; the first vertex
+    repeat met on the way closes a simple cycle, the witness.  Any cycle
+    C on that walk has mean lambda*: removing C leaves an (n - |C|)-edge
+    walk into ``v*`` of weight ``D[n][v*] - w(C) <= D[n-|C|][v*]``, so
+    ``w(C) >= D[n][v*] - D[n-|C|][v*] >= |C| lambda*`` by the min
+    condition, and no cycle has a mean above lambda*.
+
     Returns a :class:`CycleMean` carrying the float value, the exact
-    rational mean, and a witnessing cycle (closed vertex list).  Raises
-    :class:`NoCycleError` on acyclic graphs.
+    rational mean, and the witnessing cycle (closed vertex list).
+    Raises :class:`NoCycleError` on acyclic graphs, the graphs without
+    an n-edge walk.
     """
-    best = None
-    best_comp = None
-    for comp in _strong_components(G):
-        nontrivial = len(comp) > 1 or any(
-            u == v == comp[0] for u, v, _ in G.edges
-        )
-        if not nontrivial:
-            continue
-        mean = _karp_component(G, comp)
-        if mean is None:
-            continue
-        if best is None or mean > best:
-            best, best_comp = mean, comp
+    n = G.n
+    edges = [(u, v, Fraction(w)) for u, v, w in G.edges]
+    D = [[Fraction(0)] * n]
+    pred = [None]
+    for _ in range(n):
+        prev, row, back = D[-1], [None] * n, [None] * n
+        for u, v, w in edges:
+            if prev[u] is not None:
+                cand = prev[u] + w
+                if row[v] is None or cand > row[v]:
+                    row[v], back[v] = cand, u
+        D.append(row)
+        pred.append(back)
+    best = top = None
+    for v in range(n):
+        if D[n][v] is not None:
+            # an n-edge walk into v has a k-edge suffix: every D[k][v] exists
+            mean = min((D[n][v] - D[k][v]) / (n - k) for k in range(n))
+            if best is None or mean > best:
+                best, top = mean, v
     if best is None:
         raise NoCycleError("graph has no directed cycle")
-    cycle = _zero_cycle_witness(G, best_comp, best)
+    walk = [top]  # the best n-edge walk into top, backwards
+    while walk.count(walk[-1]) == 1:
+        walk.append(pred[n + 1 - len(walk)][walk[-1]])
+    cycle = walk[walk.index(walk[-1]):][::-1]
     return CycleMean(value=float(best), mean=best, cycle=cycle)
 
 

@@ -171,9 +171,12 @@ class AdaptedNorm:
         self.depth = int(depth)
         self.label = "adapted(depth=%d, rho_hat=%.6g)" % (self.depth, self.rho_hat)
 
+        # rho_hat = mant * 2**exp: the power-of-two part scales the set
+        # exactly, so no power of rho_hat or product overflows at depth
+        mant, exp = math.frexp(self.rho_hat)
         blocks = [np.eye(d)[None]]
-        for k, level in bounds._iter_levels(mset, depth, counter):
-            blocks.append(level * self.rho_hat ** (-k))
+        for k, level in bounds._iter_levels(mset.scaled(2.0 ** -exp), depth, counter):
+            blocks.append(level * mant ** (-k))
         family = np.concatenate(blocks)
         self._family = family
         self._family_size = f = len(family)

@@ -297,11 +297,13 @@ class EpsilonResult:
 _EXHAUSTIVE_PERIOD_CAP = 14
 
 
-def epsilon_of_n(Z, n, search_budget=200_000, half_width=None, alphabet=2):
+def epsilon_of_n(Z, n, search_budget=200_000, half_width=None):
     """Best achievable orbit distance eps(Z, n) with its achieving orbit.
 
     For a :class:`PeriodicOrbitSet` the value is exact while exhaustive
-    enumeration of candidate periods stays within ``search_budget``; for
+    enumeration of candidate periods stays within ``search_budget``; the
+    enumeration runs over the symbols ``0..a-1``, ``a`` the larger of 2
+    and one more than the largest symbol of the target's words.  For
     a :class:`SturmianSystem` the candidates are the periodic
     approximants of every convergent with period <= n plus a single-flip
     local search, and the result is a certified upper bound (flagged via
@@ -312,7 +314,7 @@ def epsilon_of_n(Z, n, search_budget=200_000, half_width=None, alphabet=2):
     if half_width is None:
         half_width = 2 * n
 
-    candidates = _candidate_orbits(Z, n, search_budget, alphabet)
+    candidates = _candidate_orbits(Z, n, search_budget)
     best = None
     per_n = []
     running = (math.inf, True, None)
@@ -335,11 +337,12 @@ def epsilon_of_n(Z, n, search_budget=200_000, half_width=None, alphabet=2):
     )
 
 
-def _candidate_orbits(Z, n, search_budget, alphabet):
+def _candidate_orbits(Z, n, search_budget):
     """Candidate periodic words keyed by period, deterministic order."""
     out = {}
     spent = 0
     if isinstance(Z, PeriodicOrbitSet):
+        alphabet = max(2, 1 + max(max(w.cycle) for w in Z.words))
         exhaustive_to = 0
         for k in range(1, n + 1):
             count = alphabet**k
@@ -372,6 +375,6 @@ def _candidate_orbits(Z, n, search_budget, alphabet):
         # tiny periods not covered by any convergent: exhaustive
         for k in range(1, min(n, 8) + 1):
             if k not in out:
-                out[k] = [PeriodicWord(c) for c in itertools.product(range(alphabet), repeat=k)]
+                out[k] = [PeriodicWord(c) for c in itertools.product(range(2), repeat=k)]
         return out
     raise TypeError("Z must be a PeriodicOrbitSet or SturmianSystem")

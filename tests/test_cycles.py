@@ -109,8 +109,26 @@ class TestMaxCycleMean:
             best = {}
             for u, v, w in G.edges:
                 best[(u, v)] = max(best.get((u, v), -np.inf), w)
-            total = sum(best[(a, b)] for a, b in zip(result.cycle, result.cycle[1:]))
-            assert Fraction(total) / (len(result.cycle) - 1) == result.mean
+            cycle = result.cycle
+            assert cycle[0] == cycle[-1]
+            assert len(set(cycle[:-1])) == len(cycle) - 1  # simple
+            total = sum(best[(a, b)] for a, b in zip(cycle, cycle[1:]))
+            assert Fraction(total) / (len(cycle) - 1) == result.mean
+
+    def test_best_cycle_unreachable_from_vertex_zero(self):
+        # 0 -> 0 has mean 1; the 2-cycle on {2, 3} reaches 0 through 1 but
+        # not back, and its heavier parallel edge 2 -> 3 lifts its mean
+        # from 1/2 to 3
+        G = WeightedGraph(4)
+        G.add_edge(0, 0, 1.0)
+        G.add_edge(2, 3, 0.0)
+        G.add_edge(2, 3, 5.0)
+        G.add_edge(3, 2, 1.0)
+        G.add_edge(3, 1, 2.0)
+        G.add_edge(1, 0, -1.0)
+        result = max_cycle_mean(G)
+        assert result.mean == Fraction(3)
+        assert result.cycle in ([2, 3, 2], [3, 2, 3])
 
 
 class TestPathMaxAverage:

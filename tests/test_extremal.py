@@ -113,6 +113,13 @@ class TestAdaptedNormEvaluation:
         with pytest.raises(ValueError, match="rho_hat"):
             AdaptedNorm(antidiagonal_pair(), rho_hat, 3)
 
+    def test_family_is_built_at_extreme_scale(self):
+        # rho_hat**-4 is 2**1198 here; scaling the set by a power of two is
+        # exact, so the family equals the unscaled one bit for bit
+        tiny = AdaptedNorm(antidiagonal_pair().scaled(2.0**-300), SQRT2 * 2.0**-300, 4)
+        plain = AdaptedNorm(antidiagonal_pair(), SQRT2, 4)
+        assert np.array_equal(tiny._family, plain._family)
+
     @pytest.mark.parametrize(
         "mset,depth", [(rank_one_pair(), 6), (seeded_family(3, 3, 2, True), 4)]
     )

@@ -142,6 +142,15 @@ class TestEpsilon:
         assert at_two.value == 0.0
         assert at_two.orbit.cycle in ((0, 1), (1, 0))
 
+    def test_alphabet_comes_from_the_target(self):
+        # the symbol 2 is no binary symbol; the fixed point 2^inf agrees
+        # with a phase of the target at radius 1
+        Z = PeriodicOrbitSet([PeriodicWord([2, 2, 2, 2, 0])])
+        result = epsilon_of_n(Z, 1)
+        assert result.value == 0.5
+        assert result.orbit.cycle == (2,)
+        assert result.exact
+
     def test_per_n_column_is_monotone(self):
         Z = PeriodicOrbitSet([PeriodicWord([0, 1, 1])])
         result = epsilon_of_n(Z, 6)
