@@ -18,28 +18,68 @@ Level kernel.  All m^n products of a level are formed by batched matrix
 multiplication, in float64 when every generator is real and in
 complex128 otherwise.  Their per-level maxima are exact but screened by
 
-    rho(P) <= ||P||_2 <= ||P||_F,
+    rho(P) <= ||P||_2 <= ||P||_F,   rho(P) <= ||P^k||_F^(1/k) <= ||P||_F,
 
-where ``||P||_F`` is computed for every word in one pass.  The exact
-Euclidean norm ``||P||_2 = sqrt(lambda_max(P^H P))`` (batched Gram
-matrix and ``eigvalsh``) is computed only for words whose ``||P||_F``
-is at least ``(1 - SCREEN_SLACK)`` times the level's running norm
-maximum, seeded by the ``SCREEN_SEED`` words of largest bound; ``rho``
-(``eigvals``) only for words whose bound, the exact norm where known and
-``||P||_F`` elsewhere, reaches the running ``rho`` maximum in the same
-sense.  ``SCREEN_SLACK`` = 1e-8 is a roundoff allowance: it covers the
-relative error of the computed bound and kernels (a small multiple of
-d**2 * 2**-53; both kernels are backward stable, so a computed norm or
-eigenvalue modulus exceeds ``||P||_2`` by no more) and the ``TIE_RTOL``
-tie window, so the per-level values, argmax words and tie lists equal
-those of evaluating every word.  Below ``SCREEN_FLOOR`` the squares in
-``||P||_F`` may underflow and nothing is screened.  Screening charges no
-multiplications.
+for k = 2, 4, 8 (Gelfand's formula; the power bound is not below
+``||P||_2`` in general, as ``P = I`` shows).  ``||P||_F`` is computed for
+every word in one pass.  The exact Euclidean norm ``||P||_2 =
+sqrt(lambda_max(P^H P))`` (batched Gram matrix and ``eigvalsh``) is
+computed only for words whose ``||P||_F`` is at least ``(1 -
+SCREEN_SLACK)`` times the level's running norm maximum, seeded by the
+``SCREEN_SEED`` words of largest bound; ``rho`` only for words whose
+bound, the exact norm where known and ``||P||_F`` elsewhere, reaches the
+running ``rho`` maximum in the same sense, and whose Gelfand power bound
+reaches it as well.  ``SCREEN_SLACK`` = 1e-8 is a roundoff allowance: it
+covers the relative error of the computed bounds and kernels (a small
+multiple of d**2 * 2**-53; both kernels are backward stable, so a
+computed norm or eigenvalue modulus exceeds ``||P||_2`` by no more) and
+the ``TIE_RTOL`` tie window, so the per-level values, argmax words and
+tie lists equal those of evaluating every word.  Below ``SCREEN_FLOOR``
+the squares in ``||P||_F`` may underflow and nothing is screened.
+Screening charges no multiplications.
+
+Gelfand power stage.  Given the running cutoff c, ``eigvals`` runs only
+on the words whose power bound reaches c.  Each word is first scaled by
+a power of two, which is exact, to ``S`` with entries below 1, and
+``S`` is squared up to ``POWER_STEPS`` = 3 times, to ``S^8``.  After the
+square to ``S^k`` a word with
+
+    (||fl(S^k)||_F + C_k f^k)^(1/k) < c / scale,    f = ||S||_F,
+
+reads ``-inf``.  The slack ``C_k`` makes the bound dominate the modulus
+that ``eigvals`` returns, not only ``rho(S)``:
+
+- a computed eigenvalue is an exact eigenvalue of ``S + E`` with
+  ``||E||_F <= eta f``, so ``rho(S + E)^k <= ||S^k||_F + ((1 + eta)^k
+  - 1) f^k``.  LAPACK's error estimates for ``geev`` take ``eta`` as
+  about ``2**-53`` (Users' Guide, section 4.8); here ``eta =
+  EIGVALS_BACKWARD * d * 2**-53`` = 16 d 2**-53, a safety factor of
+  16 d.  The largest backward error implied by the nilpotent test
+  batches is about 2.5 * 2**-53;
+- forming ``S^k`` by repeated squaring errs by at most ``((1 + gamma)^(k-1)
+  - 1) f^k`` in the Frobenius norm, with ``gamma = gamma_d = d u / (1 -
+  d u)`` for real and ``sqrt(2) gamma_2d`` for complex words, u =
+  2**-53;
+- so ``C_k = (1 + gamma)^(k-1) - 1 + (1 + eta)^k - 1``, about ``(k - 1)
+  gamma + k eta``.  Underflow in a square errs by at most ``d 2**-1074``
+  per entry, far below ``C_k f^k >= C_k 2**-k``; the relative roundoff
+  of the bound itself lies inside ``TIE_RTOL``.
+
+A NaN bound keeps its word.  On near-defective products ``eigvals`` moves
+by about ``sqrt(2**-53) ||P||``, far beyond ``SCREEN_SLACK``; that is
+why the slack is not left to it.  Cost guard: a batch is staged in blocks
+of ``POWER_BLOCK`` words, in the batch's order (decreasing bound for the
+level screen); a block stops squaring once a square removes fewer than
+half of its survivors, and the batch stops staging after a block whose
+first square removed fewer than half of its words (on levels where every
+candidate ties the maximum the stage removes nothing).  Batches of fewer
+than ``POWER_MIN`` words go to ``eigvals`` directly.
 The same level generator and kernels serve the adapted-norm family and
 :func:`jsrkit.extremal.is_product_bounded`; the pruned search forms its
-frontier levels by the same batched multiplication and scores them by
-the same kernels and ``eigvals`` screen; and the same screen serves the
-certified kernel of the adapted norm.
+frontier levels by the same batched multiplication, scores them by the
+same norm kernel, and asks the power stage only for the radii that can
+raise its lower bound; and the same screen serves the certified kernel
+of the adapted norm.
 Levels are computed serially on the calling thread; the ``workers``
 keyword of :func:`sandwich` is accepted and ignored.
 Argmax words at roundoff-level near-ties, such as rotations of one
@@ -47,6 +87,7 @@ word, are the lexicographically first under this arithmetic and may
 differ from those of a complex-typed evaluation.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -88,6 +129,15 @@ SCREEN_SLACK = 1e-8
 SCREEN_SEED = 64
 # below this cutoff Frobenius squares may have underflowed: no screening
 SCREEN_FLOOR = 1e-150
+
+# Gelfand power stage of _spectral_radii (module docstring): words per
+# block, squarings per word (up to P**8), the backward error of eigvals,
+# eta = EIGVALS_BACKWARD * d * 2**-53, and the smallest batch staged (a
+# smaller one costs less in eigvals than in the stage's fixed overhead)
+POWER_BLOCK = 1024
+POWER_STEPS = 3
+EIGVALS_BACKWARD = 16
+POWER_MIN = 8
 
 # parents whose children the pruned search forms in one batch; bounds the
 # temporaries and does not change any result
@@ -232,7 +282,7 @@ def _iter_levels(mset, n_max, counter):
 
 def _frobenius_norms(P):
     """``||P||_F`` per matrix: the cheap screening bound."""
-    flat = P.reshape(len(P), -1)
+    flat = P.reshape(len(P), math.prod(P.shape[1:]))
     if np.iscomplexobj(flat):
         flat = flat.view(np.float64)
     return np.sqrt(np.einsum("ni,ni->n", flat, flat))
@@ -248,8 +298,66 @@ def _euclidean_norms(Q):
     return scale * np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
 
 
-def _spectral_radii(Q):
-    """Largest eigenvalue modulus per matrix of a batch."""
+@functools.lru_cache(maxsize=None)
+def _power_slacks(d, complex_entries):
+    """``(k, C_k)`` for the stage's powers k = 2, 4, ..., 2**POWER_STEPS:
+    the slack of ``||P^k||_F`` relative to ``||P||_F**k`` (module docstring)."""
+    u = 2.0**-53
+    n = 2 * d if complex_entries else d
+    gamma = n * u / (1.0 - n * u) * (math.sqrt(2.0) if complex_entries else 1.0)
+    eta = EIGVALS_BACKWARD * d * u
+    powers = [2**j for j in range(1, POWER_STEPS + 1)]
+    return tuple(
+        (k, math.expm1((k - 1) * math.log1p(gamma)) + math.expm1(k * math.log1p(eta)))
+        for k in powers
+    )
+
+
+def _power_screen(Q, cutoff):
+    """Mask of the words of ``Q`` whose Gelfand bound reaches ``cutoff``.
+
+    Blocks of ``POWER_BLOCK`` words, taken in the batch's order, are
+    squared up to ``POWER_STEPS`` times under the cost guard of the module
+    docstring.
+    """
+    slacks = _power_slacks(Q.shape[1], np.iscomplexobj(Q))
+    keep = np.ones(len(Q), dtype=bool)
+    for start in range(0, len(Q), POWER_BLOCK):
+        block = Q[start:start + POWER_BLOCK]
+        alive = np.arange(start, start + len(block))
+        # scaling by a power of two is exact and puts every entry below 1
+        scale = np.ldexp(1.0, np.frexp(np.abs(block).max(axis=(1, 2)))[1])
+        S = block / scale[:, None, None]
+        f, c = _frobenius_norms(S), cutoff / scale
+        for k, C in slacks:
+            S = S @ S
+            stay = ~((_frobenius_norms(S) + C * f**k) ** (1.0 / k) < c)
+            keep[alive[~stay]] = False
+            S, f, c, alive = S[stay], f[stay], c[stay], alive[stay]
+            # a square that removes fewer than half of the words ends the block
+            few = 2 * np.count_nonzero(~stay) < len(stay)
+            if few:
+                break
+        # and a first square that does so ends the stage
+        if few and k == 2:
+            break
+    return keep
+
+
+def _spectral_radii(Q, cutoff=0.0):
+    """Largest eigenvalue modulus per matrix of a batch.
+
+    With a positive ``cutoff``, ``eigvals`` runs only on the words whose
+    Gelfand bound ``(||P^k||_F + C_k ||P||_F**k)**(1/k)`` reaches it
+    (module docstring); the others read ``-inf``, and their values lie
+    below ``(1 + TIE_RTOL) * cutoff``.
+    """
+    if cutoff > 0.0 and len(Q) >= POWER_MIN:
+        keep = _power_screen(Q, cutoff)
+        if not keep.all():
+            radii = np.full(len(Q), -np.inf)
+            radii[keep] = _spectral_radii(Q[keep])
+            return radii
     return np.abs(np.linalg.eigvals(Q)).max(axis=1)
 
 
@@ -274,7 +382,9 @@ def _screened(bound, kernel, P, cutoff=False):
     batches are evaluated as ``kernel(batch, c)`` for the running cutoff
     ``c``, and the kernel may read ``-inf`` on words whose values lie
     below ``(1 + TIE_RTOL) * c``, which ``SCREEN_SLACK`` keeps outside the
-    tie window.
+    tie window: :meth:`jsrkit.extremal.AdaptedNorm.matrix_norms_batch`
+    stops its descents there, and :func:`_spectral_radii` skips
+    ``eigvals`` on words whose Gelfand power bound lies below ``c``.
     """
     total = len(bound)
     values = np.full(total, -np.inf)
@@ -329,7 +439,8 @@ def _level_bounds(P, n, m, norm=None, ties=False):
     every word that can reach the level maximum or its tie window and may
     read ``-inf`` elsewhere; :class:`jsrkit.extremal.AdaptedNorm` screens
     its certified kernel by ``L * ||P||_F``.  The spectral radii of those
-    levels are screened by ``||P||_F``.
+    levels are screened by ``||P||_F``.  In both cases the radii then
+    pass the Gelfand power stage of :func:`_spectral_radii`.
     """
     fro = _frobenius_norms(P)
     radius_bound = fro
@@ -338,7 +449,7 @@ def _level_bounds(P, n, m, norm=None, ties=False):
         radius_bound = np.where(np.isneginf(norms), fro, norms)
     else:
         norms = norm.matrix_norms_batch(P)
-    radii = _screened(radius_bound, _spectral_radii, P)
+    radii = _screened(radius_bound, _spectral_radii, P, cutoff=True)
     root = lambda v: v ** (1.0 / n)
     return _level_bound(norms, n, m, root, ties), _level_bound(radii, n, m, root, ties)
 
@@ -373,8 +484,9 @@ def rho_plus_n(mset, n, norm=None, budget=None, ties=False):
 def rho_minus_n(mset, n, budget=None, ties=False):
     """Largest ``rho(A_w)^(1/n)`` over all words of length ``n``.
 
-    Exact; ``eigvals`` runs only on the words whose norm bound reaches
-    the level's running maximum less ``SCREEN_SLACK`` (module docstring).
+    Exact; ``eigvals`` runs only on the words whose norm bound and
+    Gelfand power bound reach the level's running maximum less
+    ``SCREEN_SLACK`` (module docstring).
     Ties and near-ties are broken as in :func:`rho_plus_n`.
     """
     return _level(mset, n, None, budget, ties)[1]
@@ -431,8 +543,9 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
 
     Each level goes through the screened kernel of the module docstring:
     ``||P||_F`` for every word, the Gram-based ``||P||_2`` and ``eigvals``
-    only where ``rho(P) <= ||P||_2 <= ||P||_F`` lets the word reach the
-    level maximum less ``SCREEN_SLACK``.  Adapted norms screen their
+    only where ``rho(P) <= ||P||_2 <= ||P||_F`` and, for ``eigvals``, the
+    Gelfand power bound let the word reach the level maximum less
+    ``SCREEN_SLACK``.  Adapted norms screen their
     certified kernel by ``L * ||P||_F``
     (:meth:`jsrkit.extremal.AdaptedNorm.matrix_norms_batch`); their
     ``rho`` side is screened by ``||P||_F``.
@@ -482,7 +595,11 @@ def _pruned_level(stack, parents, n, lower, delta):
     in child order, that ``lower``, and the largest score retired.  The
     children are formed ``PRUNED_BLOCK`` parents at a time; each block is
     pre-filtered with the running ``lower``, which only grows, so the
-    result does not depend on the block size.
+    result does not depend on the block size.  Radii are evaluated only
+    for children whose norm reaches ``c = _screen_cutoff(lower**n)``, and
+    there through the power stage at ``c``: a radius it skips is below
+    ``(1 + TIE_RTOL) * c < lower**n`` and could not raise ``lower``, so
+    ``lower`` is bit-identical to evaluating every child.
     """
     d = stack.shape[1]
     root = 1.0 / n
@@ -490,7 +607,11 @@ def _pruned_level(stack, parents, n, lower, delta):
     for start in range(0, len(parents), PRUNED_BLOCK):
         children = np.matmul(stack, parents[start:start + PRUNED_BLOCK, None]).reshape(-1, d, d)
         norms = _euclidean_norms(children)
-        lower = max(lower, float(_screened(norms, _spectral_radii, children).max()) ** root)
+        # a radius below the cutoff leaves lower as it is: skip it (in
+        # float64, lower**n overflows to inf instead of raising)
+        cutoff = _screen_cutoff(np.float64(lower) ** n)
+        top = _spectral_radii(children[~(norms < cutoff)], cutoff).max(initial=0.0)
+        lower = max(lower, float(top) ** root)
         s = norms ** root
         alive = s - lower > delta
         retired = max(retired, s[~alive].max(initial=0.0))
@@ -531,8 +652,10 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
     Products are typed as in the level kernel (float64 for real
     families).  Each expanded node charges m multiplications, the root
     included; a level's children are formed by batched multiplication
-    and scored by the batched ``||.||_2`` (Gram matrix and ``eigvalsh``),
-    with ``eigvals`` screened as in the level kernel.
+    and scored by the batched ``||.||_2`` (Gram matrix and ``eigvalsh``).
+    Their spectral radii are computed only where they can raise
+    ``lower``: on the children whose norm, and then whose Gelfand power
+    bound (module docstring), reaches ``lower**n`` less ``SCREEN_SLACK``.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")

@@ -50,6 +50,7 @@ its certified kernel with the level screen of :mod:`jsrkit.bounds`.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,12 +173,21 @@ class AdaptedNorm:
         self.label = "adapted(depth=%d, rho_hat=%.6g)" % (self.depth, self.rho_hat)
 
         # rho_hat = mant * 2**exp: the power-of-two part scales the set
-        # exactly, so no power of rho_hat or product overflows at depth
+        # exactly, so no power of rho_hat overflows at depth; 2**-exp is a
+        # float64 number only for a normal rho_hat
         mant, exp = math.frexp(self.rho_hat)
+        if exp < sys.float_info.min_exp:
+            raise ValueError("rho_hat must be a normal float64 number, got %r" % self.rho_hat)
         blocks = [np.eye(d)[None]]
-        for k, level in bounds._iter_levels(mset.scaled(2.0 ** -exp), depth, counter):
-            blocks.append(level * mant ** (-k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, level in bounds._iter_levels(mset.scaled(2.0 ** -exp), depth, counter):
+                blocks.append(level * mant ** (-k))
         family = np.concatenate(blocks)
+        if not np.isfinite(family).all():
+            raise ValueError(
+                "rho_hat=%r scales the products of length <= %d beyond the float64 range"
+                % (self.rho_hat, self.depth)
+            )
         self._family = family
         self._family_size = f = len(family)
         # L = max_f ||F_f||_2, the factor of the screening bound L * ||P||_F

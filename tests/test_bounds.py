@@ -18,7 +18,7 @@ from jsrkit.bounds import (
     rho_plus_n,
     sandwich,
 )
-from jsrkit.extremal import EuclideanNorm
+from jsrkit.extremal import AdaptedNorm, EuclideanNorm
 from jsrkit.gallery import antidiagonal_pair, rank_one_pair
 from jsrkit.linalg import operator_norm, spectral_radius
 
@@ -439,6 +439,184 @@ class TestScreenedLevelKernel:
     def test_sandwich_identical_for_any_worker_count(self, mset):
         reports = [sandwich(mset, 7, workers=w) for w in (1, 2, 8)]
         assert reports[0] == reports[1] == reports[2]
+
+
+def plain_radii(Q):
+    return np.abs(np.linalg.eigvals(Q)).max(axis=1)
+
+
+def rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def unitary(rng, d, complex_entries):
+    z = rng.standard_normal((d, d))
+    if complex_entries:
+        z = z + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(z)[0]
+
+
+def near_defective_families():
+    """Jordan-like generators ``[[1, t], [0, 1]]`` mixed with a rotation or a
+    unitary phase: many products are near-defective, and ``eigvals`` moves
+    their radii by about ``sqrt(2**-53) ||P||``."""
+    rng = np.random.default_rng(7)
+    q = unitary(rng, 2, True)
+    jordan = np.array([[1.0, 1e6], [0.0, 1.0]])
+    return [
+        MatrixSet([jordan, rotation(0.7)]),
+        MatrixSet([np.array([[1.0, 1e3], [0.0, 1.0]]), rotation(1.3), -jordan.T]),
+        MatrixSet([q @ jordan @ q.conj().T, np.diag(np.exp([0.3j, 2.1j]))]),
+    ]
+
+
+def nilpotent_batch(d, rank, count, seed, complex_entries=False):
+    """``X Y^H`` with ``Y^H X = 0``: nilpotent of index 2, whose computed
+    radii are about ``sqrt(2**-53) ||P||`` while ``fl(P^2)`` is roundoff."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        X, Y = rng.standard_normal((2, d, rank))
+        if complex_entries:
+            X, Y = X + 1j * rng.standard_normal((d, rank)), Y + 1j * rng.standard_normal((d, rank))
+        basis = np.linalg.qr(X)[0]
+        out.append(X @ (Y - basis @ (basis.conj().T @ Y)).conj().T)
+    return np.array(out)
+
+
+def integer_nilpotents(d, count, seed):
+    """Jordan blocks of size d conjugated by integer unimodular matrices:
+    exact products, so ``P^d`` is exactly zero and only the slack bounds
+    the computed radius."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        U = np.eye(d)
+        for _ in range(int(rng.integers(1, 3 * d))):
+            i, j = rng.choice(d, 2, replace=False)
+            U[i] += rng.integers(-3, 4) * U[j]
+        P = U @ np.diag(np.ones(d - 1), 1) @ np.round(np.linalg.inv(U))
+        if np.abs(P).max() <= 2.0**20:
+            out.append(P)
+    return np.array(out)
+
+
+POWER_FAMILIES = SCREEN_FAMILIES + near_defective_families()
+
+
+def check_power_contract(Q, cutoff):
+    """``_spectral_radii(Q, cutoff)`` against plain ``eigvals``."""
+    got, want = bounds._spectral_radii(Q, cutoff), plain_radii(Q)
+    skipped = np.isneginf(got)
+    assert (want[skipped] < (1.0 + bounds.TIE_RTOL) * cutoff).all()
+    assert np.array_equal(got[~skipped], want[~skipped])
+    return skipped
+
+
+class TestGelfandPowerStage:
+    @pytest.mark.parametrize("mset", POWER_FAMILIES)
+    def test_skipped_radii_lie_below_the_cutoff(self, mset):
+        for _, P in bounds._iter_levels(mset, 8, BudgetCounter()):
+            radii = plain_radii(P)
+            for q in (0.3, 0.6, 0.9):
+                check_power_contract(P, float(np.quantile(radii, q)))
+
+    @pytest.mark.parametrize(
+        "Q",
+        [
+            nilpotent_batch(3, 1, 300, seed=1),
+            nilpotent_batch(3, 1, 300, seed=2, complex_entries=True),
+            nilpotent_batch(4, 2, 200, seed=4),
+            integer_nilpotents(3, 200, seed=5),
+            integer_nilpotents(4, 200, seed=6),
+        ],
+    )
+    def test_a_cutoff_just_below_a_radius_keeps_its_word(self, Q):
+        # zero words fill half the batch, so the first square removes at
+        # least half of it and the stage goes on to P**4
+        Q = np.concatenate([Q, np.zeros_like(Q)])
+        radii = plain_radii(Q)
+        for i in np.nonzero(radii > 0.0)[0]:
+            skipped = check_power_contract(Q, radii[i] / (1.0 + 2.0 * bounds.TIE_RTOL))
+            assert not skipped[i]
+
+    def test_near_defective_radii_move_beyond_the_screen_slack(self):
+        # what the slack C_k is for: word 0 of the level is a power of
+        # q J q^H, whose spectral radius is exactly 1
+        _, P = list(bounds._iter_levels(near_defective_families()[2], 6, BudgetCounter()))[-1]
+        assert abs(plain_radii(P[:1])[0] - 1.0) > 1e3 * bounds.SCREEN_SLACK
+
+    def test_stage_skips_most_of_the_radii_the_norm_screen_leaves(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda Q: calls.append(len(Q)) or eigvals(Q))
+        # the base family of the benchmark's exhaustive-level workload
+        mset = MatrixSet(list(np.random.default_rng(0).standard_normal((2, 4, 4))))
+        staged = sandwich(mset, 14), sum(calls)
+        calls.clear()
+        monkeypatch.setattr(bounds, "POWER_MIN", math.inf)
+        unstaged = sandwich(mset, 14), sum(calls)
+        assert staged[0] == unstaged[0]
+        assert staged[1] < unstaged[1] // 2
+
+    def test_no_cutoff_is_plain_eigvals(self):
+        _, P = list(bounds._iter_levels(random_family(2, complex_entries=True), 6, BudgetCounter()))[-1]
+        assert np.array_equal(bounds._spectral_radii(P), plain_radii(P))
+        assert np.array_equal(bounds._spectral_radii(P, 0.0), plain_radii(P))
+
+    def test_empty_batch(self):
+        assert bounds._spectral_radii(np.zeros((0, 3, 3)), 1.0).shape == (0,)
+
+
+def seeded_family(seed, m, d, complex_entries):
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((m, d, d))
+    if complex_entries:
+        mats = mats + 1j * rng.standard_normal((m, d, d))
+    return MatrixSet(list(mats))
+
+
+# real and complex, m in {2, 3}, d in {2, ..., 5}
+IDENTITY_FAMILIES = [
+    seeded_family(100 + k, m, d, complex_entries)
+    for k, (complex_entries, m, d) in enumerate(
+        itertools.product((False, True), (2, 3), (2, 3, 4, 5))
+    )
+]
+
+
+def screens_off(monkeypatch):
+    """Switch off every screen: the norm and radius screens, the power
+    stage and the pruned search's floor all take their cutoff from
+    ``_screen_cutoff``."""
+    monkeypatch.setattr(bounds, "_screen_cutoff", lambda best: 0.0)
+
+
+class TestIdenticalToTheUnscreenedReference:
+    @pytest.mark.parametrize("mset", IDENTITY_FAMILIES)
+    def test_euclidean_sandwich_and_rho_minus(self, mset, monkeypatch):
+        got = sandwich(mset, 10).rows, rho_minus_n(mset, 10, ties=True)
+        screens_off(monkeypatch)
+        assert got == (sandwich(mset, 10).rows, rho_minus_n(mset, 10, ties=True))
+
+    @pytest.mark.parametrize("mset", IDENTITY_FAMILIES)
+    def test_adapted_sandwich(self, mset, monkeypatch):
+        norm = AdaptedNorm(mset, sandwich(mset, 4).best_lower(), 1)
+        N = 10 if len(mset) == 2 else 7
+        got = sandwich(mset, N, norm=norm).rows
+        screens_off(monkeypatch)
+        assert got == sandwich(mset, N, norm=norm).rows
+
+    @pytest.mark.parametrize("mset", IDENTITY_FAMILIES)
+    def test_pruned_bounds(self, mset, monkeypatch):
+        def search():
+            counter = BudgetCounter(20000)
+            return pruned_bounds(mset, 0.02, max_depth=30, budget=counter), counter.used
+
+        got = search()
+        screens_off(monkeypatch)
+        assert got == search()
 
 
 class TestCheckEnclosure:

@@ -242,6 +242,17 @@ class TestInputErrors:
         assert capsys.readouterr().err.startswith("jsrkit: input: --rho-hat")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1e-320", "1e-300"])
+    def test_rho_hat_outside_the_float64_range_exits_two(self, fixtures, tmp_path, capsys, value):
+        # the adapted norm cannot normalise the family by a subnormal
+        # rho_hat (1e-320), nor keep its products finite at 1e-300
+        out = tmp_path / "never.csv"
+        argv = ["bounds", "--norm", "adapted", "--rho-hat", value, "--input", fixtures["e1"],
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert "rho_hat" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

@@ -113,6 +113,13 @@ class TestAdaptedNormEvaluation:
         with pytest.raises(ValueError, match="rho_hat"):
             AdaptedNorm(antidiagonal_pair(), rho_hat, 3)
 
+    @pytest.mark.parametrize("rho_hat", [2.0**-1040, 1e-300])
+    def test_rejects_rho_hat_beyond_the_float64_range(self, rho_hat):
+        # 2**-1040 is subnormal, so 2**1039 is not a float64 number; at
+        # 1e-300 the normalised products of length 2 overflow
+        with pytest.raises(ValueError, match="rho_hat"):
+            AdaptedNorm(antidiagonal_pair(), rho_hat, 2)
+
     def test_family_is_built_at_extreme_scale(self):
         # rho_hat**-4 is 2**1198 here; scaling the set by a power of two is
         # exact, so the family equals the unscaled one bit for bit
