@@ -14,9 +14,16 @@ stays only while its normalised norm exceeds the lower bound by more
 than the target width), and fits an empirical convergence rate to the
 gap.
 
-Level kernel.  All m^n products of a level are formed by batched matrix
-multiplication, in float64 when every generator is real and in
-complex128 otherwise.  Their per-level maxima are exact but screened by
+Level kernel.  All m^n products of a level are formed from the previous
+level by m matrix products, one per symbol: the m^(n-1) words stacked
+row-wise into one ``(m^(n-1) d, d)`` matrix times ``A_j`` give the words
+that begin with ``j`` (:func:`_iter_levels`).  Entries are float64 when
+every generator is real and complex128 otherwise.  Products associate
+left to right, ``(... (A_wn A_w(n-1)) ...) A_w1``; an earlier version
+associated them right to left, so values differ from its in the last
+bits, and an argmax word at a roundoff-level near-tie may become another
+word of equal exact value, such as a rotation.  Their per-level maxima
+are exact but screened by
 
     rho(P) <= ||P||_2 <= ||P||_F,   rho(P) <= ||P^k||_F^(1/k) <= ||P||_F,
 
@@ -75,11 +82,14 @@ first square removed fewer than half of its words (on levels where every
 candidate ties the maximum the stage removes nothing).  Batches of fewer
 than ``POWER_MIN`` words go to ``eigvals`` directly.
 The same level generator and kernels serve the adapted-norm family and
-:func:`jsrkit.extremal.is_product_bounded`; the pruned search forms its
-frontier levels by the same batched multiplication, scores them by the
-same norm kernel, and asks the power stage only for the radii that can
-raise its lower bound; and the same screen serves the certified kernel
-of the adapted norm.
+:func:`jsrkit.extremal.is_product_bounded`, and the same screen serves
+the certified kernel of the adapted norm.  The pruned search does not
+use the level generator: it expands only its frontier words, and its
+word tree grows at the end of a word (prepending would visit other
+words), so it appends each symbol to each frontier word by one batched
+multiplication (child ``i*m + j`` of parent ``i`` is ``A_j @ P_i``),
+scores the children by the same norm kernel, and asks the power stage
+only for the radii that can raise its lower bound.
 Levels are computed serially on the calling thread; the ``workers``
 keyword of :func:`sandwich` is accepted and ignored.
 Argmax words at roundoff-level near-ties, such as rotations of one
@@ -265,18 +275,28 @@ def _typed_stack(mset):
 def _iter_levels(mset, n_max, counter):
     """Yield ``(n, P_n)`` for n = 1..n_max, P_n indexed lexicographically.
 
-    Each level is one batched multiplication of the previous one: child
-    ``i*m + j`` appends symbol ``j`` to word ``i``, so numeric order
-    equals lexicographic order on words.  The level arrays have the dtype
-    of :func:`_typed_stack`.  Level n charges m^n multiplications to
-    ``counter`` before it is formed.
+    Each level is m matrix products of the previous one, one per symbol:
+    the K = m^n words of level n, stacked row-wise into one ``(K*d, d)``
+    matrix, times ``A_j`` give the block ``j*K .. (j+1)*K - 1`` of level
+    n + 1.  Child ``j*K + i`` prepends symbol ``j`` to word ``i``: since
+    position 1 acts first, ``A_(j, w) = A_w @ A_j``, and numeric order
+    still equals lexicographic order on words.  A product therefore
+    associates left to right, ``((A_wn ... A_w2) A_w1)``, not as a chain
+    of left multiplications; the two differ in the last bits.  The level
+    arrays have the dtype of :func:`_typed_stack`.  Level n charges m^n
+    multiplications to ``counter`` before it is formed, and level n - 1
+    is released before level n is yielded.
     """
     stack = _typed_stack(mset)
     m, d = len(stack), mset.d
     P = np.eye(d, dtype=stack.dtype)[None]
     for n in range(1, n_max + 1):
-        counter.charge(len(P) * m)
-        P = np.matmul(stack, P[:, None]).reshape(len(P) * m, d, d)
+        K = len(P)
+        counter.charge(K * m)
+        child = np.empty((m, K * d, d), dtype=stack.dtype)
+        for j in range(m):
+            np.matmul(P.reshape(K * d, d), stack[j], out=child[j])
+        P = child.reshape(m * K, d, d)
         yield n, P
 
 
@@ -651,8 +671,12 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
 
     Products are typed as in the level kernel (float64 for real
     families).  Each expanded node charges m multiplications, the root
-    included; a level's children are formed by batched multiplication
-    and scored by the batched ``||.||_2`` (Gram matrix and ``eigvalsh``).
+    included.  Unlike the exhaustive levels of :func:`_iter_levels`,
+    which prepend a symbol to every word, the search appends one to each
+    frontier word, ``A_(w, j) = A_j @ A_w``, by one batched
+    multiplication per block of parents, so its products associate right
+    to left; the children are scored by the batched ``||.||_2`` (Gram
+    matrix and ``eigvalsh``).
     Their spectral radii are computed only where they can raise
     ``lower``: on the children whose norm, and then whose Gelfand power
     bound (module docstring), reaches ``lower**n`` less ``SCREEN_SLACK``.

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -439,6 +443,99 @@ class TestScreenedLevelKernel:
     def test_sandwich_identical_for_any_worker_count(self, mset):
         reports = [sandwich(mset, 7, workers=w) for w in (1, 2, 8)]
         assert reports[0] == reports[1] == reports[2]
+
+
+def level_family(m, d, complex_entries):
+    rng = np.random.default_rng(100 * m + 10 * d + complex_entries)
+    mats = rng.standard_normal((m, d, d))
+    if complex_entries:
+        mats = mats + 1j * rng.standard_normal((m, d, d))
+    return MatrixSet(list(mats))
+
+
+def product_roundoff(d, complex_entries):
+    """``gamma`` of one d x d product: ``gamma_d`` for real and ``sqrt(2)
+    gamma_(d+2)`` for complex entries (Higham, 2002, sections 3.5-3.6)."""
+    k = d + 2 if complex_entries else d
+    u = 2.0**-53
+    return k * u / (1.0 - k * u) * (math.sqrt(2.0) if complex_entries else 1.0)
+
+
+def memory_owner(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+# every pair the level contract is checked on: m generators of size d x d
+LEVEL_SHAPES = [(m, d, c) for m in (1, 2, 3) for d in range(1, 6) for c in (False, True)]
+
+# a real 4 x 4 pair to level 16 and a complex 3 x 3 triple to level 10,
+# printed as one digest of both last levels
+LEVEL_DIGEST = """
+import hashlib
+import numpy as np
+from jsrkit import bounds
+rng = np.random.default_rng(11)
+real = bounds.MatrixSet(list(rng.standard_normal((2, 4, 4))))
+cplx = bounds.MatrixSet(list(rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))))
+digest = hashlib.sha256()
+for mset, n in ((real, 16), (cplx, 10)):
+    for _, P in bounds._iter_levels(mset, n, bounds.BudgetCounter()):
+        pass
+    digest.update(P.tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestLevelGenerator:
+    @pytest.mark.parametrize("m, d, complex_entries", LEVEL_SHAPES)
+    def test_each_symbol_block_is_one_product_of_the_stacked_level(self, m, d, complex_entries):
+        mset = level_family(m, d, complex_entries)
+        stack = bounds._typed_stack(mset)
+        levels = bounds._iter_levels(mset, {1: 6, 2: 7, 3: 5}[m], BudgetCounter())
+        _, P = next(levels)
+        assert np.array_equal(P, stack)
+        for _, child in levels:
+            K = len(P)
+            for j in range(m):
+                want = (P.reshape(K * d, d) @ stack[j]).reshape(K, d, d)
+                assert np.array_equal(child[j * K:(j + 1) * K], want)
+            P = child
+
+    @pytest.mark.parametrize("m, d, complex_entries", LEVEL_SHAPES)
+    def test_words_match_their_products(self, m, d, complex_entries):
+        # the level and MatrixSet.product associate differently; each errs
+        # by at most ((1 + gamma)**(n-1) - 1) prod_k ||A_(w_k)||_F, which
+        # is below n * gamma times that product of norms
+        mset = level_family(m, d, complex_entries)
+        fro = np.array([np.linalg.norm(A) for A in mset.matrices])
+        gamma = product_roundoff(d, complex_entries)
+        for n, P in bounds._iter_levels(mset, {1: 6, 2: 6, 3: 5}[m], BudgetCounter()):
+            for i in range(len(P)):
+                word = bounds._word_of_index(i, n, m)
+                scale = np.prod(fro[list(word)])
+                err = np.linalg.norm(P[i] - mset.product(word))
+                assert err <= 2 * n * gamma * scale
+
+    def test_previous_level_is_released_before_the_next_is_yielded(self):
+        levels = bounds._iter_levels(level_family(2, 4, False), 6, BudgetCounter())
+        _, P = next(levels)
+        for _ in range(5):
+            previous = weakref.ref(memory_owner(P))
+            _, P = next(levels)
+            assert previous() is None
+
+    def test_levels_are_identical_for_one_and_two_blas_threads(self):
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", LEVEL_DIGEST], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 def plain_radii(Q):
