@@ -14,16 +14,14 @@ stays only while its normalised norm exceeds the lower bound by more
 than the target width), and fits an empirical convergence rate to the
 gap.
 
-Level kernel.  All m^n products of a level are formed from the previous
-level by m matrix products, one per symbol: the m^(n-1) words stacked
-row-wise into one ``(m^(n-1) d, d)`` matrix times ``A_j`` give the words
-that begin with ``j`` (:func:`_iter_levels`).  Entries are float64 when
-every generator is real and complex128 otherwise.  Products associate
-left to right, ``(... (A_wn A_w(n-1)) ...) A_w1``; an earlier version
-associated them right to left, so values differ from its in the last
-bits, and an argmax word at a roundoff-level near-tie may become another
-word of equal exact value, such as a rotation.  Their per-level maxima
-are exact but screened by
+Level kernel.  One product kernel, :func:`_extend`, forms every product:
+K words stacked row-wise into one ``(K d, d)`` matrix times a generator
+``G_j`` give the K children ``P_i G_j`` of block j.  All m^n products of
+a level come from the previous level this way (:func:`_iter_levels`):
+with ``G_j = A_j`` each child prepends a symbol.  Entries are float64
+when every generator is real and complex128 otherwise.  Products
+associate left to right, ``(... (A_wn A_w(n-1)) ...) A_w1``.  Their
+per-level maxima are exact but screened by
 
     rho(P) <= ||P||_2 <= ||P||_F,   rho(P) <= ||P^k||_F^(1/k) <= ||P||_F,
 
@@ -34,14 +32,14 @@ sqrt(lambda_max(P^H P))`` (batched Gram matrix and ``eigvalsh``) is
 computed only for words whose ``||P||_F`` is at least ``(1 -
 SCREEN_SLACK)`` times the level's running norm maximum, seeded by the
 ``SCREEN_SEED`` words of largest bound; ``rho`` only for words whose
-bound, the exact norm where known and ``||P||_F`` elsewhere, reaches the
-running ``rho`` maximum in the same sense, and whose Gelfand power bound
-reaches it as well.  ``SCREEN_SLACK`` = 1e-8 is a roundoff allowance: it
-covers the relative error of the computed bounds and kernels (a small
-multiple of d**2 * 2**-53; both kernels are backward stable, so a
-computed norm or eigenvalue modulus exceeds ``||P||_2`` by no more) and
-the ``TIE_RTOL`` tie window, so the per-level values, argmax words and
-tie lists equal those of evaluating every word.  Below ``SCREEN_FLOOR``
+``||P||_F`` reaches the running ``rho`` maximum in the same sense, and
+whose Gelfand power bound reaches it as well.  ``SCREEN_SLACK`` = 1e-8
+is a roundoff allowance: it covers the relative error of the computed
+bounds and kernels (a small multiple of d**2 * 2**-53; both kernels are
+backward stable, so a computed norm or eigenvalue modulus exceeds
+``||P||_2`` by no more) and the ``TIE_RTOL`` tie window, so the
+per-level values, argmax words and tie lists equal those of evaluating
+every word.  Below ``SCREEN_FLOOR``
 the squares in ``||P||_F`` may underflow and nothing is screened.
 Screening charges no multiplications.
 
@@ -83,13 +81,13 @@ candidate ties the maximum the stage removes nothing).  Batches of fewer
 than ``POWER_MIN`` words go to ``eigvals`` directly.
 The same level generator and kernels serve the adapted-norm family and
 :func:`jsrkit.extremal.is_product_bounded`, and the same screen serves
-the certified kernel of the adapted norm.  The pruned search does not
-use the level generator: it expands only its frontier words, and its
-word tree grows at the end of a word (prepending would visit other
-words), so it appends each symbol to each frontier word by one batched
-multiplication (child ``i*m + j`` of parent ``i`` is ``A_j @ P_i``),
-scores the children by the same norm kernel, and asks the power stage
-only for the radii that can raise its lower bound.
+the certified kernel of the adapted norm.  The pruned search runs
+:func:`_extend` on the transposed generators: its frontier holds
+``A_w^T``, and ``A_w^T A_j^T = (A_j A_w)^T`` appends symbol j, so its
+products associate right to left, like :meth:`MatrixSet.product`.
+Within a block of B parents its children come symbol-major (child
+``j*B + i``); the order matters only to the stable sort of a
+budget-capped level, and there only at exact score ties.
 Levels are computed serially on the calling thread; the ``workers``
 keyword of :func:`sandwich` is accepted and ignored.
 Argmax words at roundoff-level near-ties, such as rotations of one
@@ -150,7 +148,8 @@ EIGVALS_BACKWARD = 16
 POWER_MIN = 8
 
 # parents whose children the pruned search forms in one batch; bounds the
-# temporaries and does not change any result
+# temporaries.  It orders the children (module docstring), which only a
+# budget-capped level's sort of exactly tied scores can see
 PRUNED_BLOCK = 4096
 
 
@@ -272,31 +271,34 @@ def _typed_stack(mset):
     return stack
 
 
+def _extend(P, gens):
+    """Every product ``P_i @ gens[j]`` of a stack ``P`` of K words, at child ``j*K + i``.
+
+    One matrix product per generator: the K words stacked row-wise into
+    one ``(K*d, d)`` matrix times ``gens[j]`` give block j.
+    """
+    K, d = len(P), P.shape[1]
+    return np.matmul(P.reshape(1, K * d, d), gens).reshape(len(gens) * K, d, d)
+
+
 def _iter_levels(mset, n_max, counter):
     """Yield ``(n, P_n)`` for n = 1..n_max, P_n indexed lexicographically.
 
-    Each level is m matrix products of the previous one, one per symbol:
-    the K = m^n words of level n, stacked row-wise into one ``(K*d, d)``
-    matrix, times ``A_j`` give the block ``j*K .. (j+1)*K - 1`` of level
-    n + 1.  Child ``j*K + i`` prepends symbol ``j`` to word ``i``: since
-    position 1 acts first, ``A_(j, w) = A_w @ A_j``, and numeric order
-    still equals lexicographic order on words.  A product therefore
-    associates left to right, ``((A_wn ... A_w2) A_w1)``, not as a chain
-    of left multiplications; the two differ in the last bits.  The level
-    arrays have the dtype of :func:`_typed_stack`.  Level n charges m^n
+    Level n + 1 is :func:`_extend` of level n by the generators: child
+    ``j*K + i`` prepends symbol ``j`` to word ``i``.  Since position 1
+    acts first, ``A_(j, w) = A_w @ A_j``, and numeric order still equals
+    lexicographic order on words.  A product therefore associates left to
+    right, ``((A_wn ... A_w2) A_w1)``, not as a chain of left
+    multiplications; the two differ in the last bits.  The level arrays
+    have the dtype of :func:`_typed_stack`.  Level n charges m^n
     multiplications to ``counter`` before it is formed, and level n - 1
     is released before level n is yielded.
     """
     stack = _typed_stack(mset)
-    m, d = len(stack), mset.d
-    P = np.eye(d, dtype=stack.dtype)[None]
+    P = np.eye(mset.d, dtype=stack.dtype)[None]
     for n in range(1, n_max + 1):
-        K = len(P)
-        counter.charge(K * m)
-        child = np.empty((m, K * d, d), dtype=stack.dtype)
-        for j in range(m):
-            np.matmul(P.reshape(K * d, d), stack[j], out=child[j])
-        P = child.reshape(m * K, d, d)
+        counter.charge(len(P) * len(stack))
+        P = _extend(P, stack)
         yield n, P
 
 
@@ -452,24 +454,20 @@ def _level_bounds(P, n, m, norm=None, ties=False):
 
     ``norm`` is None or an object of the norm protocol of
     :mod:`jsrkit.extremal`.  Euclidean norms (None, or ``kind ==
-    "euclidean"``) are screened by ``||P||_F``, spectral radii by the
-    exact norm where one was computed and by ``||P||_F`` elsewhere
-    (``rho(P) <= ||P||_2 <= ||P||_F``).  Any other norm is called as
-    ``norm.matrix_norms_batch(P)``, which returns the norm's values on
+    "euclidean"``) are screened by ``||P||_F``.  Any other norm is called
+    as ``norm.matrix_norms_batch(P)``, which returns the norm's values on
     every word that can reach the level maximum or its tie window and may
     read ``-inf`` elsewhere; :class:`jsrkit.extremal.AdaptedNorm` screens
-    its certified kernel by ``L * ||P||_F``.  The spectral radii of those
-    levels are screened by ``||P||_F``.  In both cases the radii then
-    pass the Gelfand power stage of :func:`_spectral_radii`.
+    its certified kernel by ``L * ||P||_F``.  Spectral radii are screened
+    by ``||P||_F`` for every norm and then pass the Gelfand power stage of
+    :func:`_spectral_radii`.
     """
     fro = _frobenius_norms(P)
-    radius_bound = fro
     if norm is None or norm.kind == "euclidean":
         norms = _screened(fro, _euclidean_norms, P)
-        radius_bound = np.where(np.isneginf(norms), fro, norms)
     else:
         norms = norm.matrix_norms_batch(P)
-    radii = _screened(radius_bound, _spectral_radii, P, cutoff=True)
+    radii = _screened(fro, _spectral_radii, P, cutoff=True)
     root = lambda v: v ** (1.0 / n)
     return _level_bound(norms, n, m, root, ties), _level_bound(radii, n, m, root, ties)
 
@@ -504,7 +502,7 @@ def rho_plus_n(mset, n, norm=None, budget=None, ties=False):
 def rho_minus_n(mset, n, budget=None, ties=False):
     """Largest ``rho(A_w)^(1/n)`` over all words of length ``n``.
 
-    Exact; ``eigvals`` runs only on the words whose norm bound and
+    Exact; ``eigvals`` runs only on the words whose ``||A_w||_F`` and
     Gelfand power bound reach the level's running maximum less
     ``SCREEN_SLACK`` (module docstring).
     Ties and near-ties are broken as in :func:`rho_plus_n`.
@@ -548,9 +546,6 @@ class BoundsReport:
     def best_upper(self):
         return self.rows[-1].best_upper if self.rows else math.inf
 
-    def gaps(self):
-        return [(row.n, row.gap) for row in self.rows]
-
 
 def sandwich(mset, N, norm=None, budget=None, workers=1):
     """Bound rows for n = 1..N with running best lower/upper values.
@@ -565,10 +560,8 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     ``||P||_F`` for every word, the Gram-based ``||P||_2`` and ``eigvals``
     only where ``rho(P) <= ||P||_2 <= ||P||_F`` and, for ``eigvals``, the
     Gelfand power bound let the word reach the level maximum less
-    ``SCREEN_SLACK``.  Adapted norms screen their
-    certified kernel by ``L * ||P||_F``
-    (:meth:`jsrkit.extremal.AdaptedNorm.matrix_norms_batch`); their
-    ``rho`` side is screened by ``||P||_F``.
+    ``SCREEN_SLACK``.  Adapted norms screen their certified kernel by
+    ``L * ||P||_F`` (:meth:`jsrkit.extremal.AdaptedNorm.matrix_norms_batch`).
 
     ``workers`` is accepted and ignored, so that existing callers keep
     running: every level is computed serially on the calling thread.
@@ -606,26 +599,27 @@ class PrunedBounds:
     deepest: int
 
 
-def _pruned_level(stack, parents, n, lower, delta):
+def _pruned_level(gens, parents, n, lower, delta):
     """Children at depth ``n`` of the ``parents`` products, with Gripenberg's keep rule.
 
+    ``parents`` and ``gens`` hold transposed products and generators, so
+    :func:`_extend` appends: ``A_w^T A_j^T = (A_j A_w)^T``.
     Returns ``(kept, scores, lower, retired)``: the children whose
     normalised norm ``s = ||P||_2^(1/n)`` satisfies ``s - lower > delta``
     for the ``lower`` raised by this level's spectral radii, their scores
     in child order, that ``lower``, and the largest score retired.  The
     children are formed ``PRUNED_BLOCK`` parents at a time; each block is
     pre-filtered with the running ``lower``, which only grows, so the
-    result does not depend on the block size.  Radii are evaluated only
+    kept set does not depend on the block size.  Radii are evaluated only
     for children whose norm reaches ``c = _screen_cutoff(lower**n)``, and
     there through the power stage at ``c``: a radius it skips is below
     ``(1 + TIE_RTOL) * c < lower**n`` and could not raise ``lower``, so
     ``lower`` is bit-identical to evaluating every child.
     """
-    d = stack.shape[1]
     root = 1.0 / n
     kept, scores, retired = [], [], 0.0
     for start in range(0, len(parents), PRUNED_BLOCK):
-        children = np.matmul(stack, parents[start:start + PRUNED_BLOCK, None]).reshape(-1, d, d)
+        children = _extend(parents[start:start + PRUNED_BLOCK], gens)
         norms = _euclidean_norms(children)
         # a radius below the cutoff leaves lower as it is: skip it (in
         # float64, lower**n overflows to inf instead of raising)
@@ -655,10 +649,7 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
     form a cut of the word tree, so every long product factors through
     one of them and ``upper = max(retired, frontier)`` of their ``s`` is
     sound.  A retired word cannot block closure, so an empty frontier
-    means ``upper - lower <= delta``.  The older best-first order popped
-    one node at a time by largest ``s`` and kept children while
-    ``s > lower * (1 - delta/4)``: that rule keeps words that cannot
-    block closure, and its visiting order depends on ``lower`` mid-level.
+    means ``upper - lower <= delta``.
 
     The search stops when the frontier is empty (conclusive), when the
     depth reaches ``max_depth``, or when the budget cannot cover the whole
@@ -671,12 +662,10 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
 
     Products are typed as in the level kernel (float64 for real
     families).  Each expanded node charges m multiplications, the root
-    included.  Unlike the exhaustive levels of :func:`_iter_levels`,
-    which prepend a symbol to every word, the search appends one to each
-    frontier word, ``A_(w, j) = A_j @ A_w``, by one batched
-    multiplication per block of parents, so its products associate right
-    to left; the children are scored by the batched ``||.||_2`` (Gram
-    matrix and ``eigvalsh``).
+    included.  The frontier holds transposed products, extended by
+    :func:`_extend` on the transposed generators (module docstring); the
+    children are scored by the batched ``||.||_2`` (Gram matrix and
+    ``eigvalsh``).
     Their spectral radii are computed only where they can raise
     ``lower``: on the children whose norm, and then whose Gelfand power
     bound (module docstring), reaches ``lower**n`` less ``SCREEN_SLACK``.
@@ -684,17 +673,17 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
     if not 0.0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
     counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
-    stack = _typed_stack(mset)
-    m = len(stack)
+    gens = np.swapaxes(_typed_stack(mset), 1, 2)
+    m = len(gens)
 
     counter.charge(m)
-    parents = np.eye(mset.d, dtype=stack.dtype)[None]
+    parents = np.eye(mset.d, dtype=gens.dtype)[None]
     lower = retired_max = 0.0
     expanded = depth = 0
     capped = False
     while True:
         depth += 1
-        parents, scores, lower, retired = _pruned_level(stack, parents, depth, lower, delta)
+        parents, scores, lower, retired = _pruned_level(gens, parents, depth, lower, delta)
         retired_max = max(retired_max, retired)
         if capped or not len(parents) or depth >= max_depth:
             break

@@ -13,6 +13,7 @@ budget.
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -93,20 +94,6 @@ def _make_norm(cfg, mset, counter):
     return extremal.AdaptedNorm(mset, rho_hat=rho_hat, depth=cfg.adapted_depth, budget=counter)
 
 
-def _metadata(cfg, counter, started, extra=None):
-    payload = {
-        "tool": "jsrkit",
-        "version": __version__,
-        "config": dataclasses.asdict(cfg),
-        "budget_limit": counter.limit,
-        "budget_used": counter.used,
-        "wall_time_s": time.monotonic() - started,
-    }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
 def _bounds_rows(report):
     return [
         (
@@ -123,10 +110,7 @@ def _bounds_rows(report):
     ]
 
 
-def _run_bounds(cfg, fit=False):
-    started = time.monotonic()
-    mset = fileio.load_matrix_set(cfg.input)
-    counter = bounds.BudgetCounter()
+def _report_bounds(cfg, mset, counter, fit=False):
     norm = _make_norm(cfg, mset, counter)
     report = bounds.sandwich(mset, cfg.max_depth, norm=norm, budget=counter)
     extra = {"norm": report.norm_label, "truncated": report.truncated}
@@ -136,50 +120,28 @@ def _run_bounds(cfg, fit=False):
         extra["fitted_rate"] = report.fitted_rate
         extra["fit_r_squared"] = None if rate.converged else rate.r_squared
         extra["gap_converged"] = rate.converged
-    fileio.write_csv(cfg.out, BOUNDS_HEADER, _bounds_rows(report))
     if cfg.svg:
         rows = report.rows
         fileio.write_gap_svg(cfg.svg, [r.n for r in rows], [r.gap for r in rows])
-    fileio.write_metadata(cfg.out + ".meta.json", _metadata(cfg, counter, started, extra))
-    if report.truncated:
-        return _fail("inconclusive", "budget exhausted before depth %d" % cfg.max_depth, EXIT_INCONCLUSIVE)
-    return EXIT_OK
+    reason = "budget exhausted before depth %d" % cfg.max_depth if report.truncated else None
+    return BOUNDS_HEADER, _bounds_rows(report), extra, reason
 
 
-def _run_pruned(cfg):
-    started = time.monotonic()
-    mset = fileio.load_matrix_set(cfg.input)
-    counter = bounds.BudgetCounter()
+def _report_pruned(cfg, mset, counter):
     result = bounds.pruned_bounds(mset, cfg.delta, max_depth=cfg.max_depth, budget=counter)
-    fileio.write_csv(
-        cfg.out,
-        ["lower", "upper", "gap", "conclusive", "expanded", "deepest"],
-        [
-            (
-                result.lower,
-                result.upper,
-                result.upper - result.lower,
-                int(result.conclusive),
-                result.expanded,
-                result.deepest,
-            )
-        ],
-    )
-    fileio.write_metadata(cfg.out + ".meta.json", _metadata(cfg, counter, started))
+    gap = result.upper - result.lower
+    header = ["lower", "upper", "gap", "conclusive", "expanded", "deepest"]
+    row = (result.lower, result.upper, gap, int(result.conclusive), result.expanded, result.deepest)
+    reason = None
     if not result.conclusive:
-        gap = result.upper - result.lower
-        message = "gap %.6g above delta %.6g at depth %d" % (gap, cfg.delta, result.deepest)
+        reason = "gap %.6g above delta %.6g at depth %d" % (gap, cfg.delta, result.deepest)
         # a capped frontier leaves less than one node's m multiplications
         if counter.limit - counter.used < len(mset):
-            message += ", with the multiplication budget (%d) spent" % counter.limit
-        return _fail("inconclusive", message, EXIT_INCONCLUSIVE)
-    return EXIT_OK
+            reason += ", with the multiplication budget (%d) spent" % counter.limit
+    return header, [row], {}, reason
 
 
-def _run_splitting(cfg):
-    started = time.monotonic()
-    mset = fileio.load_matrix_set(cfg.input)
-    counter = bounds.BudgetCounter()
+def _report_splitting(cfg, mset, counter):
     word = shiftspace.PeriodicWord([int(s) for s in cfg.cycle.split(",")])
     word.validate_for(mset)
     rho_hat = _rho_hat(cfg, mset, counter, 0.05, 14)
@@ -188,64 +150,67 @@ def _run_splitting(cfg):
     p, thetas = cocycle.detect_p(working, word, horizon)
     result = cocycle.finite_splitting(working, word, p, cfg.max_depth)
     diag = cocycle.splitting_residuals(working, word, result, n_max=horizon)
-    rows = [(n, v) for n, v in diag.cauchy_table]
-    fileio.write_csv(cfg.out, ["n", "cauchy_dgr"], rows)
-    fileio.write_metadata(
-        cfg.out + ".meta.json",
-        _metadata(
-            cfg,
-            counter,
-            started,
-            {
-                "rho_hat": rho_hat,
-                "p": p,
-                "theta_estimates": thetas,
-                "invariance_residual": diag.invariance_residual,
-                "commutation_residual": diag.commutation_residual,
-                "delta_hat": diag.delta_hat,
-                "xi_hat": diag.xi_hat,
-                "contraction_r2": diag.contraction_r2,
-                "cauchy_rate": diag.cauchy_rate,
-                "cauchy_r2": diag.cauchy_r2,
-            },
-        ),
-    )
-    return EXIT_OK
+    extra = {
+        "rho_hat": rho_hat,
+        "p": p,
+        "theta_estimates": thetas,
+        "invariance_residual": diag.invariance_residual,
+        "commutation_residual": diag.commutation_residual,
+        "delta_hat": diag.delta_hat,
+        "xi_hat": diag.xi_hat,
+        "contraction_r2": diag.contraction_r2,
+        "cauchy_rate": diag.cauchy_rate,
+        "cauchy_r2": diag.cauchy_r2,
+    }
+    return ["n", "cauchy_dgr"], diag.cauchy_table, extra, None
 
 
-def _run_sturmian(cfg):
-    started = time.monotonic()
-    counter = bounds.BudgetCounter()
+def _report_sturmian(cfg, mset, counter):
     convergents = _parse_gamma(cfg.gamma)
     point = shiftspace.sturmian_word(convergents, 0, cfg.max_depth, origin=0)
     rows = [(i, point.symbol(i)) for i in range(cfg.max_depth)]
-    fileio.write_csv(cfg.out, ["i", "symbol"], rows)
-    fileio.write_metadata(
-        cfg.out + ".meta.json",
-        _metadata(cfg, counter, started, {"gamma": str(convergents[-1])}),
-    )
-    return EXIT_OK
+    return ["i", "symbol"], rows, {"gamma": str(convergents[-1])}, None
 
 
-def _run_epsilon(cfg):
-    started = time.monotonic()
-    counter = bounds.BudgetCounter()
+def _report_epsilon(cfg, mset, counter):
     system = shiftspace.SturmianSystem(_parse_gamma(cfg.gamma))
     result = shiftspace.epsilon_of_n(system, cfg.max_depth)
     rows = [(n, value, "exact" if result.exact else "upper") for n, value in result.per_n]
-    fileio.write_csv(cfg.out, ["n", "epsilon", "certainty"], rows)
-    fileio.write_metadata(
-        cfg.out + ".meta.json",
-        _metadata(
-            cfg,
-            counter,
-            started,
-            {
-                "best_orbit": _word_text(result.orbit.cycle),
-                "best_period": result.period,
-            },
-        ),
-    )
+    extra = {"best_orbit": _word_text(result.orbit.cycle), "best_period": result.period}
+    return ["n", "epsilon", "certainty"], rows, extra, None
+
+
+# each command's report, (cfg, mset, counter) -> (header, rows, meta
+# entries, reason if inconclusive), and the option that gives its input
+COMMANDS = {
+    "bounds": (_report_bounds, "input"),
+    "convergence": (functools.partial(_report_bounds, fit=True), "input"),
+    "pruned": (_report_pruned, "input"),
+    "splitting": (_report_splitting, "input"),
+    "sturmian": (_report_sturmian, "gamma"),
+    "epsilon": (_report_epsilon, "gamma"),
+}
+
+
+def _run(cfg, report, source):
+    """Load the input, write the report's CSV and ``<out>.meta.json``, and
+    exit 3 if the report is inconclusive."""
+    started = time.monotonic()
+    mset = fileio.load_matrix_set(cfg.input) if source == "input" else None
+    counter = bounds.BudgetCounter()
+    header, rows, extra, reason = report(cfg, mset, counter)
+    fileio.write_csv(cfg.out, header, rows)
+    meta = {
+        "tool": "jsrkit",
+        "version": __version__,
+        "config": dataclasses.asdict(cfg),
+        "budget_limit": counter.limit,
+        "budget_used": counter.used,
+        "wall_time_s": time.monotonic() - started,
+    }
+    fileio.write_metadata(cfg.out + ".meta.json", {**meta, **extra})
+    if reason:
+        return _fail("inconclusive", reason, EXIT_INCONCLUSIVE)
     return EXIT_OK
 
 
@@ -253,7 +218,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="jsrkit", description=__doc__)
     parser.add_argument("--version", action="version", version="jsrkit %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("bounds", "convergence", "pruned", "splitting", "sturmian", "epsilon"):
+    for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--input", help="matrix-set JSON file")
         cmd.add_argument("--out", required=True, help="CSV output path")
@@ -272,11 +237,11 @@ def build_parser():
 
 
 def run(cfg):
-    needs_input = cfg.command in ("bounds", "convergence", "pruned", "splitting")
-    if needs_input and not cfg.input:
-        return _fail("input", "--input is required for %s" % cfg.command, EXIT_INPUT)
-    if cfg.command in ("sturmian", "epsilon") and not cfg.gamma:
-        return _fail("input", "--gamma is required for %s" % cfg.command, EXIT_INPUT)
+    if cfg.command not in COMMANDS:
+        return _fail("input", "unknown command %r" % cfg.command, EXIT_INPUT)
+    report, source = COMMANDS[cfg.command]
+    if not getattr(cfg, source):
+        return _fail("input", "--%s is required for %s" % (source, cfg.command), EXIT_INPUT)
     if not cfg.out:
         return _fail("input", "--out must be nonempty", EXIT_INPUT)
     if cfg.max_depth < 1:
@@ -288,19 +253,7 @@ def run(cfg):
     if not 0 < cfg.tail_fraction < 1:
         return _fail("input", "--tail-fraction must lie in (0, 1)", EXIT_INPUT)
     try:
-        if cfg.command == "bounds":
-            return _run_bounds(cfg)
-        if cfg.command == "convergence":
-            return _run_bounds(cfg, fit=True)
-        if cfg.command == "pruned":
-            return _run_pruned(cfg)
-        if cfg.command == "splitting":
-            return _run_splitting(cfg)
-        if cfg.command == "sturmian":
-            return _run_sturmian(cfg)
-        if cfg.command == "epsilon":
-            return _run_epsilon(cfg)
-        return _fail("input", "unknown command %r" % cfg.command, EXIT_INPUT)
+        return _run(cfg, report, source)
     except (fileio.MatrixSetFormatError, FileNotFoundError, IsADirectoryError) as exc:
         return _fail("input", str(exc), EXIT_INPUT)
     except (ValueError, IndexError) as exc:

@@ -273,12 +273,8 @@ class ConeParams:
 
 def cone_params_from_splitting(mset, x, theta, norm=None, horizon=24):
     """Build the per-phase projection family for a cone field."""
-    pairs = []
-    p = None
-    for k in range(x.period):
-        if p is None:
-            p, _ = detect_p(mset, x, max(4 * x.period, horizon))
-        pairs.append(finite_splitting(mset, x, p, horizon, phase=k).pair)
+    p, _ = detect_p(mset, x, max(4 * x.period, horizon))
+    pairs = [finite_splitting(mset, x, p, horizon, phase=k).pair for k in range(x.period)]
     return ConeParams(theta=theta, projections=pairs, norm=norm or EuclideanNorm())
 
 

@@ -116,19 +116,6 @@ class EuclideanNorm:
         return "EuclideanNorm()"
 
 
-def _phase_mesh(d):
-    """A fixed, deterministic set of unit vectors in C^d."""
-    cols = [np.eye(d, dtype=complex)[:, j] for j in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            for factor in (1.0, -1.0, 1j, -1j):
-                v = np.zeros(d, dtype=complex)
-                v[i] = 1.0
-                v[j] = factor
-                cols.append(v / np.sqrt(2.0))
-    return np.column_stack(cols)
-
-
 class AdaptedNorm:
     """Scaled-product maximum norm at a finite horizon.
 
@@ -394,37 +381,21 @@ class AdaptedNorm:
 @dataclass(frozen=True)
 class ExtremalityResidual:
     value: float
-    samples: int
 
 
-def extremality_residual(mset, norm, samples=4096, rho_hat=None, seed=0):
+def extremality_residual(mset, norm, rho_hat=None):
     """Worst relative one-step expansion of the norm over the family.
 
-    Samples unit vectors (seeded) plus every singular vector of every
-    matrix in the family, and returns
-    ``max (|||A v||| / |||v||| - rho_hat) / rho_hat`` clipped at zero.
-    A true extremal norm for the rho_hat-normalised family gives 0.
+    Returns ``max(0, (max_i |||A_i||| - rho_hat) / rho_hat)`` with the
+    operator norms of ``norm.matrix_norm``: exact for
+    :class:`EuclideanNorm`, and for :class:`AdaptedNorm` a certified upper
+    value of the residual.  A true extremal norm for the
+    rho_hat-normalised family gives 0.
     """
     if rho_hat is None:
         rho_hat = getattr(norm, "rho_hat", 1.0)
-    d = mset.d
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((d, samples)) + 1j * rng.standard_normal((d, samples))
-    V = raw / np.linalg.norm(raw, axis=0)
-    fixed = [_phase_mesh(d)]
-    for A in mset.matrices:
-        u, _, vh = np.linalg.svd(A)
-        fixed.append(u)
-        fixed.append(vh.conj().T)
-    C = np.column_stack([V] + fixed)
-    den = norm.vector_norms(C)
-    worst = 0.0
-    for A in mset.matrices:
-        num = norm.vector_norms(A @ C)
-        ratios = num / np.maximum(den, 1e-300)
-        worst = max(worst, float(ratios.max()))
-    value = max(0.0, (worst - rho_hat) / rho_hat)
-    return ExtremalityResidual(value=value, samples=C.shape[1])
+    worst = max(norm.matrix_norm(A) for A in mset.matrices)
+    return ExtremalityResidual(value=max(0.0, (worst - rho_hat) / rho_hat))
 
 
 BOUNDED = "bounded-up-to-depth"
@@ -444,7 +415,8 @@ def is_product_bounded(mset, depth, bound_guess, budget=None):
 
     ``GROWTH`` requires both that some product norm exceeds
     ``bound_guess`` and that the per-length maxima increase strictly over
-    the last third of the levels; all maxima below the guess gives
+    the last third of the levels, which must hold at least two maxima;
+    all maxima below the guess gives
     ``BOUNDED``; anything else (including exhausting the budget) is
     ``INCONCLUSIVE``.
     """
@@ -461,7 +433,7 @@ def is_product_bounded(mset, depth, bound_guess, budget=None):
     exceeded = any(v > bound_guess for v in maxima)
     tail_start = len(maxima) - max(1, len(maxima) // 3)
     tail = maxima[tail_start - 1 :]
-    strictly_increasing = all(b > a for a, b in zip(tail, tail[1:]))
+    strictly_increasing = len(tail) >= 2 and all(b > a for a, b in zip(tail, tail[1:]))
     if exceeded and strictly_increasing:
         return ProductBoundedness(GROWTH, maxima, bound_guess)
     if not exceeded:

@@ -135,10 +135,6 @@ class Subspace:
         rank = int(np.sum(diag > rank_tol * max(scale, 1.0)))
         return cls(q[:, :rank])
 
-    @classmethod
-    def span(cls, *vectors):
-        return cls.from_spanning(np.column_stack([np.asarray(v, dtype=complex) for v in vectors]))
-
     def projector(self):
         """Orthogonal projection matrix onto this subspace."""
         return self.basis @ self.basis.conj().T

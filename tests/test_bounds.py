@@ -518,6 +518,21 @@ class TestLevelGenerator:
                 err = np.linalg.norm(P[i] - mset.product(word))
                 assert err <= 2 * n * gamma * scale
 
+    @pytest.mark.parametrize("m, d, complex_entries", LEVEL_SHAPES)
+    def test_transposed_generators_append(self, m, d, complex_entries):
+        # the pruned search's orientation: child j*K + i is (A_j P_i)^T;
+        # both products err by at most gamma ||A_j||_F ||P_i||_F
+        mset = level_family(m, d, complex_entries)
+        stack = bounds._typed_stack(mset)
+        gamma = product_roundoff(d, complex_entries)
+        for _, P in bounds._iter_levels(mset, 3, BudgetCounter()):
+            K = len(P)
+            child = bounds._extend(np.swapaxes(P, 1, 2), np.swapaxes(stack, 1, 2))
+            assert child.shape == (m * K, d, d)
+            for j, i in itertools.product(range(m), range(K)):
+                err = np.linalg.norm(child[j * K + i] - (stack[j] @ P[i]).T)
+                assert err <= 2 * gamma * np.linalg.norm(stack[j]) * np.linalg.norm(P[i])
+
     def test_previous_level_is_released_before_the_next_is_yielded(self):
         levels = bounds._iter_levels(level_family(2, 4, False), 6, BudgetCounter())
         _, P = next(levels)

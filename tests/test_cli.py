@@ -383,25 +383,33 @@ def _reject_constant(token):
     raise ValueError("non-standard JSON token %s" % token)
 
 
+BOUNDS_COLUMNS = "n,rho_plus_n,rho_minus_n,best_lower,best_upper,gap,argmax_word_plus,argmax_word_minus"
+
+# one successful run of each command: its arguments and its CSV header
+COMMAND_RUNS = {
+    "bounds": (["--input", "e1", "--norm", "adapted", "--adapted-depth", "4"], BOUNDS_COLUMNS),
+    "convergence": (["--input", "e2", "--max-depth", "12"], BOUNDS_COLUMNS),
+    "pruned": (["--input", "e1", "--delta", "0.01"], "lower,upper,gap,conclusive,expanded,deepest"),
+    "splitting": (["--input", "e2", "--cycle", "0", "--max-depth", "12"], "n,cauchy_dgr"),
+    "sturmian": (["--gamma", GOLDEN], "i,symbol"),
+    "epsilon": (["--gamma", GOLDEN, "--max-depth", "13"], "n,epsilon,certainty"),
+}
+
+META_KEYS = {"tool", "version", "config", "budget_limit", "budget_used", "wall_time_s"}
+
+
 class TestMetadata:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["bounds", "--input", "e1", "--norm", "adapted", "--adapted-depth", "4"],
-            ["convergence", "--input", "e2", "--max-depth", "12"],
-            ["pruned", "--input", "e1", "--delta", "0.01"],
-            ["splitting", "--input", "e2", "--cycle", "0", "--max-depth", "12"],
-            ["sturmian", "--gamma", GOLDEN],
-            ["epsilon", "--gamma", GOLDEN, "--max-depth", "13"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_meta_json_is_strict_json(self, fixtures, tmp_path, argv):
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_meta_json_is_strict_json(self, fixtures, tmp_path, command):
+        args, header = COMMAND_RUNS[command]
         out = tmp_path / "report.csv"
-        argv = [fixtures.get(a, a) for a in argv] + ["--out", str(out)]
+        argv = [command] + [fixtures.get(a, a) for a in args] + ["--out", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
+        assert out.read_text().splitlines()[0] == header
         text = (tmp_path / "report.csv.meta.json").read_text()
-        json.loads(text, parse_constant=_reject_constant)
+        meta = json.loads(text, parse_constant=_reject_constant)
+        assert META_KEYS <= set(meta)
+        assert (meta["tool"], meta["config"]["command"]) == ("jsrkit", command)
 
     def test_non_finite_values_become_null(self, tmp_path):
         path = tmp_path / "meta.json"

@@ -9,6 +9,7 @@ from jsrkit.bounds import BudgetCounter, BudgetExceededError, MatrixSet, pruned_
 from jsrkit.extremal import (
     BOUNDED,
     GROWTH,
+    INCONCLUSIVE,
     AdaptedNorm,
     EuclideanNorm,
     NormalizationError,
@@ -335,6 +336,16 @@ class TestExtremalityResidual:
         res = extremality_residual(half_rank_one, EuclideanNorm(), rho_hat=1.0)
         assert res.value == pytest.approx(SQRT2 - 1, rel=1e-6)
 
+    def test_adapted_residual_is_not_under_read(self):
+        # a multistart search proves |||B_0||| / rho_hat - 1 >= 0.23542; the
+        # sampled residual read 0.22928, the certified one reads 0.23752
+        mset = MatrixSet(np.random.default_rng(100).standard_normal((2, 3, 3)))
+        rho_hat = 1.775272
+        norm = AdaptedNorm(mset, rho_hat, 6)
+        res = extremality_residual(mset, norm, rho_hat=rho_hat)
+        assert res.value >= (multistart_lower(norm, mset[0]) / rho_hat - 1) * (1 - 1e-12)
+        assert res.value >= 0.2354
+
     def test_adapted_residual_decays_with_depth(self, half_rank_one):
         previous = math.inf
         for N in range(1, 5):
@@ -354,6 +365,11 @@ class TestProductBounded:
     def test_shear_growth_detected(self):
         shear = MatrixSet([[[1, 1], [0, 1]]])
         assert is_product_bounded(shear, 20, 10.0).verdict == GROWTH
+
+    def test_one_level_is_no_growth(self):
+        # the matrix squares to I; one maximum above the guess is no trend
+        flip = MatrixSet([[[0, 2], [0.5, 0]]])
+        assert is_product_bounded(flip, 1, 1.5).verdict == INCONCLUSIVE
 
     def test_scaled_antidiagonal_bounded(self, scaled_antidiagonal):
         assert is_product_bounded(scaled_antidiagonal, 12, 4.0).verdict == BOUNDED
