@@ -110,6 +110,7 @@ __all__ = [
     "InternalInvariantError",
     "MatrixSet",
     "Word",
+    "EuclideanNorm",
     "LevelBound",
     "rho_plus_n",
     "rho_minus_n",
@@ -428,6 +429,35 @@ def _screened(bound, kernel, P, cutoff=False):
     return values
 
 
+class EuclideanNorm:
+    """The Euclidean vector norm and its induced operator norm."""
+
+    label = "euclidean"
+
+    def vector_norm(self, v):
+        return float(np.linalg.norm(v))
+
+    def vector_norms(self, V):
+        """Norms of the columns of a d x r array; a vector is one column."""
+        V = np.asarray(V, dtype=complex)
+        return np.linalg.norm(V[:, None] if V.ndim == 1 else V, axis=0)
+
+    def matrix_norm(self, M):
+        return float(np.linalg.norm(M, 2))
+
+    def matrix_norms_batch(self, P, fro):
+        """``||P||_2`` per word, by the Gram-based kernel on the words whose
+        Frobenius norm ``fro`` can reach the batch maximum (module docstring)."""
+        return _screened(fro, _euclidean_norms, P)
+
+    def __repr__(self):
+        return "EuclideanNorm()"
+
+
+# the norm of every entry point given ``norm=None``
+EUCLIDEAN = EuclideanNorm()
+
+
 @dataclass(frozen=True)
 class LevelBound:
     """A per-length bound value with its lexicographically first argmax word."""
@@ -449,24 +479,16 @@ def _level_bound(values, n, m, nth_root_of, ties):
     return LevelBound(value, word, tie_words)
 
 
-def _level_bounds(P, n, m, norm=None, ties=False):
+def _level_bounds(P, n, m, norm=EUCLIDEAN, ties=False):
     """``(rho_plus, rho_minus)`` level bounds of one level ``P``.
 
-    ``norm`` is None or an object of the norm protocol of
-    :mod:`jsrkit.extremal`.  Euclidean norms (None, or ``kind ==
-    "euclidean"``) are screened by ``||P||_F``.  Any other norm is called
-    as ``norm.matrix_norms_batch(P)``, which returns the norm's values on
-    every word that can reach the level maximum or its tie window and may
-    read ``-inf`` elsewhere; :class:`jsrkit.extremal.AdaptedNorm` screens
-    its certified kernel by ``L * ||P||_F``.  Spectral radii are screened
-    by ``||P||_F`` for every norm and then pass the Gelfand power stage of
-    :func:`_spectral_radii`.
+    ``||P||_F`` is computed once.  Norms come from
+    ``norm.matrix_norms_batch(P, fro)`` (the norm protocol of
+    :mod:`jsrkit.extremal`); spectral radii are screened by ``||P||_F``
+    and then pass the Gelfand power stage of :func:`_spectral_radii`.
     """
     fro = _frobenius_norms(P)
-    if norm is None or norm.kind == "euclidean":
-        norms = _screened(fro, _euclidean_norms, P)
-    else:
-        norms = norm.matrix_norms_batch(P)
+    norms = norm.matrix_norms_batch(P, fro)
     radii = _screened(fro, _spectral_radii, P, cutoff=True)
     root = lambda v: v ** (1.0 / n)
     return _level_bound(norms, n, m, root, ties), _level_bound(radii, n, m, root, ties)
@@ -484,19 +506,15 @@ def _level(mset, n, norm, budget, ties):
 def rho_plus_n(mset, n, norm=None, budget=None, ties=False):
     """Largest ``||A_w||^(1/n)`` over all words of length ``n``.
 
-    The maximum is exact for the Euclidean norm, computed as
-    ``sqrt(lambda_max(A_w^H A_w))`` only on the words whose Frobenius
-    norm reaches the level maximum less ``SCREEN_SLACK`` (see the module
-    docstring).  Adapted norms give certified upper values of the adapted
-    operator norm (the S-procedure bound of :mod:`jsrkit.extremal`), so
-    the maximum is a sound upper value; they are computed only on the
-    words whose bound ``L * ||A_w||_F`` can reach the level maximum.
-    Ties are broken towards the lexicographically smallest word.  At
-    roundoff-level near-ties, such as rotations of one word, that is the
-    first word under the real-typed arithmetic used for real families,
+    ``norm`` follows the norm protocol of :mod:`jsrkit.extremal`; None is
+    the Euclidean norm, whose maximum is exact.  A norm that returns
+    certified upper values, such as the adapted norm, gives a sound upper
+    value.  Ties are broken towards the lexicographically smallest word.
+    At roundoff-level near-ties, such as rotations of one word, that is
+    the first word under the real-typed arithmetic used for real families,
     which may differ from the choice of a complex-typed evaluation.
     """
-    return _level(mset, n, norm, budget, ties)[0]
+    return _level(mset, n, EUCLIDEAN if norm is None else norm, budget, ties)[0]
 
 
 def rho_minus_n(mset, n, budget=None, ties=False):
@@ -507,7 +525,7 @@ def rho_minus_n(mset, n, budget=None, ties=False):
     ``SCREEN_SLACK`` (module docstring).
     Ties and near-ties are broken as in :func:`rho_plus_n`.
     """
-    return _level(mset, n, None, budget, ties)[1]
+    return _level(mset, n, EUCLIDEAN, budget, ties)[1]
 
 
 def _check_enclosure(lower, upper, where):
@@ -536,9 +554,8 @@ class BoundsReport:
     """Per-length bound values together with the running enclosure."""
 
     rows: list
-    norm_label: str = "euclidean"
+    norm_label: str
     truncated: bool = False
-    fitted_rate: float = None
 
     def best_lower(self):
         return self.rows[-1].best_lower if self.rows else 0.0
@@ -556,12 +573,11 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     roundoff.  Exhausting the multiplication budget truncates the report
     (flagged) rather than raising; level n charges m^n multiplications.
 
-    Each level goes through the screened kernel of the module docstring:
-    ``||P||_F`` for every word, the Gram-based ``||P||_2`` and ``eigvals``
-    only where ``rho(P) <= ||P||_2 <= ||P||_F`` and, for ``eigvals``, the
-    Gelfand power bound let the word reach the level maximum less
-    ``SCREEN_SLACK``.  Adapted norms screen their certified kernel by
-    ``L * ||P||_F`` (:meth:`jsrkit.extremal.AdaptedNorm.matrix_norms_batch`).
+    Each level goes through the screened kernels of the module docstring:
+    ``||P||_F`` once per word, ``norm.matrix_norms_batch(P, ||P||_F)``
+    (the norm protocol of :mod:`jsrkit.extremal`; None is the Euclidean
+    norm), and ``eigvals`` only where ``||P||_F`` and the Gelfand power
+    bound let the word reach the level maximum less ``SCREEN_SLACK``.
 
     ``workers`` is accepted and ignored, so that existing callers keep
     running: every level is computed serially on the calling thread.
@@ -569,8 +585,8 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     if N < 1:
         raise ValueError("N must be at least 1")
     counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
-    label = "euclidean" if norm is None else norm.label
-    report = BoundsReport(rows=[], norm_label=label)
+    norm = EUCLIDEAN if norm is None else norm
+    report = BoundsReport(rows=[], norm_label=norm.label)
     best_lower, best_upper = 0.0, math.inf
     m = len(mset)
     try:

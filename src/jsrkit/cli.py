@@ -89,7 +89,7 @@ def _rho_hat(cfg, mset, counter, delta, max_depth):
 def _make_norm(cfg, mset, counter):
     """The run's norm; the adapted norm's probe and family are charged to ``counter``."""
     if cfg.norm == "euclidean":
-        return extremal.EuclideanNorm()
+        return bounds.EUCLIDEAN
     rho_hat = _rho_hat(cfg, mset, counter, max(cfg.delta, 0.05), 12)
     return extremal.AdaptedNorm(mset, rho_hat=rho_hat, depth=cfg.adapted_depth, budget=counter)
 
@@ -116,8 +116,7 @@ def _report_bounds(cfg, mset, counter, fit=False):
     extra = {"norm": report.norm_label, "truncated": report.truncated}
     if fit and len(report.rows) >= 12:
         rate = bounds.fit_rate(report, cfg.tail_fraction)
-        report.fitted_rate = None if rate.converged else rate.r_hat
-        extra["fitted_rate"] = report.fitted_rate
+        extra["fitted_rate"] = None if rate.converged else rate.r_hat
         extra["fit_r_squared"] = None if rate.converged else rate.r_squared
         extra["gap_converged"] = rate.converged
     if cfg.svg:

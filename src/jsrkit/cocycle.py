@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .bounds import _line_fit
-from .extremal import EuclideanNorm
+from .bounds import EUCLIDEAN, _line_fit
 
 __all__ = [
     "AmbiguousExponentsError",
@@ -261,7 +260,7 @@ class ConeParams:
 
     theta: float
     projections: list  # ProjectionPair per phase
-    norm: object = field(default_factory=EuclideanNorm)
+    norm: object = EUCLIDEAN
 
     def __post_init__(self):
         if not 0 < self.theta <= 1:
@@ -275,7 +274,7 @@ def cone_params_from_splitting(mset, x, theta, norm=None, horizon=24):
     """Build the per-phase projection family for a cone field."""
     p, _ = detect_p(mset, x, max(4 * x.period, horizon))
     pairs = [finite_splitting(mset, x, p, horizon, phase=k).pair for k in range(x.period)]
-    return ConeParams(theta=theta, projections=pairs, norm=norm or EuclideanNorm())
+    return ConeParams(theta=theta, projections=pairs, norm=EUCLIDEAN if norm is None else norm)
 
 
 def cone_margin(params, position, v):

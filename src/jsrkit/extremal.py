@@ -28,25 +28,24 @@ of ``|||M|||`` (up to roundoff; see ``matrix_norms_batch``): the least
 value over the weights it tries, without any search over vectors.
 
 Norm protocol.  Every function of the package that takes a ``norm``
-accepts an object with
+calls it through these members only:
 
-- ``kind``: ``"euclidean"`` or another string;
 - ``label``: the name written to reports;
-- ``vector_norm(v)`` and ``vector_norms(V)``, the latter over the
-  columns of a d x r array;
+- ``vector_norm(v)``, and ``vector_norms(V)`` of shape ``(r,)`` over the
+  columns of a d x r array (a vector is one column);
 - ``matrix_norm(M)``: the induced operator norm of one matrix, or a
   certified upper value of it;
-- ``matrix_norms_batch(P)``: the same values for a stack of matrices,
-  required unless ``kind == "euclidean"``.  It must return them on every
-  word that can reach the batch maximum or its ``TIE_RTOL`` tie window,
-  and may read ``-inf`` on the others.
+- ``matrix_norms_batch(P, fro)``: the same values for a stack ``P`` of
+  matrices.  ``fro`` must hold their Frobenius norms: the level kernel of
+  :mod:`jsrkit.bounds` computes them once per level for all of its
+  screens, so that no norm computes them again.  It must return the
+  values on every word that can reach the batch maximum or its
+  ``TIE_RTOL`` tie window, and may read ``-inf`` on the others.
 
-The bound sequences of :mod:`jsrkit.bounds` also accept ``None``.  There,
-None and any norm of kind ``"euclidean"`` (:class:`EuclideanNorm`) take
-the screened Gram-based level kernel and the norm object is not called;
-other norms, such as :class:`AdaptedNorm`, are called through
-``matrix_norms_batch`` on whole levels.  :class:`AdaptedNorm` screens
-its certified kernel with the level screen of :mod:`jsrkit.bounds`.
+:class:`EuclideanNorm` screens its Gram-based kernel by ``fro``, and
+:class:`AdaptedNorm` its certified kernel by ``L * fro``, both with the
+level screen of :mod:`jsrkit.bounds`.  The entry points that take
+``norm=None`` read it as the Euclidean norm.
 """
 
 import math
@@ -56,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, linalg
-from .bounds import BudgetCounter, BudgetExceededError, sandwich
+from .bounds import EUCLIDEAN, BudgetCounter, BudgetExceededError, EuclideanNorm, sandwich
 
 __all__ = [
     "EuclideanNorm",
@@ -97,25 +96,6 @@ class NormalizationError(ValueError):
     """The matrix set is not normalised closely enough to jsr = 1."""
 
 
-class EuclideanNorm:
-    """The Euclidean vector norm and its induced operator norm."""
-
-    kind = "euclidean"
-    label = "euclidean"
-
-    def vector_norm(self, v):
-        return float(np.linalg.norm(v))
-
-    def vector_norms(self, V):
-        return np.linalg.norm(np.asarray(V, dtype=complex), axis=0)
-
-    def matrix_norm(self, M):
-        return float(np.linalg.norm(M, 2))
-
-    def __repr__(self):
-        return "EuclideanNorm()"
-
-
 class AdaptedNorm:
     """Scaled-product maximum norm at a finite horizon.
 
@@ -134,8 +114,6 @@ class AdaptedNorm:
     depth : int
         Horizon N; all words up to this length enter the maximum.
     """
-
-    kind = "adapted"
 
     def __init__(self, mset, rho_hat, depth, budget=None):
         if not 0.0 < rho_hat < math.inf:
@@ -330,7 +308,7 @@ class AdaptedNorm:
             raise linalg.DimensionError("matrix must be %d x %d" % (self.d, self.d))
         return float(self._certified(M[None])[0])
 
-    def matrix_norms_batch(self, P):
+    def matrix_norms_batch(self, P, fro):
         """Certified upper values of the operator norms of a batch, screened.
 
         For weights lambda in the simplex, ``|||v|||^2 >= sum_g lambda_g
@@ -355,19 +333,19 @@ class AdaptedNorm:
         single-member values, and on the others up to about
         ``2**-54 * cond(G_lambda)``, which ``WEIGHT_FLOOR`` caps at 6e-5.
 
-        The level screen of :mod:`jsrkit.bounds` evaluates only the words
-        whose bound ``L ||M||_F`` can reach the batch maximum, and passes
-        the kernel its running cutoff: the first descent of a word stops
-        once it falls below the cutoff, and a word it leaves there reads
-        ``-inf``, as do the words the bound screens out.  The maximum, its
+        ``fro`` holds the Frobenius norms of ``P``.  The level screen of
+        :mod:`jsrkit.bounds` evaluates only the words whose bound ``L *
+        fro`` can reach the batch maximum, and passes the kernel its
+        running cutoff: the first descent of a word stops once it falls
+        below the cutoff, and a word it leaves there reads ``-inf``, as do
+        the words the bound screens out.  The maximum, its
         lexicographically first argmax and the ``TIE_RTOL`` tie window
         equal those of evaluating every word, since a word's value does not
         depend on the rest of the batch.
         """
-        P = np.asarray(P)
         # below SCREEN_FLOOR, ||P||_F may have lost its squares to underflow,
         # but the true value is below SCREEN_FLOOR as well
-        fro = np.maximum(bounds._frobenius_norms(P), bounds.SCREEN_FLOOR)
+        fro = np.maximum(fro, bounds.SCREEN_FLOOR)
         return bounds._screened(self._family_norm * fro, self._certified, P, cutoff=True)
 
     def __repr__(self):
@@ -383,7 +361,7 @@ class ExtremalityResidual:
     value: float
 
 
-def extremality_residual(mset, norm, rho_hat=None):
+def extremality_residual(mset, norm, rho_hat):
     """Worst relative one-step expansion of the norm over the family.
 
     Returns ``max(0, (max_i |||A_i||| - rho_hat) / rho_hat)`` with the
@@ -392,8 +370,6 @@ def extremality_residual(mset, norm, rho_hat=None):
     value of the residual.  A true extremal norm for the
     rho_hat-normalised family gives 0.
     """
-    if rho_hat is None:
-        rho_hat = getattr(norm, "rho_hat", 1.0)
     worst = max(norm.matrix_norm(A) for A in mset.matrices)
     return ExtremalityResidual(value=max(0.0, (worst - rho_hat) / rho_hat))
 
@@ -426,8 +402,7 @@ def is_product_bounded(mset, depth, bound_guess, budget=None):
     maxima = []
     try:
         for _, P in bounds._iter_levels(mset, depth, counter):
-            norms = bounds._screened(bounds._frobenius_norms(P), bounds._euclidean_norms, P)
-            maxima.append(float(norms.max()))
+            maxima.append(float(EUCLIDEAN.matrix_norms_batch(P, bounds._frobenius_norms(P)).max()))
     except BudgetExceededError:
         return ProductBoundedness(INCONCLUSIVE, maxima, bound_guess)
     exceeded = any(v > bound_guess for v in maxima)

@@ -92,10 +92,8 @@ def right_singular_subspaces(M, p):
 def operator_norm(M):
     """Euclidean operator norm of ``M``: its largest singular value (SVD).
 
-    A single-matrix reference.  Whole product levels and the pruned
-    search use the batched Gram-based kernel of :mod:`jsrkit.bounds`;
-    other norms evaluate themselves through the norm protocol of
-    :mod:`jsrkit.extremal` (``norm.matrix_norm``).
+    A single-matrix reference; whole levels use the batched Gram-based
+    kernel of :mod:`jsrkit.bounds`.
     """
     return float(np.linalg.norm(as_matrix(M), 2))
 

@@ -172,8 +172,6 @@ class SturmianSystem:
     the dictionary a certified value for the surrogate.
     """
 
-    kind = "sturmian"
-
     def __init__(self, convergents):
         self.convergents = _as_fractions(convergents)
         if len(self.convergents) < 8:
@@ -211,11 +209,44 @@ class SturmianSystem:
                 break
         return best
 
+    def candidates(self, n, search_budget):
+        """Candidate periodic words keyed by period, and ``exhaustive_to``.
+
+        The periodic approximant of every convergent with period <= n,
+        each with its single-symbol flips while ``search_budget`` allows,
+        and every binary word of each period up to min(n, 8) that no
+        convergent covers.  ``exhaustive_to`` is 0, so eps(Z, n) is always
+        an upper bound.
+        """
+        out = {}
+        spent = 0
+        for k, gamma in enumerate(self.convergents):
+            q = gamma.denominator
+            if q > n:
+                continue
+            base = periodic_approximant(self, k)
+            cands = [base]
+            # single-symbol flips around the approximant, budget permitting
+            if spent + q <= search_budget:
+                for j in range(q):
+                    block = list(base.cycle)
+                    block[j] = 1 - block[j]
+                    cands.append(PeriodicWord(block))
+                spent += q
+            out.setdefault(q, []).extend(cands)
+        # tiny periods not covered by any convergent: exhaustive
+        for k in range(1, min(n, 8) + 1):
+            if k not in out:
+                out[k] = [PeriodicWord(c) for c in itertools.product(range(2), repeat=k)]
+        return out, 0
+
+
+# periods up to this are enumerated exhaustively for periodic targets
+_EXHAUSTIVE_PERIOD_CAP = 14
+
 
 class PeriodicOrbitSet:
     """A finite union of periodic orbits, used as the target set Z."""
-
-    kind = "periodic-orbit-set"
 
     def __init__(self, pwords):
         pwords = [w if isinstance(w, PeriodicWord) else PeriodicWord(w) for w in pwords]
@@ -243,6 +274,31 @@ class PeriodicOrbitSet:
                 return math.inf
             best = max(best, m)
         return best
+
+    def candidates(self, n, search_budget):
+        """Candidate periodic words keyed by period, and ``exhaustive_to``.
+
+        Every word over the symbols ``0..a-1`` of each period k <= n,
+        ``_EXHAUSTIVE_PERIOD_CAP`` and the ``search_budget`` allow, ``a``
+        the larger of 2 and one more than the largest symbol of the
+        target's words, and the target's own words.  ``exhaustive_to`` is
+        the largest k such that every period up to k is enumerated.
+        """
+        alphabet = max(2, 1 + max(max(w.cycle) for w in self.words))
+        out = {}
+        spent = exhaustive_to = 0
+        for k in range(1, n + 1):
+            count = alphabet**k
+            if k <= _EXHAUSTIVE_PERIOD_CAP and spent + count <= search_budget:
+                out[k] = [PeriodicWord(c) for c in itertools.product(range(alphabet), repeat=k)]
+                spent += count
+                if exhaustive_to == k - 1:
+                    exhaustive_to = k
+        # the target's own words are always candidates at their period
+        for w in self.words:
+            if w.period <= n:
+                out.setdefault(w.period, []).append(w)
+        return out, exhaustive_to
 
 
 def _identity_radius(x, z):
@@ -293,29 +349,23 @@ class EpsilonResult:
     per_n: list = None
 
 
-# periods up to this are enumerated exhaustively for periodic targets
-_EXHAUSTIVE_PERIOD_CAP = 14
-
-
 def epsilon_of_n(Z, n, search_budget=200_000, half_width=None):
     """Best achievable orbit distance eps(Z, n) with its achieving orbit.
 
-    For a :class:`PeriodicOrbitSet` the value is exact while exhaustive
-    enumeration of candidate periods stays within ``search_budget``; the
-    enumeration runs over the symbols ``0..a-1``, ``a`` the larger of 2
-    and one more than the largest symbol of the target's words.  For
-    a :class:`SturmianSystem` the candidates are the periodic
-    approximants of every convergent with period <= n plus a single-flip
-    local search, and the result is a certified upper bound (flagged via
-    ``exact=False``).
+    ``Z`` is any target with ``agreement_radius(point, max_radius)`` and
+    ``candidates(n, search_budget)``, which returns the candidate periodic
+    words keyed by period and ``exhaustive_to``, the largest period up to
+    which every word is a candidate.  The value is exact when every period
+    up to n is exhaustive and no window of width ``half_width`` ran out;
+    otherwise it is an upper bound (``exact=False``), as it always is for
+    a :class:`SturmianSystem`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if half_width is None:
         half_width = 2 * n
 
-    candidates = _candidate_orbits(Z, n, search_budget)
-    best = None
+    candidates, exhaustive_to = Z.candidates(n, search_budget)
     per_n = []
     running = (math.inf, True, None)
     for k in range(1, n + 1):
@@ -327,54 +377,10 @@ def epsilon_of_n(Z, n, search_budget=200_000, half_width=None):
     value, exact, orbit = running
     if orbit is None:
         raise ValueError("no candidate orbits of period <= %d" % n)
-    all_exhaustive = isinstance(Z, PeriodicOrbitSet) and candidates.get("exhaustive_to", 0) >= n
     return EpsilonResult(
         value=value,
-        exact=bool(exact and all_exhaustive),
+        exact=bool(exact and exhaustive_to >= n),
         orbit=orbit,
         period=orbit.period,
         per_n=per_n,
     )
-
-
-def _candidate_orbits(Z, n, search_budget):
-    """Candidate periodic words keyed by period, deterministic order."""
-    out = {}
-    spent = 0
-    if isinstance(Z, PeriodicOrbitSet):
-        alphabet = max(2, 1 + max(max(w.cycle) for w in Z.words))
-        exhaustive_to = 0
-        for k in range(1, n + 1):
-            count = alphabet**k
-            if k <= _EXHAUSTIVE_PERIOD_CAP and spent + count <= search_budget:
-                out[k] = [PeriodicWord(c) for c in itertools.product(range(alphabet), repeat=k)]
-                spent += count
-                if exhaustive_to == k - 1:
-                    exhaustive_to = k
-        # the target's own words are always candidates at their period
-        for w in Z.words:
-            if w.period <= n:
-                out.setdefault(w.period, []).append(w)
-        out["exhaustive_to"] = exhaustive_to
-        return out
-    if isinstance(Z, SturmianSystem):
-        for k, gamma in enumerate(Z.convergents):
-            q = gamma.denominator
-            if q > n:
-                continue
-            base = periodic_approximant(Z, k)
-            cands = [base]
-            # single-symbol flips around the approximant, budget permitting
-            if spent + q <= search_budget:
-                for j in range(q):
-                    block = list(base.cycle)
-                    block[j] = 1 - block[j]
-                    cands.append(PeriodicWord(block))
-                spent += q
-            out.setdefault(q, []).extend(cands)
-        # tiny periods not covered by any convergent: exhaustive
-        for k in range(1, min(n, 8) + 1):
-            if k not in out:
-                out[k] = [PeriodicWord(c) for c in itertools.product(range(2), repeat=k)]
-        return out
-    raise TypeError("Z must be a PeriodicOrbitSet or SturmianSystem")

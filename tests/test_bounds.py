@@ -745,7 +745,7 @@ def synthetic_report(gaps):
         BoundsRow(n, 2.0 + g, 2.0, 2.0, 2.0 + g, g, (0,), (0,))
         for n, g in enumerate(gaps, start=1)
     ]
-    return BoundsReport(rows=rows)
+    return BoundsReport(rows=rows, norm_label="euclidean")
 
 
 class TestFitRate:

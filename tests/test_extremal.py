@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from jsrkit import bounds
-from jsrkit.bounds import BudgetCounter, BudgetExceededError, MatrixSet, pruned_bounds, sandwich
+from jsrkit.bounds import (
+    BudgetCounter,
+    BudgetExceededError,
+    MatrixSet,
+    pruned_bounds,
+    rho_plus_n,
+    sandwich,
+)
 from jsrkit.extremal import (
     BOUNDED,
     GROWTH,
@@ -158,7 +165,7 @@ class UnscreenedAdaptedNorm(AdaptedNorm):
     the values of a batch are computed once and shared.
     """
 
-    def matrix_norms_batch(self, P):
+    def matrix_norms_batch(self, P, fro):
         P = np.asarray(P)
         key = (self._family.tobytes(), P.tobytes())
         if key not in REFERENCE_VALUES:
@@ -200,7 +207,8 @@ class TestScreenedAdaptedBatch:
         reference = UnscreenedAdaptedNorm(mset, rho_hat, depth)
         m = len(mset)
         for n, P in bounds._iter_levels(mset, 8, BudgetCounter()):
-            got, want = norm.matrix_norms_batch(P), reference.matrix_norms_batch(P)
+            fro = bounds._frobenius_norms(P)
+            got, want = norm.matrix_norms_batch(P, fro), reference.matrix_norms_batch(P, fro)
             assert level_summary(got, n, m) == level_summary(want, n, m)
             evaluated = ~np.isneginf(got)
             exact = reference._certified(P[evaluated])
@@ -219,7 +227,7 @@ class TestScreenedAdaptedBatch:
         mset = antidiagonal_pair()
         norm = AdaptedNorm(mset, SQRT2, 6)
         _, P = list(bounds._iter_levels(mset, 12, BudgetCounter()))[-1]
-        values = norm.matrix_norms_batch(P)
+        values = norm.matrix_norms_batch(P, bounds._frobenius_norms(P))
         assert np.isneginf(values).sum() > len(P) // 2
 
     @pytest.mark.parametrize("mset,rho_hat,depth", ADAPTED_CASES)
@@ -240,8 +248,9 @@ class TestScreenedAdaptedBatch:
         rng = np.random.default_rng(41)
         P = np.zeros((300, 2, 2))
         P[:, 1, 0] = 2.0**-538 * rng.uniform(1.0, 2.0, 300)
-        got = norm.matrix_norms_batch(P)
-        want = UnscreenedAdaptedNorm(norm.mset, 1.0, 1).matrix_norms_batch(P)
+        fro = bounds._frobenius_norms(P)
+        got = norm.matrix_norms_batch(P, fro)
+        want = UnscreenedAdaptedNorm(norm.mset, 1.0, 1).matrix_norms_batch(P, fro)
         assert got.min() > bounds.SCREEN_FLOOR
         assert np.array_equal(got, want)
 
@@ -279,7 +288,7 @@ class TestCertifiedKernel:
     def test_values_bound_a_multistart_lower_value(self, mset):
         norm = ensemble_norm(mset)
         P = np.concatenate([mset.stack(), [mset.product(w) for w in [(0, 1), (1, 0, 1)]]])
-        for M, value in zip(P, norm.matrix_norms_batch(P)):
+        for M, value in zip(P, norm.matrix_norms_batch(P, bounds._frobenius_norms(P))):
             lower = multistart_lower(norm, M)
             assert value >= lower * (1 - 1e-12)
             # and not loose: the descent closes to within 1% of the search
@@ -432,3 +441,68 @@ class TestYMembership:
     def test_budget_error_names_feasible_depth_in_message(self):
         with pytest.raises(BudgetExceededError, match="largest feasible depth is 3"):
             AdaptedNorm(rank_one_pair(), rho_hat=1.0, depth=10, budget=15)
+
+
+class ScaledEuclideanNorm:
+    """``c ||.||_2``, built from the members of the norm protocol only."""
+
+    def __init__(self, c):
+        self.c = c
+        self.label = "%g * euclidean" % c
+
+    def vector_norm(self, v):
+        return self.c * float(np.linalg.norm(v))
+
+    def vector_norms(self, V):
+        V = np.asarray(V, dtype=complex)
+        return self.c * np.linalg.norm(V.reshape(len(V), -1), axis=0)
+
+    def matrix_norm(self, M):
+        return self.c * operator_norm(M)
+
+    def matrix_norms_batch(self, P, fro):
+        # c ||P||_2 <= c ||P||_F: the Euclidean screen, scaled
+        return bounds._screened(self.c * fro, lambda Q: self.c * bounds._euclidean_norms(Q), P)
+
+
+class TestNormProtocol:
+    # a power of two scales every norm, bound and screen decision exactly
+    C = 2.0
+
+    @pytest.mark.parametrize("mset", [rank_one_pair(), antidiagonal_pair()] + ENSEMBLE[:4])
+    def test_third_norm_runs_through_the_level_pipeline(self, mset):
+        norm = ScaledEuclideanNorm(self.C)
+        for n in (1, 4, 7):
+            got, want = rho_plus_n(mset, n, norm=norm, ties=True), rho_plus_n(mset, n, ties=True)
+            assert got.value == pytest.approx(self.C ** (1 / n) * want.value, rel=1e-14)
+            assert (got.word, got.ties) == (want.word, want.ties)
+        report, euclidean = sandwich(mset, 7, norm=norm), sandwich(mset, 7)
+        assert report.norm_label == "2 * euclidean"
+        for row, ref in zip(report.rows, euclidean.rows, strict=True):
+            assert row.rho_plus == pytest.approx(self.C ** (1 / row.n) * ref.rho_plus, rel=1e-14)
+            assert (row.rho_minus, row.best_lower) == (ref.rho_minus, ref.best_lower)
+            assert (row.word_plus, row.word_minus) == (ref.word_plus, ref.word_minus)
+
+    def test_third_norm_runs_through_the_extremal_diagnostics(self, half_rank_one):
+        norm = ScaledEuclideanNorm(self.C)
+        worst = max(operator_norm(A) for A in half_rank_one)
+        res = extremality_residual(half_rank_one, norm, rho_hat=1.0)
+        assert res.value == self.C * worst - 1.0
+        mset = MatrixSet([np.diag([1.0, 0.5])])
+        got = y_membership(mset, norm, PeriodicWord([0]), 8)
+        want = y_membership(mset, EuclideanNorm(), PeriodicWord([0]), 8)
+        assert got.values == [self.C * v for v in want.values]
+        assert got.verdict == want.verdict == "consistent"
+        assert got.excess_at == list(range(1, 9))
+
+    @pytest.mark.parametrize(
+        "norm", [EuclideanNorm(), AdaptedNorm(rank_one_pair(), 2.0, 2)], ids=repr
+    )
+    def test_vector_norms_take_a_vector_as_one_column(self, norm):
+        one = norm.vector_norms([3.0, 4.0])
+        assert one.shape == (1,)
+        assert one[0] == norm.vector_norm([3.0, 4.0])
+        V = np.random.default_rng(3).standard_normal((2, 5))
+        many = norm.vector_norms(V)
+        assert many.shape == (5,)
+        np.testing.assert_allclose(many, [norm.vector_norms(v)[0] for v in V.T], rtol=1e-14)

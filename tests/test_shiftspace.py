@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -172,6 +174,58 @@ class TestEpsilon:
     def test_system_requires_eight_convergents(self):
         with pytest.raises(ValueError):
             SturmianSystem([Fraction(1, 2), Fraction(2, 3)])
+
+
+class ProtocolOnlyTarget:
+    """A target with the two members ``epsilon_of_n`` calls, and no other."""
+
+    def __init__(self, target):
+        self.agreement_radius = target.agreement_radius
+        self.candidates = target.candidates
+
+
+class FixedPointTarget:
+    """The fixed point ``0^Z`` of the full 2-shift, with a stated ``exhaustive_to``."""
+
+    def __init__(self, exhaustive_to):
+        self.exhaustive_to = exhaustive_to
+
+    def agreement_radius(self, point, max_radius):
+        if set(point.cycle) == {0}:
+            return math.inf
+        m = -1
+        while m < max_radius and point.symbol(m + 1) == 0 and point.symbol(-(m + 1)) == 0:
+            m += 1
+        return m
+
+    def candidates(self, n, search_budget):
+        words = lambda k: [PeriodicWord(c) for c in itertools.product((0, 1), repeat=k)]
+        return {k: words(k) for k in range(1, n + 1)}, self.exhaustive_to
+
+
+class TestTargetProtocol:
+    @pytest.mark.parametrize(
+        "target,budget",
+        [
+            (PeriodicOrbitSet([PeriodicWord([0, 1, 1])]), 200_000),
+            (PeriodicOrbitSet([PeriodicWord([2, 2, 2, 2, 0])]), 200_000),
+            # budget-limited: periods beyond 3 are not enumerated
+            (PeriodicOrbitSet([PeriodicWord([0, 0, 1]), PeriodicWord([1, 1, 0, 1])]), 14),
+            (SturmianSystem(golden_rotation_convergents()), 200_000),
+        ],
+    )
+    def test_protocol_members_suffice(self, target, budget):
+        for n in (1, 3, 6):
+            want = epsilon_of_n(target, n, search_budget=budget)
+            assert epsilon_of_n(ProtocolOnlyTarget(target), n, search_budget=budget) == want
+
+    def test_exactness_follows_exhaustive_to(self):
+        for n in (1, 4):
+            exact = epsilon_of_n(FixedPointTarget(n), n)
+            assert (exact.value, exact.orbit.cycle, exact.exact) == (0.0, (0,), True)
+            assert exact.per_n == [(k, 0.0) for k in range(1, n + 1)]
+            short = epsilon_of_n(FixedPointTarget(n - 1), n)
+            assert (short.value, short.orbit.cycle, short.exact) == (0.0, (0,), False)
 
 
 class TestPeriodicWord:
