@@ -43,6 +43,27 @@ every word.  Below ``SCREEN_FLOOR``
 the squares in ``||P||_F`` may underflow and nothing is screened.
 Screening charges no multiplications.
 
+Stored and streamed levels.  :func:`_levels` is the one level generator
+of :func:`sandwich`, :func:`rho_plus_n`, :func:`rho_minus_n` and
+:func:`jsrkit.extremal.is_product_bounded`.  A level whose array fits in
+``LEVEL_BYTES`` (4 MiB, 2^15 real 4 x 4 words) is stored whole, as
+:func:`_iter_levels` forms it.  A deeper level is never formed whole.
+One sweep extends the last stored level k in blocks of parents down to
+the deepest level and writes every word's ``||P||_F`` in lexicographic
+order; the level is then a lazy stack whose ``P[idx]`` re-forms only the
+words a screen evaluates, from their ancestors in level k.  Re-formed
+words come from the same :func:`_extend` steps as stored ones, and the
+BLAS forms each entry of a row-stacked product from its own row and
+column in an order that does not depend on the number of rows (the
+tests check this for one and two threads), so they carry the same bits
+and every result equals that of stored levels.  Each level still
+charges m^n multiplications, before the sweep; re-forming, like
+screening, charges none.  Memory is bounded by the stored levels, one
+block of the sweep (up to ``LEVEL_BYTES`` at the deepest level while
+m^(N-k) words fit in it, which holds to about N = 2k), one screening
+batch of at most ``LEVEL_BYTES`` and its re-formed words, and some 8
+bytes per streamed word for ``||P||_F`` and the screen's index arrays.
+
 Gelfand power stage.  Given the running cutoff c, ``eigvals`` runs only
 on the words whose power bound reaches c.  Each word is first scaled by
 a power of two, which is exact, to ``S`` with entries below 1, and
@@ -79,12 +100,12 @@ half of its survivors, and the batch stops staging after a block whose
 first square removed fewer than half of its words (on levels where every
 candidate ties the maximum the stage removes nothing).  Batches of fewer
 than ``POWER_MIN`` words go to ``eigvals`` directly.
-The same level generator and kernels serve the adapted-norm family and
-:func:`jsrkit.extremal.is_product_bounded`, and the same screen serves
-the certified kernel of the adapted norm.  The pruned search runs
-:func:`_extend` on the transposed generators: its frontier holds
-``A_w^T``, and ``A_w^T A_j^T = (A_j A_w)^T`` appends symbol j, so its
-products associate right to left, like :meth:`MatrixSet.product`.
+The adapted-norm family is built from :func:`_iter_levels`, and the
+same screen serves the certified kernel of the adapted norm.  The
+pruned search runs :func:`_extend` on the transposed generators: its
+frontier holds ``A_w^T``, and ``A_w^T A_j^T = (A_j A_w)^T`` appends
+symbol j, so its products associate right to left, like
+:meth:`MatrixSet.product`.
 Within a block of B parents its children come symbol-major (child
 ``j*B + i``); the order matters only to the stable sort of a
 budget-capped level, and there only at exact score ties.
@@ -147,6 +168,10 @@ POWER_BLOCK = 1024
 POWER_STEPS = 3
 EIGVALS_BACKWARD = 16
 POWER_MIN = 8
+
+# largest level array held whole; a deeper level streams (module
+# docstring).  It also caps the words of one screening batch
+LEVEL_BYTES = 4 << 20
 
 # parents whose children the pruned search forms in one batch; bounds the
 # temporaries.  It orders the children (module docstring), which only a
@@ -311,6 +336,94 @@ def _frobenius_norms(P):
     return np.sqrt(np.einsum("ni,ni->n", flat, flat))
 
 
+class _StreamedLevel:
+    """Level ``k + steps`` as a lazy stack over the stored level ``k``.
+
+    It has the level's ``len``, and ``P[idx]`` re-forms the words of an
+    integer index array from their ancestors in ``base`` by the
+    :func:`_extend` steps that form the stored levels, so with the same
+    bits.  Global word ``q*K + i`` descends from ``base[i]`` through the
+    symbols of ``q`` base m, least significant first.  The words are
+    sorted by their symbols, first symbol most significant, so that each
+    step is one :func:`_extend` per run of words that share their
+    symbols so far.
+    """
+
+    def __init__(self, base, gens, steps):
+        self.base, self.gens, self.steps = base, gens, steps
+        m = len(gens)
+        # the sort key of each q: its symbols, first symbol most significant
+        q, key = np.arange(m**steps), np.zeros(m**steps, dtype=np.intp)
+        for _ in range(steps):
+            q, symbol = np.divmod(q, m)
+            key = key * m + symbol
+        self._key = key
+
+    def __len__(self):
+        return len(self.base) * len(self.gens) ** self.steps
+
+    def __getitem__(self, idx):
+        m, t = len(self.gens), self.steps
+        high, anc = np.divmod(np.asarray(idx), len(self.base))
+        key = self._key[high]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        Q = np.take(self.base, anc[order], axis=0)
+        for step in range(1, t + 1):
+            # run r of this step holds the words whose first symbols spell r
+            ends = np.searchsorted(key, np.arange(m**step + 1) * m ** (t - step))
+            for r in np.flatnonzero(ends[1:] > ends[:-1]):
+                a, b = ends[r], ends[r + 1]
+                Q[a:b] = _extend(Q[a:b], self.gens[r % m][None])
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        return np.take(Q, place, axis=0)
+
+
+def _levels(mset, n_max, counter):
+    """Yield ``(n, P_n, ||P_n||_F)`` for n = 1..n_max: the level generator
+    of every exhaustive-level consumer (module docstring).
+
+    Levels whose array fits in ``LEVEL_BYTES`` come from
+    :func:`_iter_levels`.  Deeper levels are charged to ``counter`` one by
+    one, then swept once: the last stored level k is extended in blocks
+    of B parents, ``B * m^(N - k)`` words at most, down to the deepest
+    level N charged, and each block's Frobenius norms go to their
+    lexicographic places.  Those levels are yielded as
+    :class:`_StreamedLevel` stacks, and a budget that stopped the charges
+    raises after them.
+    """
+    stack = _typed_stack(mset)
+    m = len(stack)
+    words = max(1, LEVEL_BYTES // stack[0].nbytes)
+    k = 0
+    while k < n_max and m ** (k + 1) <= words:
+        k += 1
+    P = np.eye(mset.d, dtype=stack.dtype)[None]
+    for n, P in _iter_levels(mset, k, counter):
+        yield n, P, _frobenius_norms(P)
+    N, stop = k, None
+    try:
+        while N < n_max:
+            counter.charge(m ** (N + 1))
+            N += 1
+    except BudgetExceededError as exc:
+        stop = exc
+    K = len(P)
+    block = max(1, words // m ** (N - k))
+    fro = {n: np.empty(m**n) for n in range(k + 1, N + 1)}
+    for s in range(0, K, block):
+        Q = P[s:s + block]
+        width = len(Q)
+        for n in range(k + 1, N + 1):
+            Q = _extend(Q, stack)
+            fro[n].reshape(-1, K)[:, s:s + width] = _frobenius_norms(Q).reshape(-1, width)
+    for n in range(k + 1, N + 1):
+        yield n, _StreamedLevel(P, stack, n - k), fro.pop(n)
+    if stop is not None:
+        raise stop
+
+
 def _euclidean_norms(Q):
     """``||Q||_2 = sqrt(lambda_max(Q^H Q))`` per matrix of a batch."""
     # scaling by a power of two is exact and keeps Q^H Q clear of
@@ -395,10 +508,12 @@ def _screen_cutoff(best):
 def _screened(bound, kernel, P, cutoff=False):
     """Exact ``kernel`` values of the words that can reach the maximum.
 
-    ``bound[i]`` must bound ``kernel(P[i])`` from above up to roundoff.
+    ``bound[i]`` must bound ``kernel(P[i])`` from above up to roundoff;
+    ``P`` is indexed by integer arrays only, so it may be a lazy stack.
     The ``SCREEN_SEED`` words of largest bound are evaluated first; the
     rest are evaluated in batches of decreasing bound, as long as their
-    bound reaches the running maximum less ``SCREEN_SLACK``.  Every other
+    bound reaches the running maximum less ``SCREEN_SLACK``.  The batches
+    double in size up to the words that fit in ``LEVEL_BYTES``.  Every other
     word reads ``-inf``; its value lies below the maximum, so the maximum,
     its lexicographically first argmax and the ``TIE_RTOL`` tie window
     equal those of an unscreened evaluation.  With ``cutoff``, the later
@@ -413,7 +528,10 @@ def _screened(bound, kernel, P, cutoff=False):
     values = np.full(total, -np.inf)
     size = min(SCREEN_SEED, total)
     batch = np.argpartition(bound, total - size)[total - size:]
-    values[batch] = kernel(P[batch])
+    seed = P[batch]
+    values[batch] = kernel(seed)
+    # later batches double, up to the words that fit in LEVEL_BYTES
+    cap = max(size, LEVEL_BYTES * size // seed.nbytes)
     # a NaN value makes ``best`` NaN: its cutoff screens nothing
     best = values[batch].max()
     fresh = np.ones(total, dtype=bool)
@@ -425,7 +543,7 @@ def _screened(bound, kernel, P, cutoff=False):
         values[batch] = kernel(P[batch], _screen_cutoff(best)) if cutoff else kernel(P[batch])
         best = np.max([best, values[batch].max()])
         rest = rest[~(bound[rest] < _screen_cutoff(best))]
-        size *= 2
+        size = min(2 * size, cap)
     return values
 
 
@@ -435,12 +553,11 @@ class EuclideanNorm:
     label = "euclidean"
 
     def vector_norm(self, v):
-        return float(np.linalg.norm(v))
+        return float(np.linalg.norm(linalg.as_vector(v)))
 
     def vector_norms(self, V):
         """Norms of the columns of a d x r array; a vector is one column."""
-        V = np.asarray(V, dtype=complex)
-        return np.linalg.norm(V[:, None] if V.ndim == 1 else V, axis=0)
+        return np.linalg.norm(linalg.as_columns(V), axis=0)
 
     def matrix_norm(self, M):
         return float(np.linalg.norm(M, 2))
@@ -479,15 +596,15 @@ def _level_bound(values, n, m, nth_root_of, ties):
     return LevelBound(value, word, tie_words)
 
 
-def _level_bounds(P, n, m, norm=EUCLIDEAN, ties=False):
+def _level_bounds(P, fro, n, m, norm=EUCLIDEAN, ties=False):
     """``(rho_plus, rho_minus)`` level bounds of one level ``P``.
 
-    ``||P||_F`` is computed once.  Norms come from
-    ``norm.matrix_norms_batch(P, fro)`` (the norm protocol of
-    :mod:`jsrkit.extremal`); spectral radii are screened by ``||P||_F``
-    and then pass the Gelfand power stage of :func:`_spectral_radii`.
+    ``fro`` holds the level's Frobenius norms, as :func:`_levels` yields
+    them.  Norms come from ``norm.matrix_norms_batch(P, fro)`` (the norm
+    protocol of :mod:`jsrkit.extremal`); spectral radii are screened by
+    ``||P||_F`` and then pass the Gelfand power stage of
+    :func:`_spectral_radii`.
     """
-    fro = _frobenius_norms(P)
     norms = norm.matrix_norms_batch(P, fro)
     radii = _screened(fro, _spectral_radii, P, cutoff=True)
     root = lambda v: v ** (1.0 / n)
@@ -498,9 +615,9 @@ def _level(mset, n, norm, budget, ties):
     if n < 1:
         raise ValueError("n must be at least 1")
     counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
-    for level, P in _iter_levels(mset, n, counter):
+    for level, P, fro in _levels(mset, n, counter):
         if level == n:
-            return _level_bounds(P, n, len(mset), norm, ties)
+            return _level_bounds(P, fro, n, len(mset), norm, ties)
 
 
 def rho_plus_n(mset, n, norm=None, budget=None, ties=False):
@@ -590,8 +707,8 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     best_lower, best_upper = 0.0, math.inf
     m = len(mset)
     try:
-        for n, P in _iter_levels(mset, N, counter):
-            plus, minus = _level_bounds(P, n, m, norm)
+        for n, P, fro in _levels(mset, N, counter):
+            plus, minus = _level_bounds(P, fro, n, m, norm)
             best_lower = max(best_lower, minus.value)
             best_upper = min(best_upper, plus.value)
             _check_enclosure(best_lower, best_upper, "at n=%d" % n)

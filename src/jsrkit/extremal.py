@@ -36,7 +36,11 @@ calls it through these members only:
 - ``matrix_norm(M)``: the induced operator norm of one matrix, or a
   certified upper value of it;
 - ``matrix_norms_batch(P, fro)``: the same values for a stack ``P`` of
-  matrices.  ``fro`` must hold their Frobenius norms: the level kernel of
+  matrices.  ``P`` is any stack with ``len(P)`` and integer-array
+  indexing ``P[idx]``, which returns those matrices as an array: a level
+  of :mod:`jsrkit.bounds` above ``LEVEL_BYTES`` is a lazy stack that
+  re-forms only the words it is asked for.  ``fro`` must hold their
+  Frobenius norms: the level kernel of
   :mod:`jsrkit.bounds` computes them once per level for all of its
   screens, so that no norm computes them again.  It must return the
   values on every word that can reach the batch maximum or its
@@ -172,15 +176,13 @@ class AdaptedNorm:
 
     def vector_norms(self, V):
         """Norms of the columns of a d x r array."""
-        V = np.asarray(V, dtype=complex)
-        if V.ndim == 1:
-            V = V[:, None]
+        V = linalg.as_columns(V)
         if V.shape[0] != self.d:
             raise linalg.DimensionError("vectors must live in C^%d" % self.d)
         return np.linalg.norm(np.matmul(self._family, V), axis=1).max(axis=0)
 
     def vector_norm(self, v):
-        return float(self.vector_norms(np.asarray(v, dtype=complex))[0])
+        return float(self.vector_norms(linalg.as_vector(v))[0])
 
     def _lower(self, M, u):
         """``|||M u||| / |||u|||`` per pair, and ``||F_g u||^2`` per pair and member."""
@@ -401,8 +403,8 @@ def is_product_bounded(mset, depth, bound_guess, budget=None):
     counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
     maxima = []
     try:
-        for _, P in bounds._iter_levels(mset, depth, counter):
-            maxima.append(float(EUCLIDEAN.matrix_norms_batch(P, bounds._frobenius_norms(P)).max()))
+        for _, P, fro in bounds._levels(mset, depth, counter):
+            maxima.append(float(EUCLIDEAN.matrix_norms_batch(P, fro).max()))
     except BudgetExceededError:
         return ProductBoundedness(INCONCLUSIVE, maxima, bound_guess)
     exceeded = any(v > bound_guess for v in maxima)

@@ -14,6 +14,8 @@ __all__ = [
     "Subspace",
     "ProjectionPair",
     "as_matrix",
+    "as_vector",
+    "as_columns",
     "spectral_radius",
     "singular_values",
     "right_singular_subspaces",
@@ -51,6 +53,23 @@ def as_matrix(M):
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     return M
+
+
+def as_vector(v):
+    """``v`` as an array, raising unless it is one vector (ndim 1)."""
+    v = np.asarray(v)
+    if v.ndim != 1:
+        raise DimensionError("expected a vector, got ndim=%d" % v.ndim)
+    return v
+
+
+def as_columns(V):
+    """A complex d x r array of columns; a vector is one column, and any
+    other ndim than 1 or 2 raises."""
+    V = np.asarray(V, dtype=complex)
+    if V.ndim not in (1, 2):
+        raise DimensionError("expected a vector or a d x r array, got ndim=%d" % V.ndim)
+    return V[:, None] if V.ndim == 1 else V
 
 
 def _require_square(M):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,7 +23,7 @@ from jsrkit.bounds import (
     rho_plus_n,
     sandwich,
 )
-from jsrkit.extremal import AdaptedNorm, EuclideanNorm
+from jsrkit.extremal import AdaptedNorm, EuclideanNorm, is_product_bounded
 from jsrkit.gallery import antidiagonal_pair, rank_one_pair
 from jsrkit.linalg import operator_norm, spectral_radius
 
@@ -360,7 +361,7 @@ class TestScreenedLevelKernel:
     def test_matches_unscreened_evaluation_bit_for_bit(self, mset):
         m = len(mset)
         for n, P in bounds._iter_levels(mset, 8, BudgetCounter()):
-            screened = bounds._level_bounds(P, n, m, ties=True)
+            screened = bounds._level_bounds(P, bounds._frobenius_norms(P), n, m, ties=True)
             assert screened == unscreened_level(P, n, m, ties=True)
 
     def test_screen_skips_words(self):
@@ -400,7 +401,8 @@ class TestScreenedLevelKernel:
         base = random_family(1, complex_entries=False)
         mset = base.scaled(2.0**exponent)
         for n, P in bounds._iter_levels(mset, 7, BudgetCounter()):
-            assert bounds._level_bounds(P, n, len(mset)) == unscreened_level(P, n, len(mset), False)
+            got = bounds._level_bounds(P, bounds._frobenius_norms(P), n, len(mset))
+            assert got == unscreened_level(P, n, len(mset), False)
         got, ref = rho_plus_n(mset, 7), rho_plus_n(base, 7)
         assert got.word == ref.word
         assert got.value == pytest.approx(2.0**exponent * ref.value, rel=1e-14)
@@ -552,6 +554,126 @@ class TestLevelGenerator:
             digests.append(proc.stdout.strip())
         assert digests[0] == digests[1]
 
+
+
+def stream_from(monkeypatch, mset, n):
+    """Set ``LEVEL_BYTES`` to hold m^(n-1) words of ``mset``: level n and
+    the deeper levels stream (n = 1 streams every level from the identity)."""
+    word = bounds._typed_stack(mset)[0].nbytes
+    monkeypatch.setattr(bounds, "LEVEL_BYTES", len(mset) ** (n - 1) * word)
+
+
+# the exhaustive-level benchmark family
+EXHAUSTIVE_FAMILY = MatrixSet(list(np.random.default_rng(0).standard_normal((2, 4, 4))))
+
+# the streamed levels of a real 4 x 4 pair (levels 13-16 over level 12)
+# and a complex 3 x 3 triple (levels 7-10 over level 6): single,
+# duplicated, contiguous and random index sets re-formed by the lazy
+# stack, printed as whether all equal the stored levels and one digest
+STREAM_DIGEST = """
+import hashlib
+import numpy as np
+from jsrkit import bounds
+rng = np.random.default_rng(11)
+real = bounds.MatrixSet(list(rng.standard_normal((2, 4, 4))))
+cplx = bounds.MatrixSet(list(rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))))
+digest, same = hashlib.sha256(), True
+for mset, k, n in ((real, 12, 16), (cplx, 6, 10)):
+    word = bounds._typed_stack(mset)[0].nbytes
+    bounds.LEVEL_BYTES = len(mset) ** k * word
+    stored = list(bounds._iter_levels(mset, n, bounds.BudgetCounter()))
+    streamed = list(bounds._levels(mset, n, bounds.BudgetCounter()))
+    for (_, P), (_, S, fro) in zip(stored[k:], streamed[k:]):
+        size = len(P)
+        same &= isinstance(S, bounds._StreamedLevel) and len(S) == size
+        same &= np.array_equal(fro, bounds._frobenius_norms(P))
+        for idx in ([size - 1], [5, 5, 0, 5], np.arange(size // 3, size // 3 + 999),
+                    rng.integers(0, size, 3000), np.arange(size)[::-1]):
+            got = S[np.asarray(idx)]
+            same &= np.array_equal(got, P[np.asarray(idx)])
+            digest.update(got.tobytes())
+print(same, digest.hexdigest())
+"""
+
+
+class TestStreamedLevels:
+    @pytest.mark.parametrize("start", [1, 4, 6])
+    @pytest.mark.parametrize("mset", SCREEN_FAMILIES)
+    def test_euclidean_rows_and_level_bounds_match_the_stored_levels(self, mset, start, monkeypatch):
+        N = 9 if len(mset) == 2 else 7
+
+        def run():
+            return (
+                sandwich(mset, N).rows,
+                rho_plus_n(mset, N, ties=True),
+                rho_minus_n(mset, N, ties=True),
+                is_product_bounded(mset, N, 1.0).level_maxima,
+            )
+
+        stored = run()
+        stream_from(monkeypatch, mset, start)
+        assert run() == stored
+
+    @pytest.mark.parametrize("mset", SCREEN_FAMILIES)
+    def test_adapted_rows_match_the_stored_levels(self, mset, monkeypatch):
+        norm = AdaptedNorm(mset, sandwich(mset, 4).best_lower(), 1)
+        N = 8 if len(mset) == 2 else 6
+        stored = sandwich(mset, N, norm=norm).rows
+        stream_from(monkeypatch, mset, 4)
+        assert sandwich(mset, N, norm=norm).rows == stored
+
+    @pytest.mark.parametrize("stop", [4, 7])
+    @pytest.mark.parametrize("mset", SCREEN_FAMILIES[:4])
+    def test_truncation_at_a_streamed_level(self, mset, stop, monkeypatch):
+        # the budget covers the levels before ``stop`` and one product short of it
+        m = len(mset)
+        limit = sum(m**k for k in range(1, stop + 1)) - 1
+
+        def run():
+            counter = BudgetCounter(limit)
+            report = sandwich(mset, 9, budget=counter)
+            return report.rows, report.truncated, counter.used
+
+        stored = run()
+        assert len(stored[0]) == stop - 1 and stored[1]
+        stream_from(monkeypatch, mset, 4)
+        assert run() == stored
+
+    def test_streamed_stacks_have_the_stored_bits_for_one_and_two_blas_threads(self):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", STREAM_DIGEST], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split())
+        assert outputs[0][0] == outputs[1][0] == "True"
+        assert outputs[0][1] == outputs[1][1]
+
+    def test_screening_batches_hold_at_most_level_bytes(self, monkeypatch):
+        # every word ties, so every word is evaluated; 8-byte words, 256 per batch
+        monkeypatch.setattr(bounds, "LEVEL_BYTES", 256 * 8)
+        sizes = []
+
+        def kernel(Q):
+            sizes.append(len(Q))
+            return np.ones(len(Q))
+
+        values = bounds._screened(np.ones(5000), kernel, np.arange(5000))
+        assert (values == 1.0).all() and sum(sizes) == 5000
+        assert max(sizes) == 256
+
+    def test_sandwich_memory_stays_below_the_stored_level(self):
+        # level 18 alone takes 32 MiB; the stored levels end at 4 MiB
+        tracemalloc.start()
+        try:
+            report = sandwich(EXHAUSTIVE_FAMILY, 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.rows) == 18
+        assert peak < 24 * 2**20
 
 def plain_radii(Q):
     return np.abs(np.linalg.eigvals(Q)).max(axis=1)

@@ -25,7 +25,7 @@ from jsrkit.extremal import (
     y_membership,
 )
 from jsrkit.gallery import antidiagonal_pair, rank_one_pair
-from jsrkit.linalg import operator_norm
+from jsrkit.linalg import DimensionError, operator_norm
 from jsrkit.shiftspace import PeriodicWord
 
 SQRT2 = math.sqrt(2.0)
@@ -506,3 +506,18 @@ class TestNormProtocol:
         many = norm.vector_norms(V)
         assert many.shape == (5,)
         np.testing.assert_allclose(many, [norm.vector_norms(v)[0] for v in V.T], rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "norm", [EuclideanNorm(), AdaptedNorm(rank_one_pair(), 2.0, 0)], ids=repr
+    )
+    def test_vector_norms_reject_other_shapes(self, norm):
+        # a 2 x 2 array is not one vector: it used to read as its Frobenius
+        # norm (Euclidean) or its first column (adapted)
+        with pytest.raises(DimensionError):
+            norm.vector_norm([[3.0, 0.0], [4.0, 1.0]])
+        for bad in (5.0, np.ones((2, 2, 1))):
+            with pytest.raises(DimensionError):
+                norm.vector_norm(bad)
+            with pytest.raises(DimensionError):
+                norm.vector_norms(bad)
+        assert norm.vector_norm([3.0, 4.0]) == 5.0
