@@ -43,6 +43,16 @@ every word.  Below ``SCREEN_FLOOR``
 the squares in ``||P||_F`` may underflow and nothing is screened.
 Screening charges no multiplications.
 
+Repeated products.  Families with structure repeat their products
+massively: at n = 16 the 65,536 words of the antidiagonal pair of
+``data/`` hold 17 distinct products, those of the rank-one pair 2, and
+every word ties the level maximum.  Each batch a screen sends to a
+kernel is therefore grouped by bitwise identity (:func:`_once`): words
+in decreasing-bound order that tie no neighbour go to the kernel whole,
+and otherwise the kernel runs on one word per group of bit-identical
+words.  A kernel value depends on its own word only, so the per-level
+values, argmax words and tie lists are those of evaluating every word.
+
 Stored and streamed levels.  :func:`_levels` is the one level generator
 of :func:`sandwich`, :func:`rho_plus_n`, :func:`rho_minus_n` and
 :func:`jsrkit.extremal.is_product_bounded`.  A level whose array fits in
@@ -505,6 +515,34 @@ def _screen_cutoff(best):
     return cutoff if cutoff >= SCREEN_FLOOR else 0.0
 
 
+def _once(kernel, Q, bound, *args):
+    """``kernel(Q, *args)``, with each bit-identical word of ``Q`` evaluated once.
+
+    ``bound`` holds the words' bounds in decreasing order.  Identical words
+    have identical bounds, so a batch in which no two neighbours tie has
+    no repeated word and goes to the kernel whole.  Otherwise the words
+    are grouped by the ``uint64`` view of their entries (so ``-0.0`` and
+    ``0.0`` stay apart), the kernel runs on the first word of each group,
+    and its values are scattered back.  A kernel value depends on its own
+    word only, so the values are those of evaluating every word, up to the
+    ``-inf`` a cutoff kernel may read below its cutoff.
+    """
+    if not (bound[1:] == bound[:-1]).any():
+        return kernel(Q, *args)
+    bits = Q.reshape(len(Q), -1).view(np.uint64)
+    order = np.lexsort(bits.T)
+    new = np.zeros(len(Q) - 1, dtype=bool)
+    for column in bits.T:
+        column = column[order]
+        new |= column[1:] != column[:-1]
+    if new.all():
+        return kernel(Q, *args)
+    first = np.concatenate([[True], new])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return kernel(Q[order[first]], *args)[inverse]
+
+
 def _screened(bound, kernel, P, cutoff=False):
     """Exact ``kernel`` values of the words that can reach the maximum.
 
@@ -523,13 +561,18 @@ def _screened(bound, kernel, P, cutoff=False):
     tie window: :meth:`jsrkit.extremal.AdaptedNorm.matrix_norms_batch`
     stops its descents there, and :func:`_spectral_radii` skips
     ``eigvals`` on words whose Gelfand power bound lies below ``c``.
+    Each batch evaluates every bit-identical word once (:func:`_once`);
+    since a value depends on its own word only, and the ``-inf`` contract
+    holds for any batch, the maximum, argmax and tie window stay those of
+    evaluating every word.
     """
     total = len(bound)
     values = np.full(total, -np.inf)
     size = min(SCREEN_SEED, total)
     batch = np.argpartition(bound, total - size)[total - size:]
+    batch = batch[np.argsort(-bound[batch], kind="stable")]
     seed = P[batch]
-    values[batch] = kernel(seed)
+    values[batch] = _once(kernel, seed, bound[batch])
     # later batches double, up to the words that fit in LEVEL_BYTES
     cap = max(size, LEVEL_BYTES * size // seed.nbytes)
     # a NaN value makes ``best`` NaN: its cutoff screens nothing
@@ -540,7 +583,8 @@ def _screened(bound, kernel, P, cutoff=False):
     rest = rest[np.argsort(-bound[rest], kind="stable")]
     while len(rest):
         batch, rest = rest[:size], rest[size:]
-        values[batch] = kernel(P[batch], _screen_cutoff(best)) if cutoff else kernel(P[batch])
+        args = (_screen_cutoff(best),) if cutoff else ()
+        values[batch] = _once(kernel, P[batch], bound[batch], *args)
         best = np.max([best, values[batch].max()])
         rest = rest[~(bound[rest] < _screen_cutoff(best))]
         size = min(2 * size, cap)

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import __version__, bounds, cocycle, extremal, fileio, shiftspace
+from . import __version__, bounds, fileio
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -90,6 +90,8 @@ def _make_norm(cfg, mset, counter):
     """The run's norm; the adapted norm's probe and family are charged to ``counter``."""
     if cfg.norm == "euclidean":
         return bounds.EUCLIDEAN
+    from . import extremal
+
     rho_hat = _rho_hat(cfg, mset, counter, max(cfg.delta, 0.05), 12)
     return extremal.AdaptedNorm(mset, rho_hat=rho_hat, depth=cfg.adapted_depth, budget=counter)
 
@@ -114,6 +116,10 @@ def _report_bounds(cfg, mset, counter, fit=False):
     norm = _make_norm(cfg, mset, counter)
     report = bounds.sandwich(mset, cfg.max_depth, norm=norm, budget=counter)
     extra = {"norm": report.norm_label, "truncated": report.truncated}
+    if cfg.norm == "adapted":
+        # the adapted norm's family before and after Loewner pruning
+        extra["full_family_size"] = norm.full_family_size
+        extra["family_size"] = norm.family_size
     if fit and len(report.rows) >= 12:
         rate = bounds.fit_rate(report, cfg.tail_fraction)
         extra["fitted_rate"] = None if rate.converged else rate.r_hat
@@ -141,12 +147,18 @@ def _report_pruned(cfg, mset, counter):
 
 
 def _report_splitting(cfg, mset, counter):
+    from . import cocycle, shiftspace
+
+    header = ["n", "cauchy_dgr"]
     word = shiftspace.PeriodicWord([int(s) for s in cfg.cycle.split(",")])
     word.validate_for(mset)
     rho_hat = _rho_hat(cfg, mset, counter, 0.05, 14)
     working = mset.scaled(1.0 / rho_hat)
     horizon = max(4 * word.period, 2 * cfg.max_depth)
-    p, thetas = cocycle.detect_p(working, word, horizon)
+    try:
+        p, thetas = cocycle.detect_p(working, word, horizon)
+    except cocycle.AmbiguousExponentsError as exc:
+        return header, [], {"rho_hat": rho_hat}, str(exc)
     result = cocycle.finite_splitting(working, word, p, cfg.max_depth)
     diag = cocycle.splitting_residuals(working, word, result, n_max=horizon)
     extra = {
@@ -161,10 +173,12 @@ def _report_splitting(cfg, mset, counter):
         "cauchy_rate": diag.cauchy_rate,
         "cauchy_r2": diag.cauchy_r2,
     }
-    return ["n", "cauchy_dgr"], diag.cauchy_table, extra, None
+    return header, diag.cauchy_table, extra, None
 
 
 def _report_sturmian(cfg, mset, counter):
+    from . import shiftspace
+
     convergents = _parse_gamma(cfg.gamma)
     point = shiftspace.sturmian_word(convergents, 0, cfg.max_depth, origin=0)
     rows = [(i, point.symbol(i)) for i in range(cfg.max_depth)]
@@ -172,6 +186,8 @@ def _report_sturmian(cfg, mset, counter):
 
 
 def _report_epsilon(cfg, mset, counter):
+    from . import shiftspace
+
     system = shiftspace.SturmianSystem(_parse_gamma(cfg.gamma))
     result = shiftspace.epsilon_of_n(system, cfg.max_depth)
     rows = [(n, value, "exact" if result.exact else "upper") for n, value in result.per_n]
@@ -258,8 +274,6 @@ def run(cfg):
     except (ValueError, IndexError) as exc:
         return _fail("input", str(exc), EXIT_INPUT)
     except bounds.BudgetExceededError as exc:
-        return _fail("inconclusive", str(exc), EXIT_INCONCLUSIVE)
-    except cocycle.AmbiguousExponentsError as exc:
         return _fail("inconclusive", str(exc), EXIT_INCONCLUSIVE)
     except bounds.InternalInvariantError as exc:
         return _fail("internal", str(exc), EXIT_INTERNAL)

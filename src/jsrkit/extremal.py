@@ -27,6 +27,19 @@ lambda gives a sound value, so :class:`AdaptedNorm` reports, for
 of ``|||M|||`` (up to roundoff; see ``matrix_norms_batch``): the least
 value over the weights it tries, without any search over vectors.
 
+Loewner pruning.  With ``G_g = F_g^H F_g``, a member g with ``G_g <= G_f``
+(Loewner order) for another member f has ``||F_g v|| <= ||F_f v||`` for
+every v, so dropping it leaves ``|||.|||`` unchanged; ``H_g <= H_f`` leaves
+the outer maximum unchanged, and moving g's weight onto f turns any
+``G_lambda`` into one that dominates it, so the S-procedure bound can
+only tighten (Rota and Strang, 1960; Polik and Terlaky, 2007).
+:class:`AdaptedNorm` keeps the identity and drops every member that a
+kept member dominates, in one greedy pass of decreasing ``tr(G_g)``, and
+evaluates and certifies with the kept members only.  A roundoff-level
+misjudgement only yields a slightly different norm, whose level maxima
+bound the joint spectral radius all the same.  The family of each
+``data/`` fixture at depth 6 keeps 2 of 127 members.
+
 Norm protocol.  Every function of the package that takes a ``norm``
 calls it through these members only:
 
@@ -100,13 +113,36 @@ class NormalizationError(ValueError):
     """The matrix set is not normalised closely enough to jsr = 1."""
 
 
+def _undominated(grams):
+    """Indices, in family order, of the members that no kept member
+    Loewner-dominates.
+
+    ``grams[g]`` is ``G_g = F_g^H F_g``, with the identity first.  One
+    greedy pass keeps the identity, then takes the other members in
+    decreasing ``tr(G_g)`` and drops g when ``lambda_max(G_g - G_f) <= 0``
+    for a kept f.  ``G_g <= G_f`` forces ``tr(G_g) <= tr(G_f)``, with
+    equality only for ``G_g = G_f``, so no kept member but the identity is
+    dominated by another, and of equal Gram matrices the first is kept.
+    """
+    trace = np.trace(grams, axis1=1, axis2=2).real
+    kept = [0]
+    for g in 1 + np.argsort(-trace[1:], kind="stable"):
+        if np.linalg.eigvalsh(grams[g] - grams[kept])[:, -1].min() > 0.0:
+            kept.append(g)
+    return np.sort(kept)
+
+
 class AdaptedNorm:
     """Scaled-product maximum norm at a finite horizon.
 
     ``|||v||| = max_f ||F_f v||`` over the family ``F = {rho_hat^(-k) A_w :
     |w| = k <= N}``, which contains the identity (the empty word), so
     ``|||v||| >= ||v||``.  Operator norms are certified upper values of
-    ``|||M|||``; see :meth:`matrix_norms_batch`.
+    ``|||M|||``; see :meth:`matrix_norms_batch`.  Members that a kept
+    member Loewner-dominates are dropped (module docstring):
+    ``full_family_size`` counts the whole family, ``family_size`` the
+    members kept, which every evaluation uses.  The budget is charged for
+    the whole family.
 
     Parameters
     ----------
@@ -157,12 +193,15 @@ class AdaptedNorm:
                 "rho_hat=%r scales the products of length <= %d beyond the float64 range"
                 % (self.rho_hat, self.depth)
             )
-        self._family = family
-        self._family_size = f = len(family)
+        grams = np.swapaxes(family, 1, 2).conj() @ family
+        kept = _undominated(grams)
+        self.full_family_size = len(family)
+        self._family = family = family[kept]
+        self.family_size = f = len(family)
         # L = max_f ||F_f||_2, the factor of the screening bound L * ||P||_F
         self._family_norm = float(bounds._euclidean_norms(family).max())
         # row g holds F_g^H F_g: weights @ rows is G_lambda
-        self._grams = (np.swapaxes(family, 1, 2).conj() @ family).reshape(f, d * d)
+        self._grams = grams[kept].reshape(f, d * d)
         # the other members share WEIGHT_FLOOR; the identity's floor keeps
         # cond(G_lambda) <= 1 / WEIGHT_FLOOR, since ||G_lambda|| <= L**2
         self._floor = np.full(f, WEIGHT_FLOOR / f)
@@ -218,7 +257,7 @@ class AdaptedNorm:
         a pair whose value falls below ``cutoff[k]`` stops early: its value
         is then below the cutoff, and no lower than its full descent's.
         """
-        p, f, d = len(Q), self._family_size, self.d
+        p, f, d = len(Q), self.family_size, self.d
         # lambda = e_g gives ||F_f M F_g^-1||_2; g = 0 is the identity
         QG = np.matmul(Q[:, None], self._inverses)
         single = bounds._euclidean_norms(QG.reshape(-1, d, d)).reshape(QG.shape[:2])
@@ -274,7 +313,7 @@ class AdaptedNorm:
         stop.  A matrix that a cut leaves at or above the cutoff is
         certified again without it.
         """
-        f, d, n = self._family_size, self.d, len(P)
+        f, d, n = self.family_size, self.d, len(P)
         step = max(1, CERTIFY_BLOCK // f)
         if n > step:
             blocks = [P[i:i + step] for i in range(0, n, step)]
@@ -354,7 +393,7 @@ class AdaptedNorm:
         return "AdaptedNorm(depth=%d, rho_hat=%g, |family|=%d)" % (
             self.depth,
             self.rho_hat,
-            self._family_size,
+            self.family_size,
         )
 
 

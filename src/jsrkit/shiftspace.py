@@ -49,9 +49,11 @@ class PeriodicWord:
 
     def rotated(self, k):
         """The shifted point T^k x, whose symbol at i is x_{i+k}."""
-        r = len(self.cycle)
-        k %= r
-        return PeriodicWord(self.cycle[k:] + self.cycle[:k])
+        k %= len(self.cycle)
+        # the symbols were validated when this word was made
+        point = object.__new__(PeriodicWord)
+        point.cycle = self.cycle[k:] + self.cycle[:k]
+        return point
 
     def validate_for(self, mset):
         for s in self.cycle:
@@ -196,17 +198,20 @@ class SturmianSystem:
         return self._factors[length]
 
     def agreement_radius(self, point, max_radius):
-        """Largest m <= max_radius with the window of radius m a factor."""
-        sym0 = point.symbol(0)
-        if (sym0,) not in self.factor_set(1):
+        """Largest m <= max_radius with the window of radius m a factor.
+
+        The window of radius m extends that of radius m - 1 by one symbol
+        on each side.
+        """
+        window = (point.symbol(0),)
+        if window not in self.factor_set(1):
             return -1
         best = 0
         for m in range(1, max_radius + 1):
-            window = tuple(point.symbol(i) for i in range(-m, m + 1))
-            if window in self.factor_set(2 * m + 1):
-                best = m
-            else:
+            window = (point.symbol(-m),) + window + (point.symbol(m),)
+            if window not in self.factor_set(2 * m + 1):
                 break
+            best = m
         return best
 
     def candidates(self, n, search_budget):

@@ -827,6 +827,76 @@ def screens_off(monkeypatch):
     monkeypatch.setattr(bounds, "_screen_cutoff", lambda best: 0.0)
 
 
+def signed_zero_level():
+    """Level 8 of the antidiagonal pair with the zero entries of every odd
+    word negated: pairs of words equal in value and bound but not in bits."""
+    _, P = list(bounds._iter_levels(antidiagonal_pair(), 8, BudgetCounter()))[-1]
+    P = P.copy()
+    P[1::2] = np.where(P[1::2] == 0.0, -0.0, P[1::2])
+    return [(8, P)]
+
+
+def family_levels(mset):
+    return [(n, P) for n, P in bounds._iter_levels(mset, 8, BudgetCounter())]
+
+
+# families whose products repeat: (name, levels)
+REPEATED_LEVELS = [
+    ("rank-one", lambda: family_levels(rank_one_pair())),
+    ("antidiagonal", lambda: family_levels(antidiagonal_pair())),
+    ("commuting-diagonal", lambda: family_levels(MatrixSet([np.diag([2.0, 0.5]), np.diag([0.5, 2.0])]))),
+    ("zero-one", lambda: family_levels(MatrixSet([
+        np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]]),
+    ]))),
+    ("complex", lambda: family_levels(MatrixSet([np.diag([1j, -1]), np.array([[0, 1j], [1, 0]])]))),
+    ("signed-zeros", signed_zero_level),
+]
+
+
+def counting(kernel, calls):
+    def wrapped(Q, *args):
+        calls.append(Q.copy())
+        return kernel(Q, *args)
+
+    return wrapped
+
+
+class TestDistinctWordsOnce:
+    @pytest.mark.parametrize("name,levels", REPEATED_LEVELS, ids=[n for n, _ in REPEATED_LEVELS])
+    def test_kernels_see_each_distinct_word_once(self, name, levels, monkeypatch):
+        levels = levels()
+        want = [unscreened_level(P, n, 2, ties=True) for n, P in levels]
+        calls = []
+        for attr in ("_euclidean_norms", "_spectral_radii"):
+            monkeypatch.setattr(bounds, attr, counting(getattr(bounds, attr), calls))
+
+        def run():
+            calls.clear()
+            fro = bounds._frobenius_norms
+            got = [bounds._level_bounds(P, fro(P), n, 2, ties=True) for n, P in levels]
+            return got, sum(len(Q) for Q in calls)
+
+        got, once = run()
+        assert got == want
+        for Q in calls:
+            assert len({q.tobytes() for q in Q}) == len(Q)
+        # every word the screens pass, evaluated without grouping
+        monkeypatch.setattr(bounds, "_once", lambda kernel, Q, bound, *args: kernel(Q, *args))
+        got, every = run()
+        assert got == want
+        assert once < every / 2
+
+    def test_signed_zeros_stay_apart(self):
+        [(_, P)] = signed_zero_level()
+        calls = []
+        values = bounds._screened(bounds._frobenius_norms(P), counting(bounds._euclidean_norms, calls), P)
+        seen = np.concatenate(calls)
+        # two words of one value, apart only in the sign of their zeros
+        assert len({q.tobytes() for q in seen}) > len({(q + 0.0).tobytes() for q in seen})
+        evaluated = ~np.isneginf(values)
+        assert np.array_equal(values[evaluated], bounds._euclidean_norms(P[evaluated]))
+
+
 class TestIdenticalToTheUnscreenedReference:
     @pytest.mark.parametrize("mset", IDENTITY_FAMILIES)
     def test_euclidean_sandwich_and_rho_minus(self, mset, monkeypatch):

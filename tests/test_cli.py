@@ -428,6 +428,65 @@ class TestMetadata:
         assert None in meta["theta_estimates"]
         assert meta["xi_hat"] is None
 
+    def test_ambiguous_growth_exponents_exit_three(self, tmp_path):
+        # log(e^-0.02) lies within 2x of the zero threshold 0.02 log 2
+        path = tmp_path / "ambiguous.json"
+        save_matrix_set(MatrixSet([np.diag([1.0, math.exp(-0.02)])]), str(path))
+        out = tmp_path / "split.csv"
+        proc = run_cli("splitting", "--input", str(path), "--out", str(out),
+                       "--cycle", "0", "--rho-hat", "1")
+        assert proc.returncode == cli.EXIT_INCONCLUSIVE
+        assert proc.stderr.startswith("jsrkit: inconclusive: growth exponents at levels [2]")
+        assert out.read_text().splitlines() == ["n,cauchy_dgr"]
+
+    def test_adapted_run_reports_both_family_sizes(self, fixtures, tmp_path):
+        out = tmp_path / "adapted.csv"
+        argv = ["bounds", "--input", fixtures["e1"], "--out", str(out), "--norm", "adapted",
+                "--max-depth", "4"]
+        assert cli.main(argv) == cli.EXIT_OK
+        meta = json.loads((tmp_path / "adapted.csv.meta.json").read_text())
+        assert (meta["full_family_size"], meta["family_size"]) == (127, 2)
+
+
+class TestLazyImports:
+    def _modules(self, script):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_package_import_loads_no_submodule_and_no_numpy(self):
+        loaded = self._modules("import sys, jsrkit; print(*sys.modules)")
+        assert "jsrkit" in loaded
+        assert not [name for name in loaded if name.startswith("jsrkit.")]
+        assert "numpy" not in loaded
+
+    def test_epsilon_run_leaves_extremal_and_cocycle_unloaded(self, tmp_path):
+        out = tmp_path / "eps.csv"
+        loaded = self._modules(
+            "import sys\n"
+            "from jsrkit import cli\n"
+            "assert cli.main(['epsilon', '--gamma', %r, '--max-depth', '8', '--out', %r]) == 0\n"
+            "print(*sys.modules)\n" % (GOLDEN, str(out))
+        )
+        assert "jsrkit.shiftspace" in loaded
+        assert "jsrkit.extremal" not in loaded and "jsrkit.cocycle" not in loaded
+
+    def test_star_import_binds_every_public_name(self):
+        import jsrkit
+
+        namespace = {}
+        exec("from jsrkit import *", namespace)
+        assert len(jsrkit.__all__) == 49
+        assert set(jsrkit.__all__) <= set(namespace)
+        assert namespace["sandwich"] is jsrkit.bounds.sandwich
+        assert namespace["extremal"] is sys.modules["jsrkit.extremal"]
+
+    def test_unknown_name_raises_attribute_error(self):
+        import jsrkit
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            jsrkit.no_such_name
+
 
 class TestAtomicWrites:
     def test_no_temporary_residue(self, fixtures, tmp_path):

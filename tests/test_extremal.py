@@ -335,6 +335,48 @@ class TestCertifiedKernel:
         assert value >= multistart_lower(norm, mset[0]) * (1 - 1e-12)
 
 
+def full_family(mset, rho_hat, depth):
+    """Every scaled product ``rho_hat^(-k) A_w``, |w| = k <= depth, unpruned."""
+    words = [w for k in range(depth + 1) for w in itertools.product(range(len(mset)), repeat=k)]
+    return np.stack([mset.product(w) / rho_hat ** len(w) for w in words])
+
+
+class TestLoewnerPrunedFamily:
+    @pytest.mark.parametrize(
+        "mset,rho_hat,depth,full,kept",
+        [
+            (antidiagonal_pair(), SQRT2, 6, 127, 2),
+            (rank_one_pair(), 2.0, 6, 127, 2),
+            (MatrixSet(np.random.default_rng(100).standard_normal((2, 3, 3))), 1.775, 6, 127, 46),
+        ],
+    )
+    def test_family_sizes(self, mset, rho_hat, depth, full, kept):
+        norm = AdaptedNorm(mset, rho_hat, depth)
+        assert (norm.full_family_size, norm.family_size) == (full, kept)
+        assert len(norm._family) == len(norm._grams) == kept
+        assert np.array_equal(norm._family[0], np.eye(mset.d))
+
+    @pytest.mark.parametrize("mset", ENSEMBLE)
+    def test_vector_norms_equal_those_of_the_full_family(self, mset):
+        norm = ensemble_norm(mset)
+        assert norm.family_size < norm.full_family_size
+        family = full_family(mset, norm.rho_hat, norm.depth)
+        rng = np.random.default_rng(7)
+        V = rng.standard_normal((mset.d, 200)) + 1j * rng.standard_normal((mset.d, 200))
+        want = np.linalg.norm(np.matmul(family, V), axis=1).max(axis=0)
+        np.testing.assert_allclose(norm.vector_norms(V), want, rtol=1e-14, atol=0)
+
+    def test_dropped_members_are_dominated(self):
+        mset = ENSEMBLE[7]
+        norm = ensemble_norm(mset)
+        family = full_family(mset, norm.rho_hat, norm.depth)
+        grams = np.swapaxes(family, 1, 2).conj() @ family
+        kept = norm._grams.reshape(-1, mset.d, mset.d)
+        for G in grams:
+            margin = np.linalg.eigvalsh(G - kept)[:, -1].min()
+            assert margin <= 1e-14 * np.linalg.norm(G, 2)
+
+
 class TestExtremalityResidual:
     def test_euclidean_already_extremal_for_diagonal(self):
         mset = MatrixSet([np.diag([1.0, 0.5])])
