@@ -231,6 +231,12 @@ class BudgetCounter:
         self.used += count
 
 
+def _counter(budget):
+    """``budget`` if it is a :class:`BudgetCounter`, else a new counter
+    with ``budget`` as its limit (None for the default)."""
+    return budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
+
+
 Word = tuple  # finite sequences of indices into a MatrixSet
 
 
@@ -283,12 +289,22 @@ class MatrixSet:
 
         Index position 1 of the word acts first: the result is
         ``A[w_n] @ ... @ A[w_1]``.  The empty word gives the identity.
+        It is the last product of :func:`_prefixes`.
         """
-        word = self.check_word(word)
-        P = np.eye(self.d, dtype=complex)
-        for i in word:
-            P = self.matrices[i] @ P
-        return P
+        return _prefixes(self, word)[-1]
+
+
+def _prefixes(mset, word):
+    """The products of every prefix of ``word``, ``A[w_k] @ ... @ A[w_1]``
+    at index k = 0..n: one sweep of left multiplications from the
+    identity, so entry k carries the bits of ``mset.product(word[:k])``.
+    """
+    word = mset.check_word(word)
+    out = np.empty((len(word) + 1, mset.d, mset.d), dtype=complex)
+    out[0] = np.eye(mset.d)
+    for k, i in enumerate(word):
+        out[k + 1] = mset.matrices[i] @ out[k]
+    return out
 
 
 def _word_of_index(index, n, m):
@@ -353,41 +369,26 @@ class _StreamedLevel:
     integer index array from their ancestors in ``base`` by the
     :func:`_extend` steps that form the stored levels, so with the same
     bits.  Global word ``q*K + i`` descends from ``base[i]`` through the
-    symbols of ``q`` base m, least significant first.  The words are
-    sorted by their symbols, first symbol most significant, so that each
-    step is one :func:`_extend` per run of words that share their
-    symbols so far.
+    symbols of ``q`` base m, least significant first.  Each step is one
+    :func:`_extend` per symbol j, over the words whose symbol at that step
+    is j.
     """
 
     def __init__(self, base, gens, steps):
         self.base, self.gens, self.steps = base, gens, steps
-        m = len(gens)
-        # the sort key of each q: its symbols, first symbol most significant
-        q, key = np.arange(m**steps), np.zeros(m**steps, dtype=np.intp)
-        for _ in range(steps):
-            q, symbol = np.divmod(q, m)
-            key = key * m + symbol
-        self._key = key
 
     def __len__(self):
         return len(self.base) * len(self.gens) ** self.steps
 
     def __getitem__(self, idx):
-        m, t = len(self.gens), self.steps
         high, anc = np.divmod(np.asarray(idx), len(self.base))
-        key = self._key[high]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        Q = np.take(self.base, anc[order], axis=0)
-        for step in range(1, t + 1):
-            # run r of this step holds the words whose first symbols spell r
-            ends = np.searchsorted(key, np.arange(m**step + 1) * m ** (t - step))
-            for r in np.flatnonzero(ends[1:] > ends[:-1]):
-                a, b = ends[r], ends[r + 1]
-                Q[a:b] = _extend(Q[a:b], self.gens[r % m][None])
-        place = np.empty_like(order)
-        place[order] = np.arange(len(order))
-        return np.take(Q, place, axis=0)
+        Q = np.take(self.base, anc, axis=0)
+        for _ in range(self.steps):
+            high, symbol = np.divmod(high, len(self.gens))
+            for j, G in enumerate(self.gens):
+                rows = symbol == j
+                Q[rows] = _extend(Q[rows], G[None])
+        return Q
 
 
 def _levels(mset, n_max, counter):
@@ -434,12 +435,18 @@ def _levels(mset, n_max, counter):
         raise stop
 
 
+def _scaled(Q):
+    """``(Q / s, s)`` with ``s`` per matrix the least power of two above its
+    largest entry modulus (1 for a zero matrix).  The scaling is exact,
+    puts every entry below 1, and so keeps squares and Gram matrices clear
+    of overflow and of all but negligible underflow."""
+    scale = np.ldexp(1.0, np.frexp(np.abs(Q).max(axis=(1, 2)))[1])
+    return Q / scale[:, None, None], scale
+
+
 def _euclidean_norms(Q):
     """``||Q||_2 = sqrt(lambda_max(Q^H Q))`` per matrix of a batch."""
-    # scaling by a power of two is exact and keeps Q^H Q clear of
-    # overflow and underflow
-    scale = np.ldexp(1.0, np.frexp(np.abs(Q).max(axis=(1, 2)))[1])
-    Q = Q / scale[:, None, None]
+    Q, scale = _scaled(Q)
     gram = np.swapaxes(Q, 1, 2).conj() @ Q
     return scale * np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
 
@@ -471,9 +478,7 @@ def _power_screen(Q, cutoff):
     for start in range(0, len(Q), POWER_BLOCK):
         block = Q[start:start + POWER_BLOCK]
         alive = np.arange(start, start + len(block))
-        # scaling by a power of two is exact and puts every entry below 1
-        scale = np.ldexp(1.0, np.frexp(np.abs(block).max(axis=(1, 2)))[1])
-        S = block / scale[:, None, None]
+        S, scale = _scaled(block)
         f, c = _frobenius_norms(S), cutoff / scale
         for k, C in slacks:
             S = S @ S
@@ -658,7 +663,7 @@ def _level_bounds(P, fro, n, m, norm=EUCLIDEAN, ties=False):
 def _level(mset, n, norm, budget, ties):
     if n < 1:
         raise ValueError("n must be at least 1")
-    counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
+    counter = _counter(budget)
     for level, P, fro in _levels(mset, n, counter):
         if level == n:
             return _level_bounds(P, fro, n, len(mset), norm, ties)
@@ -745,7 +750,7 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
+    counter = _counter(budget)
     norm = EUCLIDEAN if norm is None else norm
     report = BoundsReport(rows=[], norm_label=norm.label)
     best_lower, best_upper = 0.0, math.inf
@@ -849,7 +854,7 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
     """
     if not 0.0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
-    counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
+    counter = _counter(budget)
     gens = np.swapaxes(_typed_stack(mset), 1, 2)
     m = len(gens)
 

@@ -12,12 +12,10 @@ budget.
 """
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, bounds, fileio
@@ -37,23 +35,6 @@ BOUNDS_HEADER = [
     "argmax_word_plus",
     "argmax_word_minus",
 ]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str = None
-    out: str = None
-    max_depth: int = 8
-    norm: str = "euclidean"
-    adapted_depth: int = 6
-    rho_hat: float = None
-    delta: float = 0.05
-    gamma: str = None
-    workers: int = 1  # accepted and ignored; echoed in meta.json
-    cycle: str = "0"
-    svg: str = None
-    tail_fraction: float = 0.5
 
 
 def _word_text(word):
@@ -180,7 +161,7 @@ def _report_sturmian(cfg, mset, counter):
     from . import shiftspace
 
     convergents = _parse_gamma(cfg.gamma)
-    point = shiftspace.sturmian_word(convergents, 0, cfg.max_depth, origin=0)
+    point = shiftspace.sturmian_word(convergents, 0, cfg.max_depth)
     rows = [(i, point.symbol(i)) for i in range(cfg.max_depth)]
     return ["i", "symbol"], rows, {"gamma": str(convergents[-1])}, None
 
@@ -218,7 +199,7 @@ def _run(cfg, report, source):
     meta = {
         "tool": "jsrkit",
         "version": __version__,
-        "config": dataclasses.asdict(cfg),
+        "config": vars(cfg),
         "budget_limit": counter.limit,
         "budget_used": counter.used,
         "wall_time_s": time.monotonic() - started,
@@ -252,6 +233,8 @@ def build_parser():
 
 
 def run(cfg):
+    """Run the command of a namespace parsed by :func:`build_parser`, whose
+    options are the run's configuration and are echoed in meta.json."""
     if cfg.command not in COMMANDS:
         return _fail("input", "unknown command %r" % cfg.command, EXIT_INPUT)
     report, source = COMMANDS[cfg.command]
@@ -282,9 +265,7 @@ def run(cfg):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(**vars(args))
-    return run(cfg)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

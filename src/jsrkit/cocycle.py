@@ -10,6 +10,13 @@ exponents, builds the finite-horizon splitting (push-forward of the
 top singular subspace at horizon 2n, bottom singular subspace at
 horizon n), measures how invariant the result is, and propagates cone
 fields around the orbit to certify spectral-radius lower bounds.
+
+Every product along the orbit is an entry of one prefix sweep
+(:func:`jsrkit.bounds._prefixes`): left multiplications from the
+identity, in the order of :meth:`MatrixSet.product`, so each carries the
+bits of ``mset.product`` of its word.  A computation that needs the
+products ``A(T^s x, n)`` for several n from one start s takes them from
+one sweep, rather than forming each from the identity.
 """
 
 import math
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .bounds import EUCLIDEAN, _line_fit
+from .bounds import EUCLIDEAN, _line_fit, _prefixes
 
 __all__ = [
     "AmbiguousExponentsError",
@@ -39,18 +46,26 @@ __all__ = [
 
 # |theta| below this counts as a zero growth exponent (per symbol)
 THETA_ZERO_THRESHOLD = 0.02 * math.log(2.0)
+# horizon of the splittings behind a cone field and its contraction check
+CONE_HORIZON = 24
+# a cone inequality may fail by this much before it is reported
+CONE_TOL = 1e-9
 
 
 class AmbiguousExponentsError(ValueError):
     """Some growth exponent sits too close to the zero/negative boundary."""
 
 
+def _sweep(mset, x, start, n):
+    """``A(T^start x, k)`` at index k = 0..n, from one prefix sweep."""
+    return _prefixes(mset, [x.symbol(start + i) for i in range(n)])
+
+
 def cocycle_product(mset, x, n, start=0):
     """The n-step product A(T^start x, n) along a periodic word."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    word = tuple(x.symbol(start + i) for i in range(n))
-    return mset.product(word)
+    return _sweep(mset, x, start, n)[-1]
 
 
 def _theta_slopes(mset, x, horizon):
@@ -62,9 +77,10 @@ def _theta_slopes(mset, x, horizon):
     r = x.period
     ns = list(range(r, horizon + 1, r))
     d = mset.d
+    products = _sweep(mset, x, 0, ns[-1])
     rows = []
     for n in ns:
-        sv = linalg.singular_values(cocycle_product(mset, x, n))
+        sv = linalg.singular_values(products[n])
         with np.errstate(divide="ignore"):
             rows.append(np.cumsum(np.log(sv)))
     table = np.array(rows)  # (len(ns), d)
@@ -79,14 +95,16 @@ def _theta_slopes(mset, x, horizon):
     return ns, thetas
 
 
-def detect_p(mset, x, horizon, threshold=THETA_ZERO_THRESHOLD):
+def detect_p(mset, x, horizon):
     """Count the non-decaying singular directions along the orbit.
 
     Returns ``(p, theta_estimates)`` where ``theta_estimates[ell-1]`` is
     the fitted growth rate of the product of the top ``ell`` singular
-    values per symbol.  Exponents inside ``[threshold, 2*threshold)`` in
-    magnitude are refused as ambiguous rather than silently classified.
+    values per symbol.  Exponents inside ``[t, 2t)`` in magnitude, ``t =
+    THETA_ZERO_THRESHOLD``, are refused as ambiguous rather than silently
+    classified.
     """
+    threshold = THETA_ZERO_THRESHOLD
     x.validate_for(mset)
     r = x.period
     if horizon < 4 * r:
@@ -133,7 +151,8 @@ def finite_splitting(mset, x, p, n, phase=0):
 
     V is the image under the n-step backward-started product of the
     top-p right singular subspace at horizon 2n; W is the bottom
-    (d - p) right singular subspace of the forward n-step product.
+    (d - p) right singular subspace of the forward n-step product.  The
+    push-forward is the n-th product of the 2n-step sweep from ``T^-n x``.
     """
     x.validate_for(mset)
     if n < 1:
@@ -142,10 +161,9 @@ def finite_splitting(mset, x, p, n, phase=0):
     if not 0 < p <= d:
         raise ValueError("p must lie in 1..%d" % d)
     back = phase - n  # start of T^{-n} x relative to the cycle
-    two_step = cocycle_product(mset, x, 2 * n, start=back)
-    top, _ = linalg.right_singular_subspaces(two_step, p)
-    push = cocycle_product(mset, x, n, start=back)
-    V = linalg.Subspace.from_spanning(push @ top.basis)
+    products = _sweep(mset, x, back, 2 * n)
+    top, _ = linalg.right_singular_subspaces(products[2 * n], p)
+    V = linalg.Subspace.from_spanning(products[n] @ top.basis)
     if V.dim != p:
         raise linalg.DegenerateSplittingError(
             "push-forward collapsed the fast subspace (rank %d < %d)" % (V.dim, p)
@@ -198,6 +216,10 @@ def splitting_residuals(mset, x, result, n_max):
       its log-linear fit quality;
     * Cauchy rate of the horizon-n fast spaces, fitted the same way;
     * commutation residual of the projections with the cocycle step.
+
+    delta_hat and the contraction table read one sweep of ``n_max``
+    products; the fast space of each Cauchy horizon is built once and
+    compared with the next one's.
     """
     x.validate_for(mset)
     r = x.period
@@ -216,27 +238,20 @@ def splitting_residuals(mset, x, result, n_max):
 
     V0 = phases[0].V
     W0 = phases[0].W
-    delta_hat = math.inf
-    for n in range(1, n_max + 1):
-        M = cocycle_product(mset, x, n)
-        sv = np.linalg.svd(M @ V0.basis, compute_uv=False)
-        delta_hat = min(delta_hat, float(sv[-1]))
+    products = _sweep(mset, x, 0, n_max)
+    delta_hat = min(
+        (float(np.linalg.svd(M @ V0.basis, compute_uv=False)[-1]) for M in products[1:]),
+        default=math.inf,
+    )
 
     ns = list(range(r, n_max + 1, r))
-    contraction = []
-    for n in ns:
-        M = cocycle_product(mset, x, n)
-        contraction.append(float(np.linalg.norm(M @ W0.basis, 2)))
+    contraction = [float(np.linalg.norm(products[n] @ W0.basis, 2)) for n in ns]
     xi_hat, xi_r2, _ = _loglinear_fit(ns, contraction)
 
-    cauchy_ns, cauchy_vals = [], []
-    for n in ns:
-        if n + r > n_max:
-            break
-        Vn = finite_splitting(mset, x, p, n).V
-        Vnr = finite_splitting(mset, x, p, n + r).V
-        cauchy_ns.append(n)
-        cauchy_vals.append(linalg.grassmann_distance(Vn, Vnr))
+    # horizons n and n + r, both in ns, are compared
+    fast = [finite_splitting(mset, x, p, n).V for n in ns] if len(ns) > 1 else []
+    cauchy_ns = ns[:-1]
+    cauchy_vals = [linalg.grassmann_distance(a, b) for a, b in zip(fast, fast[1:])]
     cauchy_rate, cauchy_r2, cauchy_C = _loglinear_fit(cauchy_ns, cauchy_vals)
 
     return SplittingDiagnostics(
@@ -270,10 +285,11 @@ class ConeParams:
         return self.projections[position % len(self.projections)]
 
 
-def cone_params_from_splitting(mset, x, theta, norm=None, horizon=24):
-    """Build the per-phase projection family for a cone field."""
-    p, _ = detect_p(mset, x, max(4 * x.period, horizon))
-    pairs = [finite_splitting(mset, x, p, horizon, phase=k).pair for k in range(x.period)]
+def cone_params_from_splitting(mset, x, theta, norm=None):
+    """Build the per-phase projection family for a cone field, from the
+    splittings at horizon ``CONE_HORIZON``."""
+    p, _ = detect_p(mset, x, max(4 * x.period, CONE_HORIZON))
+    pairs = [finite_splitting(mset, x, p, CONE_HORIZON, phase=k).pair for k in range(x.period)]
     return ConeParams(theta=theta, projections=pairs, norm=EUCLIDEAN if norm is None else norm)
 
 
@@ -321,21 +337,22 @@ def _cone_test_vectors(pair, theta, norm):
     return vecs
 
 
-def cone_propagation_check(mset, x, params, N, laps, diagnostics=None, tol=1e-9):
+def cone_propagation_check(mset, x, params, N, laps):
     """Push cone vectors through N-step blocks and check cone contraction.
 
     The contraction property: a vector in the cone of aperture theta is
     mapped, after N steps, into the cone of aperture K1 * xi^N * theta
     at the shifted phase, losing at most a (theta + K1 * xi^N * theta)
     fraction of its norm.  K1 and xi are fitted from the splitting
-    diagnostics and inflated by 10% before the inequalities are
-    asserted; any violation is reported with the offending vector and
-    position rather than raised.
+    diagnostics at horizon ``CONE_HORIZON`` and inflated by 10% before
+    the inequalities are asserted; any violation beyond ``CONE_TOL`` is
+    reported with the offending vector and position rather than raised.
+    Each lap's block product is formed once for all test vectors.
     """
     x.validate_for(mset)
-    if diagnostics is None:
-        result = finite_splitting(mset, x, detect_p(mset, x, max(4 * x.period, 4 * N))[0], 24)
-        diagnostics = splitting_residuals(mset, x, result, 24)
+    p = detect_p(mset, x, max(4 * x.period, 4 * N))[0]
+    result = finite_splitting(mset, x, p, CONE_HORIZON)
+    diagnostics = splitting_residuals(mset, x, result, CONE_HORIZON)
     xi = diagnostics.xi_hat * 1.1
     norm = params.norm
     m_q = max(
@@ -344,10 +361,11 @@ def cone_propagation_check(mset, x, params, N, laps, diagnostics=None, tol=1e-9)
     # contraction prefactor in the chosen norm, fitted on the slow space
     c_hat = 0.0
     W0 = params.pair(0).W
-    for n, _ in diagnostics.contraction_table:
-        M = cocycle_product(mset, x, n)
+    ns = [n for n, _ in diagnostics.contraction_table]
+    products = _sweep(mset, x, 0, max(ns, default=0))
+    for n in ns:
         sup_w = max(
-            norm.vector_norm(M @ w) / norm.vector_norm(w) for w in W0.basis.T
+            norm.vector_norm(products[n] @ w) / norm.vector_norm(w) for w in W0.basis.T
         )
         c_hat = max(c_hat, sup_w / (diagnostics.xi_hat**n))
     k1 = 1.1 * 2.0 * c_hat * m_q
@@ -373,33 +391,32 @@ def cone_propagation_check(mset, x, params, N, laps, diagnostics=None, tol=1e-9)
         return report
 
     report.aperture_trace = [theta * shrink**j for j in range(laps + 1)]
+    blocks = [cocycle_product(mset, x, N, start=lap * N) for lap in range(laps)]
     vectors = _cone_test_vectors(params.pair(0), theta, norm)
     measured_ratio = 0.0
     for vec_index, v0 in enumerate(vectors):
         v = np.asarray(v0, dtype=complex)
         theta_j = theta
-        pos = 0
         pair0 = params.pair(0)
         tau_prev = norm.vector_norm(pair0.complement() @ v) / max(
             norm.vector_norm(pair0.P @ v), 1e-300
         )
-        for lap in range(laps):
-            M = cocycle_product(mset, x, N, start=pos)
+        for lap, M in enumerate(blocks):
             w = M @ v
             theta_next = shrink * theta_j
-            pair = params.pair(pos + N)
+            pair = params.pair((lap + 1) * N)
             p_norm = norm.vector_norm(pair.P @ w)
             q_norm = norm.vector_norm(pair.complement() @ w)
             margin = theta_next * p_norm - q_norm
             slack = margin / max(norm.vector_norm(w), 1e-300)
             report.worst_membership_slack = min(report.worst_membership_slack, slack)
-            if slack < -tol:
+            if slack < -CONE_TOL:
                 report.ok = False
                 report.failures.append(("membership", (vec_index, lap), slack))
             bound = (1.0 - theta_j - shrink * theta_j) * norm.vector_norm(v)
             norm_slack = norm.vector_norm(w) - bound
             report.worst_norm_slack = min(report.worst_norm_slack, norm_slack)
-            if norm_slack < -tol:
+            if norm_slack < -CONE_TOL:
                 report.ok = False
                 report.failures.append(("norm", (vec_index, lap), norm_slack))
             tau = q_norm / max(p_norm, 1e-300)
@@ -408,7 +425,6 @@ def cone_propagation_check(mset, x, params, N, laps, diagnostics=None, tol=1e-9)
             tau_prev = tau
             v = w
             theta_j = theta_next
-            pos += N
     report.measured_aperture_ratio = measured_ratio
     return report
 
@@ -429,7 +445,7 @@ class LowerBoundCertificate:
     vacuous: bool = False
 
 
-def certify_lower(mset, word, powers=8):
+def certify_lower(mset, word):
     word = mset.check_word(word)
     if len(word) == 0:
         raise ValueError("word must be nonempty")
@@ -439,7 +455,7 @@ def certify_lower(mset, word, powers=8):
     value = rho ** (1.0 / n)
     gelfand, norms = [], []
     Q = np.eye(mset.d, dtype=complex)
-    for k in range(1, powers + 1):
+    for k in range(1, 9):
         Q = Q @ P
         nk = float(np.linalg.norm(Q, 2))
         norms.append(nk)

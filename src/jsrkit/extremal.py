@@ -160,7 +160,7 @@ class AdaptedNorm:
             raise ValueError("rho_hat must be positive and finite")
         if depth < 0:
             raise ValueError("depth must be non-negative")
-        counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
+        counter = bounds._counter(budget)
         m, d = len(mset), mset.d
         needed = sum(m**k for k in range(1, depth + 1))
         if needed > counter.limit - counter.used:
@@ -318,10 +318,8 @@ class AdaptedNorm:
         if n > step:
             blocks = [P[i:i + step] for i in range(0, n, step)]
             return np.concatenate([self._certified(block, cutoff) for block in blocks])
-        # scaling by a power of two is exact and keeps the squares clear of
-        # overflow and underflow
-        scale = np.ldexp(1.0, np.frexp(np.abs(P).max(axis=(1, 2)))[1])
-        M, c = P / scale[:, None, None], cutoff / scale
+        M, scale = bounds._scaled(P)
+        c = cutoff / scale
         FM = np.matmul(self._family, M[:, None])
         # the values of the identity weights, ||F_f M||_2
         ident = bounds._euclidean_norms(FM.reshape(n * f, d, d)).reshape(n, f)
@@ -439,7 +437,7 @@ def is_product_bounded(mset, depth, bound_guess, budget=None):
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    counter = budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
+    counter = bounds._counter(budget)
     maxima = []
     try:
         for _, P, fro in bounds._levels(mset, depth, counter):
@@ -463,13 +461,13 @@ class YMembershipReport:
 
     ``margins[n-1]`` is ``1 - |||A(x, n)|||``.  The verdict is
     ``"consistent"`` unless some partial product's norm drops below
-    ``1 - tol`` (rejection at the first such depth).  The values of
-    :class:`EuclideanNorm` are the true norms and those of
+    ``1 - Y_MEMBERSHIP_TOL`` (rejection at the first such depth).  The
+    values of :class:`EuclideanNorm` are the true norms and those of
     :class:`AdaptedNorm` certified upper values of them, so with either
-    a rejection is sound up to roundoff.  Norms
-    exceeding ``1 + tol`` do not reject; they indicate that the norm
-    itself is not yet extremal, or that the upper value is not tight,
-    and are listed separately as an indication only.
+    a rejection is sound up to roundoff.  Norms exceeding ``1 +
+    Y_MEMBERSHIP_TOL`` do not reject; they indicate that the norm itself
+    is not yet extremal, or that the upper value is not tight, and are
+    listed separately as an indication only.
     """
 
     word: object
@@ -481,12 +479,14 @@ class YMembershipReport:
     excess_at: list = field(default_factory=list)
 
 
-def y_membership(mset, norm, pword, depth, tol=Y_MEMBERSHIP_TOL):
+def y_membership(mset, norm, pword, depth):
     """Track |||A(x, n)||| along a periodic word for n = 1..depth.
 
-    ``norm.matrix_norm`` gives each value; for :class:`AdaptedNorm` it is
-    a certified upper value, so a rejection is sound while the excess
-    list stays an indication (:class:`YMembershipReport`).
+    The products ``A(x, n)`` come from one prefix sweep in the order of
+    :meth:`MatrixSet.product`.  ``norm.matrix_norm`` gives each value; for
+    :class:`AdaptedNorm` it is a certified upper value, so a rejection is
+    sound while the excess list stays an indication
+    (:class:`YMembershipReport`).
     """
     pword.validate_for(mset)
     estimate = _coarse_jsr_estimate(mset)
@@ -497,13 +497,14 @@ def y_membership(mset, norm, pword, depth, tol=Y_MEMBERSHIP_TOL):
         )
     values, margins, excess = [], [], []
     verdict, rejected_at = "consistent", None
+    products = bounds._prefixes(mset, pword.prefix(depth))
     for n in range(1, depth + 1):
-        v = norm.matrix_norm(mset.product(pword.prefix(n)))
+        v = norm.matrix_norm(products[n])
         values.append(v)
         margins.append(1.0 - v)
-        if v > 1.0 + tol:
+        if v > 1.0 + Y_MEMBERSHIP_TOL:
             excess.append(n)
-        if v < 1.0 - tol:
+        if v < 1.0 - Y_MEMBERSHIP_TOL:
             verdict, rejected_at = "rejected-at-%d" % n, n
             break
     return YMembershipReport(
@@ -517,8 +518,8 @@ def y_membership(mset, norm, pword, depth, tol=Y_MEMBERSHIP_TOL):
     )
 
 
-def _coarse_jsr_estimate(mset, depth=4):
-    report = sandwich(mset, depth, budget=BudgetCounter(10**6))
+def _coarse_jsr_estimate(mset):
+    report = sandwich(mset, 4, budget=BudgetCounter(10**6))
     if not report.rows:
         raise NormalizationError("could not form a working jsr estimate")
     lo, hi = report.best_lower(), report.best_upper()

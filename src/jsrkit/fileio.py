@@ -165,7 +165,7 @@ def write_metadata(path, payload):
     write_atomic(path, text + "\n")
 
 
-def write_gap_svg(path, ns, gaps, title="gap vs n (log-log)"):
+def write_gap_svg(path, ns, gaps):
     """A dependency-free log-log polyline plot of the gap column."""
     pts = [(n, g) for n, g in zip(ns, gaps) if g > 0]
     width, height, pad = 480, 320, 48
@@ -193,8 +193,8 @@ def write_gap_svg(path, ns, gaps, title="gap vs n (log-log)"):
     svg = (
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">\n'
         '<rect width="100%%" height="100%%" fill="white"/>\n'
-        '<text x="%d" y="24" font-size="14">%s</text>\n'
+        '<text x="%d" y="24" font-size="14">gap vs n (log-log)</text>\n'
         '<polyline points="%s" fill="none" stroke="black" stroke-width="1.5"/>\n'
-        "</svg>\n" % (width, height, pad, title, polyline)
+        "</svg>\n" % (width, height, pad, polyline)
     )
     write_atomic(path, svg)

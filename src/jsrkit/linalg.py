@@ -141,15 +141,17 @@ class Subspace:
         self.dim = p
 
     @classmethod
-    def from_spanning(cls, vectors, rank_tol=1e-12):
-        """Orthonormalise a spanning set, dropping numerically null columns."""
+    def from_spanning(cls, vectors):
+        """Orthonormalise a spanning set, dropping numerically null columns:
+        those whose diagonal entry of R in ``QR`` is at most ``1e-12``
+        times the largest one (or 1e-12 if that is below 1)."""
         A = np.asarray(vectors, dtype=complex)
         if A.ndim == 1:
             A = A[:, None]
         q, r = np.linalg.qr(A)
         diag = np.abs(np.diag(r))
         scale = diag.max() if diag.size else 0.0
-        rank = int(np.sum(diag > rank_tol * max(scale, 1.0)))
+        rank = int(np.sum(diag > 1e-12 * max(scale, 1.0)))
         return cls(q[:, :rank])
 
     def projector(self):

@@ -5,6 +5,13 @@ agreement around the origin, periodic words, mechanical (Sturmian)
 binary words generated in exact rational arithmetic, and the best
 achievable distance from a periodic orbit of bounded period to a fixed
 invariant set.
+
+Targets are finite unions of periodic orbits (:class:`PeriodicOrbitSet`).
+The agreement radius of a point with one is the largest radius whose
+window around the origin is a factor of one of its words, grown one
+symbol on each side at a time.  A Sturmian target
+(:class:`SturmianSystem`) is the periodic-orbit set of its finest
+approximant, with its own candidate orbits.
 """
 
 import itertools
@@ -125,22 +132,18 @@ def _mechanical_symbol(gamma, phase, i):
     return math.floor((i + 1) * gamma + phase) - math.floor(i * gamma + phase)
 
 
-def sturmian_word(convergents, phase, length, origin=0):
+def sturmian_word(convergents, phase, length):
     """Binary rotation word s_i = floor((i+1)g + phi) - floor(i g + phi).
 
     ``g`` is taken from the finest convergent in ``convergents`` and all
     arithmetic is exact rational, so the floors are evaluated without
-    rounding ambiguity.  The window covers positions
-    ``-origin .. length - 1 - origin``.
+    rounding ambiguity.  The window covers positions ``0 .. length - 1``.
     """
     gamma = _as_fractions(convergents)[-1]
     phase = Fraction(phase)
     if not 0 <= phase < 1:
         phase %= 1
-    symbols = tuple(
-        _mechanical_symbol(gamma, phase, i) for i in range(-origin, length - origin)
-    )
-    return ShiftPoint(symbols, origin)
+    return ShiftPoint(tuple(_mechanical_symbol(gamma, phase, i) for i in range(length)), 0)
 
 
 def _as_fractions(convergents):
@@ -163,89 +166,6 @@ def _as_fractions(convergents):
     return out
 
 
-class SturmianSystem:
-    """Orbit closure of binary rotation words, given by rational convergents.
-
-    The irrational rotation number is represented by a list of at least
-    eight continued-fraction convergents; factor dictionaries are
-    generated exactly from the finest one.  Factors longer than that
-    convergent's denominator are factors of the approximant orbit rather
-    than of the ideal system, which keeps every distance computed against
-    the dictionary a certified value for the surrogate.
-    """
-
-    def __init__(self, convergents):
-        self.convergents = _as_fractions(convergents)
-        if len(self.convergents) < 8:
-            raise ValueError("need at least 8 convergents, got %d" % len(self.convergents))
-        self._factors = {}
-        q = self.convergents[-1].denominator
-        self._block = tuple(
-            _mechanical_symbol(self.convergents[-1], Fraction(0), i) for i in range(q)
-        )
-
-    def periods(self):
-        return [c.denominator for c in self.convergents]
-
-    def factor_set(self, length):
-        """All length-``length`` windows of the finest approximant orbit."""
-        if length not in self._factors:
-            q = len(self._block)
-            doubled = self._block * (2 + length // q)
-            self._factors[length] = frozenset(
-                tuple(doubled[j : j + length]) for j in range(q)
-            )
-        return self._factors[length]
-
-    def agreement_radius(self, point, max_radius):
-        """Largest m <= max_radius with the window of radius m a factor.
-
-        The window of radius m extends that of radius m - 1 by one symbol
-        on each side.
-        """
-        window = (point.symbol(0),)
-        if window not in self.factor_set(1):
-            return -1
-        best = 0
-        for m in range(1, max_radius + 1):
-            window = (point.symbol(-m),) + window + (point.symbol(m),)
-            if window not in self.factor_set(2 * m + 1):
-                break
-            best = m
-        return best
-
-    def candidates(self, n, search_budget):
-        """Candidate periodic words keyed by period, and ``exhaustive_to``.
-
-        The periodic approximant of every convergent with period <= n,
-        each with its single-symbol flips while ``search_budget`` allows,
-        and every binary word of each period up to min(n, 8) that no
-        convergent covers.  ``exhaustive_to`` is 0, so eps(Z, n) is always
-        an upper bound.
-        """
-        out = {}
-        spent = 0
-        for k, gamma in enumerate(self.convergents):
-            q = gamma.denominator
-            if q > n:
-                continue
-            base = periodic_approximant(self, k)
-            cands = [base]
-            # single-symbol flips around the approximant, budget permitting
-            if spent + q <= search_budget:
-                for j in range(q):
-                    block = list(base.cycle)
-                    block[j] = 1 - block[j]
-                    cands.append(PeriodicWord(block))
-                spent += q
-            out.setdefault(q, []).extend(cands)
-        # tiny periods not covered by any convergent: exhaustive
-        for k in range(1, min(n, 8) + 1):
-            if k not in out:
-                out[k] = [PeriodicWord(c) for c in itertools.product(range(2), repeat=k)]
-        return out, 0
-
-
 # periods up to this are enumerated exhaustively for periodic targets
 _EXHAUSTIVE_PERIOD_CAP = 14
 
@@ -258,23 +178,37 @@ class PeriodicOrbitSet:
         if not pwords:
             raise ValueError("need at least one periodic word")
         self.words = pwords
-        self.phases = [w.rotated(k) for w in pwords for k in range(w.period)]
+        # per word, its factor set by length
+        self._factors = [{} for _ in pwords]
+
+    def _factor_set(self, k, length):
+        """All length-``length`` windows of the orbit of word ``k``."""
+        factors = self._factors[k]
+        if length not in factors:
+            cycle = self.words[k].cycle
+            doubled = cycle * (2 + length // len(cycle))
+            factors[length] = frozenset(doubled[j : j + length] for j in range(len(cycle)))
+        return factors[length]
 
     def agreement_radius(self, point, max_radius):
-        """Largest agreement radius with any phase point of the set.
+        """Largest agreement radius ``m <= max_radius`` of a periodic point
+        with any phase point of the set: the largest m whose window of
+        radius m is a factor of one of the words.
 
-        ``math.inf`` signals that the point provably equals a phase point
-        (agreement over a full common period).
+        The window of radius m extends that of radius m - 1 by one symbol
+        on each side.  Per word it grows at most to the lcm of the two
+        periods, where agreement forces the point to be a phase point of
+        that word: then the result is ``math.inf``.
         """
         best = -1
-        for z in self.phases:
-            cap = _identity_radius(point, z)
-            radius = min(max_radius, cap)
-            m = -1
-            if point.symbol(0) == z.symbol(0):
-                m = 0
-                while m < radius and point.symbol(m + 1) == z.symbol(m + 1) and point.symbol(-(m + 1)) == z.symbol(-(m + 1)):
-                    m += 1
+        for k, word in enumerate(self.words):
+            cap = math.lcm(point.period, word.period)
+            m, window = -1, (point.symbol(0),)
+            for radius in range(min(max_radius, cap) + 1):
+                if window not in self._factor_set(k, 2 * radius + 1):
+                    break
+                m = radius
+                window = (point.symbol(-m - 1),) + window + (point.symbol(m + 1),)
             if m >= cap:
                 return math.inf
             best = max(best, m)
@@ -306,9 +240,53 @@ class PeriodicOrbitSet:
         return out, exhaustive_to
 
 
-def _identity_radius(x, z):
-    """Agreement beyond this radius forces two periodic points to be equal."""
-    return math.lcm(x.period, z.period)
+class SturmianSystem(PeriodicOrbitSet):
+    """Orbit closure of binary rotation words, given by rational convergents.
+
+    The irrational rotation number is represented by a list of at least
+    eight continued-fraction convergents, and the system by the
+    periodic-orbit set of the finest one's approximant.  Factors longer
+    than that convergent's denominator are factors of the approximant
+    orbit rather than of the ideal system, which keeps every distance
+    computed against it a certified value for the surrogate.
+    """
+
+    def __init__(self, convergents):
+        self.convergents = _as_fractions(convergents)
+        if len(self.convergents) < 8:
+            raise ValueError("need at least 8 convergents, got %d" % len(self.convergents))
+        super().__init__([periodic_approximant(self, len(self.convergents) - 1)])
+
+    def candidates(self, n, search_budget):
+        """Candidate periodic words keyed by period, and ``exhaustive_to``.
+
+        The periodic approximant of every convergent with period <= n,
+        each with its single-symbol flips while ``search_budget`` allows,
+        and every binary word of each period up to min(n, 8) that no
+        convergent covers.  ``exhaustive_to`` is 0, so eps(Z, n) is always
+        an upper bound.
+        """
+        out = {}
+        spent = 0
+        for k, gamma in enumerate(self.convergents):
+            q = gamma.denominator
+            if q > n:
+                continue
+            base = periodic_approximant(self, k)
+            cands = [base]
+            # single-symbol flips around the approximant, budget permitting
+            if spent + q <= search_budget:
+                for j in range(q):
+                    block = list(base.cycle)
+                    block[j] = 1 - block[j]
+                    cands.append(PeriodicWord(block))
+                spent += q
+            out.setdefault(q, []).extend(cands)
+        # tiny periods not covered by any convergent: exhaustive
+        for k in range(1, min(n, 8) + 1):
+            if k not in out:
+                out[k] = [PeriodicWord(c) for c in itertools.product(range(2), repeat=k)]
+        return out, 0
 
 
 def periodic_approximant(system, k):
@@ -354,21 +332,20 @@ class EpsilonResult:
     per_n: list = None
 
 
-def epsilon_of_n(Z, n, search_budget=200_000, half_width=None):
+def epsilon_of_n(Z, n, search_budget=200_000):
     """Best achievable orbit distance eps(Z, n) with its achieving orbit.
 
     ``Z`` is any target with ``agreement_radius(point, max_radius)`` and
     ``candidates(n, search_budget)``, which returns the candidate periodic
     words keyed by period and ``exhaustive_to``, the largest period up to
-    which every word is a candidate.  The value is exact when every period
-    up to n is exhaustive and no window of width ``half_width`` ran out;
-    otherwise it is an upper bound (``exact=False``), as it always is for
-    a :class:`SturmianSystem`.
+    which every word is a candidate.  Agreement is sought up to radius
+    2n.  The value is exact when every period up to n is exhaustive and no
+    window of that radius ran out; otherwise it is an upper bound
+    (``exact=False``), as it always is for a :class:`SturmianSystem`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if half_width is None:
-        half_width = 2 * n
+    half_width = 2 * n
 
     candidates, exhaustive_to = Z.candidates(n, search_budget)
     per_n = []

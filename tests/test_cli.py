@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -116,10 +115,17 @@ class TestBoundsCommand:
         assert meta["config"]["max_depth"] == 10
         assert meta["budget_used"] > 0
 
-    def test_seed_flag_is_rejected(self):
+    def test_seed_flag_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["bounds", "--out", "x.csv", "--seed", "1"])
-        assert "seed" not in {f.name for f in dataclasses.fields(cli.RunConfig)}
+        out = tmp_path / "word.csv"
+        assert cli.main(["sturmian", "--gamma", GOLDEN, "--max-depth", "4", "--out", str(out)]) == 0
+        config = json.loads((tmp_path / "word.csv.meta.json").read_text())["config"]
+        assert "seed" not in config
+        assert list(config) == [
+            "command", "input", "out", "max_depth", "norm", "adapted_depth", "rho_hat",
+            "delta", "gamma", "workers", "cycle", "svg", "tail_fraction",
+        ]
 
     def test_missing_input_exits_two(self, tmp_path):
         proc = run_cli("bounds", "--out", str(tmp_path / "x.csv"))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jsrkit import cocycle
 from jsrkit.bounds import MatrixSet
 from jsrkit.cocycle import (
     AmbiguousExponentsError,
@@ -55,9 +56,14 @@ SLOW_TRIANGULAR = Subspace(np.array([[2.0], [-1.0]]) / math.sqrt(5))  # eigenvec
 
 class TestCocycleProduct:
     def test_periodic_composition(self, scaled_antidiagonal):
-        for n in range(0, 7):
-            direct = scaled_antidiagonal.product(ALTERNATING.prefix(n))
-            assert cocycle_product(scaled_antidiagonal, ALTERNATING, n) == pytest.approx(direct)
+        # the sweep multiplies in the order of MatrixSet.product: same bits
+        r = ALTERNATING.period
+        for start in range(2 * r + 1):
+            for n in range(0, 7):
+                word = [ALTERNATING.symbol(start + i) for i in range(n)]
+                direct = scaled_antidiagonal.product(word)
+                got = cocycle_product(scaled_antidiagonal, ALTERNATING, n, start=start)
+                assert np.array_equal(got, direct)
 
     def test_cocycle_identity(self, scaled_antidiagonal):
         # A(x, n+m) = A(T^n x, m) A(x, n)
@@ -153,6 +159,23 @@ class TestSplittingResiduals:
         assert diag.xi_hat == pytest.approx(0.5, rel=1e-9)
         assert diag.invariance_residual < 1e-9
         assert diag.commutation_residual < 1e-9
+
+    def test_each_horizon_is_split_once(self, scaled_antidiagonal, monkeypatch):
+        # r phase splittings at n_max, and one per Cauchy horizon in ns
+        calls = []
+        split = cocycle.finite_splitting
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return split(*args, **kwargs)
+
+        result = finite_splitting(scaled_antidiagonal, ALTERNATING, 1, 12)
+        monkeypatch.setattr(cocycle, "finite_splitting", counted)
+        diag = splitting_residuals(scaled_antidiagonal, ALTERNATING, result, 12)
+        r, ns = ALTERNATING.period, list(range(2, 13, 2))
+        assert len(calls) == r + len(ns)
+        assert sorted(calls) == sorted([12] * r + ns)
+        assert [n for n, _ in diag.cauchy_table] == ns[:-1]
 
     def test_uniform_singular_value_floor_on_extremal_orbits(
         self, diagonal_singleton, scaled_antidiagonal

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from jsrkit.gallery import golden_rotation_convergents
@@ -171,9 +172,75 @@ class TestEpsilon:
         for a, b in zip(values, values[1:]):
             assert b <= 0.5 * a
 
+    def test_own_approximant_reaches_zero_beyond_finest_period(self):
+        # n >= q_K = 55: the finest approximant is a candidate and equals the
+        # surrogate target, so the value is 0, still an upper bound
+        system = SturmianSystem(golden_rotation_convergents(8))
+        result = epsilon_of_n(system, 60)
+        assert (result.value, result.exact) == (0.0, False)
+        assert result.orbit == periodic_approximant(system, 7)
+
     def test_system_requires_eight_convergents(self):
         with pytest.raises(ValueError):
             SturmianSystem([Fraction(1, 2), Fraction(2, 3)])
+
+
+def brute_force_radius(target, point, max_radius):
+    """Agreement radius by comparing symbol by symbol with every phase
+    point of every word, each capped at the lcm of the two periods."""
+    best = -1
+    for word in target.words:
+        cap = math.lcm(point.period, word.period)
+        for k in range(word.period):
+            z = word.rotated(k)
+            m = -1
+            if point.symbol(0) == z.symbol(0):
+                m = 0
+                while (
+                    m < min(max_radius, cap)
+                    and point.symbol(m + 1) == z.symbol(m + 1)
+                    and point.symbol(-m - 1) == z.symbol(-m - 1)
+                ):
+                    m += 1
+            if m >= cap:
+                return math.inf
+            best = max(best, m)
+    return best
+
+
+class TestAgreementRadius:
+    def test_factor_windows_match_brute_force(self):
+        # periodic targets over up to 4 symbols, and every tenth the
+        # Sturmian target; some points are phases of the target
+        rng = np.random.default_rng(16)
+        sturmian = SturmianSystem(golden_rotation_convergents(8))
+        reached_cap = 0
+        for trial in range(300):
+            alphabet = int(rng.integers(2, 5))
+            if trial % 10 == 0:
+                target = sturmian
+            else:
+                count = int(rng.integers(1, 4))
+                target = PeriodicOrbitSet(
+                    [rng.integers(0, alphabet, int(rng.integers(1, 10))) for _ in range(count)]
+                )
+            for _ in range(5):
+                if rng.random() < 0.3:
+                    word = target.words[int(rng.integers(len(target.words)))]
+                    phase = word.rotated(int(rng.integers(word.period))).cycle
+                    point = PeriodicWord(phase * int(rng.integers(1, 3)))
+                else:
+                    point = PeriodicWord(rng.integers(0, alphabet, int(rng.integers(1, 12))))
+                max_radius = int(rng.integers(0, 40))
+                want = brute_force_radius(target, point, max_radius)
+                assert target.agreement_radius(point, max_radius) == want
+                reached_cap += want == math.inf
+        assert reached_cap > 0
+
+    def test_sturmian_target_is_its_finest_approximant(self):
+        system = SturmianSystem(golden_rotation_convergents(8))
+        assert system.words == [periodic_approximant(system, 7)]
+        assert system.words[0].period == 55
 
 
 class ProtocolOnlyTarget:
