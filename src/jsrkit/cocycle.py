@@ -16,9 +16,18 @@ Every product along the orbit is an entry of one prefix sweep
 identity, in the order of :meth:`MatrixSet.product`, so each carries the
 bits of ``mset.product`` of its word.  A computation that needs the
 products ``A(T^s x, n)`` for several n from one start s takes them from
-one sweep, rather than forming each from the identity.
+one sweep, rather than forming each from the identity, and reads them as
+one stack: the growth exponents from one batched SVD, the contraction
+table ``||A(x, n)|W||_2`` from one batched 2-norm.
+
+The cone check reads p and the slow space W0 off the phase-0 pair of
+the cone field it is given and rebuilds no splitting: its xi and K1 are
+fitted on W0 from one sweep to ``CONE_HORIZON``, and all of its test
+vectors pass through each lap's block product at once, as the columns
+of one array.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -74,25 +83,16 @@ def _theta_slopes(mset, x, horizon):
     Sampled at n = r, 2r, ..., horizon (r the period), which keeps the
     intra-period oscillation out of the fit.
     """
-    r = x.period
-    ns = list(range(r, horizon + 1, r))
-    d = mset.d
-    products = _sweep(mset, x, 0, ns[-1])
-    rows = []
-    for n in ns:
-        sv = linalg.singular_values(products[n])
-        with np.errstate(divide="ignore"):
-            rows.append(np.cumsum(np.log(sv)))
-    table = np.array(rows)  # (len(ns), d)
-    thetas = []
-    for ell in range(d):
-        col = table[:, ell]
-        if not np.all(np.isfinite(col)):
-            thetas.append(-math.inf)
-            continue
-        slope = np.polyfit(ns, col, 1)[0]
-        thetas.append(float(slope))
-    return ns, thetas
+    ns = list(range(x.period, horizon + 1, x.period))
+    products = _sweep(mset, x, 0, ns[-1])[ns]
+    if not np.isfinite(products).all():
+        raise ValueError("matrix entries must be finite")
+    with np.errstate(divide="ignore"):
+        table = np.cumsum(np.log(np.linalg.svd(products, compute_uv=False)), axis=1)
+    return [
+        float(np.polyfit(ns, col, 1)[0]) if np.all(np.isfinite(col)) else -math.inf
+        for col in table.T
+    ]
 
 
 def detect_p(mset, x, horizon):
@@ -104,25 +104,20 @@ def detect_p(mset, x, horizon):
     THETA_ZERO_THRESHOLD``, are refused as ambiguous rather than silently
     classified.
     """
-    threshold = THETA_ZERO_THRESHOLD
+    t = THETA_ZERO_THRESHOLD
     x.validate_for(mset)
     r = x.period
     if horizon < 4 * r:
         raise ValueError("horizon must be at least 4 periods (%d), got %d" % (4 * r, horizon))
-    _, thetas = _theta_slopes(mset, x, horizon)
-    ambiguous = [
-        ell + 1
-        for ell, th in enumerate(thetas)
-        if math.isfinite(th) and threshold <= abs(th) < 2 * threshold
-    ]
+    thetas = _theta_slopes(mset, x, horizon)
+    # a -inf exponent (a zero singular value) is neither ambiguous nor zero
+    ambiguous = [ell + 1 for ell, th in enumerate(thetas) if t <= abs(th) < 2 * t]
     if ambiguous:
         raise AmbiguousExponentsError(
             "growth exponents at levels %s are within 2x of the zero threshold" % ambiguous
         )
-    zero = [abs(th) < threshold if math.isfinite(th) else False for th in thetas]
-    p = 0
-    while p < len(zero) and zero[p]:
-        p += 1
+    zero = [abs(th) < t for th in thetas]
+    p = zero.index(False) if False in zero else len(zero)
     if any(zero[p:]):
         raise AmbiguousExponentsError(
             "zero exponents reappear after a decaying level: %s" % (thetas,)
@@ -202,6 +197,13 @@ def _loglinear_fit(ns, values, floor=1e-13):
     return float(math.exp(slope)), r2, float(math.exp(intercept))
 
 
+def _contraction(products, ns, W):
+    """The images ``A(x, n) W`` for n in ns, and their 2-norms
+    ``||A(x, n)|W||_2`` (one batched matmul and one batched 2-norm)."""
+    images = products[ns] @ W.basis
+    return images, np.linalg.norm(images, 2, axis=(1, 2))
+
+
 def splitting_residuals(mset, x, result, n_max):
     """Quantify how close a finite-horizon splitting is to invariant.
 
@@ -218,16 +220,16 @@ def splitting_residuals(mset, x, result, n_max):
     * commutation residual of the projections with the cocycle step.
 
     delta_hat and the contraction table read one sweep of ``n_max``
-    products; the fast space of each Cauchy horizon is built once and
-    compared with the next one's.
+    products, each as one batched SVD; the fast space of each Cauchy
+    horizon is built once and compared with the next one's, and the
+    horizon ``n_max`` itself reuses the phase-0 splitting.
     """
     x.validate_for(mset)
     r = x.period
     p = result.p
     phases = [finite_splitting(mset, x, p, n_max, phase=k) for k in range(r)]
 
-    invariance = 0.0
-    commutation = 0.0
+    invariance = commutation = 0.0
     for k in range(r):
         A = mset.matrices[x.symbol(k)]
         pushed = linalg.Subspace.from_spanning(A @ phases[k].V.basis)
@@ -237,19 +239,17 @@ def splitting_residuals(mset, x, result, n_max):
         commutation = max(commutation, float(np.linalg.norm(comm, 2)))
 
     V0 = phases[0].V
-    W0 = phases[0].W
     products = _sweep(mset, x, 0, n_max)
-    delta_hat = min(
-        (float(np.linalg.svd(M @ V0.basis, compute_uv=False)[-1]) for M in products[1:]),
-        default=math.inf,
-    )
+    delta_hat = float(np.linalg.svd(products[1:] @ V0.basis, compute_uv=False)[:, -1].min())
 
     ns = list(range(r, n_max + 1, r))
-    contraction = [float(np.linalg.norm(products[n] @ W0.basis, 2)) for n in ns]
+    contraction = _contraction(products, ns, phases[0].W)[1].tolist()
     xi_hat, xi_r2, _ = _loglinear_fit(ns, contraction)
 
-    # horizons n and n + r, both in ns, are compared
-    fast = [finite_splitting(mset, x, p, n).V for n in ns] if len(ns) > 1 else []
+    # horizons n and n + r, both in ns, are compared; phase 0 is built at n_max
+    fast = [finite_splitting(mset, x, p, n).V for n in ns[:-1]]
+    if fast:
+        fast.append(V0 if ns[-1] == n_max else finite_splitting(mset, x, p, ns[-1]).V)
     cauchy_ns = ns[:-1]
     cauchy_vals = [linalg.grassmann_distance(a, b) for a, b in zip(fast, fast[1:])]
     cauchy_rate, cauchy_r2, cauchy_C = _loglinear_fit(cauchy_ns, cauchy_vals)
@@ -293,12 +293,17 @@ def cone_params_from_splitting(mset, x, theta, norm=None):
     return ConeParams(theta=theta, projections=pairs, norm=EUCLIDEAN if norm is None else norm)
 
 
+def _margins(pair, theta, norm, V):
+    """``theta * |||P v||| - |||Q v|||`` per column v of V, with the two norms."""
+    p_norm = norm.vector_norms(pair.P @ V)
+    q_norm = norm.vector_norms(pair.complement() @ V)
+    return theta * p_norm - q_norm, p_norm, q_norm
+
+
 def cone_margin(params, position, v):
     """theta * |||P v||| - |||Q v|||; non-negative means membership."""
-    pair = params.pair(position)
-    v = np.asarray(v, dtype=complex)
-    nrm = params.norm.vector_norm
-    return params.theta * nrm(pair.P @ v) - nrm(pair.complement() @ v)
+    margins = _margins(params.pair(position), params.theta, params.norm, linalg.as_vector(v))[0]
+    return float(margins[0])
 
 
 def cone_contains(params, position, v):
@@ -322,19 +327,16 @@ class ConePropagationReport:
 
 
 def _cone_test_vectors(pair, theta, norm):
-    """Deterministic vectors inside the cone of aperture theta."""
+    """Deterministic vectors inside the cone of aperture theta, as the
+    columns of one d x k array."""
     vecs = []
-    nrm = norm.vector_norm
     for pv in pair.V.basis.T:
-        npv = nrm(pv)
+        npv = norm.vector_norm(pv)
         vecs.append(pv / npv)
-        for qv in pair.W.basis.T:
-            nqv = nrm(qv)
-            for tau in (0.5, 1.0 - 1e-9):
-                for phase in (1.0, -1.0, 1j):
-                    t = tau * theta * npv / nqv
-                    vecs.append((pv + t * phase * qv) / npv)
-    return vecs
+        for qv, tau, phase in itertools.product(pair.W.basis.T, (0.5, 1.0 - 1e-9), (1.0, -1.0, 1j)):
+            t = tau * theta * npv / norm.vector_norm(qv)
+            vecs.append((pv + t * phase * qv) / npv)
+    return np.stack(vecs, axis=1)
 
 
 def cone_propagation_check(mset, x, params, N, laps):
@@ -343,32 +345,29 @@ def cone_propagation_check(mset, x, params, N, laps):
     The contraction property: a vector in the cone of aperture theta is
     mapped, after N steps, into the cone of aperture K1 * xi^N * theta
     at the shifted phase, losing at most a (theta + K1 * xi^N * theta)
-    fraction of its norm.  K1 and xi are fitted from the splitting
-    diagnostics at horizon ``CONE_HORIZON`` and inflated by 10% before
-    the inequalities are asserted; any violation beyond ``CONE_TOL`` is
-    reported with the offending vector and position rather than raised.
-    Each lap's block product is formed once for all test vectors.
+    fraction of its norm.  xi and K1 are fitted on the cone field's own
+    phase-0 slow space W0 from one sweep to ``CONE_HORIZON``: xi from
+    ``||A(x, n)|W0||_2`` over n = r, 2r, ..., K1 from the same products
+    in the cone norm; both are inflated by 10% before the inequalities
+    are asserted.  No splitting is rebuilt.  All test vectors pass
+    through each lap's block product at once; any violation beyond
+    ``CONE_TOL`` is reported with the offending vector and lap rather
+    than raised.  A field without a slow space (p = d) raises.
     """
     x.validate_for(mset)
-    p = detect_p(mset, x, max(4 * x.period, 4 * N))[0]
-    result = finite_splitting(mset, x, p, CONE_HORIZON)
-    diagnostics = splitting_residuals(mset, x, result, CONE_HORIZON)
-    xi = diagnostics.xi_hat * 1.1
-    norm = params.norm
-    m_q = max(
-        norm.matrix_norm(np.asarray(pair.complement())) for pair in params.projections
-    )
-    # contraction prefactor in the chosen norm, fitted on the slow space
-    c_hat = 0.0
     W0 = params.pair(0).W
-    ns = [n for n, _ in diagnostics.contraction_table]
-    products = _sweep(mset, x, 0, max(ns, default=0))
-    for n in ns:
-        sup_w = max(
-            norm.vector_norm(products[n] @ w) / norm.vector_norm(w) for w in W0.basis.T
-        )
-        c_hat = max(c_hat, sup_w / (diagnostics.xi_hat**n))
+    if W0.dim == 0:
+        raise ValueError("the cone field has no slow space (p = d): nothing contracts")
+    ns = list(range(x.period, CONE_HORIZON + 1, x.period))
+    images, contraction = _contraction(_sweep(mset, x, 0, ns[-1]), ns, W0)
+    xi_hat = _loglinear_fit(ns, contraction.tolist())[0]
+    norm = params.norm
+    m_q = max(norm.matrix_norm(pair.complement()) for pair in params.projections)
+    # contraction prefactor in the chosen norm: sup over W0's basis per n
+    sup_w = norm.vector_norms(np.hstack(images)).reshape(len(ns), -1) / norm.vector_norms(W0.basis)
+    c_hat = max([0.0] + [s / xi_hat**n for s, n in zip(sup_w.max(axis=1).tolist(), ns)])
     k1 = 1.1 * 2.0 * c_hat * m_q
+    xi = xi_hat * 1.1
 
     theta = params.theta
     shrink = k1 * xi**N
@@ -385,47 +384,36 @@ def cone_propagation_check(mset, x, params, N, laps):
     )
     if shrink >= 1.0:
         report.ok = False
-        report.failures.append(
-            ("aperture", 0, "K1 * xi^N = %.3g does not contract" % shrink)
-        )
+        report.failures.append(("aperture", 0, "K1 * xi^N = %.3g does not contract" % shrink))
         return report
 
     report.aperture_trace = [theta * shrink**j for j in range(laps + 1)]
-    blocks = [cocycle_product(mset, x, N, start=lap * N) for lap in range(laps)]
-    vectors = _cone_test_vectors(params.pair(0), theta, norm)
-    measured_ratio = 0.0
-    for vec_index, v0 in enumerate(vectors):
-        v = np.asarray(v0, dtype=complex)
-        theta_j = theta
-        pair0 = params.pair(0)
-        tau_prev = norm.vector_norm(pair0.complement() @ v) / max(
-            norm.vector_norm(pair0.P @ v), 1e-300
-        )
-        for lap, M in enumerate(blocks):
-            w = M @ v
-            theta_next = shrink * theta_j
-            pair = params.pair((lap + 1) * N)
-            p_norm = norm.vector_norm(pair.P @ w)
-            q_norm = norm.vector_norm(pair.complement() @ w)
-            margin = theta_next * p_norm - q_norm
-            slack = margin / max(norm.vector_norm(w), 1e-300)
-            report.worst_membership_slack = min(report.worst_membership_slack, slack)
-            if slack < -CONE_TOL:
-                report.ok = False
-                report.failures.append(("membership", (vec_index, lap), slack))
-            bound = (1.0 - theta_j - shrink * theta_j) * norm.vector_norm(v)
-            norm_slack = norm.vector_norm(w) - bound
-            report.worst_norm_slack = min(report.worst_norm_slack, norm_slack)
-            if norm_slack < -CONE_TOL:
-                report.ok = False
-                report.failures.append(("norm", (vec_index, lap), norm_slack))
-            tau = q_norm / max(p_norm, 1e-300)
-            if tau_prev > 1e-14:
-                measured_ratio = max(measured_ratio, tau / tau_prev)
-            tau_prev = tau
-            v = w
-            theta_j = theta_next
-    report.measured_aperture_ratio = measured_ratio
+    V = _cone_test_vectors(params.pair(0), theta, norm)
+    _, p_norm, q_norm = _margins(params.pair(0), theta, norm, V)
+    tau_prev, v_norm = q_norm / np.maximum(p_norm, 1e-300), norm.vector_norms(V)
+    theta_j, ratio = theta, 0.0
+    slacks = {"membership": [], "norm": []}  # per lap, one slack per vector
+    for lap in range(laps):
+        V = cocycle_product(mset, x, N, start=lap * N) @ V
+        theta_next = shrink * theta_j
+        margin, p_norm, q_norm = _margins(params.pair((lap + 1) * N), theta_next, norm, V)
+        w_norm = norm.vector_norms(V)
+        slacks["membership"].append(margin / np.maximum(w_norm, 1e-300))
+        slacks["norm"].append(w_norm - (1.0 - theta_j - shrink * theta_j) * v_norm)
+        tau = q_norm / np.maximum(p_norm, 1e-300)
+        kept = tau_prev > 1e-14
+        ratio = max(ratio, float(np.max(tau[kept] / tau_prev[kept], initial=0.0)))
+        tau_prev, v_norm, theta_j = tau, w_norm, theta_next
+    report.failures = [
+        (kind, (i, lap), float(table[lap][i]))
+        for i, lap in np.ndindex(V.shape[1], laps)
+        for kind, table in slacks.items()
+        if table[lap][i] < -CONE_TOL
+    ]
+    report.ok = not report.failures
+    report.worst_membership_slack = float(np.min(slacks["membership"], initial=math.inf))
+    report.worst_norm_slack = float(np.min(slacks["norm"], initial=math.inf))
+    report.measured_aperture_ratio = ratio
     return report
 
 

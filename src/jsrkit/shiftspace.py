@@ -9,9 +9,10 @@ invariant set.
 Targets are finite unions of periodic orbits (:class:`PeriodicOrbitSet`).
 The agreement radius of a point with one is the largest radius whose
 window around the origin is a factor of one of its words, grown one
-symbol on each side at a time.  A Sturmian target
-(:class:`SturmianSystem`) is the periodic-orbit set of its finest
-approximant, with its own candidate orbits.
+symbol on each side at a time and looked up as a substring of the
+word's orbit, kept as one string of code points per word.  A Sturmian
+target (:class:`SturmianSystem`) is the periodic-orbit set of its
+finest approximant, with its own candidate orbits.
 """
 
 import itertools
@@ -147,17 +148,7 @@ def sturmian_word(convergents, phase, length):
 
 
 def _as_fractions(convergents):
-    out = []
-    for c in convergents:
-        if isinstance(c, Fraction):
-            out.append(c)
-        elif isinstance(c, (tuple, list)) and len(c) == 2:
-            out.append(Fraction(int(c[0]), int(c[1])))
-        elif isinstance(c, str):
-            p, q = c.split("/")
-            out.append(Fraction(int(p), int(q)))
-        else:
-            out.append(Fraction(c))
+    out = [Fraction(c) for c in convergents]
     if not out:
         raise ValueError("need at least one convergent")
     for c in out:
@@ -178,17 +169,17 @@ class PeriodicOrbitSet:
         if not pwords:
             raise ValueError("need at least one periodic word")
         self.words = pwords
-        # per word, its factor set by length
-        self._factors = [{} for _ in pwords]
+        # per word, its orbit as one string of code points (see _orbit_text)
+        self._texts = [""] * len(pwords)
 
-    def _factor_set(self, k, length):
-        """All length-``length`` windows of the orbit of word ``k``."""
-        factors = self._factors[k]
-        if length not in factors:
+    def _orbit_text(self, k, length):
+        """At least ``length`` symbols of the orbit of word ``k``, one code
+        point (``chr``) per symbol: a window is a factor of that orbit iff
+        it is a substring once the text spans the period plus the window."""
+        if len(self._texts[k]) < length:
             cycle = self.words[k].cycle
-            doubled = cycle * (2 + length // len(cycle))
-            factors[length] = frozenset(doubled[j : j + length] for j in range(len(cycle)))
-        return factors[length]
+            self._texts[k] = "".join(map(chr, cycle * (1 + length // len(cycle))))
+        return self._texts[k]
 
     def agreement_radius(self, point, max_radius):
         """Largest agreement radius ``m <= max_radius`` of a periodic point
@@ -203,12 +194,12 @@ class PeriodicOrbitSet:
         best = -1
         for k, word in enumerate(self.words):
             cap = math.lcm(point.period, word.period)
-            m, window = -1, (point.symbol(0),)
+            m, window = -1, chr(point.symbol(0))
             for radius in range(min(max_radius, cap) + 1):
-                if window not in self._factor_set(k, 2 * radius + 1):
+                if window not in self._orbit_text(k, word.period + 2 * radius + 2):
                     break
                 m = radius
-                window = (point.symbol(-m - 1),) + window + (point.symbol(m + 1),)
+                window = chr(point.symbol(-m - 1)) + window + chr(point.symbol(m + 1))
             if m >= cap:
                 return math.inf
             best = max(best, m)

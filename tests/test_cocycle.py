@@ -162,6 +162,7 @@ class TestSplittingResiduals:
 
     def test_each_horizon_is_split_once(self, scaled_antidiagonal, monkeypatch):
         # r phase splittings at n_max, and one per Cauchy horizon in ns
+        # but the last, n_max itself, whose fast space is phase 0's
         calls = []
         split = cocycle.finite_splitting
 
@@ -173,8 +174,8 @@ class TestSplittingResiduals:
         monkeypatch.setattr(cocycle, "finite_splitting", counted)
         diag = splitting_residuals(scaled_antidiagonal, ALTERNATING, result, 12)
         r, ns = ALTERNATING.period, list(range(2, 13, 2))
-        assert len(calls) == r + len(ns)
-        assert sorted(calls) == sorted([12] * r + ns)
+        assert len(calls) == r + len(ns) - 1
+        assert sorted(calls) == sorted([12] * r + ns[:-1])
         assert [n for n, _ in diag.cauchy_table] == ns[:-1]
 
     def test_uniform_singular_value_floor_on_extremal_orbits(
@@ -238,6 +239,27 @@ class TestConeMembership:
                 assert cone_contains(outer, 0, v)[0]
 
 
+def propagate_one_by_one(mset, word, params, N, laps, shrink):
+    """The lap loop of the cone check, one vector and one ``vector_norm``
+    at a time: the (kind, (vector, lap)) failures and both worst slacks."""
+    norm, failures = params.norm, []
+    slacks = {"membership": [], "norm": []}
+    for i, v in enumerate(cocycle._cone_test_vectors(params.pair(0), params.theta, norm).T):
+        theta_j = params.theta
+        for lap in range(laps):
+            w = cocycle_product(mset, word, N, start=lap * N) @ v
+            theta_next, pair = shrink * theta_j, params.pair((lap + 1) * N)
+            p_norm, q_norm = norm.vector_norm(pair.P @ w), norm.vector_norm(pair.complement() @ w)
+            member = (theta_next * p_norm - q_norm) / max(norm.vector_norm(w), 1e-300)
+            kept = norm.vector_norm(w) - (1.0 - theta_j - theta_next) * norm.vector_norm(v)
+            for kind, slack in (("membership", member), ("norm", kept)):
+                slacks[kind].append(slack)
+                if slack < -cocycle.CONE_TOL:
+                    failures.append((kind, (i, lap)))
+            v, theta_j = w, theta_next
+    return failures, min(slacks["membership"]), min(slacks["norm"])
+
+
 class TestConePropagation:
     def test_diagonal_block_shrink(self, diagonal_singleton):
         params = cone_params_from_splitting(diagonal_singleton, FIXED, theta=0.5)
@@ -267,6 +289,71 @@ class TestConePropagation:
         )
         assert report.ok
         assert not report.failures
+
+    def test_rebuilds_no_splitting(
+        self, diagonal_singleton, triangular_singleton, scaled_antidiagonal, monkeypatch
+    ):
+        # the criterion-8 cases: the check reads p and W0 off the field it is given
+        norm = AdaptedNorm(scaled_antidiagonal, rho_hat=1.0, depth=6)
+        cases = [
+            (diagonal_singleton, FIXED, 0.5, 4, None),
+            (triangular_singleton, FIXED, 0.25, 6, None),
+            (scaled_antidiagonal, ALTERNATING, 0.25, 6, norm),
+        ]
+        fields = [
+            (mset, word, cone_params_from_splitting(mset, word, theta=theta, norm=cone_norm), N)
+            for mset, word, theta, N, cone_norm in cases
+        ]
+        check = lambda: [cone_propagation_check(m, w, params, N, 3) for m, w, params, N in fields]
+        before = check()
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("the cone check rebuilt a splitting")
+
+        for name in ("detect_p", "finite_splitting", "splitting_residuals"):
+            monkeypatch.setattr(cocycle, name, rebuilt)
+        assert check() == before
+
+    def test_matches_one_vector_at_a_time(self, diagonal_singleton):
+        # a field tilted off the invariant splitting fails both inequalities,
+        # and seeded families (every fourth complex) fail some or none; the
+        # column norms sum in another order, so slacks agree to roundoff
+        tilted = projection_from_pair(Subspace.from_spanning([[1.0], [-0.5]]), E2)
+        fields = [(diagonal_singleton, FIXED, ConeParams(theta=0.1, projections=[tilted]))]
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            d, word = 2 + seed % 2, PeriodicWord([0, 1] if seed % 3 else [0])
+            A = rng.standard_normal((2, d, d))
+            if seed % 4 == 3:
+                A = A + 1j * rng.standard_normal((2, d, d))
+            radius = np.max(np.abs(np.linalg.eigvals(MatrixSet(A).product(word.cycle))))
+            mset = MatrixSet(A / radius ** (1 / word.period))
+            try:
+                fields.append((mset, word, cone_params_from_splitting(mset, word, theta=0.25)))
+            except (AmbiguousExponentsError, DegenerateSplittingError):
+                continue
+        kinds = set()
+        for mset, word, params in fields:
+            if params.pair(0).W.dim == 0:
+                continue
+            for N in (2, 4, 6):
+                report = cone_propagation_check(mset, word, params, N, 3)
+                if report.aperture_trace == [params.theta]:  # K1 * xi^N >= 1
+                    continue
+                shrink = report.k1_hat * report.xi_hat**N
+                failures, membership, norm = propagate_one_by_one(mset, word, params, N, 3, shrink)
+                assert [f[:2] for f in report.failures] == failures
+                assert report.worst_membership_slack == pytest.approx(membership, abs=1e-12)
+                assert report.worst_norm_slack == pytest.approx(norm, abs=1e-12)
+                kinds.update(kind for kind, _ in failures)
+        assert kinds == {"membership", "norm"}
+
+    def test_field_without_slow_space_is_refused(self):
+        rotation = MatrixSet([[[0.6, -0.8], [0.8, 0.6]]])
+        params = cone_params_from_splitting(rotation, FIXED, theta=0.25)
+        assert params.pair(0).W.dim == 0
+        with pytest.raises(ValueError, match="no slow space"):
+            cone_propagation_check(rotation, FIXED, params, N=4, laps=3)
 
 
 class TestCertifyLower:

@@ -211,26 +211,33 @@ def brute_force_radius(target, point, max_radius):
 class TestAgreementRadius:
     def test_factor_windows_match_brute_force(self):
         # periodic targets over up to 4 symbols, and every tenth the
-        # Sturmian target; some points are phases of the target
+        # Sturmian target; some points are phases of the target.  Every
+        # tenth other target uses symbols up to 300 that agree mod 256
+        # (44 and 300, 0 and 256), which no one-byte encoding can tell apart
         rng = np.random.default_rng(16)
         sturmian = SturmianSystem(golden_rotation_convergents(8))
+        wide = np.array([0, 44, 256, 300])
         reached_cap = 0
         for trial in range(300):
             alphabet = int(rng.integers(2, 5))
+            symbols = wide if trial % 10 == 5 else np.arange(alphabet)
+
+            def cycle(longest):
+                """A random cycle over ``symbols`` of length below ``longest``."""
+                return symbols[rng.integers(0, len(symbols), int(rng.integers(1, longest)))]
+
             if trial % 10 == 0:
                 target = sturmian
             else:
                 count = int(rng.integers(1, 4))
-                target = PeriodicOrbitSet(
-                    [rng.integers(0, alphabet, int(rng.integers(1, 10))) for _ in range(count)]
-                )
+                target = PeriodicOrbitSet([cycle(10) for _ in range(count)])
             for _ in range(5):
                 if rng.random() < 0.3:
                     word = target.words[int(rng.integers(len(target.words)))]
                     phase = word.rotated(int(rng.integers(word.period))).cycle
                     point = PeriodicWord(phase * int(rng.integers(1, 3)))
                 else:
-                    point = PeriodicWord(rng.integers(0, alphabet, int(rng.integers(1, 12))))
+                    point = PeriodicWord(cycle(12))
                 max_radius = int(rng.integers(0, 40))
                 want = brute_force_radius(target, point, max_radius)
                 assert target.agreement_radius(point, max_radius) == want
