@@ -1,14 +1,17 @@
 """Command-line front end.
 
-    jsrkit <command> --input set.json --out report.csv [options]
+    jsrkit <command> --out report.csv [--max-depth N] [options]
 
 Commands: bounds, convergence, pruned, splitting, sturmian, epsilon.
-Each run writes a CSV report atomically plus a JSON metadata file
-(`<out>.meta.json`) echoing the configuration, budget counters and wall
-time.  Exit codes: 0 success, 2 input error, 3 inconclusive (budget or
-pruning did not close the gap), 4 internal invariant violation.  The
-``JSRKIT_BUDGET`` environment variable overrides the multiplication
-budget.
+Each command declares the options it reads (``COMMANDS``), and its
+parser accepts only those besides ``--out`` and ``--max-depth``; any
+other option is refused with exit code 2.  Each run writes a CSV report
+atomically plus a JSON metadata file (`<out>.meta.json`) echoing the
+command's options, budget counters and wall time.  Exit codes: 0
+success, 2 input error, 3 inconclusive (budget or pruning did not close
+the gap), 4 internal invariant violation; stderr carries one line
+``jsrkit: <kind>: <message>``.  The ``JSRKIT_BUDGET`` environment
+variable overrides the multiplication budget.
 """
 
 import argparse
@@ -47,16 +50,10 @@ def _fail(kind, message, code):
 
 
 def _parse_gamma(text):
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        p, q = (int(part) for part in token.split("/"))
-        if q == 0:
-            raise ValueError("--gamma convergent %r has a zero denominator" % token)
-        out.append(Fraction(p, q))
-    return out
+    try:
+        return [Fraction(t) for t in text.split(",") if t.strip()]
+    except ZeroDivisionError:
+        raise ValueError("--gamma has a convergent with a zero denominator") from None
 
 
 def _rho_hat(cfg, mset, counter, delta, max_depth):
@@ -176,16 +173,46 @@ def _report_epsilon(cfg, mset, counter):
     return ["n", "epsilon", "certainty"], rows, extra, None
 
 
-# each command's report, (cfg, mset, counter) -> (header, rows, meta
-# entries, reason if inconclusive), and the option that gives its input
-COMMANDS = {
-    "bounds": (_report_bounds, "input"),
-    "convergence": (functools.partial(_report_bounds, fit=True), "input"),
-    "pruned": (_report_pruned, "input"),
-    "splitting": (_report_splitting, "input"),
-    "sturmian": (_report_sturmian, "gamma"),
-    "epsilon": (_report_epsilon, "gamma"),
+# each option's argparse keywords; its flag is --name with - for _
+OPTIONS = {
+    "input": dict(help="matrix-set JSON file"),
+    "out": dict(required=True, help="CSV output path"),
+    "max_depth": dict(type=int, default=8),
+    "norm": dict(choices=["euclidean", "adapted"], default="euclidean"),
+    "adapted_depth": dict(type=int, default=6),
+    "rho_hat": dict(type=float, default=None),
+    "delta": dict(type=float, default=0.05),
+    "gamma": dict(help="comma list of convergents p/q"),
+    # accepted and ignored, so that existing scripts keep running
+    "workers": dict(type=int, default=1),
+    "cycle": dict(default="0", help="comma list of symbols for the orbit"),
+    "svg": dict(default=None, help="optional SVG plot of the gap column"),
+    "tail_fraction": dict(type=float, default=0.5),
 }
+BOUNDS_OPTIONS = ("input", "norm", "adapted_depth", "rho_hat", "delta", "svg", "workers")
+
+# each command's report, (cfg, mset, counter) -> (header, rows, meta
+# entries, reason if inconclusive), and the options it reads besides
+# --out and --max-depth, the one that gives its input first
+COMMANDS = {
+    "bounds": (_report_bounds, BOUNDS_OPTIONS),
+    "convergence": (functools.partial(_report_bounds, fit=True), BOUNDS_OPTIONS + ("tail_fraction",)),
+    "pruned": (_report_pruned, ("input", "delta")),
+    "splitting": (_report_splitting, ("input", "rho_hat", "cycle")),
+    "sturmian": (_report_sturmian, ("gamma",)),
+    "epsilon": (_report_epsilon, ("gamma",)),
+}
+
+# (option, test of its value, message), checked in this order on the
+# options that the command has
+CHECKS = [
+    ("out", bool, "--out must be nonempty"),
+    ("max_depth", lambda v: v >= 1, "--max-depth must be at least 1"),
+    ("rho_hat", lambda v: v is None or (v > 0 and math.isfinite(v)),
+     "--rho-hat must be a positive finite number"),
+    ("delta", lambda v: v > 0 and math.isfinite(v), "--delta must be a positive finite number"),
+    ("tail_fraction", lambda v: 0 < v < 1, "--tail-fraction must lie in (0, 1)"),
+]
 
 
 def _run(cfg, report, source):
@@ -210,51 +237,36 @@ def _run(cfg, report, source):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, as for every other input error
+        self.exit(EXIT_INPUT, "jsrkit: input: %s\n" % message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="jsrkit", description=__doc__)
+    parser = _Parser(prog="jsrkit", description=__doc__)
     parser.add_argument("--version", action="version", version="jsrkit %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, own) in COMMANDS.items():
         cmd = sub.add_parser(name)
-        cmd.add_argument("--input", help="matrix-set JSON file")
-        cmd.add_argument("--out", required=True, help="CSV output path")
-        cmd.add_argument("--max-depth", type=int, default=8, dest="max_depth")
-        cmd.add_argument("--norm", choices=["euclidean", "adapted"], default="euclidean")
-        cmd.add_argument("--adapted-depth", type=int, default=6, dest="adapted_depth")
-        cmd.add_argument("--rho-hat", type=float, default=None, dest="rho_hat")
-        cmd.add_argument("--delta", type=float, default=0.05)
-        cmd.add_argument("--gamma", help="comma list of convergents p/q")
-        # accepted and ignored, so that existing scripts keep running
-        cmd.add_argument("--workers", type=int, default=1)
-        cmd.add_argument("--cycle", default="0", help="comma list of symbols for the orbit")
-        cmd.add_argument("--svg", default=None, help="optional SVG plot of the gap column")
-        cmd.add_argument("--tail-fraction", type=float, default=0.5, dest="tail_fraction")
+        for option, kwargs in OPTIONS.items():
+            if option in ("out", "max_depth") + own:
+                cmd.add_argument("--" + option.replace("_", "-"), dest=option, **kwargs)
     return parser
 
 
 def run(cfg):
     """Run the command of a namespace parsed by :func:`build_parser`, whose
     options are the run's configuration and are echoed in meta.json."""
-    if cfg.command not in COMMANDS:
-        return _fail("input", "unknown command %r" % cfg.command, EXIT_INPUT)
-    report, source = COMMANDS[cfg.command]
-    if not getattr(cfg, source):
-        return _fail("input", "--%s is required for %s" % (source, cfg.command), EXIT_INPUT)
-    if not cfg.out:
-        return _fail("input", "--out must be nonempty", EXIT_INPUT)
-    if cfg.max_depth < 1:
-        return _fail("input", "--max-depth must be at least 1", EXIT_INPUT)
-    if cfg.rho_hat is not None and not (cfg.rho_hat > 0 and math.isfinite(cfg.rho_hat)):
-        return _fail("input", "--rho-hat must be a positive finite number", EXIT_INPUT)
-    if not (cfg.delta > 0 and math.isfinite(cfg.delta)):
-        return _fail("input", "--delta must be a positive finite number", EXIT_INPUT)
-    if not 0 < cfg.tail_fraction < 1:
-        return _fail("input", "--tail-fraction must lie in (0, 1)", EXIT_INPUT)
+    report, own = COMMANDS[cfg.command]
+    if not getattr(cfg, own[0]):
+        return _fail("input", "--%s is required for %s" % (own[0], cfg.command), EXIT_INPUT)
+    for option, valid, message in CHECKS:
+        if hasattr(cfg, option) and not valid(getattr(cfg, option)):
+            return _fail("input", message, EXIT_INPUT)
     try:
-        return _run(cfg, report, source)
-    except (fileio.MatrixSetFormatError, FileNotFoundError, IsADirectoryError) as exc:
-        return _fail("input", str(exc), EXIT_INPUT)
-    except (ValueError, IndexError) as exc:
+        return _run(cfg, report, own[0])
+    # a malformed matrix-set file raises fileio.MatrixSetFormatError, a ValueError
+    except (ValueError, IndexError, FileNotFoundError, IsADirectoryError) as exc:
         return _fail("input", str(exc), EXIT_INPUT)
     except bounds.BudgetExceededError as exc:
         return _fail("inconclusive", str(exc), EXIT_INCONCLUSIVE)

@@ -22,9 +22,10 @@ table ``||A(x, n)|W||_2`` from one batched 2-norm.
 
 The cone check reads p and the slow space W0 off the phase-0 pair of
 the cone field it is given and rebuilds no splitting: its xi and K1 are
-fitted on W0 from one sweep to ``CONE_HORIZON``, and all of its test
-vectors pass through each lap's block product at once, as the columns
-of one array.
+fitted on W0 from one sweep to ``max(4 r, CONE_HORIZON)`` for period r,
+over the products whose 2-norm on W0 exceeds ``FIT_FLOOR``, and all of
+its test vectors pass through each lap's block product at once, as the
+columns of one array.
 """
 
 import itertools
@@ -59,6 +60,8 @@ THETA_ZERO_THRESHOLD = 0.02 * math.log(2.0)
 CONE_HORIZON = 24
 # a cone inequality may fail by this much before it is reported
 CONE_TOL = 1e-9
+# log-linear fits keep only the values above this: below it they are roundoff
+FIT_FLOOR = 1e-13
 
 
 class AmbiguousExponentsError(ValueError):
@@ -188,8 +191,8 @@ class SplittingDiagnostics:
     cauchy_table: list = field(default_factory=list)
 
 
-def _loglinear_fit(ns, values, floor=1e-13):
-    pairs = [(n, v) for n, v in zip(ns, values) if v > floor]
+def _loglinear_fit(ns, values):
+    pairs = [(n, v) for n, v in zip(ns, values) if v > FIT_FLOOR]
     if len(pairs) < 2:
         return math.nan, math.nan, math.nan
     xs = np.array([p[0] for p in pairs], dtype=float)
@@ -346,33 +349,40 @@ def cone_propagation_check(mset, x, params, N, laps):
     mapped, after N steps, into the cone of aperture K1 * xi^N * theta
     at the shifted phase, losing at most a (theta + K1 * xi^N * theta)
     fraction of its norm.  xi and K1 are fitted on the cone field's own
-    phase-0 slow space W0 from one sweep to ``CONE_HORIZON``: xi from
-    ``||A(x, n)|W0||_2`` over n = r, 2r, ..., K1 from the same products
-    in the cone norm; both are inflated by 10% before the inequalities
-    are asserted.  No splitting is rebuilt.  All test vectors pass
-    through each lap's block product at once; any violation beyond
-    ``CONE_TOL`` is reported with the offending vector and lap rather
-    than raised.  A field without a slow space (p = d) raises.
+    phase-0 slow space W0 from one sweep to ``max(4 r, CONE_HORIZON)``
+    for period r: xi from ``||A(x, n)|W0||_2`` over n = r, 2r, ..., K1
+    from the same products in the cone norm, over the n whose 2-norm the
+    xi fit keeps (above ``FIT_FLOOR``); both are inflated by 10% before
+    the inequalities are asserted.  No splitting is rebuilt.  A failed
+    xi fit (fewer than two values above ``FIT_FLOOR``) or a block that
+    does not contract (K1 xi^N >= 1) is reported as a failure at lap 0.
+    All test vectors pass through each lap's block product at once; any
+    violation beyond ``CONE_TOL`` is reported with the offending vector
+    and lap rather than raised.  A field without a slow space (p = d)
+    raises.
     """
     x.validate_for(mset)
     W0 = params.pair(0).W
     if W0.dim == 0:
         raise ValueError("the cone field has no slow space (p = d): nothing contracts")
-    ns = list(range(x.period, CONE_HORIZON + 1, x.period))
+    r = x.period
+    ns = list(range(r, max(4 * r, CONE_HORIZON) + 1, r))
     images, contraction = _contraction(_sweep(mset, x, 0, ns[-1]), ns, W0)
-    xi_hat = _loglinear_fit(ns, contraction.tolist())[0]
+    contraction = contraction.tolist()
+    xi_hat = _loglinear_fit(ns, contraction)[0]
     norm = params.norm
     m_q = max(norm.matrix_norm(pair.complement()) for pair in params.projections)
     # contraction prefactor in the chosen norm: sup over W0's basis per n
     sup_w = norm.vector_norms(np.hstack(images)).reshape(len(ns), -1) / norm.vector_norms(W0.basis)
-    c_hat = max([0.0] + [s / xi_hat**n for s, n in zip(sup_w.max(axis=1).tolist(), ns)])
+    sup = zip(sup_w.max(axis=1).tolist(), ns, contraction)
+    c_hat = max([0.0] + [s / xi_hat**n for s, n, c in sup if c > FIT_FLOOR])
     k1 = 1.1 * 2.0 * c_hat * m_q
     xi = xi_hat * 1.1
 
     theta = params.theta
     shrink = k1 * xi**N
     report = ConePropagationReport(
-        ok=True,
+        ok=False,
         laps=laps,
         block=N,
         theta0=theta,
@@ -382,8 +392,11 @@ def cone_propagation_check(mset, x, params, N, laps):
         worst_membership_slack=math.inf,
         worst_norm_slack=math.inf,
     )
+    if math.isnan(xi_hat):
+        reason = "fewer than two of ||A(x, n)|W0||_2, n <= %d, exceed %g" % (ns[-1], FIT_FLOOR)
+        report.failures.append(("fit", 0, reason))
+        return report
     if shrink >= 1.0:
-        report.ok = False
         report.failures.append(("aperture", 0, "K1 * xi^N = %.3g does not contract" % shrink))
         return report
 

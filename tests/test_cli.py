@@ -122,10 +122,7 @@ class TestBoundsCommand:
         assert cli.main(["sturmian", "--gamma", GOLDEN, "--max-depth", "4", "--out", str(out)]) == 0
         config = json.loads((tmp_path / "word.csv.meta.json").read_text())["config"]
         assert "seed" not in config
-        assert list(config) == [
-            "command", "input", "out", "max_depth", "norm", "adapted_depth", "rho_hat",
-            "delta", "gamma", "workers", "cycle", "svg", "tail_fraction",
-        ]
+        assert list(config) == ["command", "out", "max_depth", "gamma"]
 
     def test_missing_input_exits_two(self, tmp_path):
         proc = run_cli("bounds", "--out", str(tmp_path / "x.csv"))
@@ -237,16 +234,33 @@ class TestInputErrors:
         assert "zero denominator" in proc.stderr
 
     @pytest.mark.parametrize("value", ["0", "-2", "nan"])
-    @pytest.mark.parametrize(
-        "command", ["bounds", "convergence", "pruned", "splitting", "sturmian", "epsilon"]
-    )
+    @pytest.mark.parametrize("command", ["bounds", "convergence", "splitting"])
     def test_invalid_rho_hat_exits_two(self, fixtures, tmp_path, capsys, command, value):
         out = tmp_path / "never.csv"
-        argv = [command, "--out", str(out), "--rho-hat=" + value,
-                "--input", fixtures["e2"], "--gamma", "1/2"]
+        argv = [command, "--out", str(out), "--rho-hat=" + value, "--input", fixtures["e2"]]
         assert cli.main(argv) == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("jsrkit: input: --rho-hat")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pruned", "--input", "e1", "--norm", "adapted"],
+            ["splitting", "--input", "e2", "--delta", "0.01"],
+            ["epsilon", "--gamma", "1/2", "--rho-hat", "2"],
+            ["bounds", "--input", "e1", "--gamma", "1/2"],
+        ],
+        ids=["pruned-norm", "splitting-delta", "epsilon-rho-hat", "bounds-gamma"],
+    )
+    def test_option_the_command_does_not_read_exits_two(self, fixtures, tmp_path, capsys, argv):
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([fixtures.get(a, a) for a in argv] + ["--out", str(out)])
+        assert exc.value.code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("jsrkit: input: unrecognized arguments: " + argv[-2])
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["antidiagonal.json", "rank_one.json"]
 
     @pytest.mark.parametrize("value", ["1e-320", "1e-300"])
     def test_rho_hat_outside_the_float64_range_exits_two(self, fixtures, tmp_path, capsys, value):
@@ -403,6 +417,19 @@ COMMAND_RUNS = {
 
 META_KEYS = {"tool", "version", "config", "budget_limit", "budget_used", "wall_time_s"}
 
+BOUNDS_CONFIG = ["command", "input", "out", "max_depth", "norm", "adapted_depth", "rho_hat",
+                 "delta", "workers", "svg"]
+
+# the options each command reads, in the order meta.json echoes them
+COMMAND_CONFIG = {
+    "bounds": BOUNDS_CONFIG,
+    "convergence": BOUNDS_CONFIG + ["tail_fraction"],
+    "pruned": ["command", "input", "out", "max_depth", "delta"],
+    "splitting": ["command", "input", "out", "max_depth", "rho_hat", "cycle"],
+    "sturmian": ["command", "out", "max_depth", "gamma"],
+    "epsilon": ["command", "out", "max_depth", "gamma"],
+}
+
 
 class TestMetadata:
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -416,6 +443,15 @@ class TestMetadata:
         meta = json.loads(text, parse_constant=_reject_constant)
         assert META_KEYS <= set(meta)
         assert (meta["tool"], meta["config"]["command"]) == ("jsrkit", command)
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_config_holds_the_command_options_only(self, fixtures, tmp_path, command):
+        args, _ = COMMAND_RUNS[command]
+        out = tmp_path / "report.csv"
+        argv = [command] + [fixtures.get(a, a) for a in args] + ["--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        config = json.loads((tmp_path / "report.csv.meta.json").read_text())["config"]
+        assert list(config) == COMMAND_CONFIG[command]
 
     def test_non_finite_values_become_null(self, tmp_path):
         path = tmp_path / "meta.json"

@@ -348,6 +348,52 @@ class TestConePropagation:
                 kinds.update(kind for kind, _ in failures)
         assert kinds == {"membership", "norm"}
 
+    def test_slow_space_below_the_fit_floor_fails_the_fit(self):
+        # ||A^n|W0||_2 = 1e-8^n: only n = 1 exceeds FIT_FLOOR, so xi has no fit
+        # and no aperture is certified (the check once read ok with NaN apertures)
+        mset = MatrixSet([np.diag([1.0, 1e-8])])
+        params = cone_params_from_splitting(mset, FIXED, theta=0.5)
+        report = cone_propagation_check(mset, FIXED, params, N=2, laps=3)
+        assert not report.ok
+        assert [f[:2] for f in report.failures] == [("fit", 0)]
+        assert report.aperture_trace == [0.5]
+
+    def test_period_above_the_cone_horizon_is_sampled(self):
+        # n runs over r, 2r, ..., 4r when 4r exceeds CONE_HORIZON; a period
+        # of 25 once left no sample and raised IndexError
+        long_word = PeriodicWord([0] * 25)
+        slow = MatrixSet([np.diag([1.0, 0.9])])
+        params = cone_params_from_splitting(slow, long_word, theta=0.5)
+        report = cone_propagation_check(slow, long_word, params, N=100, laps=2)
+        assert report.ok
+        assert report.xi_hat == pytest.approx(0.99, rel=1e-12)
+        fast = MatrixSet([np.diag([1.0, 0.5])])  # 0.5^50 is below FIT_FLOOR
+        params = cone_params_from_splitting(fast, long_word, theta=0.5)
+        report = cone_propagation_check(fast, long_word, params, N=2, laps=3)
+        assert [f[:2] for f in report.failures] == [("fit", 0)]
+
+    def test_k1_reads_only_the_fitted_products(self):
+        # the slow space of this triangular matrix contracts by 1e-3 per step,
+        # and from n = 5 on ||A^n|W0||_2 is roundoff below FIT_FLOOR
+        mset = MatrixSet([[[1.0, 1.0], [0.0, 1e-3]]])
+        params = cone_params_from_splitting(mset, FIXED, theta=0.25)
+        report = cone_propagation_check(mset, FIXED, params, N=2, laps=3)
+        W0 = params.pair(0).W.basis
+        table = [
+            (n, float(np.linalg.norm(cocycle_product(mset, FIXED, n) @ W0, 2)))
+            for n in range(1, cocycle.CONE_HORIZON + 1)
+        ]
+        xi = report.xi_hat / 1.1
+        m_q = float(np.linalg.norm(params.pair(0).complement(), 2))
+        ratios = [(v / xi**n, v > cocycle.FIT_FLOOR) for n, v in table]
+        assert report.ok
+        assert report.k1_hat == pytest.approx(
+            2.2 * m_q * max(r for r, kept in ratios if kept), rel=1e-9
+        )
+        assert max(r for r, _ in ratios) > 1.01 * max(r for r, kept in ratios if kept)
+        assert type(report.k1_hat) is float
+        assert all(type(a) is float for a in report.aperture_trace)
+
     def test_field_without_slow_space_is_refused(self):
         rotation = MatrixSet([[[0.6, -0.8], [0.8, 0.6]]])
         params = cone_params_from_splitting(rotation, FIXED, theta=0.25)
