@@ -68,11 +68,16 @@ column in an order that does not depend on the number of rows (the
 tests check this for one and two threads), so they carry the same bits
 and every result equals that of stored levels.  Each level still
 charges m^n multiplications, before the sweep; re-forming, like
-screening, charges none.  Memory is bounded by the stored levels, one
-block of the sweep (up to ``LEVEL_BYTES`` at the deepest level while
-m^(N-k) words fit in it, which holds to about N = 2k), one screening
-batch of at most ``LEVEL_BYTES`` and its re-formed words, and some 8
-bytes per streamed word for ``||P||_F`` and the screen's index arrays.
+screening, charges none.
+
+Memory.  ``LEVEL_BYTES`` bounds every batch array: a stored level, one
+block of the sweep (at the deepest level, while m^(N-k) words fit in
+it, which holds to about N = 2k), one screening batch with its
+re-formed words and the scaled copies and squares of the power stage,
+one block of children in the pruned search, and one block of ``F_f M``
+products in the certified kernel of the adapted norm.  Beyond the
+stored levels and a few such arrays at a time, a streamed level costs
+some 8 bytes per word for ``||P||_F`` and the screen's index arrays.
 
 Gelfand power stage.  Given the running cutoff c, ``eigvals`` runs only
 on the words whose power bound reaches c.  Each word is first scaled by
@@ -103,21 +108,20 @@ that ``eigvals`` returns, not only ``rho(S)``:
 
 A NaN bound keeps its word.  On near-defective products ``eigvals`` moves
 by about ``sqrt(2**-53) ||P||``, far beyond ``SCREEN_SLACK``; that is
-why the slack is not left to it.  Cost guard: a batch is staged in blocks
-of ``POWER_BLOCK`` words, in the batch's order (decreasing bound for the
-level screen); a block stops squaring once a square removes fewer than
-half of its survivors, and the batch stops staging after a block whose
-first square removed fewer than half of its words (on levels where every
-candidate ties the maximum the stage removes nothing).  Batches of fewer
-than ``POWER_MIN`` words go to ``eigvals`` directly.
+why the slack is not left to it.  Cost guard: the stage stops squaring
+after any square that removes fewer than half of the words left (on
+levels where every candidate ties the maximum it removes nothing after
+the first square).  Batches of fewer than ``POWER_MIN`` words go to
+``eigvals`` directly.
 The adapted-norm family is built from :func:`_iter_levels`, and the
 same screen serves the certified kernel of the adapted norm.  The
 pruned search runs :func:`_extend` on the transposed generators: its
 frontier holds ``A_w^T``, and ``A_w^T A_j^T = (A_j A_w)^T`` appends
 symbol j, so its products associate right to left, like
 :meth:`MatrixSet.product`.
-Within a block of B parents its children come symbol-major (child
-``j*B + i``); the order matters only to the stable sort of a
+It forms children in blocks of B parents, the most whose m children
+fit in ``LEVEL_BYTES``.  Within a block the children come symbol-major
+(child ``j*B + i``); the order matters only to the stable sort of a
 budget-capped level, and there only at exact score ties.
 Levels are computed serially on the calling thread; the ``workers``
 keyword of :func:`sandwich` is accepted and ignored.
@@ -140,7 +144,6 @@ __all__ = [
     "BudgetCounter",
     "InternalInvariantError",
     "MatrixSet",
-    "Word",
     "EuclideanNorm",
     "LevelBound",
     "rho_plus_n",
@@ -170,23 +173,18 @@ SCREEN_SEED = 64
 # below this cutoff Frobenius squares may have underflowed: no screening
 SCREEN_FLOOR = 1e-150
 
-# Gelfand power stage of _spectral_radii (module docstring): words per
-# block, squarings per word (up to P**8), the backward error of eigvals,
-# eta = EIGVALS_BACKWARD * d * 2**-53, and the smallest batch staged (a
-# smaller one costs less in eigvals than in the stage's fixed overhead)
-POWER_BLOCK = 1024
+# Gelfand power stage of _spectral_radii (module docstring): squarings
+# per word (up to P**8), the backward error of eigvals, eta =
+# EIGVALS_BACKWARD * d * 2**-53, and the smallest batch staged (a smaller
+# one costs less in eigvals than in the stage's fixed overhead)
 POWER_STEPS = 3
 EIGVALS_BACKWARD = 16
 POWER_MIN = 8
 
-# largest level array held whole; a deeper level streams (module
-# docstring).  It also caps the words of one screening batch
+# the one memory bound (module docstring): the largest level array held
+# whole, a deeper level streams; it also caps a sweep block, a screening
+# batch, a block of pruned children and a block of certified products
 LEVEL_BYTES = 4 << 20
-
-# parents whose children the pruned search forms in one batch; bounds the
-# temporaries.  It orders the children (module docstring), which only a
-# budget-capped level's sort of exactly tied scores can see
-PRUNED_BLOCK = 4096
 
 
 class BudgetExceededError(RuntimeError):
@@ -235,9 +233,6 @@ def _counter(budget):
     """``budget`` if it is a :class:`BudgetCounter`, else a new counter
     with ``budget`` as its limit (None for the default)."""
     return budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
-
-
-Word = tuple  # finite sequences of indices into a MatrixSet
 
 
 class MatrixSet:
@@ -466,50 +461,30 @@ def _power_slacks(d, complex_entries):
     )
 
 
-def _power_screen(Q, cutoff):
-    """Mask of the words of ``Q`` whose Gelfand bound reaches ``cutoff``.
-
-    Blocks of ``POWER_BLOCK`` words, taken in the batch's order, are
-    squared up to ``POWER_STEPS`` times under the cost guard of the module
-    docstring.
-    """
-    slacks = _power_slacks(Q.shape[1], np.iscomplexobj(Q))
-    keep = np.ones(len(Q), dtype=bool)
-    for start in range(0, len(Q), POWER_BLOCK):
-        block = Q[start:start + POWER_BLOCK]
-        alive = np.arange(start, start + len(block))
-        S, scale = _scaled(block)
-        f, c = _frobenius_norms(S), cutoff / scale
-        for k, C in slacks:
-            S = S @ S
-            stay = ~((_frobenius_norms(S) + C * f**k) ** (1.0 / k) < c)
-            keep[alive[~stay]] = False
-            S, f, c, alive = S[stay], f[stay], c[stay], alive[stay]
-            # a square that removes fewer than half of the words ends the block
-            few = 2 * np.count_nonzero(~stay) < len(stay)
-            if few:
-                break
-        # and a first square that does so ends the stage
-        if few and k == 2:
-            break
-    return keep
-
-
 def _spectral_radii(Q, cutoff=0.0):
     """Largest eigenvalue modulus per matrix of a batch.
 
-    With a positive ``cutoff``, ``eigvals`` runs only on the words whose
-    Gelfand bound ``(||P^k||_F + C_k ||P||_F**k)**(1/k)`` reaches it
-    (module docstring); the others read ``-inf``, and their values lie
-    below ``(1 + TIE_RTOL) * cutoff``.
+    With a positive ``cutoff`` and at least ``POWER_MIN`` words, the batch
+    passes the Gelfand power stage first (module docstring): ``eigvals``
+    runs only on the words whose bound ``(||P^k||_F + C_k
+    ||P||_F**k)**(1/k)`` reaches the cutoff, and the others read ``-inf``;
+    their values lie below ``(1 + TIE_RTOL) * cutoff``.
     """
-    if cutoff > 0.0 and len(Q) >= POWER_MIN:
-        keep = _power_screen(Q, cutoff)
-        if not keep.all():
-            radii = np.full(len(Q), -np.inf)
-            radii[keep] = _spectral_radii(Q[keep])
-            return radii
-    return np.abs(np.linalg.eigvals(Q)).max(axis=1)
+    if not (cutoff > 0.0 and len(Q) >= POWER_MIN):
+        return np.abs(np.linalg.eigvals(Q)).max(axis=1)
+    alive = np.arange(len(Q))
+    S, scale = _scaled(Q)
+    f, c = _frobenius_norms(S), cutoff / scale
+    for k, C in _power_slacks(Q.shape[1], np.iscomplexobj(Q)):
+        S = S @ S
+        stay = ~((_frobenius_norms(S) + C * f**k) ** (1.0 / k) < c)
+        S, f, c, alive = S[stay], f[stay], c[stay], alive[stay]
+        # a square that removes fewer than half of the words ends the stage
+        if 2 * np.count_nonzero(~stay) < len(stay):
+            break
+    radii = np.full(len(Q), -np.inf)
+    radii[alive] = np.abs(np.linalg.eigvals(Q[alive])).max(axis=1)
+    return radii
 
 
 def _screen_cutoff(best):
@@ -633,9 +608,11 @@ class LevelBound:
     ties: tuple = ()
 
 
-def _level_bound(values, n, m, nth_root_of, ties):
+def _level_bound(values, n, m, ties):
+    """The ``n``-th root of the largest of ``values``, its word and, with
+    ``ties``, the words within ``TIE_RTOL`` of it."""
     top = int(np.argmax(values))  # first occurrence = lexicographically least word
-    value = float(nth_root_of(values[top]))
+    value = float(values[top] ** (1.0 / n))
     word = _word_of_index(top, n, m)
     tie_words = ()
     if ties:
@@ -656,8 +633,7 @@ def _level_bounds(P, fro, n, m, norm=EUCLIDEAN, ties=False):
     """
     norms = norm.matrix_norms_batch(P, fro)
     radii = _screened(fro, _spectral_radii, P, cutoff=True)
-    root = lambda v: v ** (1.0 / n)
-    return _level_bound(norms, n, m, root, ties), _level_bound(radii, n, m, root, ties)
+    return _level_bound(norms, n, m, ties), _level_bound(radii, n, m, ties)
 
 
 def _level(mset, n, norm, budget, ties):
@@ -790,18 +766,20 @@ def _pruned_level(gens, parents, n, lower, delta):
     normalised norm ``s = ||P||_2^(1/n)`` satisfies ``s - lower > delta``
     for the ``lower`` raised by this level's spectral radii, their scores
     in child order, that ``lower``, and the largest score retired.  The
-    children are formed ``PRUNED_BLOCK`` parents at a time; each block is
-    pre-filtered with the running ``lower``, which only grows, so the
-    kept set does not depend on the block size.  Radii are evaluated only
-    for children whose norm reaches ``c = _screen_cutoff(lower**n)``, and
-    there through the power stage at ``c``: a radius it skips is below
-    ``(1 + TIE_RTOL) * c < lower**n`` and could not raise ``lower``, so
-    ``lower`` is bit-identical to evaluating every child.
+    children are formed in blocks of parents whose children fit in
+    ``LEVEL_BYTES``; each block is pre-filtered with the running
+    ``lower``, which only grows, so the kept set does not depend on the
+    block size.  Radii are evaluated only for children whose norm reaches
+    ``c = _screen_cutoff(lower**n)``, and there through the power stage
+    at ``c``: a radius it skips is below ``(1 + TIE_RTOL) * c <
+    lower**n`` and could not raise ``lower``, so ``lower`` is
+    bit-identical to evaluating every child.
     """
     root = 1.0 / n
     kept, scores, retired = [], [], 0.0
-    for start in range(0, len(parents), PRUNED_BLOCK):
-        children = _extend(parents[start:start + PRUNED_BLOCK], gens)
+    block = max(1, LEVEL_BYTES // (len(gens) * gens[0].nbytes))
+    for start in range(0, len(parents), block):
+        children = _extend(parents[start:start + block], gens)
         norms = _euclidean_norms(children)
         # a radius below the cutoff leaves lower as it is: skip it (in
         # float64, lower**n overflows to inf instead of raising)

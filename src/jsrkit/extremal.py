@@ -105,8 +105,6 @@ WEIGHT_FLOOR = 1e-12
 # single-member weights are tried on the members of at most this condition
 # number, so that their values carry a roundoff of about 1e4 * 2**-53
 SINGLE_MEMBER_COND = 1e4
-# matrices per block of the kernel's temporaries
-CERTIFY_BLOCK = 1 << 14
 
 
 class NormalizationError(ValueError):
@@ -314,7 +312,8 @@ class AdaptedNorm:
         certified again without it.
         """
         f, d, n = self.family_size, self.d, len(P)
-        step = max(1, CERTIFY_BLOCK // f)
+        # matrices per block: its F_f M products fit in LEVEL_BYTES, complex or not
+        step = max(1, bounds.LEVEL_BYTES // (16 * f * d * d))
         if n > step:
             blocks = [P[i:i + step] for i in range(0, n, step)]
             return np.concatenate([self._certified(block, cutoff) for block in blocks])

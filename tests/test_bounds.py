@@ -310,16 +310,22 @@ class TestPrunedBounds:
         families = [random_family(seed, complex_entries=True) for seed in (0, 4, 5)]
         families += [random_family(seed, complex_entries=False) for seed in (0, 1)]
 
-        def search():
-            results = []
-            for mset in families:
-                counter = BudgetCounter(400)
-                results.append((pruned_bounds(mset, 1e-3, max_depth=12, budget=counter), counter.used))
-            return results
+        def search(mset):
+            counter = BudgetCounter(400)
+            return pruned_bounds(mset, 1e-3, max_depth=12, budget=counter), counter.used
 
-        default = search()
-        monkeypatch.setattr(bounds, "PRUNED_BLOCK", block)
-        assert search() == default
+        default = [search(mset) for mset in families]
+        for mset, want in zip(families, default):
+            # LEVEL_BYTES holds the children of ``block`` parents
+            word_bytes = bounds._typed_stack(mset)[0].nbytes
+            monkeypatch.setattr(bounds, "LEVEL_BYTES", block * len(mset) * word_bytes)
+            assert search(mset) == want
+
+    def test_budget_for_the_root_only_stops_at_the_first_level(self):
+        counter = BudgetCounter(2)
+        result = pruned_bounds(antidiagonal_pair(), 0.01, budget=counter)
+        assert result == PrunedBounds(1.0, 2.0, False, 0, 1)
+        assert counter.used == 2
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_encloses_the_sandwich(self, complex_entries):
@@ -342,10 +348,9 @@ class TestPrunedBounds:
 
 def unscreened_level(P, n, m, ties):
     """Both level bounds with every word evaluated by the exact kernels."""
-    root = lambda v: v ** (1.0 / n)
     return (
-        bounds._level_bound(bounds._euclidean_norms(P), n, m, root, ties),
-        bounds._level_bound(bounds._spectral_radii(P), n, m, root, ties),
+        bounds._level_bound(bounds._euclidean_norms(P), n, m, ties),
+        bounds._level_bound(bounds._spectral_radii(P), n, m, ties),
     )
 
 
@@ -663,6 +668,28 @@ class TestStreamedLevels:
         values = bounds._screened(np.ones(5000), kernel, np.arange(5000))
         assert (values == 1.0).all() and sum(sizes) == 5000
         assert max(sizes) == 256
+
+    def test_kernel_batches_fit_in_level_bytes(self, monkeypatch):
+        calls = []
+        for name in ("_euclidean_norms", "_spectral_radii"):
+            monkeypatch.setattr(bounds, name, counting(getattr(bounds, name), calls))
+        # the pruned search on a real 4 x 4 pair, in blocks of 4 parents
+        pair = MatrixSet(list(np.random.default_rng(0).standard_normal((2, 4, 4))))
+        monkeypatch.setattr(bounds, "LEVEL_BYTES", 4 * 2 * 128)
+        pruned_bounds(pair, 0.01, max_depth=20, budget=BudgetCounter(2000))
+        assert calls and max(Q.nbytes for Q in calls) <= bounds.LEVEL_BYTES
+        # an adapted sandwich on a complex 3 x 3 triple, 256 words per batch
+        rng = np.random.default_rng(1)
+        triple = MatrixSet(
+            [unitary(rng, 3, True) @ (np.eye(3) + 0.2 * rng.standard_normal((3, 3))) for _ in range(3)]
+        )
+        monkeypatch.setattr(bounds, "LEVEL_BYTES", 4 << 20)
+        norm = AdaptedNorm(triple, sandwich(triple, 6).best_upper(), 3)
+        assert norm.family_size > 1
+        calls.clear()
+        monkeypatch.setattr(bounds, "LEVEL_BYTES", 256 * 144)
+        sandwich(triple, 7, norm=norm)
+        assert calls and max(Q.nbytes for Q in calls) <= bounds.LEVEL_BYTES
 
     def test_sandwich_memory_stays_below_the_stored_level(self):
         # level 18 alone takes 32 MiB; the stored levels end at 4 MiB

@@ -196,8 +196,7 @@ ADAPTED_CASES = [(antidiagonal_pair(), SQRT2, 6), (rank_one_pair(), 2.0, 6)] + [
 
 
 def level_summary(values, n, m):
-    root = lambda v: v ** (1.0 / n)
-    return bounds._level_bound(values, n, m, root, ties=True)
+    return bounds._level_bound(values, n, m, ties=True)
 
 
 class TestScreenedAdaptedBatch:
@@ -421,6 +420,12 @@ class TestProductBounded:
         # the matrix squares to I; one maximum above the guess is no trend
         flip = MatrixSet([[[0, 2], [0.5, 0]]])
         assert is_product_bounded(flip, 1, 1.5).verdict == INCONCLUSIVE
+
+    def test_budget_exhaustion_is_inconclusive(self):
+        # the budget of 100 covers levels 1-5 (62 products), not level 6
+        result = is_product_bounded(antidiagonal_pair(), 30, 2.0, budget=100)
+        assert result.verdict == INCONCLUSIVE
+        assert result.level_maxima == [2.0, 2.0, 4.0, 4.0, 8.0]
 
     def test_scaled_antidiagonal_bounded(self, scaled_antidiagonal):
         assert is_product_bounded(scaled_antidiagonal, 12, 4.0).verdict == BOUNDED

@@ -154,6 +154,15 @@ class TestEpsilon:
         assert result.orbit.cycle == (2,)
         assert result.exact
 
+    def test_exhausted_window_is_an_upper_bound(self):
+        # 0^inf agrees with a phase of 0^9 1 to radius 4: the radius-2
+        # window of n = 1 runs out first, the radius-6 window of n = 3 does not
+        Z = PeriodicOrbitSet([PeriodicWord([0] * 9 + [1])])
+        at_one = epsilon_of_n(Z, 1)
+        assert (at_one.value, at_one.exact) == (0.25, False)
+        at_three = epsilon_of_n(Z, 3)
+        assert (at_three.value, at_three.exact) == (2.0**-4, True)
+
     def test_per_n_column_is_monotone(self):
         Z = PeriodicOrbitSet([PeriodicWord([0, 1, 1])])
         result = epsilon_of_n(Z, 6)
