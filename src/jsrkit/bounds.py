@@ -20,27 +20,34 @@ K words stacked row-wise into one ``(K d, d)`` matrix times a generator
 a level come from the previous level this way (:func:`_iter_levels`):
 with ``G_j = A_j`` each child prepends a symbol.  Entries are float64
 when every generator is real and complex128 otherwise.  Products
-associate left to right, ``(... (A_wn A_w(n-1)) ...) A_w1``.  Their
+associate left to right, ``(... (A_wn A_w(n-1)) ...) A_w1``.  A product
+that overflows binary64 reads inf or NaN, silently, and the first kernel
+that scales it (:func:`_scaled`) raises ``ValueError``.  Their
 per-level maxima are exact but screened by
 
     rho(P) <= ||P||_2 <= ||P||_F,   rho(P) <= ||P^k||_F^(1/k) <= ||P||_F,
 
 for k = 2, 4, 8 (Gelfand's formula; the power bound is not below
 ``||P||_2`` in general, as ``P = I`` shows).  ``||P||_F`` is computed for
-every word in one pass.  The exact Euclidean norm ``||P||_2 =
-sqrt(lambda_max(P^H P))`` (batched Gram matrix and ``eigvalsh``) is
-computed only for words whose ``||P||_F`` is at least ``(1 -
-SCREEN_SLACK)`` times the level's running norm maximum, seeded by the
-``SCREEN_SEED`` words of largest bound; ``rho`` only for words whose
-``||P||_F`` reaches the running ``rho`` maximum in the same sense, and
-whose Gelfand power bound reaches it as well.  ``SCREEN_SLACK`` = 1e-8
-is a roundoff allowance: it covers the relative error of the computed
-bounds and kernels (a small multiple of d**2 * 2**-53; both kernels are
-backward stable, so a computed norm or eigenvalue modulus exceeds
-``||P||_2`` by no more) and the ``TIE_RTOL`` tie window, so the
-per-level values, argmax words and tie lists equal those of evaluating
-every word.  Below ``SCREEN_FLOOR``
-the squares in ``||P||_F`` may underflow and nothing is screened.
+every word in one pass.  One screen, :func:`_screened`, serves every
+kernel: a norm of the protocol (:class:`Norm`), whose values its
+``factor`` L bounds by ``L ||P||_F`` (1 for the exact Euclidean norm
+``||P||_2 = sqrt(lambda_max(P^H P))``, by batched Gram matrices and
+``eigvalsh``), and the spectral radii, with L = 1.  The ``SCREEN_SEED``
+words of largest ``||P||_F`` go to the kernel first, with the cutoff
+``-inf``; the others only while their ``||P||_F`` reaches ``c / L``,
+where the cutoff ``c`` is the running level maximum less
+``SCREEN_SLACK``, and they go to the kernel with that cutoff, below
+which it may read ``-inf``.  The radius kernel spends it on its Gelfand
+power bound.  ``SCREEN_SLACK`` = 1e-8 is a roundoff allowance: it covers
+the relative error of the computed bounds and kernels (a small multiple
+of d**2 * 2**-53; both exact kernels are backward stable, so a computed
+norm or eigenvalue modulus exceeds ``||P||_2`` by no more) and the
+``TIE_RTOL`` tie window, so the per-level values, argmax words and tie
+lists equal those of evaluating every word.  Where ``c / L`` is below
+``SCREEN_FLOOR`` the squares in ``||P||_F`` may have underflowed and
+nothing is screened; the kernels still take the cutoff, since they scale
+each word by a power of two first.
 Screening charges no multiplications.
 
 Repeated products.  Families with structure repeat their products
@@ -144,6 +151,7 @@ __all__ = [
     "BudgetCounter",
     "InternalInvariantError",
     "MatrixSet",
+    "Norm",
     "EuclideanNorm",
     "LevelBound",
     "rho_plus_n",
@@ -318,6 +326,8 @@ def _typed_stack(mset):
     return stack
 
 
+# an overflowing product reads inf or NaN; the kernels raise on it (_scaled)
+@np.errstate(over="ignore", invalid="ignore")
 def _extend(P, gens):
     """Every product ``P_i @ gens[j]`` of a stack ``P`` of K words, at child ``j*K + i``.
 
@@ -349,6 +359,7 @@ def _iter_levels(mset, n_max, counter):
         yield n, P
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _frobenius_norms(P):
     """``||P||_F`` per matrix: the cheap screening bound."""
     flat = P.reshape(len(P), math.prod(P.shape[1:]))
@@ -434,8 +445,13 @@ def _scaled(Q):
     """``(Q / s, s)`` with ``s`` per matrix the least power of two above its
     largest entry modulus (1 for a zero matrix).  The scaling is exact,
     puts every entry below 1, and so keeps squares and Gram matrices clear
-    of overflow and of all but negligible underflow."""
-    scale = np.ldexp(1.0, np.frexp(np.abs(Q).max(axis=(1, 2)))[1])
+    of overflow and of all but negligible underflow.  A matrix with an
+    infinite or NaN entry, which is how an overflowing product reads,
+    raises ``ValueError``."""
+    top = np.abs(Q).max(axis=(1, 2))
+    if not np.isfinite(top).all():
+        raise ValueError("products overflow binary64; scale the family")
+    scale = np.ldexp(1.0, np.frexp(top)[1])
     return Q / scale[:, None, None], scale
 
 
@@ -461,7 +477,7 @@ def _power_slacks(d, complex_entries):
     )
 
 
-def _spectral_radii(Q, cutoff=0.0):
+def _spectral_radii(Q, cutoff):
     """Largest eigenvalue modulus per matrix of a batch.
 
     With a positive ``cutoff`` and at least ``POWER_MIN`` words, the batch
@@ -487,16 +503,20 @@ def _spectral_radii(Q, cutoff=0.0):
     return radii
 
 
-def _screen_cutoff(best):
-    """Smallest bound a word needs to stay a candidate for a value at
-    least ``best``."""
+def _screen_cutoff(best, factor):
+    """``(cutoff, threshold)`` for words whose values are at most
+    ``factor`` times their bounds: the smallest value, and the smallest
+    bound, with which a word stays a candidate for a value at least
+    ``best``.  The threshold is 0, which screens nothing, for a NaN
+    ``best`` or below ``SCREEN_FLOOR``, where the squares in ``||P||_F``
+    may have underflowed; a NaN cutoff cuts nothing either."""
     cutoff = best * (1.0 - SCREEN_SLACK)
-    # NaN, or a level so small that squares may underflow: screen nothing
-    return cutoff if cutoff >= SCREEN_FLOOR else 0.0
+    threshold = cutoff / factor
+    return cutoff, (threshold if threshold >= SCREEN_FLOOR else 0.0)
 
 
-def _once(kernel, Q, bound, *args):
-    """``kernel(Q, *args)``, with each bit-identical word of ``Q`` evaluated once.
+def _once(kernel, Q, bound, cutoff):
+    """``kernel(Q, cutoff)``, with each bit-identical word of ``Q`` evaluated once.
 
     ``bound`` holds the words' bounds in decreasing order.  Identical words
     have identical bounds, so a batch in which no two neighbours tie has
@@ -505,10 +525,10 @@ def _once(kernel, Q, bound, *args):
     ``0.0`` stay apart), the kernel runs on the first word of each group,
     and its values are scattered back.  A kernel value depends on its own
     word only, so the values are those of evaluating every word, up to the
-    ``-inf`` a cutoff kernel may read below its cutoff.
+    ``-inf`` a kernel may read below its cutoff.
     """
     if not (bound[1:] == bound[:-1]).any():
-        return kernel(Q, *args)
+        return kernel(Q, cutoff)
     bits = Q.reshape(len(Q), -1).view(np.uint64)
     order = np.lexsort(bits.T)
     new = np.zeros(len(Q) - 1, dtype=bool)
@@ -516,80 +536,103 @@ def _once(kernel, Q, bound, *args):
         column = column[order]
         new |= column[1:] != column[:-1]
     if new.all():
-        return kernel(Q, *args)
+        return kernel(Q, cutoff)
     first = np.concatenate([[True], new])
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(first) - 1
-    return kernel(Q[order[first]], *args)[inverse]
+    return kernel(Q[order[first]], cutoff)[inverse]
 
 
-def _screened(bound, kernel, P, cutoff=False):
-    """Exact ``kernel`` values of the words that can reach the maximum.
+def _screened(fro, factor, kernel, P):
+    """``kernel`` values of the words of ``P`` that can reach the maximum.
 
-    ``bound[i]`` must bound ``kernel(P[i])`` from above up to roundoff;
-    ``P`` is indexed by integer arrays only, so it may be a lazy stack.
-    The ``SCREEN_SEED`` words of largest bound are evaluated first; the
-    rest are evaluated in batches of decreasing bound, as long as their
-    bound reaches the running maximum less ``SCREEN_SLACK``.  The batches
-    double in size up to the words that fit in ``LEVEL_BYTES``.  Every other
-    word reads ``-inf``; its value lies below the maximum, so the maximum,
-    its lexicographically first argmax and the ``TIE_RTOL`` tie window
-    equal those of an unscreened evaluation.  With ``cutoff``, the later
-    batches are evaluated as ``kernel(batch, c)`` for the running cutoff
-    ``c``, and the kernel may read ``-inf`` on words whose values lie
-    below ``(1 + TIE_RTOL) * c``, which ``SCREEN_SLACK`` keeps outside the
-    tie window: :meth:`jsrkit.extremal.AdaptedNorm.matrix_norms_batch`
-    stops its descents there, and :func:`_spectral_radii` skips
-    ``eigvals`` on words whose Gelfand power bound lies below ``c``.
-    Each batch evaluates every bit-identical word once (:func:`_once`);
-    since a value depends on its own word only, and the ``-inf`` contract
-    holds for any batch, the maximum, argmax and tie window stay those of
-    evaluating every word.
+    ``fro`` holds the words' Frobenius norms, and ``factor * fro[i]`` must
+    bound ``kernel(P[i])`` from above up to roundoff; ``P`` is indexed by
+    integer arrays only, so it may be a lazy stack.  The ``SCREEN_SEED``
+    words of largest ``fro`` are evaluated first, as ``kernel(seed,
+    -inf)``.  The rest are evaluated in batches of decreasing ``fro``, as
+    ``kernel(batch, c)`` for the running cutoff ``c``, the maximum less
+    ``SCREEN_SLACK``, as long as their ``fro`` reaches ``c / factor``
+    (:func:`_screen_cutoff`; nothing is screened below ``SCREEN_FLOOR``).
+    The batches double in size up to the words that fit in
+    ``LEVEL_BYTES``.  Every other word reads ``-inf``; its value lies
+    below the maximum.  A kernel may also read ``-inf`` on words whose
+    values lie below ``(1 + TIE_RTOL) * c``, which ``SCREEN_SLACK`` keeps
+    outside the tie window: the certified kernel of
+    :class:`jsrkit.extremal.AdaptedNorm` stops its descents there, and
+    :func:`_spectral_radii` skips ``eigvals`` on words whose Gelfand power
+    bound lies below ``c``.  Each batch evaluates every bit-identical word
+    once (:func:`_once`).  Since a value depends on its own word only, and
+    the ``-inf`` contract holds for any batch, the maximum, its
+    lexicographically first argmax and the ``TIE_RTOL`` tie window equal
+    those of evaluating every word.
     """
-    total = len(bound)
+    total = len(fro)
     values = np.full(total, -np.inf)
     size = min(SCREEN_SEED, total)
-    batch = np.argpartition(bound, total - size)[total - size:]
-    batch = batch[np.argsort(-bound[batch], kind="stable")]
+    batch = np.argpartition(fro, total - size)[total - size:]
+    batch = batch[np.argsort(-fro[batch], kind="stable")]
     seed = P[batch]
-    values[batch] = _once(kernel, seed, bound[batch])
+    values[batch] = _once(kernel, seed, fro[batch], -np.inf)
     # later batches double, up to the words that fit in LEVEL_BYTES
     cap = max(size, LEVEL_BYTES * size // seed.nbytes)
     # a NaN value makes ``best`` NaN: its cutoff screens nothing
     best = values[batch].max()
+    cutoff, threshold = _screen_cutoff(best, factor)
     fresh = np.ones(total, dtype=bool)
     fresh[batch] = False
-    rest = np.nonzero(fresh & ~(bound < _screen_cutoff(best)))[0]
-    rest = rest[np.argsort(-bound[rest], kind="stable")]
+    rest = np.nonzero(fresh & ~(fro < threshold))[0]
+    rest = rest[np.argsort(-fro[rest], kind="stable")]
     while len(rest):
         batch, rest = rest[:size], rest[size:]
-        args = (_screen_cutoff(best),) if cutoff else ()
-        values[batch] = _once(kernel, P[batch], bound[batch], *args)
+        values[batch] = _once(kernel, P[batch], fro[batch], cutoff)
         best = np.max([best, values[batch].max()])
-        rest = rest[~(bound[rest] < _screen_cutoff(best))]
+        cutoff, threshold = _screen_cutoff(best, factor)
+        rest = rest[~(fro[rest] < threshold)]
         size = min(2 * size, cap)
     return values
 
 
-class EuclideanNorm:
+class Norm:
+    """The norm protocol (module docstring of :mod:`jsrkit.extremal`).
+
+    A norm defines four members: ``label``; ``factor``, a constant L with
+    ``matrix_norms(Q, c)[i] <= L ||Q_i||_F``; ``vector_norms(V)``; and the
+    batched kernel ``matrix_norms(Q, cutoff)``.  The three members below
+    derive from them.
+    """
+
+    def vector_norm(self, v):
+        """The norm of one vector."""
+        return float(self.vector_norms(linalg.as_vector(v))[0])
+
+    def matrix_norm(self, M):
+        """The operator norm of one matrix, by the batched kernel."""
+        return float(self.matrix_norms(linalg.as_matrix(M)[None], -np.inf)[0])
+
+    def matrix_norms_batch(self, P, fro):
+        """``matrix_norms`` of a stack ``P`` with Frobenius norms ``fro``,
+        on every word that can reach the maximum or its tie window, under
+        the level screen of :func:`_screened` by ``factor * fro``; the
+        other words read ``-inf``."""
+        return _screened(fro, self.factor, self.matrix_norms, P)
+
+
+class EuclideanNorm(Norm):
     """The Euclidean vector norm and its induced operator norm."""
 
     label = "euclidean"
-
-    def vector_norm(self, v):
-        return float(np.linalg.norm(linalg.as_vector(v)))
+    # ||Q||_2 <= ||Q||_F
+    factor = 1.0
 
     def vector_norms(self, V):
         """Norms of the columns of a d x r array; a vector is one column."""
         return np.linalg.norm(linalg.as_columns(V), axis=0)
 
-    def matrix_norm(self, M):
-        return float(np.linalg.norm(M, 2))
-
-    def matrix_norms_batch(self, P, fro):
-        """``||P||_2`` per word, by the Gram-based kernel on the words whose
-        Frobenius norm ``fro`` can reach the batch maximum (module docstring)."""
-        return _screened(fro, _euclidean_norms, P)
+    def matrix_norms(self, Q, cutoff):
+        """``||Q||_2`` per matrix by the Gram-based kernel, which is exact
+        and so needs no cutoff."""
+        return _euclidean_norms(Q)
 
     def __repr__(self):
         return "EuclideanNorm()"
@@ -632,7 +675,7 @@ def _level_bounds(P, fro, n, m, norm=EUCLIDEAN, ties=False):
     :func:`_spectral_radii`.
     """
     norms = norm.matrix_norms_batch(P, fro)
-    radii = _screened(fro, _spectral_radii, P, cutoff=True)
+    radii = _screened(fro, 1.0, _spectral_radii, P)
     return _level_bound(norms, n, m, ties), _level_bound(radii, n, m, ties)
 
 
@@ -672,8 +715,9 @@ def rho_minus_n(mset, n, budget=None, ties=False):
 
 def _check_enclosure(lower, upper, where):
     """Raise :class:`InternalInvariantError` if ``lower`` exceeds ``upper``
-    by more than roundoff (``1e-9 * max(1, upper)``)."""
-    if upper - lower < -1e-9 * max(1.0, upper):
+    by more than roundoff, ``1e-9 * max(upper, lower)``: relative at every
+    scale, so an enclosure whose products underflowed is refused."""
+    if upper - lower < -1e-9 * max(upper, lower):
         raise InternalInvariantError(
             "lower bound %.17g exceeds upper bound %.17g %s" % (lower, upper, where)
         )
@@ -750,11 +794,16 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
 
 @dataclass
 class PrunedBounds:
+    """A pruned-search enclosure; ``capped`` if the budget could not cover
+    a whole frontier, so that the search stopped after the nodes it could
+    afford."""
+
     lower: float
     upper: float
     conclusive: bool
     expanded: int
     deepest: int
+    capped: bool
 
 
 def _pruned_level(gens, parents, n, lower, delta):
@@ -770,8 +819,9 @@ def _pruned_level(gens, parents, n, lower, delta):
     ``LEVEL_BYTES``; each block is pre-filtered with the running
     ``lower``, which only grows, so the kept set does not depend on the
     block size.  Radii are evaluated only for children whose norm reaches
-    ``c = _screen_cutoff(lower**n)``, and there through the power stage
-    at ``c``: a radius it skips is below ``(1 + TIE_RTOL) * c <
+    the cutoff ``c`` of ``_screen_cutoff(lower**n, 1.0)`` (unless it is
+    below ``SCREEN_FLOOR``), and there through the power stage at ``c``:
+    a radius it skips is below ``(1 + TIE_RTOL) * c <
     lower**n`` and could not raise ``lower``, so ``lower`` is
     bit-identical to evaluating every child.
     """
@@ -783,8 +833,8 @@ def _pruned_level(gens, parents, n, lower, delta):
         norms = _euclidean_norms(children)
         # a radius below the cutoff leaves lower as it is: skip it (in
         # float64, lower**n overflows to inf instead of raising)
-        cutoff = _screen_cutoff(np.float64(lower) ** n)
-        top = _spectral_radii(children[~(norms < cutoff)], cutoff).max(initial=0.0)
+        cutoff, threshold = _screen_cutoff(np.float64(lower) ** n, 1.0)
+        top = _spectral_radii(children[~(norms < threshold)], cutoff).max(initial=0.0)
         lower = max(lower, float(top) ** root)
         s = norms ** root
         alive = s - lower > delta
@@ -860,7 +910,7 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
 
     upper = max(retired_max, float(scores.max(initial=0.0)))
     _check_enclosure(lower, upper, "in the pruned search")
-    return PrunedBounds(lower, upper, upper - lower <= delta, expanded, depth)
+    return PrunedBounds(lower, upper, upper - lower <= delta, expanded, depth, capped)
 
 
 @dataclass(frozen=True)

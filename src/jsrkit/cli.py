@@ -118,8 +118,7 @@ def _report_pruned(cfg, mset, counter):
     reason = None
     if not result.conclusive:
         reason = "gap %.6g above delta %.6g at depth %d" % (gap, cfg.delta, result.deepest)
-        # a capped frontier leaves less than one node's m multiplications
-        if counter.limit - counter.used < len(mset):
+        if result.capped:
             reason += ", with the multiplication budget (%d) spent" % counter.limit
     return header, [row], {}, reason
 

@@ -18,7 +18,7 @@ bits of ``mset.product`` of its word.  A computation that needs the
 products ``A(T^s x, n)`` for several n from one start s takes them from
 one sweep, rather than forming each from the identity, and reads them as
 one stack: the growth exponents from one batched SVD, the contraction
-table ``||A(x, n)|W||_2`` from one batched 2-norm.
+values ``||A(x, n)|W||_2`` from one batched 2-norm.
 
 The cone check reads p and the slow space W0 off the phase-0 pair of
 the cone field it is given and rebuilds no splitting: its xi and K1 are
@@ -184,20 +184,20 @@ class SplittingDiagnostics:
     contraction_r2: float
     cauchy_rate: float
     cauchy_r2: float
-    cauchy_constant: float
     commutation_residual: float
     horizon: int
-    contraction_table: list = field(default_factory=list)
     cauchy_table: list = field(default_factory=list)
 
 
 def _loglinear_fit(ns, values):
+    """``(rate, R^2)`` of a line through ``log(values)`` against ``ns``,
+    over the values above ``FIT_FLOOR``; NaN for fewer than two."""
     pairs = [(n, v) for n, v in zip(ns, values) if v > FIT_FLOOR]
     if len(pairs) < 2:
-        return math.nan, math.nan, math.nan
+        return math.nan, math.nan
     xs = np.array([p[0] for p in pairs], dtype=float)
-    slope, intercept, r2 = _line_fit(xs, np.log([p[1] for p in pairs]))
-    return float(math.exp(slope)), r2, float(math.exp(intercept))
+    slope, _, r2 = _line_fit(xs, np.log([p[1] for p in pairs]))
+    return float(math.exp(slope)), r2
 
 
 def _contraction(products, ns, W):
@@ -222,7 +222,7 @@ def splitting_residuals(mset, x, result, n_max):
     * Cauchy rate of the horizon-n fast spaces, fitted the same way;
     * commutation residual of the projections with the cocycle step.
 
-    delta_hat and the contraction table read one sweep of ``n_max``
+    delta_hat and the contraction values read one sweep of ``n_max``
     products, each as one batched SVD; the fast space of each Cauchy
     horizon is built once and compared with the next one's, and the
     horizon ``n_max`` itself reuses the phase-0 splitting.
@@ -247,7 +247,7 @@ def splitting_residuals(mset, x, result, n_max):
 
     ns = list(range(r, n_max + 1, r))
     contraction = _contraction(products, ns, phases[0].W)[1].tolist()
-    xi_hat, xi_r2, _ = _loglinear_fit(ns, contraction)
+    xi_hat, xi_r2 = _loglinear_fit(ns, contraction)
 
     # horizons n and n + r, both in ns, are compared; phase 0 is built at n_max
     fast = [finite_splitting(mset, x, p, n).V for n in ns[:-1]]
@@ -255,7 +255,7 @@ def splitting_residuals(mset, x, result, n_max):
         fast.append(V0 if ns[-1] == n_max else finite_splitting(mset, x, p, ns[-1]).V)
     cauchy_ns = ns[:-1]
     cauchy_vals = [linalg.grassmann_distance(a, b) for a, b in zip(fast, fast[1:])]
-    cauchy_rate, cauchy_r2, cauchy_C = _loglinear_fit(cauchy_ns, cauchy_vals)
+    cauchy_rate, cauchy_r2 = _loglinear_fit(cauchy_ns, cauchy_vals)
 
     return SplittingDiagnostics(
         invariance_residual=invariance,
@@ -264,10 +264,8 @@ def splitting_residuals(mset, x, result, n_max):
         contraction_r2=xi_r2,
         cauchy_rate=cauchy_rate,
         cauchy_r2=cauchy_r2,
-        cauchy_constant=cauchy_C,
         commutation_residual=commutation,
         horizon=n_max,
-        contraction_table=list(zip(ns, contraction)),
         cauchy_table=list(zip(cauchy_ns, cauchy_vals)),
     )
 
@@ -371,7 +369,8 @@ def cone_propagation_check(mset, x, params, N, laps):
     contraction = contraction.tolist()
     xi_hat = _loglinear_fit(ns, contraction)[0]
     norm = params.norm
-    m_q = max(norm.matrix_norm(pair.complement()) for pair in params.projections)
+    complements = np.stack([pair.complement() for pair in params.projections])
+    m_q = float(norm.matrix_norms(complements, -np.inf).max())
     # contraction prefactor in the chosen norm: sup over W0's basis per n
     sup_w = norm.vector_norms(np.hstack(images)).reshape(len(ns), -1) / norm.vector_norms(W0.basis)
     sup = zip(sup_w.max(axis=1).tolist(), ns, contraction)
@@ -442,7 +441,6 @@ class LowerBoundCertificate:
     word: tuple
     value: float
     gelfand: list
-    norm_trace: list
     vacuous: bool = False
 
 
@@ -454,17 +452,9 @@ def certify_lower(mset, word):
     n = len(word)
     rho = linalg.spectral_radius(P)
     value = rho ** (1.0 / n)
-    gelfand, norms = [], []
+    gelfand = []
     Q = np.eye(mset.d, dtype=complex)
     for k in range(1, 9):
         Q = Q @ P
-        nk = float(np.linalg.norm(Q, 2))
-        norms.append(nk)
-        gelfand.append(nk ** (1.0 / (k * n)))
-    return LowerBoundCertificate(
-        word=word,
-        value=value,
-        gelfand=gelfand,
-        norm_trace=norms,
-        vacuous=(rho == 0.0),
-    )
+        gelfand.append(float(np.linalg.norm(Q, 2)) ** (1.0 / (k * n)))
+    return LowerBoundCertificate(word=word, value=value, gelfand=gelfand, vacuous=(rho == 0.0))

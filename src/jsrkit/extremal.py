@@ -22,10 +22,10 @@ Hence, with ``H_f = (F_f M)^H (F_f M)`` and ``L = max_f ||F_f||_2``,
             <= max_f ||F_f M||_2 <= L ||M||_2 <= L ||M||_F,
 
 an S-procedure bound (Polik and Terlaky, SIAM Review 49, 2007).  Every
-lambda gives a sound value, so :class:`AdaptedNorm` reports, for
-``matrix_norm`` and ``matrix_norms_batch`` alike, certified upper values
-of ``|||M|||`` (up to roundoff; see ``matrix_norms_batch``): the least
-value over the weights it tries, without any search over vectors.
+lambda gives a sound value, so :class:`AdaptedNorm` reports certified
+upper values of ``|||M|||`` (up to roundoff; see
+:meth:`AdaptedNorm._certified`): the least value over the weights it
+tries, without any search over vectors.
 
 Loewner pruning.  With ``G_g = F_g^H F_g``, a member g with ``G_g <= G_f``
 (Loewner order) for another member f has ``||F_g v|| <= ||F_f v||`` for
@@ -41,27 +41,34 @@ bound the joint spectral radius all the same.  The family of each
 ``data/`` fixture at depth 6 keeps 2 of 127 members.
 
 Norm protocol.  Every function of the package that takes a ``norm``
-calls it through these members only:
+calls it through the members of :class:`jsrkit.bounds.Norm`.  A norm
+subclasses it and defines four:
 
 - ``label``: the name written to reports;
-- ``vector_norm(v)``, and ``vector_norms(V)`` of shape ``(r,)`` over the
-  columns of a d x r array (a vector is one column);
-- ``matrix_norm(M)``: the induced operator norm of one matrix, or a
-  certified upper value of it;
-- ``matrix_norms_batch(P, fro)``: the same values for a stack ``P`` of
-  matrices.  ``P`` is any stack with ``len(P)`` and integer-array
-  indexing ``P[idx]``, which returns those matrices as an array: a level
-  of :mod:`jsrkit.bounds` above ``LEVEL_BYTES`` is a lazy stack that
-  re-forms only the words it is asked for.  ``fro`` must hold their
-  Frobenius norms: the level kernel of
-  :mod:`jsrkit.bounds` computes them once per level for all of its
-  screens, so that no norm computes them again.  It must return the
-  values on every word that can reach the batch maximum or its
-  ``TIE_RTOL`` tie window, and may read ``-inf`` on the others.
+- ``factor``: a constant L with ``matrix_norms(Q, c)[i] <= L ||Q_i||_F``,
+  which makes ``L ||P||_F`` the bound of the level screen;
+- ``vector_norms(V)``: the norms of the columns of a d x r array, of
+  shape ``(r,)`` (a vector is one column);
+- ``matrix_norms(Q, cutoff)``: the batched kernel, the induced operator
+  norms of an array ``Q`` of matrices, or certified upper values of
+  them.  It may read ``-inf`` on a matrix whose value lies below
+  ``(1 + TIE_RTOL) * cutoff``; a cutoff of ``-inf`` asks for every value.
 
-:class:`EuclideanNorm` screens its Gram-based kernel by ``fro``, and
-:class:`AdaptedNorm` its certified kernel by ``L * fro``, both with the
-level screen of :mod:`jsrkit.bounds`.  The entry points that take
+``Norm`` derives the other three, once: ``vector_norm(v)``;
+``matrix_norm(M)``, one matrix through the kernel; and
+``matrix_norms_batch(P, fro)``, the kernel under the level screen of
+:mod:`jsrkit.bounds` for a stack ``P`` with Frobenius norms ``fro``.
+``P`` is any stack with ``len(P)`` and integer-array indexing, so a level
+above ``LEVEL_BYTES`` may be a lazy stack that re-forms only the words
+the screen evaluates.  The screen passes every batch but the first the
+running cutoff, returns the values on every word that can reach the
+batch maximum or its ``TIE_RTOL`` tie window, and ``-inf`` on the others.
+The diagnostics read their stacks with one ``matrix_norms(Q, -inf)`` call
+each.
+
+:class:`EuclideanNorm` has the exact Gram-based kernel and factor 1;
+:class:`AdaptedNorm` has the certified kernel :meth:`AdaptedNorm._certified`
+and factor ``L = max_f ||F_f||_2``.  The entry points that take
 ``norm=None`` read it as the Euclidean norm.
 """
 
@@ -92,7 +99,7 @@ __all__ = [
 # |||A(x,n)||| may deviate from 1 by this much before a verdict is drawn
 Y_MEMBERSHIP_TOL = 1e-6
 
-# The certified kernel of AdaptedNorm (AdaptedNorm.matrix_norms_batch).
+# The certified kernel of AdaptedNorm (AdaptedNorm._certified).
 # exponentiated-gradient steps per (matrix, member) pair at most
 DESCENT_STEPS = 100
 # a pair stops descending once its value is within this of a lower value
@@ -130,13 +137,14 @@ def _undominated(grams):
     return np.sort(kept)
 
 
-class AdaptedNorm:
+class AdaptedNorm(bounds.Norm):
     """Scaled-product maximum norm at a finite horizon.
 
     ``|||v||| = max_f ||F_f v||`` over the family ``F = {rho_hat^(-k) A_w :
     |w| = k <= N}``, which contains the identity (the empty word), so
     ``|||v||| >= ||v||``.  Operator norms are certified upper values of
-    ``|||M|||``; see :meth:`matrix_norms_batch`.  Members that a kept
+    ``|||M|||``, from the kernel :meth:`_certified` with ``factor`` ``L =
+    max_f ||F_f||_2``.  Members that a kept
     member Loewner-dominates are dropped (module docstring):
     ``full_family_size`` counts the whole family, ``family_size`` the
     members kept, which every evaluation uses.  The budget is charged for
@@ -196,14 +204,14 @@ class AdaptedNorm:
         self.full_family_size = len(family)
         self._family = family = family[kept]
         self.family_size = f = len(family)
-        # L = max_f ||F_f||_2, the factor of the screening bound L * ||P||_F
-        self._family_norm = float(bounds._euclidean_norms(family).max())
+        # L = max_f ||F_f||_2: |||M||| <= L ||M||_F
+        self.factor = float(bounds._euclidean_norms(family).max())
         # row g holds F_g^H F_g: weights @ rows is G_lambda
         self._grams = grams[kept].reshape(f, d * d)
         # the other members share WEIGHT_FLOOR; the identity's floor keeps
         # cond(G_lambda) <= 1 / WEIGHT_FLOOR, since ||G_lambda|| <= L**2
         self._floor = np.full(f, WEIGHT_FLOOR / f)
-        self._floor[0] = WEIGHT_FLOOR * max(1.0, self._family_norm**2)
+        self._floor[0] = WEIGHT_FLOOR * max(1.0, self.factor**2)
         self._single = np.nonzero(np.linalg.cond(family) <= SINGLE_MEMBER_COND)[0]
         self._inverses = np.linalg.inv(family[self._single])  # the identity first
 
@@ -217,9 +225,6 @@ class AdaptedNorm:
         if V.shape[0] != self.d:
             raise linalg.DimensionError("vectors must live in C^%d" % self.d)
         return np.linalg.norm(np.matmul(self._family, V), axis=1).max(axis=0)
-
-    def vector_norm(self, v):
-        return float(self.vector_norms(linalg.as_vector(v))[0])
 
     def _lower(self, M, u):
         """``|||M u||| / |||u|||`` per pair, and ``||F_g u||^2`` per pair and member."""
@@ -293,8 +298,32 @@ class AdaptedNorm:
             trial[live] = lam / lam.sum(axis=1, keepdims=True)
         return best, anchor, cut
 
-    def _certified(self, P, cutoff=-np.inf):
-        """Certified upper values of ``|||M|||`` for the matrices ``M`` of ``P``.
+    def _certified(self, P, cutoff):
+        """Certified upper values of ``|||M|||`` for the matrices ``M`` of
+        ``P``: the batched kernel of the norm protocol.
+
+        For weights lambda in the simplex, ``|||v|||^2 >= sum_g lambda_g
+        ||F_g v||^2 = v^H G_lambda v`` (an S-procedure relaxation), so
+
+            |||M||| <= max_f min_lambda sqrt(lambda_max(H_f, G_lambda)),
+            H_f = (F_f M)^H (F_f M),
+
+        with the generalised eigenvalue of the pencil ``(H_f, G_lambda)``.
+        Every lambda gives a sound value; the kernel takes, per pair
+        ``(M, F_f)``, the least value over ``lambda = e_g`` for the
+        well-conditioned members ``F_g`` (``||F_f M F_g^-1||_2``; the
+        identity among them gives ``||F_f M||_2``) and over
+        exponentiated-gradient iterates on lambda, deterministically and
+        without charging the budget.  So every value lies between
+        ``|||M|||`` and
+
+            max_f ||F_f M||_2 <= L ||M||_2 <= L ||M||_F,
+
+        where ``L = max_f ||F_f||_2`` is the norm's ``factor``, up to
+        roundoff, as values are not outward-rounded: about
+        ``SINGLE_MEMBER_COND * 2**-53`` relative on single-member values,
+        and on the others up to about ``2**-54 * cond(G_lambda)``, which
+        ``WEIGHT_FLOOR`` caps at 6e-5.
 
         The pair ``(M, F_f)`` of largest ``||F_f M||_2`` (the first such f)
         is certified first.  Every other pair whose ``||F_f M||_2`` exceeds
@@ -303,15 +332,17 @@ class AdaptedNorm:
         ``DESCENT_RTOL``, certified on its own.  A value depends on its own
         matrix only, not on the rest of ``P``.
 
-        Given a ``cutoff``, the first pair's descent also stops once its
-        value falls below it.  A matrix that such a cut leaves below the
-        cutoff reads ``-inf``: its full value is below ``(1 + DESCENT_RTOL)``
-        times the cutoff, since the values it was left with bound
-        ``|||M|||``, and so the lower values at which the full descents may
-        stop.  A matrix that a cut leaves at or above the cutoff is
-        certified again without it.
+        The first pair's descent also stops once its value falls below
+        ``cutoff``.  A matrix that such a cut leaves below the cutoff reads
+        ``-inf``: its full value is below ``(1 + DESCENT_RTOL)`` times the
+        cutoff, since the values it was left with bound ``|||M|||``, and so
+        the lower values at which the full descents may stop.  A matrix
+        that a cut leaves at or above the cutoff is certified again with
+        the cutoff ``-inf``, which cuts nothing.
         """
         f, d, n = self.family_size, self.d, len(P)
+        if P.shape[1:] != (d, d):
+            raise linalg.DimensionError("matrices must be %d x %d" % (d, d))
         # matrices per block: its F_f M products fit in LEVEL_BYTES, complex or not
         step = max(1, bounds.LEVEL_BYTES // (16 * f * d * d))
         if n > step:
@@ -335,56 +366,10 @@ class AdaptedNorm:
         redo = cut & (values >= c)
         values = np.where(cut & (values < c), -np.inf, values * scale)
         if redo.any():
-            values[redo] = self._certified(P[redo])
+            values[redo] = self._certified(P[redo], -np.inf)
         return values
 
-    def matrix_norm(self, M):
-        """Certified upper value of the induced operator norm ``|||M|||``,
-        by the kernel of :meth:`matrix_norms_batch`."""
-        M = linalg.as_matrix(M)
-        if M.shape != (self.d, self.d):
-            raise linalg.DimensionError("matrix must be %d x %d" % (self.d, self.d))
-        return float(self._certified(M[None])[0])
-
-    def matrix_norms_batch(self, P, fro):
-        """Certified upper values of the operator norms of a batch, screened.
-
-        For weights lambda in the simplex, ``|||v|||^2 >= sum_g lambda_g
-        ||F_g v||^2 = v^H G_lambda v`` (an S-procedure relaxation), so
-
-            |||M||| <= max_f min_lambda sqrt(lambda_max(H_f, G_lambda)),
-            H_f = (F_f M)^H (F_f M),
-
-        with the generalised eigenvalue of the pencil ``(H_f, G_lambda)``.
-        Every lambda gives a sound value; the kernel takes, per pair
-        ``(M, F_f)``, the least value over ``lambda = e_g`` for the
-        well-conditioned members ``F_g`` (``||F_f M F_g^-1||_2``; the
-        identity among them gives ``||F_f M||_2``) and over
-        exponentiated-gradient iterates on lambda, deterministically and
-        without charging the budget.  So every value lies between
-        ``|||M|||`` and
-
-            max_f ||F_f M||_2 <= L ||M||_2 <= L ||M||_F,
-
-        where ``L = max_f ||F_f||_2``, up to roundoff, as values are not
-        outward-rounded: about ``SINGLE_MEMBER_COND * 2**-53`` relative on
-        single-member values, and on the others up to about
-        ``2**-54 * cond(G_lambda)``, which ``WEIGHT_FLOOR`` caps at 6e-5.
-
-        ``fro`` holds the Frobenius norms of ``P``.  The level screen of
-        :mod:`jsrkit.bounds` evaluates only the words whose bound ``L *
-        fro`` can reach the batch maximum, and passes the kernel its
-        running cutoff: the first descent of a word stops once it falls
-        below the cutoff, and a word it leaves there reads ``-inf``, as do
-        the words the bound screens out.  The maximum, its
-        lexicographically first argmax and the ``TIE_RTOL`` tie window
-        equal those of evaluating every word, since a word's value does not
-        depend on the rest of the batch.
-        """
-        # below SCREEN_FLOOR, ||P||_F may have lost its squares to underflow,
-        # but the true value is below SCREEN_FLOOR as well
-        fro = np.maximum(fro, bounds.SCREEN_FLOOR)
-        return bounds._screened(self._family_norm * fro, self._certified, P, cutoff=True)
+    matrix_norms = _certified
 
     def __repr__(self):
         return "AdaptedNorm(depth=%d, rho_hat=%g, |family|=%d)" % (
@@ -403,12 +388,12 @@ def extremality_residual(mset, norm, rho_hat):
     """Worst relative one-step expansion of the norm over the family.
 
     Returns ``max(0, (max_i |||A_i||| - rho_hat) / rho_hat)`` with the
-    operator norms of ``norm.matrix_norm``: exact for
-    :class:`EuclideanNorm`, and for :class:`AdaptedNorm` a certified upper
-    value of the residual.  A true extremal norm for the
+    operator norms of one ``norm.matrix_norms`` call on the family: exact
+    for :class:`EuclideanNorm`, and for :class:`AdaptedNorm` a certified
+    upper value of the residual.  A true extremal norm for the
     rho_hat-normalised family gives 0.
     """
-    worst = max(norm.matrix_norm(A) for A in mset.matrices)
+    worst = float(norm.matrix_norms(mset.stack(), -np.inf).max())
     return ExtremalityResidual(value=max(0.0, (worst - rho_hat) / rho_hat))
 
 
@@ -482,10 +467,10 @@ def y_membership(mset, norm, pword, depth):
     """Track |||A(x, n)||| along a periodic word for n = 1..depth.
 
     The products ``A(x, n)`` come from one prefix sweep in the order of
-    :meth:`MatrixSet.product`.  ``norm.matrix_norm`` gives each value; for
-    :class:`AdaptedNorm` it is a certified upper value, so a rejection is
-    sound while the excess list stays an indication
-    (:class:`YMembershipReport`).
+    :meth:`MatrixSet.product`, and one ``norm.matrix_norms`` call gives
+    their values; for :class:`AdaptedNorm` they are certified upper
+    values, so a rejection is sound while the excess list stays an
+    indication (:class:`YMembershipReport`).
     """
     pword.validate_for(mset)
     estimate = _coarse_jsr_estimate(mset)
@@ -494,26 +479,20 @@ def y_membership(mset, norm, pword, depth):
             "working jsr estimate %.4f differs from 1 by more than 20%%; "
             "scale the set first" % estimate
         )
-    values, margins, excess = [], [], []
-    verdict, rejected_at = "consistent", None
-    products = bounds._prefixes(mset, pword.prefix(depth))
-    for n in range(1, depth + 1):
-        v = norm.matrix_norm(products[n])
-        values.append(v)
-        margins.append(1.0 - v)
-        if v > 1.0 + Y_MEMBERSHIP_TOL:
-            excess.append(n)
-        if v < 1.0 - Y_MEMBERSHIP_TOL:
-            verdict, rejected_at = "rejected-at-%d" % n, n
-            break
+    products = bounds._prefixes(mset, pword.prefix(depth))[1:]
+    values = norm.matrix_norms(products, -np.inf).tolist()
+    low = [n for n, v in enumerate(values, start=1) if v < 1.0 - Y_MEMBERSHIP_TOL]
+    rejected_at = low[0] if low else None
+    values = values[:rejected_at]
+    verdict = "consistent" if rejected_at is None else "rejected-at-%d" % rejected_at
     return YMembershipReport(
         word=pword,
         depth=len(values),
         values=values,
-        margins=margins,
+        margins=[1.0 - v for v in values],
         verdict=verdict,
         rejected_at=rejected_at,
-        excess_at=excess,
+        excess_at=[n for n, v in enumerate(values, start=1) if v > 1.0 + Y_MEMBERSHIP_TOL],
     )
 
 

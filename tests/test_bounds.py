@@ -14,6 +14,7 @@ from jsrkit.bounds import (
     BoundsReport,
     BoundsRow,
     BudgetCounter,
+    EUCLIDEAN,
     BudgetExceededError,
     MatrixSet,
     PrunedBounds,
@@ -79,7 +80,7 @@ def reference_pruned(mset, delta, max_depth, counter):
         counter.charge(m * len(frontier))
         expanded += len(frontier)
     upper = max([retired] + [s for s, _ in frontier])
-    return PrunedBounds(lower, upper, upper - lower <= delta, expanded, depth)
+    return PrunedBounds(lower, upper, upper - lower <= delta, expanded, depth, capped)
 
 
 class TestProductOfWord:
@@ -282,7 +283,7 @@ class TestPrunedBounds:
         counters = BudgetCounter(6000), BudgetCounter(6000)
         got = pruned_bounds(mset, 0.01, max_depth=20, budget=counters[0])
         ref = reference_pruned(mset, 0.01, 20, counters[1])
-        shape = lambda r: (r.conclusive, r.expanded, r.deepest)
+        shape = lambda r: (r.conclusive, r.expanded, r.deepest, r.capped)
         assert shape(got) == shape(ref)
         assert got.lower == pytest.approx(ref.lower, rel=1e-12)
         assert got.upper == pytest.approx(ref.upper, rel=1e-12)
@@ -304,6 +305,7 @@ class TestPrunedBounds:
         uncapped = pruned_bounds(mset, 1e-3, max_depth=6)
         assert uncapped.expanded == 60
         assert got.upper >= uncapped.upper
+        assert (got.capped, ref.capped, uncapped.capped) == (True, True, False)
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_identical_for_any_block_size(self, monkeypatch, block):
@@ -324,7 +326,7 @@ class TestPrunedBounds:
     def test_budget_for_the_root_only_stops_at_the_first_level(self):
         counter = BudgetCounter(2)
         result = pruned_bounds(antidiagonal_pair(), 0.01, budget=counter)
-        assert result == PrunedBounds(1.0, 2.0, False, 0, 1)
+        assert result == PrunedBounds(1.0, 2.0, False, 0, 1, True)
         assert counter.used == 2
 
     @pytest.mark.parametrize("complex_entries", [False, True])
@@ -350,7 +352,7 @@ def unscreened_level(P, n, m, ties):
     """Both level bounds with every word evaluated by the exact kernels."""
     return (
         bounds._level_bound(bounds._euclidean_norms(P), n, m, ties),
-        bounds._level_bound(bounds._spectral_radii(P), n, m, ties),
+        bounds._level_bound(bounds._spectral_radii(P, -np.inf), n, m, ties),
     )
 
 
@@ -372,7 +374,7 @@ class TestScreenedLevelKernel:
     def test_screen_skips_words(self):
         levels = bounds._iter_levels(random_family(0, complex_entries=False), 8, BudgetCounter())
         _, P = list(levels)[-1]
-        norms = bounds._screened(bounds._frobenius_norms(P), bounds._euclidean_norms, P)
+        norms = EUCLIDEAN.matrix_norms_batch(P, bounds._frobenius_norms(P))
         assert np.isneginf(norms).sum() > len(P) // 2
 
     @pytest.mark.parametrize("seed", [1, 5, 16, 100])
@@ -382,7 +384,7 @@ class TestScreenedLevelKernel:
         rng = np.random.default_rng(seed)
         values = rng.lognormal(0.0, 0.3, 5000)
         bound = values * (1.0 + rng.uniform(0.0, 0.5, 5000))
-        got = bounds._screened(bound, lambda idx: values[idx], np.arange(5000))
+        got = bounds._screened(bound, 1.0, lambda idx, cutoff: values[idx], np.arange(5000))
         top = np.argmax(values)
         assert got[top] == values[top]
         evaluated = ~np.isneginf(got)
@@ -396,7 +398,7 @@ class TestScreenedLevelKernel:
         values[7] = np.nan
         bound = values * 1.01
         bound[7] = np.inf  # evaluated in the seed
-        got = bounds._screened(bound, lambda idx: values[idx], np.arange(500))
+        got = bounds._screened(bound, 1.0, lambda idx, cutoff: values[idx], np.arange(500))
         assert not np.isneginf(got).any()
 
     @pytest.mark.parametrize("exponent", [-76, 76])
@@ -419,7 +421,7 @@ class TestScreenedLevelKernel:
         P[:, 0, 0] = 2.0**-560
         bound = bounds._frobenius_norms(P)
         assert not bound.any()
-        values = bounds._screened(bound, bounds._euclidean_norms, P)
+        values = EUCLIDEAN.matrix_norms_batch(P, bound)
         assert (values == 2.0**-560).all()
 
     def test_level_dtype_follows_the_generators(self):
@@ -661,11 +663,11 @@ class TestStreamedLevels:
         monkeypatch.setattr(bounds, "LEVEL_BYTES", 256 * 8)
         sizes = []
 
-        def kernel(Q):
+        def kernel(Q, cutoff):
             sizes.append(len(Q))
             return np.ones(len(Q))
 
-        values = bounds._screened(np.ones(5000), kernel, np.arange(5000))
+        values = bounds._screened(np.ones(5000), 1.0, kernel, np.arange(5000))
         assert (values == 1.0).all() and sum(sizes) == 5000
         assert max(sizes) == 256
 
@@ -823,7 +825,7 @@ class TestGelfandPowerStage:
 
     def test_no_cutoff_is_plain_eigvals(self):
         _, P = list(bounds._iter_levels(random_family(2, complex_entries=True), 6, BudgetCounter()))[-1]
-        assert np.array_equal(bounds._spectral_radii(P), plain_radii(P))
+        assert np.array_equal(bounds._spectral_radii(P, -np.inf), plain_radii(P))
         assert np.array_equal(bounds._spectral_radii(P, 0.0), plain_radii(P))
 
     def test_empty_batch(self):
@@ -851,7 +853,7 @@ def screens_off(monkeypatch):
     """Switch off every screen: the norm and radius screens, the power
     stage and the pruned search's floor all take their cutoff from
     ``_screen_cutoff``."""
-    monkeypatch.setattr(bounds, "_screen_cutoff", lambda best: 0.0)
+    monkeypatch.setattr(bounds, "_screen_cutoff", lambda best, factor: (0.0, 0.0))
 
 
 def signed_zero_level():
@@ -916,7 +918,7 @@ class TestDistinctWordsOnce:
     def test_signed_zeros_stay_apart(self):
         [(_, P)] = signed_zero_level()
         calls = []
-        values = bounds._screened(bounds._frobenius_norms(P), counting(bounds._euclidean_norms, calls), P)
+        values = bounds._screened(bounds._frobenius_norms(P), 1.0, counting(EUCLIDEAN.matrix_norms, calls), P)
         seen = np.concatenate(calls)
         # two words of one value, apart only in the sign of their zeros
         assert len({q.tobytes() for q in seen}) > len({(q + 0.0).tobytes() for q in seen})
@@ -950,6 +952,10 @@ class TestIdenticalToTheUnscreenedReference:
         assert got == search()
 
 
+# a seeded draw to scale to the edges of binary64
+EDGE_DRAW = np.random.default_rng(0).standard_normal((2, 3, 3))
+
+
 class TestCheckEnclosure:
     def test_crossed_pair_raises(self):
         with pytest.raises(bounds.InternalInvariantError, match="exceeds upper bound"):
@@ -957,6 +963,32 @@ class TestCheckEnclosure:
 
     def test_roundoff_crossing_is_tolerated(self):
         bounds._check_enclosure(2.0, 2.0 - 1e-12, "at n=3")
+
+    def test_underflowed_sandwich_raises(self):
+        # the products of length 4 and more underflow to zero: the upper
+        # value 0 must not pass under the lower value 1.1e-90
+        with pytest.raises(bounds.InternalInvariantError, match="at n=4"):
+            sandwich(MatrixSet(2.0**-300 * EDGE_DRAW), 8)
+
+    def test_underflowed_pruned_search_raises(self):
+        with pytest.raises(bounds.InternalInvariantError, match="in the pruned search"):
+            pruned_bounds(MatrixSet(2.0**-300 * EDGE_DRAW), 0.02 * 2.0**-300, max_depth=20)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda mset: sandwich(mset, 8),
+            lambda mset: rho_minus_n(mset, 8),
+            lambda mset: pruned_bounds(mset, 0.02 * 2.0**300, max_depth=20),
+        ],
+        ids=["sandwich", "rho_minus_n", "pruned_bounds"],
+    )
+    def test_overflowing_products_name_the_cause(self, run):
+        # the products of length 4 overflow binary64
+        with pytest.raises(ValueError, match="products overflow binary64; scale the family"):
+            run(MatrixSet(2.0**300 * EDGE_DRAW))
 
 
 def synthetic_report(gaps):

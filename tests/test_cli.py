@@ -367,6 +367,20 @@ class TestOtherCommands:
         assert "at depth %d" % max_depth in err
         assert ("multiplication budget (2000) spent" in err) == spent
 
+    def test_depth_limited_search_does_not_name_the_budget(self, tmp_path, capsys, monkeypatch):
+        # the depth-10 search uses exactly this budget, and stops at its depth
+        # limit as it would with an unlimited one
+        path = str(tmp_path / "b.json")
+        save_matrix_set(MatrixSet(list(np.random.default_rng(100).standard_normal((2, 3, 3)))), path)
+        out = tmp_path / "pruned.csv"
+        monkeypatch.setenv("JSRKIT_BUDGET", "654")
+        argv = ["pruned", "--input", path, "--out", str(out), "--delta", "0.01", "--max-depth", "10"]
+        assert cli.main(argv) == cli.EXIT_INCONCLUSIVE
+        assert json.loads((tmp_path / "pruned.csv.meta.json").read_text())["budget_used"] == 654
+        err = capsys.readouterr().err
+        assert "at depth 10" in err
+        assert "budget" not in err
+
     def test_splitting_metadata(self, fixtures, tmp_path):
         out = tmp_path / "split.csv"
         proc = run_cli(
@@ -488,6 +502,29 @@ class TestMetadata:
         assert cli.main(argv) == cli.EXIT_OK
         meta = json.loads((tmp_path / "adapted.csv.meta.json").read_text())
         assert (meta["full_family_size"], meta["family_size"]) == (127, 2)
+
+
+def edge_family(tmp_path, exponent):
+    """A seeded draw scaled by ``2**exponent``, saved: its products of
+    length 4 underflow (exponent -300) or overflow (exponent 300) binary64."""
+    path = str(tmp_path / "edge.json")
+    save_matrix_set(MatrixSet(list(2.0**exponent * np.random.default_rng(0).standard_normal((2, 3, 3)))), path)
+    return path
+
+
+class TestBinary64Edges:
+    def test_underflowed_pruned_enclosure_exits_four(self, tmp_path):
+        proc = run_cli("pruned", "--input", edge_family(tmp_path, -300), "--out",
+                       str(tmp_path / "pruned.csv"), "--delta", "1e-300")
+        assert proc.returncode == cli.EXIT_INTERNAL
+        assert proc.stderr.startswith("jsrkit: internal: lower bound")
+        assert not (tmp_path / "pruned.csv").exists()
+
+    def test_overflowing_products_exit_two_with_one_line(self, tmp_path):
+        proc = run_cli("bounds", "--input", edge_family(tmp_path, 300), "--out",
+                       str(tmp_path / "bounds.csv"), "--max-depth", "8")
+        assert proc.returncode == cli.EXIT_INPUT
+        assert proc.stderr == "jsrkit: input: products overflow binary64; scale the family\n"
 
 
 class TestLazyImports:

@@ -290,6 +290,16 @@ class TestConePropagation:
         assert report.ok
         assert not report.failures
 
+    @pytest.mark.parametrize("adapted", [False, True])
+    def test_complement_norms_take_one_call(self, scaled_antidiagonal, adapted):
+        norm = AdaptedNorm(scaled_antidiagonal, rho_hat=1.0, depth=6) if adapted else EuclideanNorm()
+        params = cone_params_from_splitting(scaled_antidiagonal, ALTERNATING, theta=0.25, norm=norm)
+        calls, kernel = [], norm.matrix_norms
+        norm.matrix_norms = lambda Q, cutoff: calls.append((len(Q), cutoff)) or kernel(Q, cutoff)
+        cone_propagation_check(scaled_antidiagonal, ALTERNATING, params, N=6, laps=3)
+        # one stack of the two phases' complementary projections
+        assert calls == [(2, -np.inf)]
+
     def test_rebuilds_no_splitting(
         self, diagonal_singleton, triangular_singleton, scaled_antidiagonal, monkeypatch
     ):

@@ -180,7 +180,7 @@ class UnscreenedAdaptedNorm(AdaptedNorm):
         values, order, best = U.copy(), np.argsort(-U, kind="stable"), -np.inf
         while len(order) and U[order[0]] * (1 + 1e-9) >= best * (1 - 1e-6):
             batch, order = order[:128], order[128:]
-            values[batch] = self._certified(P[batch])
+            values[batch] = self._certified(P[batch], -np.inf)
             assert (values[batch] <= U[batch] * (1 + 1e-9)).all()
             best = max(best, values[batch].max())
         return values
@@ -210,7 +210,7 @@ class TestScreenedAdaptedBatch:
             got, want = norm.matrix_norms_batch(P, fro), reference.matrix_norms_batch(P, fro)
             assert level_summary(got, n, m) == level_summary(want, n, m)
             evaluated = ~np.isneginf(got)
-            exact = reference._certified(P[evaluated])
+            exact = reference._certified(P[evaluated], -np.inf)
             np.testing.assert_allclose(got[evaluated], exact, rtol=8 * EPS, atol=0)
             # a skipped word is outside the tie window of the maximum
             if not evaluated.all():
@@ -236,8 +236,8 @@ class TestScreenedAdaptedBatch:
         for _ in range(10):
             M = rng.standard_normal((mset.d, mset.d)) + 1j * rng.standard_normal((mset.d, mset.d))
             value = norm.matrix_norm(M)
-            assert value <= norm._family_norm * operator_norm(M) * (1 + 1e-12)
-            assert value <= norm._family_norm * np.linalg.norm(M) * (1 + 1e-12)
+            assert value <= norm.factor * operator_norm(M) * (1 + 1e-12)
+            assert value <= norm.factor * np.linalg.norm(M) * (1 + 1e-12)
 
     def test_underflowing_frobenius_norms_screen_nothing(self):
         # |||.||| weighs e2 by 2**40, so these words have adapted norms
@@ -303,18 +303,18 @@ class TestCertifiedKernel:
         mset = ENSEMBLE[7]
         norm = ensemble_norm(mset)
         _, P = list(bounds._iter_levels(mset, 3, BudgetCounter()))[-1]
-        values = norm._certified(P)
+        values = norm._certified(P, -np.inf)
         order = np.random.default_rng(5).permutation(len(P))
-        assert np.array_equal(norm._certified(P[order]), values[order])
+        assert np.array_equal(norm._certified(P[order], -np.inf), values[order])
         assert [norm.matrix_norm(M) for M in P[:4]] == list(values[:4])
 
     @pytest.mark.parametrize("mset", [ENSEMBLE[0], ENSEMBLE[7]])
     def test_cutoff_reads_full_values_or_minus_inf_below_it(self, mset):
         norm = ensemble_norm(mset)
         _, P = list(bounds._iter_levels(mset, 5, BudgetCounter()))[-1]
-        full = norm._certified(P)
+        full = norm._certified(P, -np.inf)
         cutoffs, kernel = [], norm._certified
-        norm._certified = lambda P, cutoff=-np.inf: cutoffs.append(cutoff) or kernel(P, cutoff)
+        norm._certified = lambda P, cutoff: cutoffs.append(cutoff) or kernel(P, cutoff)
         for q in (0.3, 0.6, 0.9):
             cutoff = np.quantile(full, q)
             got = norm._certified(P, cutoff)
@@ -490,26 +490,21 @@ class TestYMembership:
             AdaptedNorm(rank_one_pair(), rho_hat=1.0, depth=10, budget=15)
 
 
-class ScaledEuclideanNorm:
-    """``c ||.||_2``, built from the members of the norm protocol only."""
+class ScaledEuclideanNorm(bounds.Norm):
+    """``c ||.||_2``, defined by the four members of the norm protocol."""
 
     def __init__(self, c):
         self.c = c
         self.label = "%g * euclidean" % c
-
-    def vector_norm(self, v):
-        return self.c * float(np.linalg.norm(v))
+        # c ||Q||_2 <= c ||Q||_F
+        self.factor = c
 
     def vector_norms(self, V):
         V = np.asarray(V, dtype=complex)
         return self.c * np.linalg.norm(V.reshape(len(V), -1), axis=0)
 
-    def matrix_norm(self, M):
-        return self.c * operator_norm(M)
-
-    def matrix_norms_batch(self, P, fro):
-        # c ||P||_2 <= c ||P||_F: the Euclidean screen, scaled
-        return bounds._screened(self.c * fro, lambda Q: self.c * bounds._euclidean_norms(Q), P)
+    def matrix_norms(self, Q, cutoff):
+        return self.c * bounds._euclidean_norms(Q)
 
 
 class TestNormProtocol:
@@ -532,7 +527,7 @@ class TestNormProtocol:
 
     def test_third_norm_runs_through_the_extremal_diagnostics(self, half_rank_one):
         norm = ScaledEuclideanNorm(self.C)
-        worst = max(operator_norm(A) for A in half_rank_one)
+        worst = max(EuclideanNorm().matrix_norm(A) for A in half_rank_one)
         res = extremality_residual(half_rank_one, norm, rho_hat=1.0)
         assert res.value == self.C * worst - 1.0
         mset = MatrixSet([np.diag([1.0, 0.5])])
@@ -541,6 +536,45 @@ class TestNormProtocol:
         assert got.values == [self.C * v for v in want.values]
         assert got.verdict == want.verdict == "consistent"
         assert got.excess_at == list(range(1, 9))
+
+    @pytest.mark.parametrize("cls", [EuclideanNorm, AdaptedNorm, ScaledEuclideanNorm])
+    def test_derived_members_are_defined_once(self, cls):
+        assert issubclass(cls, bounds.Norm)
+        assert not {"vector_norm", "matrix_norm", "matrix_norms_batch"} & set(vars(cls))
+
+    def test_euclidean_matrix_norm_agrees_with_the_svd(self):
+        rng = np.random.default_rng(71)
+        norm = EuclideanNorm()
+        for d, complex_entries, rank in itertools.product(range(1, 5), (False, True), (1, 4)):
+            for _ in range(25):
+                shape = (d, min(rank, d))
+                L, R = rng.standard_normal(shape), rng.standard_normal(shape[::-1])
+                if complex_entries:
+                    L = L + 1j * rng.standard_normal(shape)
+                M = 10.0 ** rng.uniform(-3, 3) * (L @ R)
+                want = operator_norm(M)
+                assert abs(norm.matrix_norm(M) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize(
+        "norm", [EuclideanNorm(), AdaptedNorm(rank_one_pair(), 2.0, 2)], ids=repr
+    )
+    def test_matrix_norm_rejects_other_shapes(self, norm):
+        for bad in ([1.0, 2.0], np.ones((1, 2, 2))):
+            with pytest.raises(DimensionError):
+                norm.matrix_norm(bad)
+        if isinstance(norm, AdaptedNorm):
+            with pytest.raises(DimensionError):
+                norm.matrix_norm(np.eye(3))
+
+    def test_each_diagnostic_reads_its_stack_in_one_call(self, scaled_antidiagonal):
+        for norm in (EuclideanNorm(), AdaptedNorm(scaled_antidiagonal, 1.0, 4)):
+            calls, kernel = [], norm.matrix_norms
+            norm.matrix_norms = lambda Q, cutoff: calls.append((len(Q), cutoff)) or kernel(Q, cutoff)
+            extremality_residual(scaled_antidiagonal, norm, rho_hat=1.0)
+            assert calls == [(2, -np.inf)]
+            calls.clear()
+            y_membership(scaled_antidiagonal, norm, PeriodicWord([0, 1]), 8)
+            assert calls == [(8, -np.inf)]
 
     @pytest.mark.parametrize(
         "norm", [EuclideanNorm(), AdaptedNorm(rank_one_pair(), 2.0, 2)], ids=repr
