@@ -218,8 +218,8 @@ class BudgetCounter:
     """Counts matrix multiplications against a hard cap.
 
     The default cap is ``DEFAULT_BUDGET`` unless the ``JSRKIT_BUDGET``
-    environment variable overrides it; a value that is not a non-negative
-    integer raises ``ValueError``.
+    environment variable overrides it.  A cap that is not a non-negative
+    integer, given or read from the variable, raises ``ValueError``.
     """
 
     def __init__(self, limit=None):
@@ -229,6 +229,8 @@ class BudgetCounter:
                 raise ValueError("%s must be a non-negative integer, got %r" % (BUDGET_ENV, env))
             limit = int(env) if env else DEFAULT_BUDGET
         self.limit = int(limit)
+        if self.limit < 0:
+            raise ValueError("the budget must be non-negative, got %d" % self.limit)
         self.used = 0
 
     def charge(self, count):
@@ -882,6 +884,8 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
     """
     if not 0.0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
     counter = _counter(budget)
     gens = np.swapaxes(_typed_stack(mset), 1, 2)
     m = len(gens)
@@ -922,8 +926,9 @@ class RateFit:
     converged: bool = False
 
 
-# gaps at or below this are treated as numerically converged, not fitted
-GAP_FLOOR = 1e-13
+# a value at or below this is roundoff and is not fitted: a gap reads as
+# converged (fit_rate), a cocycle norm is left out of its log-linear fit
+FIT_FLOOR = 1e-13
 
 
 def _line_fit(x, y):
@@ -940,7 +945,7 @@ def fit_rate(report, tail_fraction=0.5):
     """Least-squares slope of log(gap) against log(n) over the tail rows.
 
     ``r_hat`` is minus the slope, so gap ~ n**(-r_hat).  If any tail gap
-    has already collapsed below ``GAP_FLOOR`` the fit is skipped and the
+    has already collapsed to ``FIT_FLOOR`` the fit is skipped and the
     result carries ``converged=True`` instead.
     """
     if not 0.0 < tail_fraction < 1.0:
@@ -951,7 +956,7 @@ def fit_rate(report, tail_fraction=0.5):
     if len(tail) < 6:
         raise ValueError("need at least 6 rows in the fitted tail, have %d" % len(tail))
     gaps = np.array([row.gap for row in tail], dtype=float)
-    if np.any(gaps <= GAP_FLOOR):
+    if np.any(gaps <= FIT_FLOOR):
         return RateFit(r_hat=math.nan, r_squared=math.nan, converged=True)
     slope, _, r2 = _line_fit(np.log([row.n for row in tail]), np.log(gaps))
     return RateFit(r_hat=float(-slope), r_squared=r2)

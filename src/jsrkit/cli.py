@@ -56,11 +56,13 @@ def _parse_gamma(text):
         raise ValueError("--gamma has a convergent with a zero denominator") from None
 
 
-def _rho_hat(cfg, mset, counter, delta, max_depth):
-    """``--rho-hat`` if given; else the midpoint of a pruned enclosure charged to ``counter``."""
+def _rho_hat(cfg, mset, counter):
+    """The jsr estimate that every normalisation of a run divides by:
+    ``--rho-hat`` if given, else the midpoint of one pruned enclosure
+    (delta 0.05, depth 14) charged to ``counter``."""
     if cfg.rho_hat is not None:
         return cfg.rho_hat
-    probe = bounds.pruned_bounds(mset, delta=delta, max_depth=max_depth, budget=counter)
+    probe = bounds.pruned_bounds(mset, 0.05, max_depth=14, budget=counter)
     return 0.5 * (probe.lower + probe.upper)
 
 
@@ -70,7 +72,7 @@ def _make_norm(cfg, mset, counter):
         return bounds.EUCLIDEAN
     from . import extremal
 
-    rho_hat = _rho_hat(cfg, mset, counter, max(cfg.delta, 0.05), 12)
+    rho_hat = _rho_hat(cfg, mset, counter)
     return extremal.AdaptedNorm(mset, rho_hat=rho_hat, depth=cfg.adapted_depth, budget=counter)
 
 
@@ -95,10 +97,11 @@ def _report_bounds(cfg, mset, counter, fit=False):
     report = bounds.sandwich(mset, cfg.max_depth, norm=norm, budget=counter)
     extra = {"norm": report.norm_label, "truncated": report.truncated}
     if cfg.norm == "adapted":
-        # the adapted norm's family before and after Loewner pruning
+        # the rho_hat it normalises by, and its family before and after Loewner pruning
+        extra["rho_hat"] = norm.rho_hat
         extra["full_family_size"] = norm.full_family_size
         extra["family_size"] = norm.family_size
-    if fit and len(report.rows) >= 12:
+    if fit and math.ceil(len(report.rows) * cfg.tail_fraction) >= 6:  # the tail fit_rate needs
         rate = bounds.fit_rate(report, cfg.tail_fraction)
         extra["fitted_rate"] = None if rate.converged else rate.r_hat
         extra["fit_r_squared"] = None if rate.converged else rate.r_squared
@@ -129,7 +132,7 @@ def _report_splitting(cfg, mset, counter):
     header = ["n", "cauchy_dgr"]
     word = shiftspace.PeriodicWord([int(s) for s in cfg.cycle.split(",")])
     word.validate_for(mset)
-    rho_hat = _rho_hat(cfg, mset, counter, 0.05, 14)
+    rho_hat = _rho_hat(cfg, mset, counter)
     working = mset.scaled(1.0 / rho_hat)
     horizon = max(4 * word.period, 2 * cfg.max_depth)
     try:
@@ -188,7 +191,7 @@ OPTIONS = {
     "svg": dict(default=None, help="optional SVG plot of the gap column"),
     "tail_fraction": dict(type=float, default=0.5),
 }
-BOUNDS_OPTIONS = ("input", "norm", "adapted_depth", "rho_hat", "delta", "svg", "workers")
+BOUNDS_OPTIONS = ("input", "norm", "adapted_depth", "rho_hat", "svg", "workers")
 
 # each command's report, (cfg, mset, counter) -> (header, rows, meta
 # entries, reason if inconclusive), and the options it reads besides

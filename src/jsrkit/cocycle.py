@@ -23,9 +23,9 @@ values ``||A(x, n)|W||_2`` from one batched 2-norm.
 The cone check reads p and the slow space W0 off the phase-0 pair of
 the cone field it is given and rebuilds no splitting: its xi and K1 are
 fitted on W0 from one sweep to ``max(4 r, CONE_HORIZON)`` for period r,
-over the products whose 2-norm on W0 exceeds ``FIT_FLOOR``, and all of
-its test vectors pass through each lap's block product at once, as the
-columns of one array.
+over the products whose 2-norm on W0 exceeds ``bounds.FIT_FLOOR``, and
+all of its test vectors pass through each lap's block product at once,
+as the columns of one array.
 """
 
 import itertools
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import bounds, linalg
 from .bounds import EUCLIDEAN, _line_fit, _prefixes
 
 __all__ = [
@@ -60,8 +60,6 @@ THETA_ZERO_THRESHOLD = 0.02 * math.log(2.0)
 CONE_HORIZON = 24
 # a cone inequality may fail by this much before it is reported
 CONE_TOL = 1e-9
-# log-linear fits keep only the values above this: below it they are roundoff
-FIT_FLOOR = 1e-13
 
 
 class AmbiguousExponentsError(ValueError):
@@ -191,8 +189,8 @@ class SplittingDiagnostics:
 
 def _loglinear_fit(ns, values):
     """``(rate, R^2)`` of a line through ``log(values)`` against ``ns``,
-    over the values above ``FIT_FLOOR``; NaN for fewer than two."""
-    pairs = [(n, v) for n, v in zip(ns, values) if v > FIT_FLOOR]
+    over the values above ``bounds.FIT_FLOOR``; NaN for fewer than two."""
+    pairs = [(n, v) for n, v in zip(ns, values) if v > bounds.FIT_FLOOR]
     if len(pairs) < 2:
         return math.nan, math.nan
     xs = np.array([p[0] for p in pairs], dtype=float)
@@ -350,15 +348,19 @@ def cone_propagation_check(mset, x, params, N, laps):
     phase-0 slow space W0 from one sweep to ``max(4 r, CONE_HORIZON)``
     for period r: xi from ``||A(x, n)|W0||_2`` over n = r, 2r, ..., K1
     from the same products in the cone norm, over the n whose 2-norm the
-    xi fit keeps (above ``FIT_FLOOR``); both are inflated by 10% before
-    the inequalities are asserted.  No splitting is rebuilt.  A failed
-    xi fit (fewer than two values above ``FIT_FLOOR``) or a block that
-    does not contract (K1 xi^N >= 1) is reported as a failure at lap 0.
-    All test vectors pass through each lap's block product at once; any
-    violation beyond ``CONE_TOL`` is reported with the offending vector
-    and lap rather than raised.  A field without a slow space (p = d)
-    raises.
+    xi fit keeps (above ``bounds.FIT_FLOOR``); both are inflated by 10%
+    before the inequalities are asserted.  No splitting is rebuilt.  A
+    failed xi fit (fewer than two values above ``bounds.FIT_FLOOR``) or a
+    block that does not contract (K1 xi^N >= 1) is reported as a failure
+    at lap 0.  All test vectors pass through each lap's block product at
+    once; any violation beyond ``CONE_TOL`` is reported with the offending
+    vector and lap rather than raised.  A block length N or a lap count
+    below 1, or a field without a slow space (p = d), raises.
     """
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    if laps < 1:
+        raise ValueError("laps must be at least 1")
     x.validate_for(mset)
     W0 = params.pair(0).W
     if W0.dim == 0:
@@ -374,7 +376,7 @@ def cone_propagation_check(mset, x, params, N, laps):
     # contraction prefactor in the chosen norm: sup over W0's basis per n
     sup_w = norm.vector_norms(np.hstack(images)).reshape(len(ns), -1) / norm.vector_norms(W0.basis)
     sup = zip(sup_w.max(axis=1).tolist(), ns, contraction)
-    c_hat = max([0.0] + [s / xi_hat**n for s, n, c in sup if c > FIT_FLOOR])
+    c_hat = max([0.0] + [s / xi_hat**n for s, n, c in sup if c > bounds.FIT_FLOOR])
     k1 = 1.1 * 2.0 * c_hat * m_q
     xi = xi_hat * 1.1
 
@@ -392,7 +394,7 @@ def cone_propagation_check(mset, x, params, N, laps):
         worst_norm_slack=math.inf,
     )
     if math.isnan(xi_hat):
-        reason = "fewer than two of ||A(x, n)|W0||_2, n <= %d, exceed %g" % (ns[-1], FIT_FLOOR)
+        reason = "fewer than two of ||A(x, n)|W0||_2, n <= %d, exceed %g" % (ns[-1], bounds.FIT_FLOOR)
         report.failures.append(("fit", 0, reason))
         return report
     if shrink >= 1.0:

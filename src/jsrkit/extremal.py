@@ -418,6 +418,11 @@ def is_product_bounded(mset, depth, bound_guess, budget=None):
     all maxima below the guess gives
     ``BOUNDED``; anything else (including exhausting the budget) is
     ``INCONCLUSIVE``.
+
+    ``GROWTH`` is a trend test, not a proof of unbounded products: the
+    maxima of ``[[1, 1], [0, 0.9]]`` rise towards their supremum below
+    10.05, so at depth 20 with ``bound_guess`` 5 it reads ``GROWTH``
+    although every product is bounded.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -466,18 +471,23 @@ class YMembershipReport:
 def y_membership(mset, norm, pword, depth):
     """Track |||A(x, n)||| along a periodic word for n = 1..depth.
 
-    The products ``A(x, n)`` come from one prefix sweep in the order of
+    The family must be normalised to jsr about 1: the depth-4
+    :func:`jsrkit.bounds.sandwich` enclosure ``[best_lower, best_upper]``
+    of its jsr, from a budget of its own, must meet ``[0.8, 1.2]``, and
+    :class:`NormalizationError` is raised when ``best_lower > 1.2`` or
+    ``best_upper < 0.8``, which prove the jsr outside that window.  The
+    products ``A(x, n)`` come from one prefix sweep in the order of
     :meth:`MatrixSet.product`, and one ``norm.matrix_norms`` call gives
     their values; for :class:`AdaptedNorm` they are certified upper
     values, so a rejection is sound while the excess list stays an
     indication (:class:`YMembershipReport`).
     """
     pword.validate_for(mset)
-    estimate = _coarse_jsr_estimate(mset)
-    if abs(estimate - 1.0) > 0.2:
+    enclosure = sandwich(mset, 4, budget=BudgetCounter(10**6))
+    lower, upper = enclosure.best_lower(), enclosure.best_upper()
+    if lower > 1.2 or upper < 0.8:
         raise NormalizationError(
-            "working jsr estimate %.4f differs from 1 by more than 20%%; "
-            "scale the set first" % estimate
+            "the jsr lies in [%.6g, %.6g], outside [0.8, 1.2]; scale the set first" % (lower, upper)
         )
     products = bounds._prefixes(mset, pword.prefix(depth))[1:]
     values = norm.matrix_norms(products, -np.inf).tolist()
@@ -495,12 +505,3 @@ def y_membership(mset, norm, pword, depth):
         excess_at=[n for n, v in enumerate(values, start=1) if v > 1.0 + Y_MEMBERSHIP_TOL],
     )
 
-
-def _coarse_jsr_estimate(mset):
-    report = sandwich(mset, 4, budget=BudgetCounter(10**6))
-    if not report.rows:
-        raise NormalizationError("could not form a working jsr estimate")
-    lo, hi = report.best_lower(), report.best_upper()
-    if lo <= 0:
-        return hi
-    return math.sqrt(lo * hi)

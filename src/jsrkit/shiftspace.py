@@ -159,6 +159,9 @@ def _as_fractions(convergents):
 
 # periods up to this are enumerated exhaustively for periodic targets
 _EXHAUSTIVE_PERIOD_CAP = 14
+# candidate words a target enumerates besides its own at most: the words
+# of exhaustive periods, or the single-symbol flips of Sturmian approximants
+_SEARCH_BUDGET = 200_000
 
 
 class PeriodicOrbitSet:
@@ -205,11 +208,11 @@ class PeriodicOrbitSet:
             best = max(best, m)
         return best
 
-    def candidates(self, n, search_budget):
+    def candidates(self, n):
         """Candidate periodic words keyed by period, and ``exhaustive_to``.
 
         Every word over the symbols ``0..a-1`` of each period k <= n,
-        ``_EXHAUSTIVE_PERIOD_CAP`` and the ``search_budget`` allow, ``a``
+        ``_EXHAUSTIVE_PERIOD_CAP`` and ``_SEARCH_BUDGET`` allow, ``a``
         the larger of 2 and one more than the largest symbol of the
         target's words, and the target's own words.  ``exhaustive_to`` is
         the largest k such that every period up to k is enumerated.
@@ -219,7 +222,7 @@ class PeriodicOrbitSet:
         spent = exhaustive_to = 0
         for k in range(1, n + 1):
             count = alphabet**k
-            if k <= _EXHAUSTIVE_PERIOD_CAP and spent + count <= search_budget:
+            if k <= _EXHAUSTIVE_PERIOD_CAP and spent + count <= _SEARCH_BUDGET:
                 out[k] = [PeriodicWord(c) for c in itertools.product(range(alphabet), repeat=k)]
                 spent += count
                 if exhaustive_to == k - 1:
@@ -248,11 +251,11 @@ class SturmianSystem(PeriodicOrbitSet):
             raise ValueError("need at least 8 convergents, got %d" % len(self.convergents))
         super().__init__([periodic_approximant(self, len(self.convergents) - 1)])
 
-    def candidates(self, n, search_budget):
+    def candidates(self, n):
         """Candidate periodic words keyed by period, and ``exhaustive_to``.
 
         The periodic approximant of every convergent with period <= n,
-        each with its single-symbol flips while ``search_budget`` allows,
+        each with its single-symbol flips while ``_SEARCH_BUDGET`` allows,
         and every binary word of each period up to min(n, 8) that no
         convergent covers.  ``exhaustive_to`` is 0, so eps(Z, n) is always
         an upper bound.
@@ -266,7 +269,7 @@ class SturmianSystem(PeriodicOrbitSet):
             base = periodic_approximant(self, k)
             cands = [base]
             # single-symbol flips around the approximant, budget permitting
-            if spent + q <= search_budget:
+            if spent + q <= _SEARCH_BUDGET:
                 for j in range(q):
                     block = list(base.cycle)
                     block[j] = 1 - block[j]
@@ -323,22 +326,22 @@ class EpsilonResult:
     per_n: list = None
 
 
-def epsilon_of_n(Z, n, search_budget=200_000):
+def epsilon_of_n(Z, n):
     """Best achievable orbit distance eps(Z, n) with its achieving orbit.
 
     ``Z`` is any target with ``agreement_radius(point, max_radius)`` and
-    ``candidates(n, search_budget)``, which returns the candidate periodic
-    words keyed by period and ``exhaustive_to``, the largest period up to
-    which every word is a candidate.  Agreement is sought up to radius
-    2n.  The value is exact when every period up to n is exhaustive and no
-    window of that radius ran out; otherwise it is an upper bound
-    (``exact=False``), as it always is for a :class:`SturmianSystem`.
+    ``candidates(n)``, which returns the candidate periodic words keyed by
+    period and ``exhaustive_to``, the largest period up to which every
+    word is a candidate.  Agreement is sought up to radius 2n.  The value
+    is exact when every period up to n is exhaustive and no window of that
+    radius ran out; otherwise it is an upper bound (``exact=False``), as
+    it always is for a :class:`SturmianSystem`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     half_width = 2 * n
 
-    candidates, exhaustive_to = Z.candidates(n, search_budget)
+    candidates, exhaustive_to = Z.candidates(n)
     per_n = []
     running = (math.inf, True, None)
     for k in range(1, n + 1):

@@ -144,6 +144,13 @@ class TestRhoPlus:
             rho_plus_n(E2, 10, budget=10)
 
 
+class TestBudgetCounter:
+    def test_negative_limit_is_refused(self):
+        # as JSRKIT_BUDGET=-5 is, instead of failing every charge later
+        with pytest.raises(ValueError, match="non-negative"):
+            BudgetCounter(-5)
+
+
 class TestRhoMinus:
     def test_rank_one_pair(self):
         assert rho_minus_n(rank_one_pair(), 1).value == pytest.approx(2.0, abs=1e-12)
@@ -346,6 +353,12 @@ class TestPrunedBounds:
     def test_rejects_negative_or_non_finite_delta(self, delta):
         with pytest.raises(ValueError, match="positive and finite"):
             pruned_bounds(rank_one_pair(), delta=delta)
+
+    @pytest.mark.parametrize("max_depth", [0, -3])
+    def test_rejects_max_depth_below_one(self, max_depth):
+        # such a search once ran depth 1 and reported deepest=1
+        with pytest.raises(ValueError, match="max_depth must be at least 1"):
+            pruned_bounds(antidiagonal_pair(), 0.1, max_depth=max_depth)
 
 
 def unscreened_level(P, n, m, ties):

@@ -207,7 +207,7 @@ class TestBudgetLedger:
     def _probe_and_family(self):
         # the probe _make_norm runs without --rho-hat, and the depth-6 family
         probe = BudgetCounter()
-        pruned_bounds(rank_one_pair(), delta=0.05, max_depth=12, budget=probe)
+        pruned_bounds(rank_one_pair(), delta=0.05, max_depth=14, budget=probe)
         return probe.used + sum(2**k for k in range(1, 7))
 
     def test_adapted_run_reports_probe_and_family(self, fixtures):
@@ -215,6 +215,24 @@ class TestBudgetLedger:
         code_a, adapted = self._meta(fixtures, "adapted", "--norm", "adapted")
         assert code_e == code_a == cli.EXIT_OK
         assert adapted["budget_used"] >= euclidean["budget_used"] + self._probe_and_family()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--norm", "adapted", "--max-depth", "8"],
+            ["convergence", "--norm", "adapted", "--max-depth", "8"],
+            ["splitting", "--cycle", "0", "--max-depth", "8"],
+        ],
+        ids=["bounds", "convergence", "splitting"],
+    )
+    def test_every_normalisation_records_the_one_probe(self, fixtures, argv):
+        # the adapted norm and the splitting divide by the same rho_hat,
+        # written to meta.json at full precision
+        out = fixtures["dir"] / "probe.csv"
+        assert cli.main(argv + ["--input", fixtures["e2"], "--out", str(out)]) == cli.EXIT_OK
+        meta = json.loads((fixtures["dir"] / "probe.csv.meta.json").read_text())
+        probe = pruned_bounds(rank_one_pair(), 0.05, max_depth=14)
+        assert meta["rho_hat"] == 0.5 * (probe.lower + probe.upper)
 
     def test_budget_env_caps_the_whole_adapted_run(self, fixtures, monkeypatch):
         # room for the probe, the family and levels 1..5 of the sandwich only
@@ -249,8 +267,9 @@ class TestInputErrors:
             ["splitting", "--input", "e2", "--delta", "0.01"],
             ["epsilon", "--gamma", "1/2", "--rho-hat", "2"],
             ["bounds", "--input", "e1", "--gamma", "1/2"],
+            ["bounds", "--input", "e1", "--norm", "adapted", "--delta", "0.1"],
         ],
-        ids=["pruned-norm", "splitting-delta", "epsilon-rho-hat", "bounds-gamma"],
+        ids=["pruned-norm", "splitting-delta", "epsilon-rho-hat", "bounds-gamma", "adapted-delta"],
     )
     def test_option_the_command_does_not_read_exits_two(self, fixtures, tmp_path, capsys, argv):
         out = tmp_path / "never.csv"
@@ -258,8 +277,7 @@ class TestInputErrors:
             cli.main([fixtures.get(a, a) for a in argv] + ["--out", str(out)])
         assert exc.value.code == cli.EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("jsrkit: input: unrecognized arguments: " + argv[-2])
-        assert err.count("\n") == 1
+        assert err == "jsrkit: input: unrecognized arguments: %s %s\n" % tuple(argv[-2:])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["antidiagonal.json", "rank_one.json"]
 
     @pytest.mark.parametrize("value", ["1e-320", "1e-300"])
@@ -278,10 +296,9 @@ class TestInputErrors:
         [
             (["pruned", "--delta", "nan"], "--delta"),
             (["pruned", "--delta", "inf"], "--delta"),
-            (["bounds", "--norm", "adapted", "--delta", "nan"], "--delta"),
             (["convergence", "--tail-fraction", "2", "--max-depth", "8"], "--tail-fraction"),
         ],
-        ids=["pruned-nan", "pruned-inf", "adapted-nan", "tail-fraction-2"],
+        ids=["pruned-nan", "pruned-inf", "tail-fraction-2"],
     )
     def test_invalid_delta_or_tail_fraction_exits_two(self, fixtures, tmp_path, capsys, argv, flag):
         out = tmp_path / "never.csv"
@@ -319,6 +336,24 @@ class TestOtherCommands:
         meta = json.loads((tmp_path / "conv.csv.meta.json").read_text())
         assert meta["fitted_rate"] == pytest.approx(1.0, abs=0.1)
         assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "depth, extra, fits",
+        [(16, [], True), (16, ["--tail-fraction", "0.1"], False), (11, [], True)],
+        ids=["default-tail", "short-tail", "eleven-rows"],
+    )
+    def test_convergence_fits_when_the_tail_has_six_rows(self, fixtures, tmp_path, depth, extra, fits):
+        # the tail is 8 rows of 16 by default, 2 at 0.1 (which once exited 2
+        # after computing every level, with no CSV), and 6 of 11 by default
+        out = tmp_path / "conv.csv"
+        argv = ["convergence", "--input", fixtures["e2"], "--out", str(out), "--max-depth", str(depth)]
+        assert cli.main(argv + extra) == cli.EXIT_OK
+        assert len(out.read_text().splitlines()) == depth + 1
+        meta = json.loads((tmp_path / "conv.csv.meta.json").read_text())
+        fit = {key: meta[key] for key in ("fitted_rate", "fit_r_squared", "gap_converged") if key in meta}
+        assert len(fit) == (3 if fits else 0)
+        if fits:
+            assert fit["fitted_rate"] == pytest.approx(1.0, abs=0.1)
 
     def test_pruned_conclusive(self, fixtures, tmp_path):
         out = tmp_path / "pruned.csv"
@@ -432,7 +467,7 @@ COMMAND_RUNS = {
 META_KEYS = {"tool", "version", "config", "budget_limit", "budget_used", "wall_time_s"}
 
 BOUNDS_CONFIG = ["command", "input", "out", "max_depth", "norm", "adapted_depth", "rho_hat",
-                 "delta", "workers", "svg"]
+                 "workers", "svg"]
 
 # the options each command reads, in the order meta.json echoes them
 COMMAND_CONFIG = {

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jsrkit import cocycle
+from jsrkit import bounds, cocycle
 from jsrkit.bounds import MatrixSet
 from jsrkit.cocycle import (
     AmbiguousExponentsError,
@@ -395,7 +395,7 @@ class TestConePropagation:
         ]
         xi = report.xi_hat / 1.1
         m_q = float(np.linalg.norm(params.pair(0).complement(), 2))
-        ratios = [(v / xi**n, v > cocycle.FIT_FLOOR) for n, v in table]
+        ratios = [(v / xi**n, v > bounds.FIT_FLOOR) for n, v in table]
         assert report.ok
         assert report.k1_hat == pytest.approx(
             2.2 * m_q * max(r for r, kept in ratios if kept), rel=1e-9
@@ -403,6 +403,18 @@ class TestConePropagation:
         assert max(r for r, _ in ratios) > 1.01 * max(r for r, kept in ratios if kept)
         assert type(report.k1_hat) is float
         assert all(type(a) is float for a in report.aperture_trace)
+
+    @pytest.mark.parametrize(
+        "N, laps, name",
+        [(6, 0, "laps"), (6, -2, "laps"), (0, 3, "N"), (-1, 3, "N")],
+        ids=["laps-0", "laps-negative", "block-0", "block-negative"],
+    )
+    def test_block_and_lap_counts_below_one_are_refused(self, triangular_singleton, N, laps, name):
+        # laps=0 once read ok without pushing anything, laps=-2 failed inside
+        # numpy, and N < 1 reported an aperture failure of a block that does not exist
+        params = cone_params_from_splitting(triangular_singleton, FIXED, theta=0.25)
+        with pytest.raises(ValueError, match="^%s must be at least 1$" % name):
+            cone_propagation_check(triangular_singleton, FIXED, params, N=N, laps=laps)
 
     def test_field_without_slow_space_is_refused(self):
         rotation = MatrixSet([[[0.6, -0.8], [0.8, 0.6]]])

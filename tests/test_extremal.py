@@ -469,6 +469,12 @@ class TestYMembership:
         with pytest.raises(NormalizationError):
             y_membership(rank_one_pair(), EuclideanNorm(), PeriodicWord([0]), 4)
 
+    def test_set_whose_enclosure_meets_the_window_is_accepted(self):
+        # jsr = 2 / 1.7 = 1.17647 is the depth-4 lower bound, inside the
+        # window; the geometric-mean estimate once put it outside and refused
+        report = y_membership(rank_one_pair().scaled(1 / 1.7), EuclideanNorm(), PeriodicWord([0]), 4)
+        assert report.depth == 4
+
     def test_norm_one_prefixes_are_nested(self, scaled_antidiagonal, half_rank_one):
         # if the (n+1)-step product along a word keeps norm one, so does
         # the n-step product; checked exhaustively to depth 8

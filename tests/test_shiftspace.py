@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jsrkit import shiftspace
 from jsrkit.gallery import golden_rotation_convergents
 from jsrkit.shiftspace import (
     PeriodicOrbitSet,
@@ -281,7 +282,7 @@ class FixedPointTarget:
             m += 1
         return m
 
-    def candidates(self, n, search_budget):
+    def candidates(self, n):
         words = lambda k: [PeriodicWord(c) for c in itertools.product((0, 1), repeat=k)]
         return {k: words(k) for k in range(1, n + 1)}, self.exhaustive_to
 
@@ -297,10 +298,11 @@ class TestTargetProtocol:
             (SturmianSystem(golden_rotation_convergents()), 200_000),
         ],
     )
-    def test_protocol_members_suffice(self, target, budget):
+    def test_protocol_members_suffice(self, target, budget, monkeypatch):
+        monkeypatch.setattr(shiftspace, "_SEARCH_BUDGET", budget)
         for n in (1, 3, 6):
-            want = epsilon_of_n(target, n, search_budget=budget)
-            assert epsilon_of_n(ProtocolOnlyTarget(target), n, search_budget=budget) == want
+            want = epsilon_of_n(target, n)
+            assert epsilon_of_n(ProtocolOnlyTarget(target), n) == want
 
     def test_exactness_follows_exhaustive_to(self):
         for n in (1, 4):
