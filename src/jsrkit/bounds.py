@@ -28,8 +28,9 @@ per-level maxima are exact but screened by
     rho(P) <= ||P||_2 <= ||P||_F,   rho(P) <= ||P^k||_F^(1/k) <= ||P||_F,
 
 for k = 2, 4, 8 (Gelfand's formula; the power bound is not below
-``||P||_2`` in general, as ``P = I`` shows).  ``||P||_F`` is computed for
-every word in one pass.  One screen, :func:`_screened`, serves every
+``||P||_2`` in general, as ``P = I`` shows).  ``||P||_F``, or on a
+streamed level an upper bound of it (below), is computed for every word
+in one pass.  One screen, :func:`_screened`, serves every
 kernel: a norm of the protocol (:class:`Norm`), whose values its
 ``factor`` L bounds by ``L ||P||_F`` (1 for the exact Euclidean norm
 ``||P||_2 = sqrt(lambda_max(P^H P))``, by batched Gram matrices and
@@ -64,27 +65,67 @@ Stored and streamed levels.  :func:`_levels` is the one level generator
 of :func:`sandwich`, :func:`rho_plus_n`, :func:`rho_minus_n` and
 :func:`jsrkit.extremal.is_product_bounded`.  A level whose array fits in
 ``LEVEL_BYTES`` (4 MiB, 2^15 real 4 x 4 words) is stored whole, as
-:func:`_iter_levels` forms it.  A deeper level is never formed whole.
-One sweep extends the last stored level k in blocks of parents down to
-the deepest level and writes every word's ``||P||_F`` in lexicographic
-order; the level is then a lazy stack whose ``P[idx]`` re-forms only the
-words a screen evaluates, from their ancestors in level k.  Re-formed
-words come from the same :func:`_extend` steps as stored ones, and the
-BLAS forms each entry of a row-stacked product from its own row and
-column in an order that does not depend on the number of rows (the
-tests check this for one and two threads), so they carry the same bits
-and every result equals that of stored levels.  Each level still
-charges m^n multiplications, before the sweep; re-forming, like
-screening, charges none.
+:func:`_iter_levels` forms it, and screened by its words' ``||P||_F``.
+A deeper level is never formed: it is screened by Gram bounds (below),
+and it is a lazy stack whose ``P[idx]`` re-forms only the words a screen
+evaluates, from their ancestors in the last stored level k.  Each step
+extends every word by every generator in one :func:`_extend` and keeps
+one child per word, and the BLAS forms each entry of a row-stacked
+product from its own row and column in an order that does not depend on
+the number of rows (the tests check this for one and two threads), so
+re-formed words carry the bits of stored ones and every result equals
+that of stored levels.  Each level charges m^n multiplications before it
+is yielded; bounding and re-forming, like screening, charge none.
+
+Gram bounds.  Word ``q*K + i`` of a streamed level n is ``R = B_i M_q``:
+``B_i`` a word of the stored base level ``b = min(k, ceil(N/2))`` (K =
+m^b words, N the deepest level asked for) and ``M_q = G_q1 ... G_qs`` the
+product along the s = n - b digits of q base m, least significant first.
+Since ``||B M||_F^2 = <B^H B, M M^H>``, the real inner product of two
+Gram matrices, one real GEMM of the Gram rows of the m^s suffixes
+against those of the K base words gives every word's square in
+lexicographic order, for m^n d^2 multiply-adds and no word formed.  The
+bound adds a slack before the root,
+
+    F = sqrt(fl(<fl(B^H B), fl(M M^H)>) + C_s T V),
+    T = max_i ||B_i||_F^2,  V = max_q ||N_q||_F^2,  N_q = |G_q1| ... |G_qs|,
+
+that makes it dominate ``||fl(R)||_F``, the norm of the re-formed word
+the kernels see (first order in u = 2**-53, gamma that of the power
+stage below):
+
+- ``fl(R)`` is formed from ``B_i`` left to right over s steps and
+  ``fl(M_q)`` over s - 1; each errs from the exact product by at most
+  ``((1 + gamma)^s - 1) |B_i| N_q`` entrywise (Higham, 2002, section
+  3.5), so ``||fl(R) - B_i fl(M_q)||_F <= (2s - 1) gamma ||B_i||_F
+  ||N_q||_F``.  The moduli ``N_q``, not ``M_q``, bound this error, since
+  ``M_q`` may cancel (the near-defective test families do);
+- the two Gram matrices and the GEMM over D real entries per word (d^2,
+  or 2 d^2 for complex entries) err by at most ``(2 gamma + D u)
+  ||B_i||_F^2 ||N_q||_F^2``; the sum and the root add 3u relative;
+- so ``C_s = 2 (4 s gamma + (D + 3) u)``: the first-order sum, doubled to
+  cover the second-order terms and the rounding of the slack itself.
+
+The slack is uniform per level, so identical words from different pairs
+``(i, q)`` have identical bounds wherever the Gram products are exact,
+as in the repeating families above.  On random real 4 x 4 pairs it adds
+1e-10 to 1e-7 of the level maximum.  Each Gram stack is first
+scaled by one power of two, which is exact, so that its largest entry
+lies below 1: no square overflows, an entry that underflows lies far
+inside the slack, and the root is scaled back exactly.  A bound that
+overflows reads inf and a NaN bound keeps its word.  The analysis
+assumes that no product underflows while a word is formed, which would
+take products below 2**-1022 that grow back above ``SCREEN_FLOOR``.
 
 Memory.  ``LEVEL_BYTES`` bounds every batch array: a stored level, one
-block of the sweep (at the deepest level, while m^(N-k) words fit in
-it, which holds to about N = 2k), one screening batch with its
-re-formed words and the scaled copies and squares of the power stage,
-one block of children in the pruned search, and one block of ``F_f M``
-products in the certified kernel of the adapted norm.  Beyond the
-stored levels and a few such arrays at a time, a streamed level costs
-some 8 bytes per word for ``||P||_F`` and the screen's index arrays.
+screening batch with its re-formed words (each step forms m children per
+word) and the scaled copies and squares of the power stage, one block
+of children in the pruned search, and one block of ``F_f M`` products
+in the certified kernel of the adapted norm.  A streamed level adds the
+Gram rows of the base level, about one stored level, its suffix
+products, which fit in ``LEVEL_BYTES`` while N <= 2k, and some 8 bytes
+per word in a few full-length arrays: its bounds and the screen's values
+and index arrays.
 
 Gelfand power stage.  Given the running cutoff c, ``eigvals`` runs only
 on the words whose power bound reaches c.  Each word is first scaled by
@@ -190,8 +231,8 @@ EIGVALS_BACKWARD = 16
 POWER_MIN = 8
 
 # the one memory bound (module docstring): the largest level array held
-# whole, a deeper level streams; it also caps a sweep block, a screening
-# batch, a block of pruned children and a block of certified products
+# whole, a deeper level streams; it also caps a screening batch, a block
+# of pruned children and a block of certified products
 LEVEL_BYTES = 4 << 20
 
 
@@ -378,8 +419,8 @@ class _StreamedLevel:
     :func:`_extend` steps that form the stored levels, so with the same
     bits.  Global word ``q*K + i`` descends from ``base[i]`` through the
     symbols of ``q`` base m, least significant first.  Each step is one
-    :func:`_extend` per symbol j, over the words whose symbol at that step
-    is j.
+    :func:`_extend` of every word by every generator, of which word ``r``
+    keeps its child ``symbol*len(Q) + r``.
     """
 
     def __init__(self, base, gens, steps):
@@ -391,56 +432,81 @@ class _StreamedLevel:
     def __getitem__(self, idx):
         high, anc = np.divmod(np.asarray(idx), len(self.base))
         Q = np.take(self.base, anc, axis=0)
+        rows = np.arange(len(Q))
         for _ in range(self.steps):
             high, symbol = np.divmod(high, len(self.gens))
-            for j, G in enumerate(self.gens):
-                rows = symbol == j
-                Q[rows] = _extend(Q[rows], G[None])
+            Q = _extend(Q, self.gens)[symbol * len(Q) + rows]
         return Q
 
 
+def _unit_scaled(Q):
+    """``(Q / 2**e, e)`` with ``2**e`` the least power of two above the
+    largest entry modulus of the stack ``Q``: exact but for entries below
+    2**-1022 of that maximum.  An infinite or NaN entry gives e = 0."""
+    e = max(int(np.frexp(np.abs(Q).max(initial=0.0))[1]), -1022)
+    return Q * np.ldexp(1.0, -e), e
+
+
+def _gram_rows(Q):
+    """The Gram matrices ``Q_i^H Q_i`` as real rows, real and imaginary
+    parts interleaved for complex entries."""
+    gram = (np.swapaxes(Q, 1, 2).conj() @ Q).reshape(len(Q), -1)
+    return gram.view(np.float64) if np.iscomplexobj(gram) else gram
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _gram_bounds(gram, M, N, slack):
+    """Upper bounds of ``||fl(B_i M_q)||_F`` for every one of K base words
+    ``B_i`` and suffix product ``M_q``, at ``q*K + i`` (module docstring).
+
+    ``gram`` is ``(rows, top, e)``: the Gram rows of the base words scaled
+    by ``2**-e`` and their largest squared Frobenius norm.  ``N`` holds the
+    products of ``|G_j|`` along the suffixes, and ``slack`` is ``C_s``.
+    One real GEMM of the scaled Gram rows of ``M_q^H`` and ``B_i``, the
+    level's slack, a root and the scale give every bound."""
+    rows, top, e = gram
+    N, f = _unit_scaled(N)
+    out = _gram_rows(np.swapaxes(M * np.ldexp(1.0, -f), 1, 2).conj()) @ rows.T
+    out += slack * top * _frobenius_norms(N).max() ** 2
+    np.sqrt(out, out=out)
+    return np.ldexp(out, e + f, out=out).reshape(-1)
+
+
 def _levels(mset, n_max, counter):
-    """Yield ``(n, P_n, ||P_n||_F)`` for n = 1..n_max: the level generator
-    of every exhaustive-level consumer (module docstring).
+    """Yield ``(n, P_n, F_n)`` for n = 1..n_max, with ``F_n >= ||P_n||_F``
+    per word: the level generator of every exhaustive-level consumer
+    (module docstring).
 
     Levels whose array fits in ``LEVEL_BYTES`` come from
-    :func:`_iter_levels`.  Deeper levels are charged to ``counter`` one by
-    one, then swept once: the last stored level k is extended in blocks
-    of B parents, ``B * m^(N - k)`` words at most, down to the deepest
-    level N charged, and each block's Frobenius norms go to their
-    lexicographic places.  Those levels are yielded as
-    :class:`_StreamedLevel` stacks, and a budget that stopped the charges
-    raises after them.
+    :func:`_iter_levels`, with ``F_n = ||P_n||_F``.  Each deeper level n
+    charges m^n to ``counter`` and is yielded as a :class:`_StreamedLevel`
+    over the last stored level k, with the bounds of :func:`_gram_bounds`
+    over the base level ``b = min(k, ceil(n_max / 2))``; a budget that
+    stops a charge raises there, after the levels before it.
     """
     stack = _typed_stack(mset)
-    m = len(stack)
+    m, d = len(stack), mset.d
     words = max(1, LEVEL_BYTES // stack[0].nbytes)
     k = 0
     while k < n_max and m ** (k + 1) <= words:
         k += 1
-    P = np.eye(mset.d, dtype=stack.dtype)[None]
+    b = min(k, -(-n_max // 2))
+    P = base = np.eye(d, dtype=stack.dtype)[None]
     for n, P in _iter_levels(mset, k, counter):
+        if n == b:
+            base = P
         yield n, P, _frobenius_norms(P)
-    N, stop = k, None
-    try:
-        while N < n_max:
-            counter.charge(m ** (N + 1))
-            N += 1
-    except BudgetExceededError as exc:
-        stop = exc
-    K = len(P)
-    block = max(1, words // m ** (N - k))
-    fro = {n: np.empty(m**n) for n in range(k + 1, N + 1)}
-    for s in range(0, K, block):
-        Q = P[s:s + block]
-        width = len(Q)
-        for n in range(k + 1, N + 1):
-            Q = _extend(Q, stack)
-            fro[n].reshape(-1, K)[:, s:s + width] = _frobenius_norms(Q).reshape(-1, width)
-    for n in range(k + 1, N + 1):
-        yield n, _StreamedLevel(P, stack, n - k), fro.pop(n)
-    if stop is not None:
-        raise stop
+    if k == n_max:
+        return
+    B, e = _unit_scaled(base)
+    gram = _gram_rows(B), _frobenius_norms(B).max() ** 2, e
+    M, N, moduli = np.eye(d, dtype=stack.dtype)[None], np.eye(d)[None], np.abs(stack)
+    for n in range(k + 1, n_max + 1):
+        counter.charge(m**n)
+        while len(N) < m ** (n - b):
+            M, N = _extend(M, stack), _extend(N, moduli)
+        slack = _gram_slack(d, np.iscomplexobj(stack), n - b)
+        yield n, _StreamedLevel(P, stack, n - k), _gram_bounds(gram, M, N, slack)
 
 
 def _scaled(Q):
@@ -464,19 +530,34 @@ def _euclidean_norms(Q):
     return scale * np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
 
 
+def _product_roundoff(d, complex_entries):
+    """``gamma`` of one product of d x d matrices: ``gamma_d = d u / (1 -
+    d u)`` for real and ``sqrt(2) gamma_2d`` for complex entries, u =
+    2**-53 (module docstring)."""
+    n = 2 * d if complex_entries else d
+    u = 2.0**-53
+    return n * u / (1.0 - n * u) * (math.sqrt(2.0) if complex_entries else 1.0)
+
+
 @functools.lru_cache(maxsize=None)
 def _power_slacks(d, complex_entries):
     """``(k, C_k)`` for the stage's powers k = 2, 4, ..., 2**POWER_STEPS:
     the slack of ``||P^k||_F`` relative to ``||P||_F**k`` (module docstring)."""
-    u = 2.0**-53
-    n = 2 * d if complex_entries else d
-    gamma = n * u / (1.0 - n * u) * (math.sqrt(2.0) if complex_entries else 1.0)
-    eta = EIGVALS_BACKWARD * d * u
+    gamma = _product_roundoff(d, complex_entries)
+    eta = EIGVALS_BACKWARD * d * 2.0**-53
     powers = [2**j for j in range(1, POWER_STEPS + 1)]
     return tuple(
         (k, math.expm1((k - 1) * math.log1p(gamma)) + math.expm1(k * math.log1p(eta)))
         for k in powers
     )
+
+
+def _gram_slack(d, complex_entries, steps):
+    """``C_s`` of the Gram bounds of the words ``steps`` = s steps below
+    their base words (module docstring): twice the first-order sum ``4 s
+    gamma + (D + 3) u``, with D the real entries of a word."""
+    D = (2 if complex_entries else 1) * d * d
+    return 2.0 * (4 * steps * _product_roundoff(d, complex_entries) + (D + 3) * 2.0**-53)
 
 
 def _spectral_radii(Q, cutoff):
@@ -521,8 +602,10 @@ def _once(kernel, Q, bound, cutoff):
     """``kernel(Q, cutoff)``, with each bit-identical word of ``Q`` evaluated once.
 
     ``bound`` holds the words' bounds in decreasing order.  Identical words
-    have identical bounds, so a batch in which no two neighbours tie has
-    no repeated word and goes to the kernel whole.  Otherwise the words
+    have identical bounds (on a streamed level, wherever the Gram products
+    are exact; elsewhere a repeated word may be evaluated twice, which
+    changes no value), so a batch in which no two neighbours tie goes to
+    the kernel whole.  Otherwise the words
     are grouped by the ``uint64`` view of their entries (so ``-0.0`` and
     ``0.0`` stay apart), the kernel runs on the first word of each group,
     and its values are scattered back.  A kernel value depends on its own
@@ -548,8 +631,9 @@ def _once(kernel, Q, bound, cutoff):
 def _screened(fro, factor, kernel, P):
     """``kernel`` values of the words of ``P`` that can reach the maximum.
 
-    ``fro`` holds the words' Frobenius norms, and ``factor * fro[i]`` must
-    bound ``kernel(P[i])`` from above up to roundoff; ``P`` is indexed by
+    ``fro`` holds upper bounds of the words' Frobenius norms (the norms
+    themselves on stored levels), and ``factor * fro[i]`` must bound
+    ``kernel(P[i])`` from above up to roundoff; ``P`` is indexed by
     integer arrays only, so it may be a lazy stack.  The ``SCREEN_SEED``
     words of largest ``fro`` are evaluated first, as ``kernel(seed,
     -inf)``.  The rest are evaluated in batches of decreasing ``fro``, as
@@ -613,7 +697,7 @@ class Norm:
         return float(self.matrix_norms(linalg.as_matrix(M)[None], -np.inf)[0])
 
     def matrix_norms_batch(self, P, fro):
-        """``matrix_norms`` of a stack ``P`` with Frobenius norms ``fro``,
+        """``matrix_norms`` of a stack ``P`` with Frobenius bounds ``fro``,
         on every word that can reach the maximum or its tie window, under
         the level screen of :func:`_screened` by ``factor * fro``; the
         other words read ``-inf``."""
@@ -670,11 +754,11 @@ def _level_bound(values, n, m, ties):
 def _level_bounds(P, fro, n, m, norm=EUCLIDEAN, ties=False):
     """``(rho_plus, rho_minus)`` level bounds of one level ``P``.
 
-    ``fro`` holds the level's Frobenius norms, as :func:`_levels` yields
-    them.  Norms come from ``norm.matrix_norms_batch(P, fro)`` (the norm
-    protocol of :mod:`jsrkit.extremal`); spectral radii are screened by
-    ``||P||_F`` and then pass the Gelfand power stage of
-    :func:`_spectral_radii`.
+    ``fro`` holds the level's Frobenius norms or their upper bounds, as
+    :func:`_levels` yields them.  Norms come from
+    ``norm.matrix_norms_batch(P, fro)`` (the norm protocol of
+    :mod:`jsrkit.extremal`); spectral radii are screened by ``fro`` and
+    then pass the Gelfand power stage of :func:`_spectral_radii`.
     """
     norms = norm.matrix_norms_batch(P, fro)
     radii = _screened(fro, 1.0, _spectral_radii, P)
@@ -762,10 +846,11 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     (flagged) rather than raising; level n charges m^n multiplications.
 
     Each level goes through the screened kernels of the module docstring:
-    ``||P||_F`` once per word, ``norm.matrix_norms_batch(P, ||P||_F)``
-    (the norm protocol of :mod:`jsrkit.extremal`; None is the Euclidean
-    norm), and ``eigvals`` only where ``||P||_F`` and the Gelfand power
-    bound let the word reach the level maximum less ``SCREEN_SLACK``.
+    ``F >= ||P||_F`` once per word (equal on stored levels),
+    ``norm.matrix_norms_batch(P, F)`` (the norm protocol of
+    :mod:`jsrkit.extremal`; None is the Euclidean norm), and ``eigvals``
+    only where ``F`` and the Gelfand power bound let the word reach the
+    level maximum less ``SCREEN_SLACK``.
 
     ``workers`` is accepted and ignored, so that existing callers keep
     running: every level is computed serially on the calling thread.

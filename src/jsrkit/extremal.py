@@ -57,7 +57,8 @@ subclasses it and defines four:
 ``Norm`` derives the other three, once: ``vector_norm(v)``;
 ``matrix_norm(M)``, one matrix through the kernel; and
 ``matrix_norms_batch(P, fro)``, the kernel under the level screen of
-:mod:`jsrkit.bounds` for a stack ``P`` with Frobenius norms ``fro``.
+:mod:`jsrkit.bounds` for a stack ``P`` with upper bounds ``fro`` of its
+Frobenius norms.
 ``P`` is any stack with ``len(P)`` and integer-array indexing, so a level
 above ``LEVEL_BYTES`` may be a lazy stack that re-forms only the words
 the screen evaluates.  The screen passes every batch but the first the

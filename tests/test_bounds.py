@@ -589,7 +589,9 @@ EXHAUSTIVE_FAMILY = MatrixSet(list(np.random.default_rng(0).standard_normal((2, 
 # the streamed levels of a real 4 x 4 pair (levels 13-16 over level 12)
 # and a complex 3 x 3 triple (levels 7-10 over level 6): single,
 # duplicated, contiguous and random index sets re-formed by the lazy
-# stack, printed as whether all equal the stored levels and one digest
+# stack, printed as whether all equal the stored levels, with Gram bounds
+# at or above every stored word's Frobenius norm and within 1e-6 of the
+# level's largest, and one digest of the re-formed words
 STREAM_DIGEST = """
 import hashlib
 import numpy as np
@@ -606,7 +608,8 @@ for mset, k, n in ((real, 12, 16), (cplx, 6, 10)):
     for (_, P), (_, S, fro) in zip(stored[k:], streamed[k:]):
         size = len(P)
         same &= isinstance(S, bounds._StreamedLevel) and len(S) == size
-        same &= np.array_equal(fro, bounds._frobenius_norms(P))
+        norms = bounds._frobenius_norms(P)
+        same &= bool((fro >= norms).all() and (fro - norms <= 1e-6 * norms.max()).all())
         for idx in ([size - 1], [5, 5, 0, 5], np.arange(size // 3, size // 3 + 999),
                     rng.integers(0, size, 3000), np.arange(size)[::-1]):
             got = S[np.asarray(idx)]
@@ -707,7 +710,8 @@ class TestStreamedLevels:
         assert calls and max(Q.nbytes for Q in calls) <= bounds.LEVEL_BYTES
 
     def test_sandwich_memory_stays_below_the_stored_level(self):
-        # level 18 alone takes 32 MiB; the stored levels end at 4 MiB
+        # level 18 alone takes 32 MiB; the stored levels end at 4 MiB, and
+        # no streamed word is formed before its screen passes it
         tracemalloc.start()
         try:
             report = sandwich(EXHAUSTIVE_FAMILY, 18)
@@ -715,7 +719,7 @@ class TestStreamedLevels:
         finally:
             tracemalloc.stop()
         assert len(report.rows) == 18
-        assert peak < 24 * 2**20
+        assert peak < 16 * 2**20
 
 def plain_radii(Q):
     return np.abs(np.linalg.eigvals(Q)).max(axis=1)
@@ -938,6 +942,29 @@ class TestDistinctWordsOnce:
         evaluated = ~np.isneginf(values)
         assert np.array_equal(values[evaluated], bounds._euclidean_norms(P[evaluated]))
 
+    @pytest.mark.parametrize("mset", [rank_one_pair(), antidiagonal_pair()], ids=["rank-one", "antidiagonal"])
+    def test_kernels_see_each_distinct_word_once_on_a_streamed_level(self, mset, monkeypatch):
+        # level 18 of a 2 x 2 pair takes 8 MiB: it streams at the real
+        # LEVEL_BYTES, and its Gram bounds must keep the ties _once reads
+        calls = []
+        for attr in ("_euclidean_norms", "_spectral_radii"):
+            monkeypatch.setattr(bounds, attr, counting(getattr(bounds, attr), calls))
+
+        def run():
+            for n, P, fro in bounds._levels(mset, 18, BudgetCounter()):
+                pass
+            calls.clear()
+            got = bounds._level_bounds(P, fro, n, 2)
+            assert all(len({q.tobytes() for q in Q}) == len(Q) for Q in calls)
+            return got, isinstance(P, bounds._StreamedLevel), sum(len(Q) for Q in calls)
+
+        streamed = run()
+        monkeypatch.setattr(bounds, "LEVEL_BYTES", 2**18 * 32)
+        stored = run()
+        assert streamed[1] and not stored[1]
+        assert streamed[0] == stored[0]
+        assert streamed[2] == stored[2]
+
 
 class TestIdenticalToTheUnscreenedReference:
     @pytest.mark.parametrize("mset", IDENTITY_FAMILIES)
@@ -1002,6 +1029,50 @@ class TestOverflow:
         # the products of length 4 overflow binary64
         with pytest.raises(ValueError, match="products overflow binary64; scale the family"):
             run(MatrixSet(2.0**300 * EDGE_DRAW))
+
+
+def scaled_frobenius(P):
+    """``||P||_F`` per word, scaled first so that no square over- or underflows."""
+    S, scale = bounds._scaled(P)
+    return scale * bounds._frobenius_norms(S)
+
+
+# families at the edges of binary64 and near-defective ones, with the
+# depth to which their products neither overflow nor underflow
+EDGE_FAMILIES = [(MatrixSet(2.0**300 * EDGE_DRAW), 3), (MatrixSet(2.0**-300 * EDGE_DRAW), 3)] + [
+    (mset, 6) for mset in near_defective_families()
+]
+
+
+class TestStreamedLevelEdges:
+    @pytest.mark.parametrize("start", [1, 2, 3])
+    @pytest.mark.parametrize("mset, depth", EDGE_FAMILIES)
+    def test_gram_bounds_dominate_the_re_formed_words(self, mset, depth, start, monkeypatch):
+        stored = [P for _, P in bounds._iter_levels(mset, depth, BudgetCounter())]
+        stream_from(monkeypatch, mset, start)
+        levels = list(bounds._levels(mset, depth, BudgetCounter()))
+        assert len(levels) == depth
+        for (n, S, fro), P in zip(levels[start - 1:], stored[start - 1:]):
+            assert isinstance(S, bounds._StreamedLevel)
+            assert np.array_equal(S[np.arange(len(P))], P)
+            assert (fro >= scaled_frobenius(P)).all()
+
+    @pytest.mark.parametrize("start", [1, 3])
+    @pytest.mark.parametrize("run", [lambda mset: sandwich(mset, 8), lambda mset: rho_minus_n(mset, 8)],
+                             ids=["sandwich", "rho_minus_n"])
+    def test_overflowing_products_name_the_cause(self, run, start, monkeypatch):
+        # the products of length 4 overflow binary64
+        mset = MatrixSet(2.0**300 * EDGE_DRAW)
+        stream_from(monkeypatch, mset, start)
+        with pytest.raises(ValueError, match="products overflow binary64; scale the family"):
+            run(mset)
+
+    @pytest.mark.parametrize("start", [1, 3])
+    def test_underflowed_sandwich_raises(self, start, monkeypatch):
+        mset = MatrixSet(2.0**-300 * EDGE_DRAW)
+        stream_from(monkeypatch, mset, start)
+        with pytest.raises(bounds.InternalInvariantError, match="at n=4"):
+            sandwich(mset, 8)
 
 
 def synthetic_report(gaps):
