@@ -21,8 +21,9 @@ a level come from the previous level this way (:func:`_iter_levels`):
 with ``G_j = A_j`` each child prepends a symbol.  Entries are float64
 when every generator is real and complex128 otherwise.  Products
 associate left to right, ``(... (A_wn A_w(n-1)) ...) A_w1``.  A product
-that overflows binary64 reads inf or NaN, silently, and the first kernel
-that scales it (:func:`_scaled`) raises ``ValueError``.  Their
+that overflows binary64 reads inf or NaN, silently, and every kernel
+raises ``ValueError`` on it: the norm kernels and the power stage when
+they scale it (:func:`_scaled`), ``eigvals`` when it refuses it.  Their
 per-level maxima are exact but screened by
 
     rho(P) <= ||P||_2 <= ||P||_F,   rho(P) <= ||P^k||_F^(1/k) <= ||P||_F,
@@ -567,22 +568,28 @@ def _spectral_radii(Q, cutoff):
     passes the Gelfand power stage first (module docstring): ``eigvals``
     runs only on the words whose bound ``(||P^k||_F + C_k
     ||P||_F**k)**(1/k)`` reaches the cutoff, and the others read ``-inf``;
-    their values lie below ``(1 + TIE_RTOL) * cutoff``.
+    their values lie below ``(1 + TIE_RTOL) * cutoff``.  A batch with an
+    infinite or NaN entry, which is how an overflowing product reads,
+    raises ``ValueError`` on either path, as :func:`_scaled` does.
     """
-    if not (cutoff > 0.0 and len(Q) >= POWER_MIN):
-        return np.abs(np.linalg.eigvals(Q)).max(axis=1)
-    alive = np.arange(len(Q))
-    S, scale = _scaled(Q)
-    f, c = _frobenius_norms(S), cutoff / scale
-    for k, C in _power_slacks(Q.shape[1], np.iscomplexobj(Q)):
-        S = S @ S
-        stay = ~((_frobenius_norms(S) + C * f**k) ** (1.0 / k) < c)
-        S, f, c, alive = S[stay], f[stay], c[stay], alive[stay]
-        # a square that removes fewer than half of the words ends the stage
-        if 2 * np.count_nonzero(~stay) < len(stay):
-            break
+    alive = slice(None)  # a view: no copy of a batch that skips the stage
+    if cutoff > 0.0 and len(Q) >= POWER_MIN:
+        alive = np.arange(len(Q))
+        S, scale = _scaled(Q)
+        f, c = _frobenius_norms(S), cutoff / scale
+        for k, C in _power_slacks(Q.shape[1], np.iscomplexobj(Q)):
+            S = S @ S
+            stay = ~((_frobenius_norms(S) + C * f**k) ** (1.0 / k) < c)
+            S, f, c, alive = S[stay], f[stay], c[stay], alive[stay]
+            # a square that removes fewer than half of the words ends the stage
+            if 2 * np.count_nonzero(~stay) < len(stay):
+                break
     radii = np.full(len(Q), -np.inf)
-    radii[alive] = np.abs(np.linalg.eigvals(Q[alive])).max(axis=1)
+    try:
+        radii[alive] = np.abs(np.linalg.eigvals(Q[alive])).max(axis=1)
+    except np.linalg.LinAlgError:
+        _scaled(Q)  # raises ValueError on an overflowed product
+        raise
     return radii
 
 
@@ -765,38 +772,42 @@ def _level_bounds(P, fro, n, m, norm=EUCLIDEAN, ties=False):
     return _level_bound(norms, n, m, ties), _level_bound(radii, n, m, ties)
 
 
-def _level(mset, n, norm, budget, ties):
+def _level(mset, n, batch, budget, ties):
+    """The level-``n`` bound of one screened kernel, ``batch(P, fro)``: one
+    of the two of :func:`_level_bounds`, without the other."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    counter = _counter(budget)
-    for level, P, fro in _levels(mset, n, counter):
+    for level, P, fro in _levels(mset, n, _counter(budget)):
         if level == n:
-            return _level_bounds(P, fro, n, len(mset), norm, ties)
+            return _level_bound(batch(P, fro), n, len(mset), ties)
 
 
 def rho_plus_n(mset, n, norm=None, budget=None, ties=False):
     """Largest ``||A_w||^(1/n)`` over all words of length ``n``.
 
     ``norm`` follows the norm protocol of :mod:`jsrkit.extremal`; None is
-    the Euclidean norm, whose maximum is exact.  A norm that returns
-    certified upper values, such as the adapted norm, gives a sound upper
-    value.  Ties are broken towards the lexicographically smallest word.
-    At roundoff-level near-ties, such as rotations of one word, that is
-    the first word under the real-typed arithmetic used for real families,
-    which may differ from the choice of a complex-typed evaluation.
+    the Euclidean norm, whose maximum is exact.  Only the norm's screened
+    kernel, ``norm.matrix_norms_batch``, runs: no spectral radius is
+    computed.  A norm that returns certified upper values, such as the
+    adapted norm, gives a sound upper value.  Ties are broken towards the
+    lexicographically smallest word.  At roundoff-level near-ties, such
+    as rotations of one word, that is the first word under the real-typed
+    arithmetic used for real families, which may differ from the choice
+    of a complex-typed evaluation.
     """
-    return _level(mset, n, EUCLIDEAN if norm is None else norm, budget, ties)[0]
+    return _level(mset, n, (EUCLIDEAN if norm is None else norm).matrix_norms_batch, budget, ties)
 
 
 def rho_minus_n(mset, n, budget=None, ties=False):
     """Largest ``rho(A_w)^(1/n)`` over all words of length ``n``.
 
-    Exact; ``eigvals`` runs only on the words whose ``||A_w||_F`` and
+    Exact; only the screened radius kernel of :func:`_level_bounds` runs,
+    no norm: ``eigvals`` runs only on the words whose ``||A_w||_F`` and
     Gelfand power bound reach the level's running maximum less
-    ``SCREEN_SLACK`` (module docstring).
-    Ties and near-ties are broken as in :func:`rho_plus_n`.
+    ``SCREEN_SLACK`` (module docstring).  Ties and near-ties are broken as
+    in :func:`rho_plus_n`.
     """
-    return _level(mset, n, EUCLIDEAN, budget, ties)[1]
+    return _level(mset, n, lambda P, fro: _screened(fro, 1.0, _spectral_radii, P), budget, ties)
 
 
 def _check_enclosure(lower, upper, where):

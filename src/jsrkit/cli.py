@@ -59,11 +59,16 @@ def _parse_gamma(text):
 def _rho_hat(cfg, mset, counter):
     """The jsr estimate that every normalisation of a run divides by:
     ``--rho-hat`` if given, else the midpoint of one pruned enclosure
-    (delta 0.05, depth 14) charged to ``counter``."""
+    (delta 0.05, depth 14) charged to ``counter``.  A midpoint that is not
+    positive, as for a nilpotent family, normalises nothing and raises
+    ``ValueError``."""
     if cfg.rho_hat is not None:
         return cfg.rho_hat
     probe = bounds.pruned_bounds(mset, 0.05, max_depth=14, budget=counter)
-    return 0.5 * (probe.lower + probe.upper)
+    rho_hat = 0.5 * (probe.lower + probe.upper)
+    if not rho_hat > 0.0:
+        raise ValueError("jsr probe enclosure [%g, %g]; give --rho-hat" % (probe.lower, probe.upper))
+    return rho_hat
 
 
 def _make_norm(cfg, mset, counter):

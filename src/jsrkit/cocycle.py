@@ -18,7 +18,11 @@ bits of ``mset.product`` of its word.  A computation that needs the
 products ``A(T^s x, n)`` for several n from one start s takes them from
 one sweep, rather than forming each from the identity, and reads them as
 one stack: the growth exponents from one batched SVD, the contraction
-values ``||A(x, n)|W||_2`` from one batched 2-norm.
+values ``||A(x, n)|W||_2`` from one batched 2-norm.  The Cauchy horizons
+of :func:`splitting_residuals` are multiples of the period, so one
+phase-0 sweep is also the back sweep from ``T^-n x`` of each of them:
+their fast spaces are the push-forward step of :func:`finite_splitting`
+read off that sweep, with no slow space, angle check or projection.
 
 The cone check reads p and the slow space W0 off the phase-0 pair of
 the cone field it is given and rebuilds no splitting: its xi and K1 are
@@ -142,6 +146,19 @@ class SplittingResult:
 SPLITTING_ANGLE_TOL = 1e-8
 
 
+def _fast_space(products, p, n):
+    """V at horizon n from a sweep of at least 2n products from ``T^-n x``:
+    the top-p right singular subspace of ``products[2 n]`` pushed forward
+    by ``products[n]``, which must keep rank p."""
+    top, _ = linalg.right_singular_subspaces(products[2 * n], p)
+    V = linalg.Subspace.from_spanning(products[n] @ top.basis)
+    if V.dim != p:
+        raise linalg.DegenerateSplittingError(
+            "push-forward collapsed the fast subspace (rank %d < %d)" % (V.dim, p)
+        )
+    return V
+
+
 def finite_splitting(mset, x, p, n, phase=0):
     """Splitting at horizon n: push-forward of the slow singular data.
 
@@ -153,25 +170,15 @@ def finite_splitting(mset, x, p, n, phase=0):
     x.validate_for(mset)
     if n < 1:
         raise ValueError("n must be at least 1")
-    d = mset.d
-    if not 0 < p <= d:
-        raise ValueError("p must lie in 1..%d" % d)
-    back = phase - n  # start of T^{-n} x relative to the cycle
-    products = _sweep(mset, x, back, 2 * n)
-    top, _ = linalg.right_singular_subspaces(products[2 * n], p)
-    V = linalg.Subspace.from_spanning(products[n] @ top.basis)
-    if V.dim != p:
-        raise linalg.DegenerateSplittingError(
-            "push-forward collapsed the fast subspace (rank %d < %d)" % (V.dim, p)
-        )
-    forward = cocycle_product(mset, x, n, start=phase)
-    _, W = linalg.right_singular_subspaces(forward, p)
+    if not 0 < p <= mset.d:
+        raise ValueError("p must lie in 1..%d" % mset.d)
+    V = _fast_space(_sweep(mset, x, phase - n, 2 * n), p, n)  # the sweep from T^-n x
+    _, W = linalg.right_singular_subspaces(cocycle_product(mset, x, n, start=phase), p)
     if linalg.smallest_principal_angle(V, W) < SPLITTING_ANGLE_TOL:
         raise linalg.DegenerateSplittingError(
             "splitting degenerate: principal angle below %.1e" % SPLITTING_ANGLE_TOL
         )
-    pair = linalg.projection_from_pair(V, W)
-    return SplittingResult(p=p, n=n, V=V, W=W, pair=pair, phase=phase)
+    return SplittingResult(p=p, n=n, V=V, W=W, pair=linalg.projection_from_pair(V, W), phase=phase)
 
 
 @dataclass
@@ -220,10 +227,17 @@ def splitting_residuals(mset, x, result, n_max):
     * Cauchy rate of the horizon-n fast spaces, fitted the same way;
     * commutation residual of the projections with the cocycle step.
 
-    delta_hat and the contraction values read one sweep of ``n_max``
-    products, each as one batched SVD; the fast space of each Cauchy
-    horizon is built once and compared with the next one's, and the
-    horizon ``n_max`` itself reuses the phase-0 splitting.
+    The r phase splittings at ``n_max`` (r the period) give the
+    residuals, the fast space V0 and the slow space W0 of phase 0.
+    delta_hat, the contraction values and the fast space of each Cauchy
+    horizon n in ``r, 2r, ..., n_max`` read one phase-0 sweep of
+    ``2 n`` products for the last n, at least ``n_max``: such an n is a
+    multiple of r, so the sweep starts at ``T^-n x`` as well, and carries
+    the bits of that horizon's own back sweep.  Each fast space is the
+    push-forward of :func:`finite_splitting`, without the slow space it
+    does not read; the other two quantities are one batched SVD and one
+    batched 2-norm.  Fewer than two horizons (``n_max < 2 r``) leave the
+    Cauchy table empty and its fit NaN.
     """
     x.validate_for(mset)
     r = x.period
@@ -239,21 +253,18 @@ def splitting_residuals(mset, x, result, n_max):
         comm = A @ phases[k].pair.P - nxt.pair.P @ A
         commutation = max(commutation, float(np.linalg.norm(comm, 2)))
 
-    V0 = phases[0].V
-    products = _sweep(mset, x, 0, n_max)
-    delta_hat = float(np.linalg.svd(products[1:] @ V0.basis, compute_uv=False)[:, -1].min())
-
     ns = list(range(r, n_max + 1, r))
-    contraction = _contraction(products, ns, phases[0].W)[1].tolist()
-    xi_hat, xi_r2 = _loglinear_fit(ns, contraction)
+    # 2 ns[-1] products, the back sweep of the last horizon, and at least n_max
+    products = _sweep(mset, x, 0, max(n_max, 2 * (n_max - n_max % r)))
+    V0 = phases[0].V
+    delta_hat = float(np.linalg.svd(products[1:n_max + 1] @ V0.basis, compute_uv=False)[:, -1].min())
 
-    # horizons n and n + r, both in ns, are compared; phase 0 is built at n_max
-    fast = [finite_splitting(mset, x, p, n).V for n in ns[:-1]]
-    if fast:
-        fast.append(V0 if ns[-1] == n_max else finite_splitting(mset, x, p, ns[-1]).V)
-    cauchy_ns = ns[:-1]
+    xi_hat, xi_r2 = _loglinear_fit(ns, _contraction(products, ns, phases[0].W)[1].tolist())
+
+    # horizons n and n + r, both in ns, are compared: zip pairs ns[:-1] with the values
+    fast = [_fast_space(products, p, n) for n in ns]
     cauchy_vals = [linalg.grassmann_distance(a, b) for a, b in zip(fast, fast[1:])]
-    cauchy_rate, cauchy_r2 = _loglinear_fit(cauchy_ns, cauchy_vals)
+    cauchy_rate, cauchy_r2 = _loglinear_fit(ns, cauchy_vals)
 
     return SplittingDiagnostics(
         invariance_residual=invariance,
@@ -264,7 +275,7 @@ def splitting_residuals(mset, x, result, n_max):
         cauchy_r2=cauchy_r2,
         commutation_residual=commutation,
         horizon=n_max,
-        cauchy_table=list(zip(cauchy_ns, cauchy_vals)),
+        cauchy_table=list(zip(ns, cauchy_vals)),
     )
 
 

@@ -467,6 +467,27 @@ class TestScreenedLevelKernel:
         assert reports[0] == reports[1] == reports[2]
 
 
+class TestSingleLengthBounds:
+    @pytest.mark.parametrize("mset", SCREEN_FAMILIES)
+    def test_each_runs_its_own_kernel_only(self, mset, monkeypatch):
+        # rho_plus_n computes no spectral radius and rho_minus_n no norm,
+        # yet both equal the level bounds of sandwich's two kernels
+        n = 8
+        for _, P, fro in bounds._levels(mset, n, BudgetCounter()):
+            pass
+        plus, minus = bounds._level_bounds(P, fro, n, len(mset), ties=True)
+
+        def refused(*args):
+            raise AssertionError("the other kernel ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "_spectral_radii", refused)
+            assert rho_plus_n(mset, n, ties=True) == plus
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "_euclidean_norms", refused)
+            assert rho_minus_n(mset, n, ties=True) == minus
+
+
 def level_family(m, d, complex_entries):
     rng = np.random.default_rng(100 * m + 10 * d + complex_entries)
     mats = rng.standard_normal((m, d, d))
@@ -1020,15 +1041,37 @@ class TestOverflow:
         "run",
         [
             lambda mset: sandwich(mset, 8),
+            lambda mset: rho_plus_n(mset, 8),
             lambda mset: rho_minus_n(mset, 8),
             lambda mset: pruned_bounds(mset, 0.02 * 2.0**300, max_depth=20),
         ],
-        ids=["sandwich", "rho_minus_n", "pruned_bounds"],
+        ids=["sandwich", "rho_plus_n", "rho_minus_n", "pruned_bounds"],
     )
     def test_overflowing_products_name_the_cause(self, run):
         # the products of length 4 overflow binary64
         with pytest.raises(ValueError, match="products overflow binary64; scale the family"):
             run(MatrixSet(2.0**300 * EDGE_DRAW))
+
+    # (cutoff, words): eigvals directly for a cutoff of -inf or a batch
+    # below POWER_MIN, else the Gelfand power stage first
+    RADIUS_PATHS = [(-np.inf, bounds.POWER_MIN), (1.0, bounds.POWER_MIN - 1), (1.0, bounds.POWER_MIN)]
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("cutoff, words", RADIUS_PATHS, ids=["no-cutoff", "small-batch", "power-stage"])
+    def test_radius_kernel_names_an_overflowed_word(self, cutoff, words, entry):
+        Q = np.tile(np.eye(3), (words, 1, 1))
+        Q[words // 2, 0, 1] = entry
+        with pytest.raises(ValueError, match="products overflow binary64; scale the family"):
+            bounds._spectral_radii(Q, cutoff)
+
+    @pytest.mark.parametrize("cutoff, words", RADIUS_PATHS, ids=["no-cutoff", "small-batch", "power-stage"])
+    def test_radius_kernel_passes_on_other_eigvals_failures(self, cutoff, words, monkeypatch):
+        def unconverged(Q):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", unconverged)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            bounds._spectral_radii(np.tile(np.eye(3), (words, 1, 1)), cutoff)
 
 
 def scaled_frobenius(P):

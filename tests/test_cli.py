@@ -314,6 +314,21 @@ class TestInputErrors:
         assert capsys.readouterr().err.startswith("jsrkit: input: JSRKIT_BUDGET")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["splitting", "--cycle", "0"], ["bounds", "--norm", "adapted"]],
+        ids=["splitting", "adapted-bounds"],
+    )
+    def test_probe_enclosing_zero_exits_two(self, tmp_path, capsys, argv):
+        # a nilpotent family: the probe encloses the jsr in [0, 0], and no
+        # rho_hat can be taken from it
+        path = str(tmp_path / "nilpotent.json")
+        save_matrix_set(MatrixSet([[[0.0, 0.0], [1.0, 0.0]]]), path)
+        out = tmp_path / "never.csv"
+        assert cli.main(argv + ["--input", path, "--out", str(out)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "jsrkit: input: jsr probe enclosure [0, 0]; give --rho-hat\n"
+        assert not out.exists()
+
     def test_explicit_rho_hat_is_used_by_splitting(self, fixtures, tmp_path):
         out = tmp_path / "split.csv"
         argv = ["splitting", "--input", fixtures["e2"], "--out", str(out), "--cycle", "0",

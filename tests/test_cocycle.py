@@ -131,6 +131,30 @@ class TestFiniteSplitting:
             finite_splitting(mset, FIXED, 1, 4)
 
 
+def reference_residuals(mset, x, result, n_max):
+    """:func:`splitting_residuals` with the fast space of every Cauchy
+    horizon n taken from a full ``finite_splitting(mset, x, p, n)``."""
+    r, p = x.period, result.p
+    phases = [finite_splitting(mset, x, p, n_max, phase=k) for k in range(r)]
+    invariance = commutation = 0.0
+    for k in range(r):
+        A = mset.matrices[x.symbol(k)]
+        pushed = Subspace.from_spanning(A @ phases[k].V.basis)
+        nxt = phases[(k + 1) % r]
+        invariance = max(invariance, grassmann_distance(pushed, nxt.V))
+        commutation = max(commutation, float(np.linalg.norm(A @ phases[k].pair.P - nxt.pair.P @ A, 2)))
+    products = cocycle._sweep(mset, x, 0, n_max)
+    delta_hat = float(np.linalg.svd(products[1:] @ phases[0].V.basis, compute_uv=False)[:, -1].min())
+    ns = list(range(r, n_max + 1, r))
+    xi_hat, xi_r2 = cocycle._loglinear_fit(ns, cocycle._contraction(products, ns, phases[0].W)[1].tolist())
+    fast = [finite_splitting(mset, x, p, n).V for n in ns]
+    values = [grassmann_distance(a, b) for a, b in zip(fast, fast[1:])]
+    rate, r2 = cocycle._loglinear_fit(ns[:-1], values)
+    return cocycle.SplittingDiagnostics(
+        invariance, delta_hat, xi_hat, xi_r2, rate, r2, commutation, n_max, list(zip(ns[:-1], values))
+    )
+
+
 class TestSplittingResiduals:
     def test_diagonal_diagnostics(self, diagonal_singleton):
         result = finite_splitting(diagonal_singleton, FIXED, 1, 8)
@@ -161,8 +185,8 @@ class TestSplittingResiduals:
         assert diag.commutation_residual < 1e-9
 
     def test_each_horizon_is_split_once(self, scaled_antidiagonal, monkeypatch):
-        # r phase splittings at n_max, and one per Cauchy horizon in ns
-        # but the last, n_max itself, whose fast space is phase 0's
+        # r phase splittings at n_max; the Cauchy horizons read their fast
+        # spaces off one sweep and call finite_splitting for none of them
         calls = []
         split = cocycle.finite_splitting
 
@@ -174,9 +198,38 @@ class TestSplittingResiduals:
         monkeypatch.setattr(cocycle, "finite_splitting", counted)
         diag = splitting_residuals(scaled_antidiagonal, ALTERNATING, result, 12)
         r, ns = ALTERNATING.period, list(range(2, 13, 2))
-        assert len(calls) == r + len(ns) - 1
-        assert sorted(calls) == sorted([12] * r + ns[:-1])
+        assert calls == [12] * r
         assert [n for n, _ in diag.cauchy_table] == ns[:-1]
+
+    @pytest.mark.parametrize(
+        "case, n_max",
+        [("diagonal", 16), ("diagonal", 17), ("triangular", 20), ("triangular", 26),
+         ("alternating", 12), ("alternating", 13), ("alternating", 24),
+         ("rank-one", 12), ("rank-one-alternating", 12), ("rank-one-alternating", 15)],
+    )
+    def test_identical_to_splitting_every_horizon(self, case, n_max, request):
+        mset, x = {
+            "diagonal": (request.getfixturevalue("diagonal_singleton"), FIXED),
+            "triangular": (request.getfixturevalue("triangular_singleton"), FIXED),
+            "alternating": (request.getfixturevalue("scaled_antidiagonal"), ALTERNATING),
+            "rank-one": (rank_one_pair().scaled(0.5), FIXED),
+            "rank-one-alternating": (rank_one_pair().scaled(0.5), ALTERNATING),
+        }[case]
+        result = finite_splitting(mset, x, 1, n_max)
+        got = splitting_residuals(mset, x, result, n_max)
+        # repr keeps every bit of a float and reads NaN alike
+        assert repr(got) == repr(reference_residuals(mset, x, result, n_max))
+
+    @pytest.mark.parametrize(
+        "fixture, word, n_max",
+        [("diagonal_singleton", FIXED, 1), ("scaled_antidiagonal", ALTERNATING, 2),
+         ("scaled_antidiagonal", ALTERNATING, 3)],
+    )
+    def test_fewer_than_two_horizons_leave_the_cauchy_table_empty(self, fixture, word, n_max, request):
+        mset = request.getfixturevalue(fixture)
+        diag = splitting_residuals(mset, word, finite_splitting(mset, word, 1, n_max), n_max)
+        assert diag.cauchy_table == []
+        assert math.isnan(diag.cauchy_rate) and math.isnan(diag.cauchy_r2)
 
     def test_uniform_singular_value_floor_on_extremal_orbits(
         self, diagonal_singleton, scaled_antidiagonal
