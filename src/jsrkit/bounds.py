@@ -31,25 +31,26 @@ per-level maxima are exact but screened by
 for k = 2, 4, 8 (Gelfand's formula; the power bound is not below
 ``||P||_2`` in general, as ``P = I`` shows).  ``||P||_F``, or on a
 streamed level an upper bound of it (below), is computed for every word
-in one pass.  One screen, :func:`_screened`, serves every
-kernel: a norm of the protocol (:class:`Norm`), whose values its
-``factor`` L bounds by ``L ||P||_F`` (1 for the exact Euclidean norm
-``||P||_2 = sqrt(lambda_max(P^H P))``, by batched Gram matrices and
+in one pass.  One screen, :func:`_screen_level`, serves every kernel of
+a level at once: a norm of the protocol (:class:`Norm`), whose values
+its ``factor`` L bounds by ``L ||P||_F`` (1 for the exact Euclidean
+norm ``||P||_2 = sqrt(lambda_max(P^H P))``, by batched Gram matrices and
 ``eigvalsh``), and the spectral radii, with L = 1.  The ``SCREEN_SEED``
-words of largest ``||P||_F`` go to the kernel first, with the cutoff
-``-inf``; the others only while their ``||P||_F`` reaches ``c / L``,
-where the cutoff ``c`` is the running level maximum less
-``SCREEN_SLACK``, and they go to the kernel with that cutoff, below
-which it may read ``-inf``.  The radius kernel spends it on its Gelfand
-power bound.  ``SCREEN_SLACK`` = 1e-8 is a roundoff allowance: it covers
-the relative error of the computed bounds and kernels (a small multiple
-of d**2 * 2**-53; both exact kernels are backward stable, so a computed
-norm or eigenvalue modulus exceeds ``||P||_2`` by no more) and the
-``TIE_RTOL`` tie window, so the per-level values, argmax words and tie
-lists equal those of evaluating every word.  Where ``c / L`` is below
-``SCREEN_FLOOR`` the squares in ``||P||_F`` may have underflowed and
-nothing is screened; the kernels still take the cutoff, since they scale
-each word by a power of two first.
+words of largest ``||P||_F`` go to every kernel first, with the cutoff
+``-inf``; the others, in batches read once for all kernels, only while
+their ``||P||_F`` reaches ``c / L``, where the cutoff ``c`` is that
+kernel's running level maximum less ``SCREEN_SLACK``, and with that
+cutoff, below which a kernel may read ``-inf``.  The radius kernel
+spends it on its Gelfand power bound (below).  ``SCREEN_SLACK`` = 1e-8
+is a roundoff allowance: it covers the relative error of the computed
+bounds and kernels (a small multiple of d**2 * 2**-53; both exact
+kernels are backward stable, so a computed norm or eigenvalue modulus
+exceeds ``||P||_2`` by no more) and the ``TIE_RTOL`` tie window, so the
+per-level values, argmax words and tie lists equal those of evaluating
+every word.  Where ``c / L`` is below ``SCREEN_FLOOR`` the squares in
+``||P||_F`` may have underflowed and nothing is screened; the kernels
+still take the cutoff, since they scale each word by a power of two
+first.
 Screening charges no multiplications.
 
 Repeated products.  Families with structure repeat their products
@@ -124,9 +125,9 @@ word) and the scaled copies and squares of the power stage, one block
 of children in the pruned search, and one block of ``F_f M`` products
 in the certified kernel of the adapted norm.  A streamed level adds the
 Gram rows of the base level, about one stored level, its suffix
-products, which fit in ``LEVEL_BYTES`` while N <= 2k, and some 8 bytes
-per word in a few full-length arrays: its bounds and the screen's values
-and index arrays.
+products, which fit in ``LEVEL_BYTES`` while N <= 2k, and 8 bytes per
+word in two full-length arrays: its bounds and the index array of the
+screen's seed selection.
 
 Gelfand power stage.  Given the running cutoff c, ``eigvals`` runs only
 on the words whose power bound reaches c.  Each word is first scaled by
@@ -161,7 +162,14 @@ why the slack is not left to it.  Cost guard: the stage stops squaring
 after any square that removes fewer than half of the words left (on
 levels where every candidate ties the maximum it removes nothing after
 the first square).  Batches of fewer than ``POWER_MIN`` words go to
-``eigvals`` directly.
+``eigvals`` directly, and so do up to ``2 * POWER_MIN`` survivors of the
+stage.  More go in chunks of decreasing power bound, ``POWER_MIN`` words
+first and twice as many each time, and after each chunk the words whose
+bound lies below the running maximum less ``SCREEN_SLACK`` read
+``-inf``.  So a word reads ``-inf`` only if its radius lies below ``(1 +
+TIE_RTOL) * max(c, (1 - SCREEN_SLACK) * R)``, R the largest radius of
+the batch: the maximum, its first argmax and the tie window are kept,
+also with the seed's cutoff ``-inf``.
 The adapted-norm family is built from :func:`_iter_levels`, and the
 same screen serves the certified kernel of the adapted norm.  The
 pruned search runs :func:`_extend` on the transposed generators: its
@@ -561,35 +569,57 @@ def _gram_slack(d, complex_entries, steps):
     return 2.0 * (4 * steps * _product_roundoff(d, complex_entries) + (D + 3) * 2.0**-53)
 
 
-def _spectral_radii(Q, cutoff):
-    """Largest eigenvalue modulus per matrix of a batch.
-
-    With a positive ``cutoff`` and at least ``POWER_MIN`` words, the batch
-    passes the Gelfand power stage first (module docstring): ``eigvals``
-    runs only on the words whose bound ``(||P^k||_F + C_k
-    ||P||_F**k)**(1/k)`` reaches the cutoff, and the others read ``-inf``;
-    their values lie below ``(1 + TIE_RTOL) * cutoff``.  A batch with an
-    infinite or NaN entry, which is how an overflowing product reads,
-    raises ``ValueError`` on either path, as :func:`_scaled` does.
-    """
-    alive = slice(None)  # a view: no copy of a batch that skips the stage
-    if cutoff > 0.0 and len(Q) >= POWER_MIN:
-        alive = np.arange(len(Q))
-        S, scale = _scaled(Q)
-        f, c = _frobenius_norms(S), cutoff / scale
-        for k, C in _power_slacks(Q.shape[1], np.iscomplexobj(Q)):
-            S = S @ S
-            stay = ~((_frobenius_norms(S) + C * f**k) ** (1.0 / k) < c)
-            S, f, c, alive = S[stay], f[stay], c[stay], alive[stay]
-            # a square that removes fewer than half of the words ends the stage
-            if 2 * np.count_nonzero(~stay) < len(stay):
-                break
-    radii = np.full(len(Q), -np.inf)
+def _eigvals_radii(Q):
+    """Largest ``eigvals`` modulus per matrix; ``ValueError`` on an
+    overflowed product, as :func:`_scaled` raises it."""
     try:
-        radii[alive] = np.abs(np.linalg.eigvals(Q[alive])).max(axis=1)
+        return np.abs(np.linalg.eigvals(Q)).max(axis=1)
     except np.linalg.LinAlgError:
         _scaled(Q)  # raises ValueError on an overflowed product
         raise
+
+
+def _spectral_radii(Q, cutoff):
+    """Largest eigenvalue modulus per matrix of a batch.
+
+    A batch of at least ``POWER_MIN`` words passes the Gelfand power stage
+    (module docstring): ``eigvals`` runs on the words whose bound ``(||P^k||_F
+    + C_k ||P||_F**k)**(1/k)`` reaches ``cutoff``, in chunks of decreasing
+    bound while it reaches the running maximum less ``SCREEN_SLACK``.  A
+    word it skips reads ``-inf``; its value lies below ``(1 + TIE_RTOL) *
+    max(cutoff, (1 - SCREEN_SLACK) * R)``, R the largest radius of the
+    batch.  A batch with an infinite or NaN entry, which is how an
+    overflowing product reads, raises ``ValueError``, as :func:`_scaled`
+    does.
+    """
+    if len(Q) < POWER_MIN:
+        return _eigvals_radii(Q)
+    alive = np.arange(len(Q))
+    S, scale = _scaled(Q)
+    f, c = _frobenius_norms(S), cutoff / scale
+    for k, C in _power_slacks(Q.shape[1], np.iscomplexobj(Q)):
+        S = S @ S
+        bound = (_frobenius_norms(S) + C * f**k) ** (1.0 / k)
+        stay = ~(bound < c)
+        S, f, c, alive, bound = S[stay], f[stay], c[stay], alive[stay], bound[stay]
+        # a square that removes fewer than half of the words ends the stage
+        if 2 * np.count_nonzero(~stay) < len(stay):
+            break
+    radii = np.full(len(Q), -np.inf)
+    if len(alive) <= 2 * POWER_MIN:
+        radii[alive] = _eigvals_radii(Q[alive])
+        return radii
+    bound *= scale[alive]
+    order = np.argsort(-bound, kind="stable")
+    alive, bound = alive[order], bound[order]
+    size, best = POWER_MIN, -np.inf
+    while len(alive):
+        chunk, alive, bound = alive[:size], alive[size:], bound[size:]
+        radii[chunk] = values = _eigvals_radii(Q[chunk])
+        best = np.max([best, values.max()])
+        stay = ~(bound < _screen_cutoff(best, 1.0)[0])
+        alive, bound = alive[stay], bound[stay]
+        size *= 2
     return radii
 
 
@@ -605,6 +635,15 @@ def _screen_cutoff(best, factor):
     return cutoff, (threshold if threshold >= SCREEN_FLOOR else 0.0)
 
 
+def _new_rows(columns):
+    """Whether each row of a 2-D array differs from the row before it,
+    from the array's columns; the first row is new."""
+    new = False
+    for column in columns:
+        new = new | (column[1:] != column[:-1])
+    return np.concatenate([[True], new])
+
+
 def _once(kernel, Q, bound, cutoff):
     """``kernel(Q, cutoff)``, with each bit-identical word of ``Q`` evaluated once.
 
@@ -612,78 +651,101 @@ def _once(kernel, Q, bound, cutoff):
     have identical bounds (on a streamed level, wherever the Gram products
     are exact; elsewhere a repeated word may be evaluated twice, which
     changes no value), so a batch in which no two neighbours tie goes to
-    the kernel whole.  Otherwise the words
-    are grouped by the ``uint64`` view of their entries (so ``-0.0`` and
-    ``0.0`` stay apart), the kernel runs on the first word of each group,
-    and its values are scattered back.  A kernel value depends on its own
-    word only, so the values are those of evaluating every word, up to the
-    ``-inf`` a kernel may read below its cutoff.
+    the kernel whole.  Otherwise words are compared by the ``uint64`` view
+    of their entries (so ``-0.0`` and ``0.0`` stay apart): the batch is
+    cut into runs of identical neighbours, so that a repeating family
+    sorts few words, the first words of the runs are grouped, the kernel
+    runs on one word per group, and its values are copied back.  A kernel
+    value depends on its own word only, so the values are those of
+    evaluating every word, up to the ``-inf`` a kernel may read below its
+    cutoff.
     """
     if not (bound[1:] == bound[:-1]).any():
         return kernel(Q, cutoff)
     bits = Q.reshape(len(Q), -1).view(np.uint64)
-    order = np.lexsort(bits.T)
-    new = np.zeros(len(Q) - 1, dtype=bool)
-    for column in bits.T:
-        column = column[order]
-        new |= column[1:] != column[:-1]
-    if new.all():
+    heads = np.flatnonzero(_new_rows(bits.T))
+    rows = bits if len(heads) == len(Q) else bits[heads]
+    order = np.lexsort(rows.T)
+    first = _new_rows(column[order] for column in rows.T)
+    if first.all() and len(heads) == len(Q):
         return kernel(Q, cutoff)
-    first = np.concatenate([[True], new])
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(first) - 1
-    return kernel(Q[order[first]], cutoff)[inverse]
+    values = kernel(Q[heads[order[first]]], cutoff)[inverse]
+    return np.repeat(values, np.diff(heads, append=len(Q)))
 
 
-def _screened(fro, factor, kernel, P):
-    """``kernel`` values of the words of ``P`` that can reach the maximum.
+def _screen_level(fro, kernels, P):
+    """The values of each kernel on the words of ``P`` that can reach its maximum.
 
-    ``fro`` holds upper bounds of the words' Frobenius norms (the norms
-    themselves on stored levels), and ``factor * fro[i]`` must bound
-    ``kernel(P[i])`` from above up to roundoff; ``P`` is indexed by
-    integer arrays only, so it may be a lazy stack.  The ``SCREEN_SEED``
-    words of largest ``fro`` are evaluated first, as ``kernel(seed,
-    -inf)``.  The rest are evaluated in batches of decreasing ``fro``, as
-    ``kernel(batch, c)`` for the running cutoff ``c``, the maximum less
-    ``SCREEN_SLACK``, as long as their ``fro`` reaches ``c / factor``
-    (:func:`_screen_cutoff`; nothing is screened below ``SCREEN_FLOOR``).
-    The batches double in size up to the words that fit in
-    ``LEVEL_BYTES``.  Every other word reads ``-inf``; its value lies
-    below the maximum.  A kernel may also read ``-inf`` on words whose
-    values lie below ``(1 + TIE_RTOL) * c``, which ``SCREEN_SLACK`` keeps
-    outside the tie window: the certified kernel of
-    :class:`jsrkit.extremal.AdaptedNorm` stops its descents there, and
-    :func:`_spectral_radii` skips ``eigvals`` on words whose Gelfand power
-    bound lies below ``c``.  Each batch evaluates every bit-identical word
-    once (:func:`_once`).  Since a value depends on its own word only, and
-    the ``-inf`` contract holds for any batch, the maximum, its
+    ``kernels`` holds ``(factor, kernel)`` pairs and ``fro`` upper bounds
+    of the words' Frobenius norms (the norms themselves on stored levels):
+    ``factor * fro[i]`` must bound ``kernel(P[i])`` from above up to
+    roundoff.  ``P`` is indexed by integer arrays only, so it may be a
+    lazy stack.  The ``SCREEN_SEED`` words of largest ``fro`` are selected
+    once and evaluated first, as ``kernel(seed, -inf)``.  One list holds
+    the other words whose ``fro`` reaches the lowest of the kernels'
+    thresholds ``c / factor``, in decreasing ``fro``, ``c`` being a
+    kernel's running maximum less ``SCREEN_SLACK`` (:func:`_screen_cutoff`;
+    nothing is screened below ``SCREEN_FLOOR``).  It is read out of ``P``
+    once per batch of the words that fit in ``LEVEL_BYTES``, each kernel
+    evaluates the words of the batch that reach its own threshold, as
+    ``kernel(words, c)``, and the list is filtered after every batch.  A
+    kernel may also read ``-inf`` on words whose values lie below ``(1 +
+    TIE_RTOL) * c``, or, for :func:`_spectral_radii`, below its batch
+    maximum less ``SCREEN_SLACK``, outside the tie window; the certified
+    kernel of :class:`jsrkit.extremal.AdaptedNorm` stops its descents
+    there.  Each batch evaluates every bit-identical word once
+    (:func:`_once`).  A value depends on its own word only, and the
+    ``-inf`` contract holds for any batch, so the maximum, its
     lexicographically first argmax and the ``TIE_RTOL`` tie window equal
     those of evaluating every word.
+
+    Returns one ``(idx, values)`` pair per kernel: the distinct indices
+    it evaluated, in no particular order, and their values.
     """
     total = len(fro)
-    values = np.full(total, -np.inf)
     size = min(SCREEN_SEED, total)
     batch = np.argpartition(fro, total - size)[total - size:]
     batch = batch[np.argsort(-fro[batch], kind="stable")]
-    seed = P[batch]
-    values[batch] = _once(kernel, seed, fro[batch], -np.inf)
-    # later batches double, up to the words that fit in LEVEL_BYTES
-    cap = max(size, LEVEL_BYTES * size // seed.nbytes)
+    Q, bound = P[batch], fro[batch]
+    cap = max(size, LEVEL_BYTES * size // Q.nbytes)
+    found = [([batch], [_once(kernel, Q, bound, -np.inf)]) for _, kernel in kernels]
     # a NaN value makes ``best`` NaN: its cutoff screens nothing
-    best = values[batch].max()
-    cutoff, threshold = _screen_cutoff(best, factor)
-    fresh = np.ones(total, dtype=bool)
-    fresh[batch] = False
-    rest = np.nonzero(fresh & ~(fro < threshold))[0]
+    best = [values[0].max() for _, values in found]
+    cuts = [_screen_cutoff(b, factor) for b, (factor, _) in zip(best, kernels)]
+    reach = ~(fro < min(t for _, t in cuts))
+    reach[batch] = False
+    rest = np.nonzero(reach)[0]
     rest = rest[np.argsort(-fro[rest], kind="stable")]
     while len(rest):
-        batch, rest = rest[:size], rest[size:]
-        values[batch] = _once(kernel, P[batch], fro[batch], cutoff)
-        best = np.max([best, values[batch].max()])
-        cutoff, threshold = _screen_cutoff(best, factor)
-        rest = rest[~(fro[rest] < threshold)]
-        size = min(2 * size, cap)
-    return values
+        batch, rest = rest[:cap], rest[cap:]
+        Q, bound = P[batch], fro[batch]
+        for j, (factor, kernel) in enumerate(kernels):
+            cutoff, threshold = cuts[j]
+            reach = ~(bound < threshold)
+            count = np.count_nonzero(reach)
+            if not count:
+                continue
+            # the words that reach are a prefix unless a bound is NaN
+            take = slice(count) if reach[:count].all() else reach
+            values = _once(kernel, Q[take], bound[take], cutoff)
+            found[j][0].append(batch[take])
+            found[j][1].append(values)
+            best[j] = np.max([best[j], values.max()])
+            cuts[j] = _screen_cutoff(best[j], factor)
+        rest = rest[~(fro[rest] < min(t for _, t in cuts))]
+    del Q, bound  # the last batch goes before the values are joined
+    return [(np.concatenate(idx), np.concatenate(values)) for idx, values in found]
+
+
+def _screened(fro, factor, kernel, P):
+    """The values of one kernel under :func:`_screen_level` as one array
+    over the words of ``P``: a word it did not evaluate reads ``-inf``."""
+    [(idx, values)] = _screen_level(fro, [(factor, kernel)], P)
+    out = np.full(len(fro), -np.inf)
+    out[idx] = values
+    return out
 
 
 class Norm:
@@ -706,8 +768,8 @@ class Norm:
     def matrix_norms_batch(self, P, fro):
         """``matrix_norms`` of a stack ``P`` with Frobenius bounds ``fro``,
         on every word that can reach the maximum or its tie window, under
-        the level screen of :func:`_screened` by ``factor * fro``; the
-        other words read ``-inf``."""
+        the level screen of :func:`_screen_level` by ``factor * fro``, as
+        one array over the words of ``P``: the other words read ``-inf``."""
         return _screened(fro, self.factor, self.matrix_norms, P)
 
 
@@ -744,17 +806,25 @@ class LevelBound:
     ties: tuple = ()
 
 
-def _level_bound(values, n, m, ties):
+def _level_bound(values, n, m, ties, idx=None):
     """The ``n``-th root of the largest of ``values``, its word and, with
-    ``ties``, the words within ``TIE_RTOL`` of it."""
+    ``ties``, the words within ``TIE_RTOL`` of it.  ``values`` belong to
+    the distinct word indices ``idx``, by default to every word in order;
+    the word of the maximum is its smallest index, the lexicographically
+    least word."""
+    if idx is not None:
+        order = np.argsort(idx)
+        idx, values = idx[order], values[order]
     top = int(np.argmax(values))  # first occurrence = lexicographically least word
     value = float(values[top] ** (1.0 / n))
-    word = _word_of_index(top, n, m)
+    word = _word_of_index(top if idx is None else int(idx[top]), n, m)
     tie_words = ()
     if ties:
         cutoff = values[top] * (1.0 - TIE_RTOL)
-        idx = np.nonzero(values >= cutoff)[0]
-        tie_words = tuple(_word_of_index(int(i), n, m) for i in idx)
+        hits = np.nonzero(values >= cutoff)[0]
+        if idx is not None:
+            hits = idx[hits]
+        tie_words = tuple(_word_of_index(int(i), n, m) for i in hits)
     return LevelBound(value, word, tie_words)
 
 
@@ -762,40 +832,42 @@ def _level_bounds(P, fro, n, m, norm=EUCLIDEAN, ties=False):
     """``(rho_plus, rho_minus)`` level bounds of one level ``P``.
 
     ``fro`` holds the level's Frobenius norms or their upper bounds, as
-    :func:`_levels` yields them.  Norms come from
-    ``norm.matrix_norms_batch(P, fro)`` (the norm protocol of
-    :mod:`jsrkit.extremal`); spectral radii are screened by ``fro`` and
-    then pass the Gelfand power stage of :func:`_spectral_radii`.
+    :func:`_levels` yields them.  One screen (:func:`_screen_level`)
+    serves the norm's kernel ``norm.matrix_norms`` (the norm protocol of
+    :mod:`jsrkit.extremal`) and the radius kernel :func:`_spectral_radii`.
     """
-    norms = norm.matrix_norms_batch(P, fro)
-    radii = _screened(fro, 1.0, _spectral_radii, P)
-    return _level_bound(norms, n, m, ties), _level_bound(radii, n, m, ties)
+    (norm_idx, norms), (radius_idx, radii) = _screen_level(
+        fro, [(norm.factor, norm.matrix_norms), (1.0, _spectral_radii)], P
+    )
+    return _level_bound(norms, n, m, ties, norm_idx), _level_bound(radii, n, m, ties, radius_idx)
 
 
-def _level(mset, n, batch, budget, ties):
-    """The level-``n`` bound of one screened kernel, ``batch(P, fro)``: one
-    of the two of :func:`_level_bounds`, without the other."""
+def _level(mset, n, factor, kernel, budget, ties):
+    """The level-``n`` bound of one kernel under the screen: one of the
+    two of :func:`_level_bounds`, without the other."""
     if n < 1:
         raise ValueError("n must be at least 1")
     for level, P, fro in _levels(mset, n, _counter(budget)):
         if level == n:
-            return _level_bound(batch(P, fro), n, len(mset), ties)
+            [(idx, values)] = _screen_level(fro, [(factor, kernel)], P)
+            return _level_bound(values, n, len(mset), ties, idx)
 
 
 def rho_plus_n(mset, n, norm=None, budget=None, ties=False):
     """Largest ``||A_w||^(1/n)`` over all words of length ``n``.
 
     ``norm`` follows the norm protocol of :mod:`jsrkit.extremal`; None is
-    the Euclidean norm, whose maximum is exact.  Only the norm's screened
-    kernel, ``norm.matrix_norms_batch``, runs: no spectral radius is
-    computed.  A norm that returns certified upper values, such as the
+    the Euclidean norm, whose maximum is exact.  Only the norm's kernel,
+    ``norm.matrix_norms``, runs under the level screen: no spectral radius
+    is computed.  A norm that returns certified upper values, such as the
     adapted norm, gives a sound upper value.  Ties are broken towards the
     lexicographically smallest word.  At roundoff-level near-ties, such
     as rotations of one word, that is the first word under the real-typed
     arithmetic used for real families, which may differ from the choice
     of a complex-typed evaluation.
     """
-    return _level(mset, n, (EUCLIDEAN if norm is None else norm).matrix_norms_batch, budget, ties)
+    norm = EUCLIDEAN if norm is None else norm
+    return _level(mset, n, norm.factor, norm.matrix_norms, budget, ties)
 
 
 def rho_minus_n(mset, n, budget=None, ties=False):
@@ -807,7 +879,7 @@ def rho_minus_n(mset, n, budget=None, ties=False):
     ``SCREEN_SLACK`` (module docstring).  Ties and near-ties are broken as
     in :func:`rho_plus_n`.
     """
-    return _level(mset, n, lambda P, fro: _screened(fro, 1.0, _spectral_radii, P), budget, ties)
+    return _level(mset, n, 1.0, _spectral_radii, budget, ties)
 
 
 def _check_enclosure(lower, upper, where):
@@ -856,12 +928,12 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     roundoff.  Exhausting the multiplication budget truncates the report
     (flagged) rather than raising; level n charges m^n multiplications.
 
-    Each level goes through the screened kernels of the module docstring:
-    ``F >= ||P||_F`` once per word (equal on stored levels),
-    ``norm.matrix_norms_batch(P, F)`` (the norm protocol of
-    :mod:`jsrkit.extremal`; None is the Euclidean norm), and ``eigvals``
-    only where ``F`` and the Gelfand power bound let the word reach the
-    level maximum less ``SCREEN_SLACK``.
+    Each level goes through one screen for both kernels (module
+    docstring): ``F >= ||P||_F`` once per word (equal on stored levels),
+    ``norm.matrix_norms`` (the norm protocol of :mod:`jsrkit.extremal`;
+    None is the Euclidean norm) and ``eigvals`` only where ``F`` and the
+    Gelfand power bound let the word reach the level maximum less
+    ``SCREEN_SLACK``.
 
     ``workers`` is accepted and ignored, so that existing callers keep
     running: every level is computed serially on the calling thread.
@@ -919,9 +991,9 @@ def _pruned_level(gens, parents, n, lower, delta):
     block size.  Radii are evaluated only for children whose norm reaches
     the cutoff ``c`` of ``_screen_cutoff(lower**n, 1.0)`` (unless it is
     below ``SCREEN_FLOOR``), and there through the power stage at ``c``:
-    a radius it skips is below ``(1 + TIE_RTOL) * c <
-    lower**n`` and could not raise ``lower``, so ``lower`` is
-    bit-identical to evaluating every child.
+    a radius it skips is below ``(1 + TIE_RTOL) * c < lower**n`` or
+    below the largest radius of the block, and could not raise ``lower``,
+    so ``lower`` is bit-identical to evaluating every child.
     """
     root = 1.0 / n
     kept, scores, retired = [], [], 0.0

@@ -365,7 +365,7 @@ def unscreened_level(P, n, m, ties):
     """Both level bounds with every word evaluated by the exact kernels."""
     return (
         bounds._level_bound(bounds._euclidean_norms(P), n, m, ties),
-        bounds._level_bound(bounds._spectral_radii(P, -np.inf), n, m, ties),
+        bounds._level_bound(plain_radii(P), n, m, ties),
     )
 
 
@@ -740,7 +740,82 @@ class TestStreamedLevels:
         finally:
             tracemalloc.stop()
         assert len(report.rows) == 18
-        assert peak < 16 * 2**20
+        assert peak < 12 * 2**20
+
+
+class RecordedStack:
+    """A stack of integer words that records the size of every read."""
+
+    def __init__(self, size, reads):
+        self.size, self.reads = size, reads
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, idx):
+        self.reads.append(len(idx))
+        return np.asarray(idx)
+
+
+class TestOneScreenForEveryKernel:
+    @pytest.mark.parametrize("seed", [1, 16])
+    def test_nan_value_screens_nothing_for_its_kernel_only(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.lognormal(0.0, 0.3, 500)
+        poisoned = values.copy()
+        poisoned[7] = np.nan
+        bound = values * 1.01
+        bound[7] = np.inf  # evaluated in the seed
+        kernels = [(1.0, lambda idx, cutoff: poisoned[idx]), (1.0, lambda idx, cutoff: values[idx])]
+        (nan_idx, nan_values), (idx, got) = bounds._screen_level(bound, kernels, np.arange(500))
+        assert np.array_equal(np.sort(nan_idx), np.arange(500))
+        assert np.array_equal(nan_values, poisoned[nan_idx], equal_nan=True)
+        assert len(idx) < 250 and np.array_equal(got, values[idx])
+        assert got.max() == values.max()
+
+    def test_batches_for_both_kernels_hold_at_most_level_bytes(self, monkeypatch):
+        # every word ties, so every word is evaluated by both kernels;
+        # 8-byte words, 256 per batch, each batch read out of the stack once
+        monkeypatch.setattr(bounds, "LEVEL_BYTES", 256 * 8)
+        reads, sizes = [], []
+
+        def kernel(Q, cutoff):
+            sizes.append(len(Q))
+            return np.ones(len(Q))
+
+        found = bounds._screen_level(np.ones(5000), [(1.0, kernel), (2.0, kernel)], RecordedStack(5000, reads))
+        for idx, values in found:
+            assert np.array_equal(np.sort(idx), np.arange(5000)) and (values == 1.0).all()
+        assert sum(reads) == 5000 and max(reads) == 256
+        assert sum(sizes) == 2 * 5000 and max(sizes) == 256
+
+    def test_each_kernel_takes_the_words_that_reach_its_own_threshold(self):
+        # a kernel whose factor is 10 times looser keeps 10 times as many
+        # bounds in reach: both see one batch, each only its own part of it
+        bound = np.linspace(1.0, 0.0, 1000, endpoint=False)
+        seen = {}
+
+        def kernel(name):
+            def values(Q, cutoff):
+                seen.setdefault(name, []).append(Q)
+                return bound[Q]
+            return values
+
+        bounds._screen_level(bound, [(1.0, kernel("tight")), (10.0, kernel("loose"))], RecordedStack(1000, []))
+        tight, loose = (np.concatenate(seen[name]) for name in ("tight", "loose"))
+        assert len(tight) == bounds.SCREEN_SEED
+        assert (bound[loose] >= 0.1 * (1.0 - bounds.SCREEN_SLACK)).all()
+        assert len(loose) == np.count_nonzero(bound >= 0.1 * (1.0 - bounds.SCREEN_SLACK))
+
+    def test_a_nan_bound_keeps_its_word_for_every_kernel(self):
+        # the NaN bound sorts last, behind words that one kernel screens out
+        bound = np.linspace(1.0, 0.0, 1000, endpoint=False)
+        bound[500] = np.nan
+        values = np.nan_to_num(bound, nan=0.5)
+        kernels = [(1.0, lambda Q, cutoff: values[Q]), (10.0, lambda Q, cutoff: values[Q])]
+        for idx, got in bounds._screen_level(bound, kernels, RecordedStack(1000, [])):
+            assert 500 in idx and np.array_equal(got, values[idx])
+
 
 def plain_radii(Q):
     return np.abs(np.linalg.eigvals(Q)).max(axis=1)
@@ -807,10 +882,14 @@ POWER_FAMILIES = SCREEN_FAMILIES + near_defective_families()
 
 
 def check_power_contract(Q, cutoff):
-    """``_spectral_radii(Q, cutoff)`` against plain ``eigvals``."""
+    """``_spectral_radii(Q, cutoff)`` against plain ``eigvals``: every
+    evaluated radius has its bits, and every skipped one lies below
+    ``(1 + TIE_RTOL) * max(cutoff, (1 - SCREEN_SLACK) * R)``, R the
+    largest radius of the batch."""
     got, want = bounds._spectral_radii(Q, cutoff), plain_radii(Q)
     skipped = np.isneginf(got)
-    assert (want[skipped] < (1.0 + bounds.TIE_RTOL) * cutoff).all()
+    top = (1.0 - bounds.SCREEN_SLACK) * want.max(initial=0.0)
+    assert (want[skipped] < (1.0 + bounds.TIE_RTOL) * max(cutoff, top)).all()
     assert np.array_equal(got[~skipped], want[~skipped])
     return skipped
 
@@ -820,8 +899,8 @@ class TestGelfandPowerStage:
     def test_skipped_radii_lie_below_the_cutoff(self, mset):
         for _, P in bounds._iter_levels(mset, 8, BudgetCounter()):
             radii = plain_radii(P)
-            for q in (0.3, 0.6, 0.9):
-                check_power_contract(P, float(np.quantile(radii, q)))
+            for cutoff in (-np.inf, 0.0, *np.quantile(radii, (0.3, 0.6, 0.9))):
+                check_power_contract(P, float(cutoff))
 
     @pytest.mark.parametrize(
         "Q",
@@ -838,9 +917,24 @@ class TestGelfandPowerStage:
         # least half of it and the stage goes on to P**4
         Q = np.concatenate([Q, np.zeros_like(Q)])
         radii = plain_radii(Q)
+        # each word among 2 * POWER_MIN - 1 zero words, where its radius is
+        # the batch maximum: only the stage's slack C_k keeps it
+        zeros = np.zeros((2 * bounds.POWER_MIN - 1,) + Q.shape[1:], dtype=Q.dtype)
         for i in np.nonzero(radii > 0.0)[0]:
-            skipped = check_power_contract(Q, radii[i] / (1.0 + 2.0 * bounds.TIE_RTOL))
-            assert not skipped[i]
+            cutoff = radii[i] / (1.0 + 2.0 * bounds.TIE_RTOL)
+            check_power_contract(Q, cutoff)
+            assert not check_power_contract(np.concatenate([Q[i:i + 1], zeros]), cutoff)[0]
+
+    def test_radii_within_the_slack_of_the_batch_maximum_are_kept(self):
+        # rank-one diagonal words, whose power bounds exceed their radii by
+        # about 1e-14 relative, with radii 1e-14 apart: all lie within
+        # SCREEN_SLACK of the maximum, so no chunk of eigvals may drop one
+        radii = 1.0 - 1e-14 * np.arange(40)
+        Q = np.zeros((40, 3, 3))
+        Q[:, 0, 0] = radii
+        Q = Q[np.random.default_rng(0).permutation(40)]
+        for cutoff in (-np.inf, 0.5):
+            assert not check_power_contract(Q, cutoff).any()
 
     def test_near_defective_radii_move_beyond_the_screen_slack(self):
         # what the slack C_k is for: word 0 of the level is a power of
@@ -862,9 +956,35 @@ class TestGelfandPowerStage:
         assert staged[1] < unstaged[1] // 2
 
     def test_no_cutoff_is_plain_eigvals(self):
+        # below POWER_MIN words; a larger batch keeps the tie window of its
+        # maximum without a cutoff
         _, P = list(bounds._iter_levels(random_family(2, complex_entries=True), 6, BudgetCounter()))[-1]
-        assert np.array_equal(bounds._spectral_radii(P, -np.inf), plain_radii(P))
-        assert np.array_equal(bounds._spectral_radii(P, 0.0), plain_radii(P))
+        small = P[:bounds.POWER_MIN - 1]
+        assert np.array_equal(bounds._spectral_radii(small, -np.inf), plain_radii(small))
+        for cutoff in (-np.inf, 0.0):
+            skipped = check_power_contract(P, cutoff)
+            assert skipped.any()
+
+    @pytest.mark.parametrize("mset", [EXHAUSTIVE_FAMILY] + SCREEN_FAMILIES[2:])
+    def test_a_level_without_cutoff_evaluates_fewer_than_half_of_its_words(self, mset):
+        n = 12 if len(mset) == 2 else 8
+        _, P = list(bounds._iter_levels(mset, n, BudgetCounter()))[-1]
+        got, want = bounds._spectral_radii(P, -np.inf), plain_radii(P)
+        assert np.count_nonzero(~np.isneginf(got)) < len(P) // 2
+        m = len(mset)
+        assert bounds._level_bound(got, n, m, ties=True) == bounds._level_bound(want, n, m, ties=True)
+
+    def test_few_eigvals_words_and_one_selection_per_level(self, monkeypatch):
+        # the exhaustive-level family at N=18: 1,081 eigvals words and two
+        # argpartition selections per level before both kernels shared one
+        # screen and the radius kernel ordered its eigvals
+        words, selections = [], []
+        eigvals, argpartition = np.linalg.eigvals, np.argpartition
+        monkeypatch.setattr(np.linalg, "eigvals", lambda Q: words.append(len(Q)) or eigvals(Q))
+        monkeypatch.setattr(np, "argpartition", lambda a, k: selections.append(len(a)) or argpartition(a, k))
+        assert len(sandwich(EXHAUSTIVE_FAMILY, 18).rows) == 18
+        assert sum(words) <= 400
+        assert sorted(selections) == [2**n for n in range(1, 19)]
 
     def test_empty_batch(self):
         assert bounds._spectral_radii(np.zeros((0, 3, 3)), 1.0).shape == (0,)
@@ -966,25 +1086,26 @@ class TestDistinctWordsOnce:
     @pytest.mark.parametrize("mset", [rank_one_pair(), antidiagonal_pair()], ids=["rank-one", "antidiagonal"])
     def test_kernels_see_each_distinct_word_once_on_a_streamed_level(self, mset, monkeypatch):
         # level 18 of a 2 x 2 pair takes 8 MiB: it streams at the real
-        # LEVEL_BYTES, and its Gram bounds must keep the ties _once reads
+        # LEVEL_BYTES, and its Gram bounds must keep the ties _once reads.
+        # The stored level is formed whole by _iter_levels, which reads no
+        # LEVEL_BYTES, so both screens cut the same batches
         calls = []
         for attr in ("_euclidean_norms", "_spectral_radii"):
             monkeypatch.setattr(bounds, attr, counting(getattr(bounds, attr), calls))
 
-        def run():
-            for n, P, fro in bounds._levels(mset, 18, BudgetCounter()):
-                pass
+        def run(P, fro):
             calls.clear()
-            got = bounds._level_bounds(P, fro, n, 2)
+            got = bounds._level_bounds(P, fro, 18, 2)
             assert all(len({q.tobytes() for q in Q}) == len(Q) for Q in calls)
-            return got, isinstance(P, bounds._StreamedLevel), sum(len(Q) for Q in calls)
+            return got, sum(len(Q) for Q in calls)
 
-        streamed = run()
-        monkeypatch.setattr(bounds, "LEVEL_BYTES", 2**18 * 32)
-        stored = run()
-        assert streamed[1] and not stored[1]
-        assert streamed[0] == stored[0]
-        assert streamed[2] == stored[2]
+        for _, P, fro in bounds._levels(mset, 18, BudgetCounter()):
+            pass
+        assert isinstance(P, bounds._StreamedLevel)
+        streamed = run(P, fro)
+        for _, P in bounds._iter_levels(mset, 18, BudgetCounter()):
+            pass
+        assert run(P, bounds._frobenius_norms(P)) == streamed
 
 
 class TestIdenticalToTheUnscreenedReference:
@@ -1052,8 +1173,8 @@ class TestOverflow:
         with pytest.raises(ValueError, match="products overflow binary64; scale the family"):
             run(MatrixSet(2.0**300 * EDGE_DRAW))
 
-    # (cutoff, words): eigvals directly for a cutoff of -inf or a batch
-    # below POWER_MIN, else the Gelfand power stage first
+    # (cutoff, words): eigvals directly for a batch below POWER_MIN, else
+    # the Gelfand power stage first, with or without a cutoff
     RADIUS_PATHS = [(-np.inf, bounds.POWER_MIN), (1.0, bounds.POWER_MIN - 1), (1.0, bounds.POWER_MIN)]
 
     @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])

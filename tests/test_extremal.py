@@ -218,9 +218,16 @@ class TestScreenedAdaptedBatch:
 
     @pytest.mark.parametrize("mset,rho_hat,depth", ADAPTED_CASES)
     def test_sandwich_matches_the_unscreened_reference(self, mset, rho_hat, depth):
+        # sandwich runs the norm's kernel under its own screen, not
+        # matrix_norms_batch: each row's upper value and word against the
+        # level bound of the reference's unscreened values
         norm = AdaptedNorm(mset, rho_hat, depth)
         reference = UnscreenedAdaptedNorm(mset, rho_hat, depth)
-        assert sandwich(mset, 8, norm=norm).rows == sandwich(mset, 8, norm=reference).rows
+        rows = sandwich(mset, 8, norm=norm).rows
+        assert len(rows) == 8
+        for row, (n, P) in zip(rows, bounds._iter_levels(mset, 8, BudgetCounter())):
+            want = level_summary(reference.matrix_norms_batch(P, bounds._frobenius_norms(P)), n, len(mset))
+            assert (row.rho_plus, row.word_plus) == (want.value, want.word)
 
     def test_screen_skips_words(self):
         mset = antidiagonal_pair()
