@@ -131,9 +131,9 @@ screen's seed selection.
 
 Gelfand power stage.  Given the running cutoff c, ``eigvals`` runs only
 on the words whose power bound reaches c.  Each word is first scaled by
-a power of two, which is exact, to ``S`` with entries below 1, and
-``S`` is squared up to ``POWER_STEPS`` = 3 times, to ``S^8``.  After the
-square to ``S^k`` a word with
+a power of two, which is exact, to ``S`` with entries below 2
+(:func:`_scaled`), and ``S`` is squared up to ``POWER_STEPS`` = 3
+times, to ``S^8``.  After the square to ``S^k`` a word with
 
     (||fl(S^k)||_F + C_k f^k)^(1/k) < c / scale,    f = ||S||_F,
 
@@ -158,13 +158,11 @@ that ``eigvals`` returns, not only ``rho(S)``:
 
 A NaN bound keeps its word.  On near-defective products ``eigvals`` moves
 by about ``sqrt(2**-53) ||P||``, far beyond ``SCREEN_SLACK``; that is
-why the slack is not left to it.  Cost guard: the stage stops squaring
-after any square that removes fewer than half of the words left (on
-levels where every candidate ties the maximum it removes nothing after
-the first square).  Batches of fewer than ``POWER_MIN`` words go to
-``eigvals`` directly, and so do up to ``2 * POWER_MIN`` survivors of the
-stage.  More go in chunks of decreasing power bound, ``POWER_MIN`` words
-first and twice as many each time, and after each chunk the words whose
+why the slack is not left to it.  Batches of fewer than ``POWER_MIN``
+words go to ``eigvals`` directly.  Every word of a larger batch is
+squared up to ``S^8``, and the words left after the last square go to
+``eigvals`` in chunks of decreasing power bound, ``POWER_MIN`` words
+first and twice as many each time; after each chunk the words whose
 bound lies below the running maximum less ``SCREEN_SLACK`` read
 ``-inf``.  So a word reads ``-inf`` only if its radius lies below ``(1 +
 TIE_RTOL) * max(c, (1 - SCREEN_SLACK) * R)``, R the largest radius of
@@ -233,8 +231,9 @@ SCREEN_FLOOR = 1e-150
 
 # Gelfand power stage of _spectral_radii (module docstring): squarings
 # per word (up to P**8), the backward error of eigvals, eta =
-# EIGVALS_BACKWARD * d * 2**-53, and the smallest batch staged (a smaller
-# one costs less in eigvals than in the stage's fixed overhead)
+# EIGVALS_BACKWARD * d * 2**-53, and POWER_MIN in two roles: the smallest
+# batch staged (a smaller one costs less in eigvals than in the stage's
+# fixed overhead) and the first eigvals chunk of the stage's survivors
 POWER_STEPS = 3
 EIGVALS_BACKWARD = 16
 POWER_MIN = 8
@@ -520,15 +519,16 @@ def _levels(mset, n_max, counter):
 
 def _scaled(Q):
     """``(Q / s, s)`` with ``s`` per matrix the least power of two above its
-    largest entry modulus (1 for a zero matrix).  The scaling is exact,
-    puts every entry below 1, and so keeps squares and Gram matrices clear
-    of overflow and of all but negligible underflow.  A matrix with an
-    infinite or NaN entry, which is how an overflowing product reads,
-    raises ``ValueError``."""
+    largest entry modulus (1 for a zero matrix), capped at 2**1023, the
+    largest power of two in binary64.  The scaling is exact, puts every
+    entry below 2 (below 1 unless an entry reaches 2**1023), and so keeps
+    squares and Gram matrices clear of overflow and of all but negligible
+    underflow.  A matrix with an infinite or NaN entry, which is how an
+    overflowing product reads, raises ``ValueError``."""
     top = np.abs(Q).max(axis=(1, 2))
     if not np.isfinite(top).all():
         raise ValueError("products overflow binary64; scale the family")
-    scale = np.ldexp(1.0, np.frexp(top)[1])
+    scale = np.ldexp(1.0, np.minimum(np.frexp(top)[1], 1023))
     return Q / scale[:, None, None], scale
 
 
@@ -582,15 +582,18 @@ def _eigvals_radii(Q):
 def _spectral_radii(Q, cutoff):
     """Largest eigenvalue modulus per matrix of a batch.
 
-    A batch of at least ``POWER_MIN`` words passes the Gelfand power stage
-    (module docstring): ``eigvals`` runs on the words whose bound ``(||P^k||_F
-    + C_k ||P||_F**k)**(1/k)`` reaches ``cutoff``, in chunks of decreasing
-    bound while it reaches the running maximum less ``SCREEN_SLACK``.  A
-    word it skips reads ``-inf``; its value lies below ``(1 + TIE_RTOL) *
-    max(cutoff, (1 - SCREEN_SLACK) * R)``, R the largest radius of the
-    batch.  A batch with an infinite or NaN entry, which is how an
-    overflowing product reads, raises ``ValueError``, as :func:`_scaled`
-    does.
+    A batch of fewer than ``POWER_MIN`` words goes to ``eigvals`` whole.
+    A larger one passes the Gelfand power stage (module docstring): every
+    word is squared ``POWER_STEPS`` times, and dropped after the square to
+    ``P^k`` once its bound ``(||P^k||_F + C_k ||P||_F**k)**(1/k)`` falls
+    below ``cutoff``.  ``eigvals`` runs on the words left in chunks of
+    decreasing last bound, ``POWER_MIN`` words first and twice as many
+    each time, while that bound reaches the running maximum less
+    ``SCREEN_SLACK``.  A word it skips reads ``-inf``; its value lies
+    below ``(1 + TIE_RTOL) * max(cutoff, (1 - SCREEN_SLACK) * R)``, R the
+    largest radius of the batch.  A batch with an infinite or NaN entry,
+    which is how an overflowing product reads, raises ``ValueError``, as
+    :func:`_scaled` does.
     """
     if len(Q) < POWER_MIN:
         return _eigvals_radii(Q)
@@ -602,13 +605,7 @@ def _spectral_radii(Q, cutoff):
         bound = (_frobenius_norms(S) + C * f**k) ** (1.0 / k)
         stay = ~(bound < c)
         S, f, c, alive, bound = S[stay], f[stay], c[stay], alive[stay], bound[stay]
-        # a square that removes fewer than half of the words ends the stage
-        if 2 * np.count_nonzero(~stay) < len(stay):
-            break
     radii = np.full(len(Q), -np.inf)
-    if len(alive) <= 2 * POWER_MIN:
-        radii[alive] = _eigvals_radii(Q[alive])
-        return radii
     bound *= scale[alive]
     order = np.argsort(-bound, kind="stable")
     alive, bound = alive[order], bound[order]
@@ -651,14 +648,14 @@ def _once(kernel, Q, bound, cutoff):
     have identical bounds (on a streamed level, wherever the Gram products
     are exact; elsewhere a repeated word may be evaluated twice, which
     changes no value), so a batch in which no two neighbours tie goes to
-    the kernel whole.  Otherwise words are compared by the ``uint64`` view
-    of their entries (so ``-0.0`` and ``0.0`` stay apart): the batch is
-    cut into runs of identical neighbours, so that a repeating family
-    sorts few words, the first words of the runs are grouped, the kernel
-    runs on one word per group, and its values are copied back.  A kernel
-    value depends on its own word only, so the values are those of
-    evaluating every word, up to the ``-inf`` a kernel may read below its
-    cutoff.
+    the kernel whole; that is the one whole-batch exit.  Otherwise words
+    are compared by the ``uint64`` view of their entries (so ``-0.0`` and
+    ``0.0`` stay apart): the batch is cut into runs of identical
+    neighbours, so that a repeating family sorts few words, the first
+    words of the runs are grouped, the kernel runs on one word per group,
+    and its values are copied back.  A kernel value depends on its own
+    word only, so the values are those of evaluating every word, up to
+    the ``-inf`` a kernel may read below its cutoff.
     """
     if not (bound[1:] == bound[:-1]).any():
         return kernel(Q, cutoff)
@@ -667,8 +664,6 @@ def _once(kernel, Q, bound, cutoff):
     rows = bits if len(heads) == len(Q) else bits[heads]
     order = np.lexsort(rows.T)
     first = _new_rows(column[order] for column in rows.T)
-    if first.all() and len(heads) == len(Q):
-        return kernel(Q, cutoff)
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(first) - 1
     values = kernel(Q[heads[order[first]]], cutoff)[inverse]
@@ -806,51 +801,40 @@ class LevelBound:
     ties: tuple = ()
 
 
-def _level_bound(values, n, m, ties, idx=None):
+def _level_bound(values, idx, n, m, ties):
     """The ``n``-th root of the largest of ``values``, its word and, with
     ``ties``, the words within ``TIE_RTOL`` of it.  ``values`` belong to
-    the distinct word indices ``idx``, by default to every word in order;
-    the word of the maximum is its smallest index, the lexicographically
-    least word."""
-    if idx is not None:
-        order = np.argsort(idx)
-        idx, values = idx[order], values[order]
+    the distinct word indices ``idx``, in any order; the word of the
+    maximum is its smallest index, the lexicographically least word."""
+    order = np.argsort(idx)
+    idx, values = idx[order], values[order]
     top = int(np.argmax(values))  # first occurrence = lexicographically least word
-    value = float(values[top] ** (1.0 / n))
-    word = _word_of_index(top if idx is None else int(idx[top]), n, m)
-    tie_words = ()
-    if ties:
-        cutoff = values[top] * (1.0 - TIE_RTOL)
-        hits = np.nonzero(values >= cutoff)[0]
-        if idx is not None:
-            hits = idx[hits]
-        tie_words = tuple(_word_of_index(int(i), n, m) for i in hits)
-    return LevelBound(value, word, tie_words)
+    hits = idx[values >= values[top] * (1.0 - TIE_RTOL)] if ties else ()
+    tie_words = tuple(_word_of_index(int(i), n, m) for i in hits)
+    return LevelBound(float(values[top] ** (1.0 / n)), _word_of_index(int(idx[top]), n, m), tie_words)
 
 
-def _level_bounds(P, fro, n, m, norm=EUCLIDEAN, ties=False):
-    """``(rho_plus, rho_minus)`` level bounds of one level ``P``.
+def _level_bounds(P, fro, n, m, kernels, ties=False):
+    """One :class:`LevelBound` per ``(factor, kernel)`` pair of ``kernels``
+    on one level ``P``, all under one screen (:func:`_screen_level`).
 
     ``fro`` holds the level's Frobenius norms or their upper bounds, as
-    :func:`_levels` yields them.  One screen (:func:`_screen_level`)
-    serves the norm's kernel ``norm.matrix_norms`` (the norm protocol of
-    :mod:`jsrkit.extremal`) and the radius kernel :func:`_spectral_radii`.
+    :func:`_levels` yields them.  :func:`sandwich` passes the pair of its
+    norm (the norm protocol of :mod:`jsrkit.extremal`) and that of the
+    radius kernel :func:`_spectral_radii`, :func:`rho_plus_n` and
+    :func:`rho_minus_n` one of them.
     """
-    (norm_idx, norms), (radius_idx, radii) = _screen_level(
-        fro, [(norm.factor, norm.matrix_norms), (1.0, _spectral_radii)], P
-    )
-    return _level_bound(norms, n, m, ties, norm_idx), _level_bound(radii, n, m, ties, radius_idx)
+    return [_level_bound(values, idx, n, m, ties) for idx, values in _screen_level(fro, kernels, P)]
 
 
 def _level(mset, n, factor, kernel, budget, ties):
-    """The level-``n`` bound of one kernel under the screen: one of the
-    two of :func:`_level_bounds`, without the other."""
+    """The level-``n`` bound of one kernel, by :func:`_level_bounds`."""
     if n < 1:
         raise ValueError("n must be at least 1")
     for level, P, fro in _levels(mset, n, _counter(budget)):
         if level == n:
-            [(idx, values)] = _screen_level(fro, [(factor, kernel)], P)
-            return _level_bound(values, n, len(mset), ties, idx)
+            [bound] = _level_bounds(P, fro, n, len(mset), [(factor, kernel)], ties)
+            return bound
 
 
 def rho_plus_n(mset, n, norm=None, budget=None, ties=False):
@@ -945,9 +929,10 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     report = BoundsReport(rows=[], norm_label=norm.label)
     best_lower, best_upper = 0.0, math.inf
     m = len(mset)
+    kernels = [(norm.factor, norm.matrix_norms), (1.0, _spectral_radii)]
     try:
         for n, P, fro in _levels(mset, N, counter):
-            plus, minus = _level_bounds(P, fro, n, m, norm)
+            plus, minus = _level_bounds(P, fro, n, m, kernels)
             best_lower = max(best_lower, minus.value)
             best_upper = min(best_upper, plus.value)
             _check_enclosure(best_lower, best_upper, "at n=%d" % n)

@@ -144,8 +144,7 @@ def _report_splitting(cfg, mset, counter):
         p, thetas = cocycle.detect_p(working, word, horizon)
     except cocycle.AmbiguousExponentsError as exc:
         return header, [], {"rho_hat": rho_hat}, str(exc)
-    result = cocycle.finite_splitting(working, word, p, cfg.max_depth)
-    diag = cocycle.splitting_residuals(working, word, result, n_max=horizon)
+    diag = cocycle._splitting_residuals(working, word, p, horizon)
     extra = {
         "rho_hat": rho_hat,
         "p": p,

@@ -237,11 +237,17 @@ def splitting_residuals(mset, x, result, n_max):
     push-forward of :func:`finite_splitting`, without the slow space it
     does not read; the other two quantities are one batched SVD and one
     batched 2-norm.  Fewer than two horizons (``n_max < 2 r``) leave the
-    Cauchy table empty and its fit NaN.
+    Cauchy table empty and its fit NaN.  Only the fast dimension
+    ``result.p`` is read of ``result``.
     """
+    return _splitting_residuals(mset, x, result.p, n_max)
+
+
+def _splitting_residuals(mset, x, p, n_max):
+    """:func:`splitting_residuals` at the fast dimension ``p``, with no
+    splitting built to carry it."""
     x.validate_for(mset)
     r = x.period
-    p = result.p
     phases = [finite_splitting(mset, x, p, n_max, phase=k) for k in range(r)]
 
     invariance = commutation = 0.0

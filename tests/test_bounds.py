@@ -363,10 +363,17 @@ class TestPrunedBounds:
 
 def unscreened_level(P, n, m, ties):
     """Both level bounds with every word evaluated by the exact kernels."""
-    return (
-        bounds._level_bound(bounds._euclidean_norms(P), n, m, ties),
-        bounds._level_bound(plain_radii(P), n, m, ties),
-    )
+    every = np.arange(len(P))
+    return [
+        bounds._level_bound(bounds._euclidean_norms(P), every, n, m, ties),
+        bounds._level_bound(plain_radii(P), every, n, m, ties),
+    ]
+
+
+def both_kernels():
+    """The ``(factor, kernel)`` pairs of ``sandwich`` with the Euclidean
+    norm, read when called, so that a patched kernel is the one run."""
+    return [(1.0, EUCLIDEAN.matrix_norms), (1.0, bounds._spectral_radii)]
 
 
 # the two gallery families (the data/ fixtures), whose levels have exact
@@ -381,7 +388,7 @@ class TestScreenedLevelKernel:
     def test_matches_unscreened_evaluation_bit_for_bit(self, mset):
         m = len(mset)
         for n, P in bounds._iter_levels(mset, 8, BudgetCounter()):
-            screened = bounds._level_bounds(P, bounds._frobenius_norms(P), n, m, ties=True)
+            screened = bounds._level_bounds(P, bounds._frobenius_norms(P), n, m, both_kernels(), ties=True)
             assert screened == unscreened_level(P, n, m, ties=True)
 
     def test_screen_skips_words(self):
@@ -421,7 +428,7 @@ class TestScreenedLevelKernel:
         base = random_family(1, complex_entries=False)
         mset = base.scaled(2.0**exponent)
         for n, P in bounds._iter_levels(mset, 7, BudgetCounter()):
-            got = bounds._level_bounds(P, bounds._frobenius_norms(P), n, len(mset))
+            got = bounds._level_bounds(P, bounds._frobenius_norms(P), n, len(mset), both_kernels())
             assert got == unscreened_level(P, n, len(mset), False)
         got, ref = rho_plus_n(mset, 7), rho_plus_n(base, 7)
         assert got.word == ref.word
@@ -475,7 +482,7 @@ class TestSingleLengthBounds:
         n = 8
         for _, P, fro in bounds._levels(mset, n, BudgetCounter()):
             pass
-        plus, minus = bounds._level_bounds(P, fro, n, len(mset), ties=True)
+        plus, minus = bounds._level_bounds(P, fro, n, len(mset), both_kernels(), ties=True)
 
         def refused(*args):
             raise AssertionError("the other kernel ran")
@@ -913,8 +920,7 @@ class TestGelfandPowerStage:
         ],
     )
     def test_a_cutoff_just_below_a_radius_keeps_its_word(self, Q):
-        # zero words fill half the batch, so the first square removes at
-        # least half of it and the stage goes on to P**4
+        # zero words fill half the batch: the first square removes them
         Q = np.concatenate([Q, np.zeros_like(Q)])
         radii = plain_radii(Q)
         # each word among 2 * POWER_MIN - 1 zero words, where its radius is
@@ -972,22 +978,45 @@ class TestGelfandPowerStage:
         got, want = bounds._spectral_radii(P, -np.inf), plain_radii(P)
         assert np.count_nonzero(~np.isneginf(got)) < len(P) // 2
         m = len(mset)
-        assert bounds._level_bound(got, n, m, ties=True) == bounds._level_bound(want, n, m, ties=True)
+        every = np.arange(len(P))
+        assert bounds._level_bound(got, every, n, m, True) == bounds._level_bound(want, every, n, m, True)
 
     def test_few_eigvals_words_and_one_selection_per_level(self, monkeypatch):
         # the exhaustive-level family at N=18: 1,081 eigvals words and two
         # argpartition selections per level before both kernels shared one
-        # screen and the radius kernel ordered its eigvals
+        # screen and the radius kernel ordered its eigvals, 317 words with
+        # the stage's early stop, 266 with every word squared to P**8
         words, selections = [], []
         eigvals, argpartition = np.linalg.eigvals, np.argpartition
         monkeypatch.setattr(np.linalg, "eigvals", lambda Q: words.append(len(Q)) or eigvals(Q))
         monkeypatch.setattr(np, "argpartition", lambda a, k: selections.append(len(a)) or argpartition(a, k))
         assert len(sandwich(EXHAUSTIVE_FAMILY, 18).rows) == 18
-        assert sum(words) <= 400
+        assert sum(words) <= 300
         assert sorted(selections) == [2**n for n in range(1, 19)]
 
     def test_empty_batch(self):
         assert bounds._spectral_radii(np.zeros((0, 3, 3)), 1.0).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "survivors", [bounds.POWER_MIN - 1, bounds.POWER_MIN, 2 * bounds.POWER_MIN, 2 * bounds.POWER_MIN + 1]
+    )
+    def test_every_survivor_count_starts_with_one_chunk_of_power_min(self, survivors, monkeypatch):
+        # with the cutoff -inf the stage keeps every word of the batch; with
+        # a positive one it drops the POWER_MIN zero words put before it.
+        # Below POWER_MIN words the batch goes to eigvals whole
+        chunks = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda Q: chunks.append(len(Q)) or eigvals(Q))
+        first = min(survivors, bounds.POWER_MIN)
+        for mset in POWER_FAMILIES:
+            _, P = list(bounds._iter_levels(mset, 6, BudgetCounter()))[-1]
+            Q = P[:survivors]
+            zeros = np.zeros((bounds.POWER_MIN,) + Q.shape[1:], dtype=Q.dtype)
+            for batch, cutoff in ((Q, -np.inf), (np.concatenate([zeros, Q]), 1e-300)):
+                chunks.clear()
+                skipped = check_power_contract(batch, cutoff)
+                assert chunks[0] == first
+                assert skipped[:len(batch) - survivors].all()
 
 
 def seeded_family(seed, m, d, complex_entries):
@@ -1060,7 +1089,7 @@ class TestDistinctWordsOnce:
         def run():
             calls.clear()
             fro = bounds._frobenius_norms
-            got = [bounds._level_bounds(P, fro(P), n, 2, ties=True) for n, P in levels]
+            got = [bounds._level_bounds(P, fro(P), n, 2, both_kernels(), ties=True) for n, P in levels]
             return got, sum(len(Q) for Q in calls)
 
         got, once = run()
@@ -1095,7 +1124,7 @@ class TestDistinctWordsOnce:
 
         def run(P, fro):
             calls.clear()
-            got = bounds._level_bounds(P, fro, 18, 2)
+            got = bounds._level_bounds(P, fro, 18, 2, both_kernels())
             assert all(len({q.tobytes() for q in Q}) == len(Q) for Q in calls)
             return got, sum(len(Q) for Q in calls)
 
@@ -1193,6 +1222,32 @@ class TestOverflow:
         monkeypatch.setattr(np.linalg, "eigvals", unconverged)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             bounds._spectral_radii(np.tile(np.eye(3), (words, 1, 1)), cutoff)
+
+    # an entry above 2**1023, the largest power of two in binary64: its word
+    # once scaled to zeros and read NaN; warnings fail the suite
+    TOP = 1.5 * 2.0**1023
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            lambda mset: rho_plus_n(mset, 1).value,
+            lambda mset: rho_minus_n(mset, 1).value,
+            lambda mset: sandwich(mset, 1).rows[0].rho_plus,
+            lambda mset: sandwich(mset, 1).rows[0].rho_minus,
+            lambda mset: AdaptedNorm(mset, 1.0, 0).matrix_norm(mset[0]),
+            lambda mset: bounds._spectral_radii(np.repeat(mset.stack(), bounds.POWER_MIN, axis=0), 1.0).max(),
+        ],
+        ids=["rho_plus_n", "rho_minus_n", "sandwich-plus", "sandwich-minus", "adapted-matrix-norm", "power-stage"],
+    )
+    def test_an_entry_above_the_largest_power_of_two_is_exact(self, value):
+        assert value(MatrixSet([[[self.TOP, 0.0], [0.0, 1.0]]])) == self.TOP
+
+    def test_scaling_caps_at_the_largest_power_of_two(self):
+        Q = np.array([[[self.TOP, 0.0], [0.0, 1.0]], [[0.75, 0.0], [0.0, 0.5]]])
+        S, scale = bounds._scaled(Q)
+        assert scale.tolist() == [2.0**1023, 1.0]
+        assert np.array_equal(S * scale[:, None, None], Q)
+        assert (np.abs(S) < 2.0).all()
 
 
 def scaled_frobenius(P):

@@ -443,6 +443,25 @@ class TestOtherCommands:
         assert meta["rho_hat"] == pytest.approx(math.sqrt(2), rel=1e-6)
         assert meta["invariance_residual"] <= 1e-6
 
+    @pytest.mark.parametrize("fixture, cycle", [("e2", "0"), ("e1", "0,1")])
+    def test_splitting_splits_each_phase_once(self, fixtures, tmp_path, monkeypatch, fixture, cycle):
+        # the residuals' phase splittings, one per phase at the horizon
+        # max(4 r, 2 * 12), are the command's only splittings
+        from jsrkit import cocycle
+
+        horizons = []
+        split = cocycle.finite_splitting
+
+        def counted(*args, **kwargs):
+            horizons.append(args[3])
+            return split(*args, **kwargs)
+
+        monkeypatch.setattr(cocycle, "finite_splitting", counted)
+        argv = ["splitting", "--input", fixtures[fixture], "--out", str(tmp_path / "split.csv"),
+                "--cycle", cycle, "--max-depth", "12"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert horizons == [24] * len(cycle.split(","))
+
     def test_sturmian_word_output(self, tmp_path):
         out = tmp_path / "word.csv"
         proc = run_cli("sturmian", "--gamma", GOLDEN, "--out", str(out), "--max-depth", "8")

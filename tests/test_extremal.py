@@ -196,7 +196,7 @@ ADAPTED_CASES = [(antidiagonal_pair(), SQRT2, 6), (rank_one_pair(), 2.0, 6)] + [
 
 
 def level_summary(values, n, m):
-    return bounds._level_bound(values, n, m, ties=True)
+    return bounds._level_bound(values, np.arange(len(values)), n, m, ties=True)
 
 
 class TestScreenedAdaptedBatch:
