@@ -36,8 +36,7 @@ for n in (2, 4, 8, 12, 16):
            jk.grassmann_distance(result.W, oracle_slow))
     )
 
-result = jk.finite_splitting(mset, orbit, p, 12)
-diag = jk.splitting_residuals(mset, orbit, result, 24)
+diag = jk.splitting_residuals(mset, orbit, p, 24)
 print()
 print("invariance residual:   %.3e" % diag.invariance_residual)
 print("projection commutator: %.3e" % diag.commutation_residual)

@@ -8,8 +8,9 @@ parser accepts only those besides ``--out`` and ``--max-depth``; any
 other option is refused with exit code 2.  Each run writes a CSV report
 atomically plus a JSON metadata file (`<out>.meta.json`) echoing the
 command's options, budget counters and wall time.  Exit codes: 0
-success, 2 input error, 3 inconclusive (budget or pruning did not close
-the gap), 4 internal invariant violation; stderr carries one line
+success, 2 input error (an OS error on a file too), 3 inconclusive
+(budget or pruning did not close the gap, or a splitting cycle has no
+invariant splitting), 4 internal invariant violation; stderr carries one line
 ``jsrkit: <kind>: <message>``.  The ``JSRKIT_BUDGET`` environment
 variable overrides the multiplication budget.
 """
@@ -144,11 +145,12 @@ def _report_splitting(cfg, mset, counter):
         p, thetas = cocycle.detect_p(working, word, horizon)
     except cocycle.AmbiguousExponentsError as exc:
         return header, [], {"rho_hat": rho_hat}, str(exc)
-    diag = cocycle._splitting_residuals(working, word, p, horizon)
-    extra = {
-        "rho_hat": rho_hat,
-        "p": p,
-        "theta_estimates": thetas,
+    extra = {"rho_hat": rho_hat, "p": p, "theta_estimates": thetas}
+    if p == 0:  # the top exponent is negative, or positive for a rho_hat below the cycle's growth
+        reason = "cycle %s has no invariant splitting: its top growth exponent at rho_hat %.6g is %.3g"
+        return header, [], extra, reason % (cfg.cycle, rho_hat, thetas[0])
+    diag = cocycle.splitting_residuals(working, word, p, horizon)
+    extra |= {
         "invariance_residual": diag.invariance_residual,
         "commutation_residual": diag.commutation_residual,
         "delta_hat": diag.delta_hat,
@@ -272,7 +274,7 @@ def run(cfg):
     try:
         return _run(cfg, report, own[0])
     # a malformed matrix-set file raises fileio.MatrixSetFormatError, a ValueError
-    except (ValueError, IndexError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         return _fail("input", str(exc), EXIT_INPUT)
     except bounds.BudgetExceededError as exc:
         return _fail("inconclusive", str(exc), EXIT_INCONCLUSIVE)

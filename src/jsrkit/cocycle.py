@@ -5,11 +5,13 @@ products A(x, n) form a cocycle over the cyclic shift.  When all forward
 products stay bounded the singular subspaces of long products converge
 to a splitting C^d = V(x) + W(x): V carries the directions whose image
 never collapses, W the uniformly exponentially contracted ones.  This
-module estimates the fast dimension from singular-value growth
-exponents, builds the finite-horizon splitting (push-forward of the
-top singular subspace at horizon 2n, bottom singular subspace at
-horizon n), measures how invariant the result is, and propagates cone
-fields around the orbit to certify spectral-radius lower bounds.
+module estimates the fast dimension p from singular-value growth
+exponents (:func:`detect_p`), builds the finite-horizon splitting
+(push-forward of the top singular subspace at horizon 2n, bottom
+singular subspace at horizon n), measures how invariant the splittings
+of that p are (:func:`splitting_residuals`, which takes p and builds its
+own), and propagates cone fields around the orbit to certify
+spectral-radius lower bounds.
 
 Every product along the orbit is an entry of one prefix sweep
 (:func:`jsrkit.bounds._prefixes`): left multiplications from the
@@ -212,12 +214,14 @@ def _contraction(products, ns, W):
     return images, np.linalg.norm(images, 2, axis=(1, 2))
 
 
-def splitting_residuals(mset, x, result, n_max):
-    """Quantify how close a finite-horizon splitting is to invariant.
+def splitting_residuals(mset, x, p, n_max):
+    """Quantify how close the splittings of fast dimension ``p`` are to invariant.
 
-    Per-phase splittings are rebuilt at horizon ``n_max`` (the deeper the
-    horizon, the smaller the residuals, which shrink like the contraction
-    ratio to the n-th power).  Reported quantities:
+    ``p`` is the count of non-decaying singular directions, as
+    :func:`detect_p` returns it.  Per-phase splittings are built at
+    horizon ``n_max`` (the deeper the horizon, the smaller the residuals,
+    which shrink like the contraction ratio to the n-th power).  Reported
+    quantities:
 
     * invariance residual: worst Grassmannian distance between the
       pushed-forward fast space and the fast space at the next phase;
@@ -237,15 +241,9 @@ def splitting_residuals(mset, x, result, n_max):
     push-forward of :func:`finite_splitting`, without the slow space it
     does not read; the other two quantities are one batched SVD and one
     batched 2-norm.  Fewer than two horizons (``n_max < 2 r``) leave the
-    Cauchy table empty and its fit NaN.  Only the fast dimension
-    ``result.p`` is read of ``result``.
+    Cauchy table empty and its fit NaN.  A ``p`` outside ``1..d`` raises
+    ``ValueError``, as in :func:`finite_splitting`.
     """
-    return _splitting_residuals(mset, x, result.p, n_max)
-
-
-def _splitting_residuals(mset, x, p, n_max):
-    """:func:`splitting_residuals` at the fast dimension ``p``, with no
-    splitting built to carry it."""
     x.validate_for(mset)
     r = x.period
     phases = [finite_splitting(mset, x, p, n_max, phase=k) for k in range(r)]

@@ -5,8 +5,8 @@ average weight of length-n paths; on a finite subshift with a locally
 constant potential these are the two sides of the uniform ergodic
 averaging identity.  The cycle mean is computed exactly (Karp's dynamic
 program in rational arithmetic) with a witnessing cycle read off the
-same table; path averages come from the straightforward longest-path
-recursion.
+same table; path averages come from the same max-plus walk step in
+floats.
 """
 
 import math
@@ -22,8 +22,6 @@ __all__ = [
     "path_max_average",
     "path_max_totals",
 ]
-
-NEG_INF = float("-inf")
 
 
 class NoCycleError(ValueError):
@@ -51,6 +49,23 @@ class WeightedGraph:
             raise ValueError("edge weights must be finite")
         self.edges.append((u, v, w))
         return self
+
+
+def _walk_step(edges, best):
+    """One edge more, in max-plus arithmetic.
+
+    ``best[u]`` is the best total of a walk into u (None for no walk).
+    Returns ``(row, back)``: ``row[v]`` is the best total of a walk one
+    edge longer into v, None where no walk arrives, and ``back[v]`` the
+    vertex that walk came from; of equal totals the first edge wins.
+    """
+    row, back = [None] * len(best), [None] * len(best)
+    for u, v, w in edges:
+        if best[u] is not None:
+            cand = best[u] + w
+            if row[v] is None or cand > row[v]:
+                row[v], back[v] = cand, u
+    return row, back
 
 
 @dataclass
@@ -89,12 +104,7 @@ def max_cycle_mean(G):
     D = [[Fraction(0)] * n]
     pred = [None]
     for _ in range(n):
-        prev, row, back = D[-1], [None] * n, [None] * n
-        for u, v, w in edges:
-            if prev[u] is not None:
-                cand = prev[u] + w
-                if row[v] is None or cand > row[v]:
-                    row[v], back[v] = cand, u
+        row, back = _walk_step(edges, D[-1])
         D.append(row)
         pred.append(back)
     best = top = None
@@ -114,20 +124,15 @@ def max_cycle_mean(G):
 
 
 def path_max_totals(G, n):
-    """Best total weight of a k-edge walk for every k = 0..n."""
+    """Best total weight of a k-edge walk for every k = 0..n; ``-inf``
+    for a length that no walk has."""
     if n < 0:
         raise ValueError("n must be non-negative")
     best = [0.0] * G.n
     totals = [0.0]
     for _ in range(n):
-        nxt = [NEG_INF] * G.n
-        for u, v, w in G.edges:
-            if best[u] > NEG_INF:
-                cand = best[u] + w
-                if cand > nxt[v]:
-                    nxt[v] = cand
-        best = nxt
-        totals.append(max(best))
+        best, _ = _walk_step(G.edges, best)
+        totals.append(max((t for t in best if t is not None), default=-math.inf))
     return totals
 
 
@@ -136,6 +141,6 @@ def path_max_average(G, n):
     if n < 1:
         raise ValueError("n must be at least 1")
     total = path_max_totals(G, n)[n]
-    if total == NEG_INF:
+    if total == -math.inf:
         raise NoPathError("no walk of length %d exists" % n)
     return total / n

@@ -73,6 +73,8 @@ and factor ``L = max_f ||F_f||_2``.  The entry points that take
 ``norm=None`` read it as the Euclidean norm.
 """
 
+import bisect
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -169,15 +171,13 @@ class AdaptedNorm(bounds.Norm):
             raise ValueError("depth must be non-negative")
         counter = bounds._counter(budget)
         m, d = len(mset), mset.d
-        needed = sum(m**k for k in range(1, depth + 1))
-        if needed > counter.limit - counter.used:
-            feasible = 0
-            total = 0
-            while total + m ** (feasible + 1) <= counter.limit - counter.used:
-                feasible += 1
-                total += m**feasible
+        # costs[k]: the products of lengths 1..k, the family's cost at depth k
+        costs = list(itertools.accumulate((m**k for k in range(1, depth + 1)), initial=0))
+        available = counter.limit - counter.used
+        if costs[-1] > available:
+            feasible = bisect.bisect_right(costs, available) - 1
             raise BudgetExceededError(
-                needed, counter.limit, "largest feasible depth is %d" % feasible
+                costs[-1], counter.limit, "largest feasible depth is %d" % feasible
             )
         self.mset = mset
         self.rho_hat = float(rho_hat)

@@ -121,11 +121,7 @@ class Subspace:
     """A p-dimensional subspace of C^d held as orthonormal basis columns."""
 
     def __init__(self, basis):
-        basis = np.asarray(basis, dtype=complex)
-        if basis.ndim == 1:
-            basis = basis[:, None]
-        if basis.ndim != 2:
-            raise DimensionError("basis must be a d x p array")
+        basis = as_columns(basis)
         d, p = basis.shape
         if p > d:
             raise DimensionError("subspace dimension %d exceeds ambient %d" % (p, d))
@@ -145,10 +141,7 @@ class Subspace:
         """Orthonormalise a spanning set, dropping numerically null columns:
         those whose diagonal entry of R in ``QR`` is at most ``1e-12``
         times the largest one (or 1e-12 if that is below 1)."""
-        A = np.asarray(vectors, dtype=complex)
-        if A.ndim == 1:
-            A = A[:, None]
-        q, r = np.linalg.qr(A)
+        q, r = np.linalg.qr(as_columns(vectors))
         diag = np.abs(np.diag(r))
         scale = diag.max() if diag.size else 0.0
         rank = int(np.sum(diag > 1e-12 * max(scale, 1.0)))

@@ -100,7 +100,7 @@ def test_criterion_4_splitting_construction():
         result = jk.finite_splitting(mset, word, p, 12, phase=phase)
         d_fast = grassmann_distance(result.V, oracle_fast)
         d_slow = grassmann_distance(result.W, oracle_slow)
-        diag = jk.splitting_residuals(mset, word, result, 24)
+        diag = jk.splitting_residuals(mset, word, p, 24)
         cauchy_vals = [v for _, v in diag.cauchy_table]
         degenerate = all(v < 1e-12 for v in cauchy_vals)
         cauchy_ok = degenerate or diag.cauchy_r2 >= 0.99

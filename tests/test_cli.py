@@ -137,6 +137,17 @@ class TestBoundsCommand:
         assert proc.returncode == 2
         assert not out.exists()
 
+    def test_unreadable_input_exits_two(self, fixtures, tmp_path, capsys, monkeypatch):
+        # chmod cannot make a file unreadable to root, so open is patched to refuse
+        def refused(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(fileio, "open", refused, raising=False)
+        out = tmp_path / "never.csv"
+        assert cli.main(["bounds", "--input", fixtures["e1"], "--out", str(out)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("jsrkit: input: [Errno 13] Permission denied")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -462,6 +473,31 @@ class TestOtherCommands:
         assert cli.main(argv) == cli.EXIT_OK
         assert horizons == [24] * len(cycle.split(","))
 
+    @pytest.mark.parametrize("fixture, cycle", [("e2", "0"), ("e1", "0,1")])
+    def test_splitting_runs_the_public_residuals_at_the_detected_p(
+        self, fixtures, tmp_path, monkeypatch, fixture, cycle
+    ):
+        from jsrkit import cocycle
+
+        detected, passed = [], []
+        detect, residuals = cocycle.detect_p, cocycle.splitting_residuals
+
+        def counted_detect(*args):
+            found = detect(*args)
+            detected.append(found[0])
+            return found
+
+        def counted_residuals(mset, x, p, n_max):
+            passed.append(p)
+            return residuals(mset, x, p, n_max)
+
+        monkeypatch.setattr(cocycle, "detect_p", counted_detect)
+        monkeypatch.setattr(cocycle, "splitting_residuals", counted_residuals)
+        argv = ["splitting", "--input", fixtures[fixture], "--out", str(tmp_path / "split.csv"),
+                "--cycle", cycle, "--max-depth", "12"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert passed == detected == [1]
+
     def test_sturmian_word_output(self, tmp_path):
         out = tmp_path / "word.csv"
         proc = run_cli("sturmian", "--gamma", GOLDEN, "--out", str(out), "--max-depth", "8")
@@ -563,6 +599,32 @@ class TestMetadata:
         assert proc.returncode == cli.EXIT_INCONCLUSIVE
         assert proc.stderr.startswith("jsrkit: inconclusive: growth exponents at levels [2]")
         assert out.read_text().splitlines() == ["n,cauchy_dgr"]
+
+    @pytest.mark.parametrize(
+        "matrices, options, rho_hat, theta",
+        [(None, [], math.sqrt(2), "-0.35"), ([np.diag([2.0, 3.0])], ["--rho-hat", "1"], 1.0, "1.1")],
+        ids=["negative", "positive"],
+    )
+    def test_cycle_without_zero_exponent_exits_three(
+        self, fixtures, tmp_path, capsys, matrices, options, rho_hat, theta
+    ):
+        # the double swap has radius 1, below the pair's jsr sqrt(2), so its
+        # exponents are negative; diag(2, 3) at rho_hat 1 has positive ones
+        path = fixtures["e1"]
+        if matrices is not None:
+            path = str(tmp_path / "family.json")
+            save_matrix_set(MatrixSet(matrices), path)
+        out = tmp_path / "split.csv"
+        argv = ["splitting", "--input", path, "--out", str(out), "--cycle", "0", "--max-depth", "12"]
+        assert cli.main(argv + options) == cli.EXIT_INCONCLUSIVE
+        assert capsys.readouterr().err == (
+            "jsrkit: inconclusive: cycle 0 has no invariant splitting: its top growth exponent"
+            " at rho_hat %.6g is %s\n" % (rho_hat, theta)
+        )
+        assert out.read_text().splitlines() == ["n,cauchy_dgr"]
+        meta = json.loads((tmp_path / "split.csv.meta.json").read_text())
+        assert (meta["p"], len(meta["theta_estimates"])) == (0, 2)
+        assert meta["rho_hat"] == pytest.approx(rho_hat, rel=1e-6)
 
     def test_adapted_run_reports_both_family_sizes(self, fixtures, tmp_path):
         out = tmp_path / "adapted.csv"

@@ -158,7 +158,7 @@ def reference_residuals(mset, x, result, n_max):
 class TestSplittingResiduals:
     def test_diagonal_diagnostics(self, diagonal_singleton):
         result = finite_splitting(diagonal_singleton, FIXED, 1, 8)
-        diag = splitting_residuals(diagonal_singleton, FIXED, result, 16)
+        diag = splitting_residuals(diagonal_singleton, FIXED, result.p, 16)
         assert diag.invariance_residual < 1e-12
         assert diag.delta_hat == pytest.approx(1.0, abs=1e-12)
         assert diag.xi_hat == pytest.approx(0.5, rel=1e-9)
@@ -166,19 +166,19 @@ class TestSplittingResiduals:
 
     def test_triangular_diagnostics(self, triangular_singleton):
         result = finite_splitting(triangular_singleton, FIXED, 1, 12)
-        diag = splitting_residuals(triangular_singleton, FIXED, result, 20)
+        diag = splitting_residuals(triangular_singleton, FIXED, result.p, 20)
         assert abs(diag.xi_hat - 0.5) <= 0.02
         assert diag.invariance_residual <= 1e-6
         assert diag.commutation_residual <= 1e-6
         assert diag.cauchy_r2 > 0.99
         # the finite-horizon residual scales like xi^n; reaching 1e-8
         # requires a deeper horizon than 20
-        deeper = splitting_residuals(triangular_singleton, FIXED, result, 26)
+        deeper = splitting_residuals(triangular_singleton, FIXED, result.p, 26)
         assert deeper.invariance_residual <= 1e-8
 
     def test_alternating_diagnostics(self, scaled_antidiagonal):
         result = finite_splitting(scaled_antidiagonal, ALTERNATING, 1, 12)
-        diag = splitting_residuals(scaled_antidiagonal, ALTERNATING, result, 24)
+        diag = splitting_residuals(scaled_antidiagonal, ALTERNATING, result.p, 24)
         assert diag.delta_hat >= 0.5
         assert diag.xi_hat == pytest.approx(0.5, rel=1e-9)
         assert diag.invariance_residual < 1e-9
@@ -196,7 +196,7 @@ class TestSplittingResiduals:
 
         result = finite_splitting(scaled_antidiagonal, ALTERNATING, 1, 12)
         monkeypatch.setattr(cocycle, "finite_splitting", counted)
-        diag = splitting_residuals(scaled_antidiagonal, ALTERNATING, result, 12)
+        diag = splitting_residuals(scaled_antidiagonal, ALTERNATING, result.p, 12)
         r, ns = ALTERNATING.period, list(range(2, 13, 2))
         assert calls == [12] * r
         assert [n for n, _ in diag.cauchy_table] == ns[:-1]
@@ -216,7 +216,7 @@ class TestSplittingResiduals:
             "rank-one-alternating": (rank_one_pair().scaled(0.5), ALTERNATING),
         }[case]
         result = finite_splitting(mset, x, 1, n_max)
-        got = splitting_residuals(mset, x, result, n_max)
+        got = splitting_residuals(mset, x, result.p, n_max)
         # repr keeps every bit of a float and reads NaN alike
         assert repr(got) == repr(reference_residuals(mset, x, result, n_max))
 
@@ -227,7 +227,7 @@ class TestSplittingResiduals:
     )
     def test_fewer_than_two_horizons_leave_the_cauchy_table_empty(self, fixture, word, n_max, request):
         mset = request.getfixturevalue(fixture)
-        diag = splitting_residuals(mset, word, finite_splitting(mset, word, 1, n_max), n_max)
+        diag = splitting_residuals(mset, word, finite_splitting(mset, word, 1, n_max).p, n_max)
         assert diag.cauchy_table == []
         assert math.isnan(diag.cauchy_rate) and math.isnan(diag.cauchy_r2)
 

@@ -249,6 +249,11 @@ class TestSubspace:
         S = Subspace.from_spanning(np.array([[1.0, 2.0], [1.0, 2.0]]))
         assert S.dim == 1
 
+    @pytest.mark.parametrize("build", [Subspace, Subspace.from_spanning])
+    def test_three_dimensional_basis_raises(self, build):
+        with pytest.raises(linalg.DimensionError):
+            build(np.zeros((2, 2, 1)))
+
     def test_zero_dimensional(self):
         S = Subspace(np.zeros((3, 0)))
         assert S.dim == 0
