@@ -245,9 +245,10 @@ LEVEL_BYTES = 4 << 20
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration would exceed the configured multiplication budget."""
+    """Enumeration would exceed the configured multiplication budget;
+    raised by :meth:`BudgetCounter.check` only."""
 
-    def __init__(self, needed, limit, detail=""):
+    def __init__(self, needed, limit, detail):
         self.needed = needed
         self.limit = limit
         message = (
@@ -268,7 +269,10 @@ class BudgetCounter:
 
     The default cap is ``DEFAULT_BUDGET`` unless the ``JSRKIT_BUDGET``
     environment variable overrides it.  A cap that is not a non-negative
-    integer, given or read from the variable, raises ``ValueError``.
+    integer (a Python or numpy integer), given or read from the variable,
+    raises ``ValueError``.  :meth:`check` is the one budget test: it
+    raises the run's :class:`BudgetExceededError`, whose ``needed``
+    counts what the counter has already spent.
     """
 
     def __init__(self, limit=None):
@@ -277,14 +281,18 @@ class BudgetCounter:
             if env and not env.strip().isdecimal():
                 raise ValueError("%s must be a non-negative integer, got %r" % (BUDGET_ENV, env))
             limit = int(env) if env else DEFAULT_BUDGET
+        if not isinstance(limit, (int, np.integer)) or limit < 0:
+            raise ValueError("the budget must be a non-negative integer, got %r" % (limit,))
         self.limit = int(limit)
-        if self.limit < 0:
-            raise ValueError("the budget must be non-negative, got %d" % self.limit)
         self.used = 0
 
-    def charge(self, count):
+    def check(self, count, detail=""):
+        """Raise unless ``count`` more multiplications fit the cap."""
         if self.used + count > self.limit:
-            raise BudgetExceededError(self.used + count, self.limit)
+            raise BudgetExceededError(self.used + count, self.limit, detail)
+
+    def charge(self, count):
+        self.check(count)
         self.used += count
 
 
@@ -295,7 +303,11 @@ def _counter(budget):
 
 
 class MatrixSet:
-    """A finite ordered family of d x d complex matrices with labels."""
+    """A finite ordered family of d x d complex matrices with labels.
+
+    Each matrix is the read-only copy that :func:`linalg.as_matrix`
+    makes, so the caller's arrays are left as they were.
+    """
 
     def __init__(self, matrices, labels=None):
         mats = [linalg.as_matrix(A) for A in matrices]
@@ -307,8 +319,6 @@ class MatrixSet:
                 raise linalg.DimensionError(
                     "matrix %d has shape %r, expected (%d, %d)" % (i, A.shape, d, d)
                 )
-        for A in mats:
-            A.setflags(write=False)
         self.matrices = mats
         self.d = d
         if labels is None:
@@ -331,11 +341,13 @@ class MatrixSet:
         return MatrixSet([factor * A for A in self.matrices], labels=self.labels)
 
     def check_word(self, word):
+        """``word`` as a tuple of ints, raising ``IndexError`` on a symbol
+        outside ``0..len(self) - 1``."""
         word = tuple(int(i) for i in word)
         m = len(self)
         for i in word:
             if not 0 <= i < m:
-                raise IndexError("word index %d out of range for a %d-matrix set" % (i, m))
+                raise IndexError("symbol %d out of range for a %d-matrix set" % (i, m))
         return word
 
     def product(self, word):

@@ -173,12 +173,8 @@ class AdaptedNorm(bounds.Norm):
         m, d = len(mset), mset.d
         # costs[k]: the products of lengths 1..k, the family's cost at depth k
         costs = list(itertools.accumulate((m**k for k in range(1, depth + 1)), initial=0))
-        available = counter.limit - counter.used
-        if costs[-1] > available:
-            feasible = bisect.bisect_right(costs, available) - 1
-            raise BudgetExceededError(
-                costs[-1], counter.limit, "largest feasible depth is %d" % feasible
-            )
+        feasible = bisect.bisect_right(costs, counter.limit - counter.used) - 1
+        counter.check(costs[-1], "largest feasible depth is %d" % feasible)
         self.mset = mset
         self.rho_hat = float(rho_hat)
         self.depth = int(depth)

@@ -4,6 +4,11 @@ Spectral radii, singular values, operator norms and the Grassmannian
 geometry (subspace distances, oblique projections) that the rest of the
 package is built on.  Everything here is a pure function of its inputs;
 all values are plain numpy arrays or small immutable wrappers.
+
+The two coercions, :func:`as_matrix` and :func:`as_columns`, decide who
+owns an array: each returns a read-only copy.  ``Subspace``,
+``ProjectionPair`` and ``bounds.MatrixSet`` hold what they return, so
+their arrays are frozen and the caller's arrays stay as they were.
 """
 
 import numpy as np
@@ -44,14 +49,16 @@ class DegenerateSplittingError(ValueError):
 
 
 def as_matrix(M):
-    """Coerce to a finite complex 2-d array, raising on bad shape or NaN/Inf."""
-    M = np.asarray(M, dtype=complex)
+    """A read-only complex copy of ``M`` as a finite 2-d array, raising on
+    bad shape or NaN/Inf; the caller's array is left as it was."""
+    M = np.array(M, dtype=complex)
     if M.ndim != 2:
         raise DimensionError("expected a matrix, got ndim=%d" % M.ndim)
     if M.shape[0] < 1 or M.shape[1] < 1:
         raise DimensionError("matrix dimensions must be at least 1")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
+    M.setflags(write=False)
     return M
 
 
@@ -64,11 +71,13 @@ def as_vector(v):
 
 
 def as_columns(V):
-    """A complex d x r array of columns; a vector is one column, and any
-    other ndim than 1 or 2 raises."""
-    V = np.asarray(V, dtype=complex)
+    """A read-only complex copy of ``V`` as a d x r array of columns; a
+    vector is one column, and any other ndim than 1 or 2 raises.  The
+    caller's array is left as it was."""
+    V = np.array(V, dtype=complex)
     if V.ndim not in (1, 2):
         raise DimensionError("expected a vector or a d x r array, got ndim=%d" % V.ndim)
+    V.setflags(write=False)
     return V[:, None] if V.ndim == 1 else V
 
 
@@ -132,7 +141,6 @@ class Subspace:
             if np.max(np.abs(gram - np.eye(p))) > ORTHONORMALITY_TOL:
                 raise ValueError("basis columns are not orthonormal")
         self.basis = basis
-        self.basis.setflags(write=False)
         self.ambient_dim = d
         self.dim = p
 
@@ -224,7 +232,6 @@ class ProjectionPair:
         self.V = V
         self.W = W
         self.P = P
-        self.P.setflags(write=False)
 
     def complement(self):
         """The complementary projection Q = I - P (image W, kernel V)."""

@@ -64,9 +64,7 @@ class PeriodicWord:
         return point
 
     def validate_for(self, mset):
-        for s in self.cycle:
-            if s >= len(mset):
-                raise IndexError("cycle symbol %d out of range for a %d-matrix set" % (s, len(mset)))
+        mset.check_word(self.cycle)
         return self
 
     def __eq__(self, other):

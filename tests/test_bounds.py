@@ -150,6 +150,25 @@ class TestBudgetCounter:
         with pytest.raises(ValueError, match="non-negative"):
             BudgetCounter(-5)
 
+    @pytest.mark.parametrize("limit", [2.5, 0.5, 7.0, "7"])
+    def test_non_integer_limit_is_refused(self, limit):
+        # 2.5 read as 2, 0.5 as 0 and "7" as 7
+        with pytest.raises(ValueError, match="non-negative integer"):
+            BudgetCounter(limit)
+
+    @pytest.mark.parametrize("limit", [7, np.int64(7), np.uint8(7)])
+    def test_python_and_numpy_integers_are_caps(self, limit):
+        counter = BudgetCounter(limit)
+        assert counter.limit == 7 and type(counter.limit) is int
+
+    def test_error_counts_what_was_spent(self):
+        counter = BudgetCounter(10)
+        counter.charge(6)
+        with pytest.raises(BudgetExceededError) as info:
+            counter.charge(5)
+        assert (info.value.needed, info.value.limit, counter.used) == (11, 10, 6)
+        assert str(info.value).startswith("enumeration needs 11 matrix multiplications, budget is 10")
+
 
 class TestRhoMinus:
     def test_rank_one_pair(self):
@@ -1338,6 +1357,13 @@ class TestMatrixSet:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(bounds.linalg.DimensionError):
             MatrixSet([np.eye(2), np.eye(3)])
+
+    def test_callers_array_stays_writeable_and_apart(self):
+        a = np.eye(2, dtype=complex)
+        mset = MatrixSet([a])
+        assert a.flags.writeable and not mset.matrices[0].flags.writeable
+        a[0, 0] = 5.0
+        assert mset.matrices[0][0, 0] == 1.0
 
     def test_scaled(self):
         E2 = rank_one_pair()

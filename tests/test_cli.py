@@ -177,6 +177,19 @@ class TestBoundsCommand:
         assert "inconclusive" in proc.stderr
         assert out.exists()  # partial report kept, flagged in metadata
 
+    def test_adapted_budget_error_counts_the_probe(self, fixtures, tmp_path):
+        # the probe spends 4 before the depth-10 family's 2046
+        env = dict(os.environ, JSRKIT_BUDGET="2047")
+        proc = subprocess.run(
+            [sys.executable, "-m", "jsrkit", "bounds", "--input", fixtures["e1"],
+             "--norm", "adapted", "--adapted-depth", "10", "--max-depth", "8",
+             "--out", str(tmp_path / "b.csv")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3
+        assert "needs 2050 matrix multiplications, budget is 2047" in proc.stderr
+        assert proc.stderr.rstrip().endswith("largest feasible depth is 9")
+
     def test_adapted_enclosure_of_a_complex_triple_is_sound(self, tmp_path):
         # the Nelder-Mead norm search read an upper value below the lower
         # value 2.1278401838255179 at n=5 here, and the run exited 4

@@ -145,6 +145,14 @@ class TestAdaptedNormEvaluation:
         AdaptedNorm(mset, rho_hat=1.0, depth=depth, budget=counter)
         assert counter.used == 7 + sum(m**k for k in range(1, depth + 1))
 
+    def test_budget_error_counts_what_the_counter_spent(self):
+        # 150 of 200 spent; depth 6 of a pair costs 126, and 50 reach depth 4
+        counter = BudgetCounter(200)
+        counter.charge(150)
+        with pytest.raises(BudgetExceededError, match="largest feasible depth is 4$") as info:
+            AdaptedNorm(antidiagonal_pair(), 1.4, 6, budget=counter)
+        assert (info.value.needed, info.value.limit, counter.used) == (276, 200, 150)
+
 
 # reference values per (norm family, batch), shared by the tests of a family
 REFERENCE_VALUES = {}

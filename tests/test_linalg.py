@@ -235,6 +235,13 @@ class TestProjectionFromPair:
             assert grassmann_distance(image, V) < 1e-8
             assert grassmann_distance(kernel, W) < 1e-8
 
+    def test_callers_projection_stays_writeable_and_apart(self):
+        P = np.diag([1.0, 0.0]).astype(complex)
+        pair = linalg.ProjectionPair(Subspace(np.eye(2)[:, :1]), Subspace(np.eye(2)[:, 1:]), P)
+        assert P.flags.writeable and not pair.P.flags.writeable
+        P[0, 0] = 7.0
+        assert pair.P[0, 0] == 1.0
+
     def test_idempotent_invariant(self):
         pair = projection_from_pair(Subspace([[1], [0]]), Subspace([[0], [1]]))
         assert np.linalg.norm(pair.P @ pair.P - pair.P, 2) < 1e-8
@@ -253,6 +260,14 @@ class TestSubspace:
     def test_three_dimensional_basis_raises(self, build):
         with pytest.raises(linalg.DimensionError):
             build(np.zeros((2, 2, 1)))
+
+    @pytest.mark.parametrize("build", [Subspace, Subspace.from_spanning])
+    def test_callers_array_stays_writeable_and_apart(self, build):
+        b = np.eye(2, dtype=complex)
+        S = build(b)
+        assert b.flags.writeable and not S.basis.flags.writeable
+        b[:] = 0.0
+        assert np.array_equal(np.abs(S.basis), np.eye(2))
 
     def test_zero_dimensional(self):
         S = Subspace(np.zeros((3, 0)))

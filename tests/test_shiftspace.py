@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jsrkit import shiftspace
-from jsrkit.gallery import golden_rotation_convergents
+from jsrkit.gallery import antidiagonal_pair, golden_rotation_convergents
 from jsrkit.shiftspace import (
     PeriodicOrbitSet,
     PeriodicWord,
@@ -327,6 +327,14 @@ class TestPeriodicWord:
     def test_rejects_empty_cycle(self):
         with pytest.raises(ValueError):
             PeriodicWord([])
+
+    def test_range_check_is_the_matrix_sets(self):
+        mset = antidiagonal_pair()
+        with pytest.raises(IndexError) as cycle:
+            PeriodicWord([0, 1, 2]).validate_for(mset)
+        with pytest.raises(IndexError) as word:
+            mset.check_word((0, 1, 2))
+        assert str(cycle.value) == str(word.value) == "symbol 2 out of range for a 2-matrix set"
 
     def test_shift_point_origin_validation(self):
         with pytest.raises(ValueError):
