@@ -272,7 +272,8 @@ class BudgetCounter:
     integer (a Python or numpy integer), given or read from the variable,
     raises ``ValueError``.  :meth:`check` is the one budget test: it
     raises the run's :class:`BudgetExceededError`, whose ``needed``
-    counts what the counter has already spent.
+    counts what the counter has already spent.  :attr:`remaining` is the
+    one reading of what is left of the cap.
     """
 
     def __init__(self, limit=None):
@@ -285,6 +286,11 @@ class BudgetCounter:
             raise ValueError("the budget must be a non-negative integer, got %r" % (limit,))
         self.limit = int(limit)
         self.used = 0
+
+    @property
+    def remaining(self):
+        """The multiplications left before the cap: ``limit - used``."""
+        return self.limit - self.used
 
     def check(self, count, detail=""):
         """Raise unless ``count`` more multiplications fit the cap."""
@@ -1066,7 +1072,7 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
         retired_max = max(retired_max, retired)
         if capped or not len(parents) or depth >= max_depth:
             break
-        affordable = (counter.limit - counter.used) // m
+        affordable = counter.remaining // m
         if affordable < len(parents):
             order = np.argsort(-scores, kind="stable")
             retired_max = max(retired_max, float(scores[order[affordable:]].max()))

@@ -24,7 +24,7 @@ values ``||A(x, n)|W||_2`` from one batched 2-norm.  The Cauchy horizons
 of :func:`splitting_residuals` are multiples of the period, so one
 phase-0 sweep is also the back sweep from ``T^-n x`` of each of them:
 their fast spaces are the push-forward step of :func:`finite_splitting`
-read off that sweep, with no slow space, angle check or projection.
+read off that sweep, with no slow space or projection.
 
 The cone check reads p and the slow space W0 off the phase-0 pair of
 the cone field it is given and rebuilds no splitting: its xi and K1 are
@@ -144,10 +144,6 @@ class SplittingResult:
     phase: int = 0
 
 
-# direct sums with a smaller principal angle than this fail the construction
-SPLITTING_ANGLE_TOL = 1e-8
-
-
 def _fast_space(products, p, n):
     """V at horizon n from a sweep of at least 2n products from ``T^-n x``:
     the top-p right singular subspace of ``products[2 n]`` pushed forward
@@ -168,6 +164,10 @@ def finite_splitting(mset, x, p, n, phase=0):
     top-p right singular subspace at horizon 2n; W is the bottom
     (d - p) right singular subspace of the forward n-step product.  The
     push-forward is the n-th product of the 2n-step sweep from ``T^-n x``.
+    A collapsed push-forward, or a V and W that
+    :func:`jsrkit.linalg.projection_from_pair` does not accept as a direct
+    sum (smallest principal angle below about 4.2e-8), raises
+    :class:`jsrkit.linalg.DegenerateSplittingError`.
     """
     x.validate_for(mset)
     if n < 1:
@@ -176,10 +176,6 @@ def finite_splitting(mset, x, p, n, phase=0):
         raise ValueError("p must lie in 1..%d" % mset.d)
     V = _fast_space(_sweep(mset, x, phase - n, 2 * n), p, n)  # the sweep from T^-n x
     _, W = linalg.right_singular_subspaces(cocycle_product(mset, x, n, start=phase), p)
-    if linalg.smallest_principal_angle(V, W) < SPLITTING_ANGLE_TOL:
-        raise linalg.DegenerateSplittingError(
-            "splitting degenerate: principal angle below %.1e" % SPLITTING_ANGLE_TOL
-        )
     return SplittingResult(p=p, n=n, V=V, W=W, pair=linalg.projection_from_pair(V, W), phase=phase)
 
 

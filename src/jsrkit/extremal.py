@@ -105,8 +105,6 @@ Y_MEMBERSHIP_TOL = 1e-6
 # The certified kernel of AdaptedNorm (AdaptedNorm._certified).
 # exponentiated-gradient steps per (matrix, member) pair at most
 DESCENT_STEPS = 100
-# a pair stops descending once its value is within this of a lower value
-DESCENT_RTOL = 1e-12
 # total weight floor: the members other than the identity share it, so
 # that they cost at most about this much relative tightness; the identity's
 # share keeps cond(G_lambda) <= 1 / WEIGHT_FLOOR, which caps the roundoff
@@ -173,7 +171,7 @@ class AdaptedNorm(bounds.Norm):
         m, d = len(mset), mset.d
         # costs[k]: the products of lengths 1..k, the family's cost at depth k
         costs = list(itertools.accumulate((m**k for k in range(1, depth + 1)), initial=0))
-        feasible = bisect.bisect_right(costs, counter.limit - counter.used) - 1
+        feasible = bisect.bisect_right(costs, counter.remaining) - 1
         counter.check(costs[-1], "largest feasible depth is %d" % feasible)
         self.mset = mset
         self.rho_hat = float(rho_hat)
@@ -251,11 +249,12 @@ class AdaptedNorm(bounds.Norm):
         the single-member weights and the iterates of an
         exponentiated-gradient descent, which starts halfway between the
         best single member and uniform weights.  A pair stops descending
-        once its value is within ``DESCENT_RTOL`` of ``floor[k]`` or of the
-        lower value ``|||M u||| / |||u|||`` at a generalised eigenvector
-        ``u``, and otherwise after ``DESCENT_STEPS`` steps.  Short of that,
-        a pair whose value falls below ``cutoff[k]`` stops early: its value
-        is then below the cutoff, and no lower than its full descent's.
+        once its value is within ``bounds.TIE_RTOL``, the norm protocol's
+        ``-inf`` window, of ``floor[k]`` or of the lower value ``|||M u||| /
+        |||u|||`` at a generalised eigenvector ``u``, and otherwise after
+        ``DESCENT_STEPS`` steps.  Short of that, a pair whose value falls
+        below ``cutoff[k]`` stops early: its value is then below the
+        cutoff, and no lower than its full descent's.
         """
         p, f, d = len(Q), self.family_size, self.d
         # lambda = e_g gives ||F_f M F_g^-1||_2; g = 0 is the identity
@@ -274,7 +273,7 @@ class AdaptedNorm(bounds.Norm):
         reached, rate = np.full(p, np.inf), np.ones(p)
         live, cut = np.arange(p), np.zeros(p, dtype=bool)
         for _ in range(DESCENT_STEPS):
-            live = live[best[live] > (1.0 + DESCENT_RTOL) * np.maximum(floor[live], lower[live])]
+            live = live[best[live] > (1.0 + bounds.TIE_RTOL) * np.maximum(floor[live], lower[live])]
             cut[live[best[live] < cutoff[live]]] = True
             live = live[~cut[live]]
             if not len(live):
@@ -326,16 +325,17 @@ class AdaptedNorm(bounds.Norm):
         is certified first.  Every other pair whose ``||F_f M||_2`` exceeds
         that value is then tried at the weights the first pair's descent
         ended at and, if it still exceeds that value by more than
-        ``DESCENT_RTOL``, certified on its own.  A value depends on its own
-        matrix only, not on the rest of ``P``.
+        ``bounds.TIE_RTOL``, certified on its own.  A value depends on its
+        own matrix only, not on the rest of ``P``.
 
         The first pair's descent also stops once its value falls below
         ``cutoff``.  A matrix that such a cut leaves below the cutoff reads
-        ``-inf``: its full value is below ``(1 + DESCENT_RTOL)`` times the
-        cutoff, since the values it was left with bound ``|||M|||``, and so
-        the lower values at which the full descents may stop.  A matrix
-        that a cut leaves at or above the cutoff is certified again with
-        the cutoff ``-inf``, which cuts nothing.
+        ``-inf``: its full value is below ``(1 + bounds.TIE_RTOL)`` times
+        the cutoff, the window in which the norm protocol lets a kernel
+        read ``-inf``, since the values it was left with bound ``|||M|||``,
+        and so the lower values at which the full descents may stop.  A
+        matrix that a cut leaves at or above the cutoff is certified again
+        with the cutoff ``-inf``, which cuts nothing.
         """
         f, d, n = self.family_size, self.d, len(P)
         if P.shape[1:] != (d, d):
@@ -354,7 +354,7 @@ class AdaptedNorm(bounds.Norm):
         values, weights, cut = self._descend(M, FM[np.arange(n), top], np.zeros(n), c)
         i, g = np.nonzero((ident > values[:, None]) & (np.arange(f) != top[:, None]))
         more, _ = self._pencil(FM[i, g], self._gram(weights)[i])
-        hard = np.nonzero(more > values[i] * (1.0 + DESCENT_RTOL))[0]
+        hard = np.nonzero(more > values[i] * (1.0 + bounds.TIE_RTOL))[0]
         for start in range(0, len(hard), step):
             k = hard[start:start + step]
             low = self._descend(M[i[k]], FM[i[k], g[k]], values[i[k]], np.full(len(k), -np.inf))[0]

@@ -169,6 +169,15 @@ class TestBudgetCounter:
         assert (info.value.needed, info.value.limit, counter.used) == (11, 10, 6)
         assert str(info.value).startswith("enumeration needs 11 matrix multiplications, budget is 10")
 
+    def test_remaining_reads_what_is_left_of_the_cap(self):
+        counter = BudgetCounter(10)
+        assert counter.remaining == 10
+        counter.charge(4)
+        counter.charge(6)
+        assert (counter.remaining, counter.limit - counter.used) == (0, 0)
+        with pytest.raises(AttributeError):
+            counter.remaining = 5
+
 
 class TestRhoMinus:
     def test_rank_one_pair(self):

@@ -639,6 +639,20 @@ class TestMetadata:
         assert (meta["p"], len(meta["theta_estimates"])) == (0, 2)
         assert meta["rho_hat"] == pytest.approx(rho_hat, rel=1e-6)
 
+    def test_eigenvectors_at_a_tiny_angle_exit_two(self, tmp_path, capsys):
+        # eigenvectors e1 and (cos t, sin t) meeting at t = 1e-9 radians
+        # give a fast and a slow space that are not a direct sum
+        t = 1e-9
+        S = np.array([[1.0, math.cos(t)], [0.0, math.sin(t)]])
+        path = str(tmp_path / "family.json")
+        save_matrix_set(MatrixSet([S @ np.diag([1.0, 0.5]) @ np.linalg.inv(S)]), path)
+        out = tmp_path / "split.csv"
+        argv = ["splitting", "--input", path, "--out", str(out), "--cycle", "0", "--rho-hat", "1",
+                "--max-depth", "12"]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("jsrkit: input: V + W is not a direct sum")
+        assert not out.exists()
+
     def test_adapted_run_reports_both_family_sizes(self, fixtures, tmp_path):
         out = tmp_path / "adapted.csv"
         argv = ["bounds", "--input", fixtures["e1"], "--out", str(out), "--norm", "adapted",

@@ -130,6 +130,30 @@ class TestFiniteSplitting:
         with pytest.raises(DegenerateSplittingError):
             finite_splitting(mset, FIXED, 1, 4)
 
+    @staticmethod
+    def eigenvectors_at(theta):
+        """``S diag(1, 0.5, 0.25) S^-1``, whose first two eigenvectors, e1
+        and ``(cos theta, sin theta, 0)``, meet at ``theta``, and S."""
+        S = np.array([[1.0, math.cos(theta), 0.0], [0.0, math.sin(theta), 0.0], [0.0, 0.0, 1.0]])
+        return MatrixSet([S @ np.diag([1.0, 0.5, 0.25]) @ np.linalg.inv(S)]), S
+
+    def test_eigenvectors_below_the_direct_sum_tolerance_raise(self):
+        mset, _ = self.eigenvectors_at(2e-8)
+        with pytest.raises(DegenerateSplittingError, match="not a direct sum"):
+            finite_splitting(mset, FIXED, 1, 24)
+
+    def test_eigenvectors_above_the_direct_sum_tolerance_split(self):
+        mset, S = self.eigenvectors_at(5e-8)
+        result = finite_splitting(mset, FIXED, 1, 24)
+        assert grassmann_distance(result.V, Subspace(S[:, :1])) < 1e-13
+        assert grassmann_distance(result.W, Subspace.from_spanning(S[:, 1:])) < 1e-13
+        # the oblique projection onto e1 along the slow eigenvectors, of norm 2e7
+        exact = np.outer(S[:, 0], np.linalg.inv(S)[0])
+        assert np.max(np.abs(result.pair.P - exact)) < 1e-6 * np.max(np.abs(exact))
+        diag = splitting_residuals(mset, FIXED, 1, 24)
+        assert diag.invariance_residual < 1e-14
+        assert diag.xi_hat == pytest.approx(0.4938, abs=1e-4)
+
 
 def reference_residuals(mset, x, result, n_max):
     """:func:`splitting_residuals` with the fast space of every Cauchy

@@ -227,13 +227,45 @@ class TestProjectionFromPair:
             p = int(rng.integers(1, d))
             V = random_subspace(rng, d, p)
             W = random_subspace(rng, d, d - p)
-            if linalg.smallest_principal_angle(V, W) < 1e-3:
+            if singular_values(np.hstack([V.basis, W.basis]))[-1] < SQRT2 * np.sin(5e-4):
                 continue
             pair = projection_from_pair(V, W)
             image = Subspace.from_spanning(pair.P @ V.basis)
             kernel = Subspace.from_spanning((np.eye(d) - pair.P) @ W.basis)
             assert grassmann_distance(image, V) < 1e-8
             assert grassmann_distance(kernel, W) < 1e-8
+
+    def test_plane_and_line_at_a_tiny_angle_are_not_a_direct_sum(self):
+        # a rotated plane and line of C^3 meeting at 1e-9 radians: the
+        # solved P used to fail ProjectionPair's idempotence check
+        Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+        line = np.cos(1e-9) * Q[:, :1] + np.sin(1e-9) * Q[:, 2:]
+        with pytest.raises(DegenerateSplittingError, match="not a direct sum"):
+            projection_from_pair(Subspace(Q[:, :2]), Subspace(line))
+
+    def test_refuses_exactly_below_the_direct_sum_tolerance(self):
+        # pairs whose smallest principal angle theta is log-uniform in
+        # [1e-11, 1e-5], real and complex, in C^2..C^12: the other
+        # principal angles are drawn from [0.1, pi / 2]
+        rng = np.random.default_rng(29)
+        refused = 0
+        for _ in range(2000):
+            d = int(rng.integers(2, 13))
+            p = int(rng.integers(1, d))
+            k = min(p, d - p)
+            draw = random_complex if rng.integers(2) else lambda rng, shape: rng.standard_normal(shape)
+            Q, _ = np.linalg.qr(draw(rng, (d, d)))
+            angles = np.concatenate([[10 ** rng.uniform(-11, -5)], rng.uniform(0.1, np.pi / 2, k - 1)])
+            W = np.hstack([np.cos(angles) * Q[:, :k] + np.sin(angles) * Q[:, p:p + k], Q[:, p + k:]])
+            V, W = Subspace(Q[:, :p]), Subspace(W)
+            sigma = singular_values(np.hstack([V.basis, W.basis]))[-1]
+            if sigma <= linalg.DIRECT_SUM_TOL:
+                refused += 1
+                with pytest.raises(DegenerateSplittingError):
+                    projection_from_pair(V, W)
+            else:
+                assert isinstance(projection_from_pair(V, W), linalg.ProjectionPair)
+        assert 0 < refused < 2000
 
     def test_callers_projection_stays_writeable_and_apart(self):
         P = np.diag([1.0, 0.0]).astype(complex)
