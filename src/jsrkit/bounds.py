@@ -23,7 +23,9 @@ when every generator is real and complex128 otherwise.  Products
 associate left to right, ``(... (A_wn A_w(n-1)) ...) A_w1``.  A product
 that overflows binary64 reads inf or NaN, silently, and every kernel
 raises ``ValueError`` on it: the norm kernels and the power stage when
-they scale it (:func:`_scaled`), ``eigvals`` when it refuses it.  Their
+they scale it (:func:`_scaled`), ``eigvals`` when it refuses it.  A
+product along one word, from :func:`_prefixes`, raises the same error
+(:func:`_require_finite` owns it).  Their
 per-level maxima are exact but screened by
 
     rho(P) <= ||P||_2 <= ||P||_F,   rho(P) <= ||P^k||_F^(1/k) <= ||P||_F,
@@ -366,17 +368,20 @@ class MatrixSet:
         return _prefixes(self, word)[-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _prefixes(mset, word):
     """The products of every prefix of ``word``, ``A[w_k] @ ... @ A[w_1]``
     at index k = 0..n: one sweep of left multiplications from the
     identity, so entry k carries the bits of ``mset.product(word[:k])``.
+    Every product along a word is formed here; a sweep with an entry that
+    overflowed binary64 raises ``ValueError`` (:func:`_require_finite`).
     """
     word = mset.check_word(word)
     out = np.empty((len(word) + 1, mset.d, mset.d), dtype=complex)
     out[0] = np.eye(mset.d)
     for k, i in enumerate(word):
         out[k + 1] = mset.matrices[i] @ out[k]
-    return out
+    return _require_finite(out)
 
 
 def _word_of_index(index, n, m):
@@ -535,6 +540,14 @@ def _levels(mset, n_max, counter):
         yield n, _StreamedLevel(P, stack, n - k), _gram_bounds(gram, M, N, slack)
 
 
+def _require_finite(values):
+    """``values``, raising ``ValueError`` if an entry is infinite or NaN,
+    which is how a product that overflowed binary64 reads."""
+    if not np.isfinite(values).all():
+        raise ValueError("products overflow binary64; scale the family")
+    return values
+
+
 def _scaled(Q):
     """``(Q / s, s)`` with ``s`` per matrix the least power of two above its
     largest entry modulus (1 for a zero matrix), capped at 2**1023, the
@@ -543,9 +556,7 @@ def _scaled(Q):
     squares and Gram matrices clear of overflow and of all but negligible
     underflow.  A matrix with an infinite or NaN entry, which is how an
     overflowing product reads, raises ``ValueError``."""
-    top = np.abs(Q).max(axis=(1, 2))
-    if not np.isfinite(top).all():
-        raise ValueError("products overflow binary64; scale the family")
+    top = _require_finite(np.abs(Q).max(axis=(1, 2)))
     scale = np.ldexp(1.0, np.minimum(np.frexp(top)[1], 1023))
     return Q / scale[:, None, None], scale
 
@@ -589,11 +600,11 @@ def _gram_slack(d, complex_entries, steps):
 
 def _eigvals_radii(Q):
     """Largest ``eigvals`` modulus per matrix; ``ValueError`` on an
-    overflowed product, as :func:`_scaled` raises it."""
+    overflowed product (:func:`_require_finite`)."""
     try:
         return np.abs(np.linalg.eigvals(Q)).max(axis=1)
     except np.linalg.LinAlgError:
-        _scaled(Q)  # raises ValueError on an overflowed product
+        _require_finite(Q)
         raise
 
 

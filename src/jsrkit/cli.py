@@ -137,7 +137,7 @@ def _report_splitting(cfg, mset, counter):
 
     header = ["n", "cauchy_dgr"]
     word = shiftspace.PeriodicWord([int(s) for s in cfg.cycle.split(",")])
-    word.validate_for(mset)
+    word.validate_for(mset)  # before the rho_hat probe runs
     rho_hat = _rho_hat(cfg, mset, counter)
     working = mset.scaled(1.0 / rho_hat)
     horizon = max(4 * word.period, 2 * cfg.max_depth)

@@ -14,11 +14,16 @@ own), and propagates cone fields around the orbit to certify
 spectral-radius lower bounds.
 
 Every product along the orbit is an entry of one prefix sweep
-(:func:`jsrkit.bounds._prefixes`): left multiplications from the
-identity, in the order of :meth:`MatrixSet.product`, so each carries the
-bits of ``mset.product`` of its word.  A computation that needs the
-products ``A(T^s x, n)`` for several n from one start s takes them from
-one sweep, rather than forming each from the identity, and reads them as
+(:func:`_sweep`, through :func:`jsrkit.bounds._prefixes`): left
+multiplications from the identity, in the order of
+:meth:`MatrixSet.product`, so each carries the bits of ``mset.product``
+of its word.  The sweep owns two checks, which run after each function's
+argument checks: a cycle with a symbol outside the family raises
+``IndexError``, and a product that overflows binary64, as for a
+normalisation far below the jsr, raises ``ValueError`` ("products
+overflow binary64").  A computation that needs the products
+``A(T^s x, n)`` for several n from one start s takes them from one
+sweep, rather than forming each from the identity, and reads them as
 one stack: the growth exponents from one batched SVD, the contraction
 values ``||A(x, n)|W||_2`` from one batched 2-norm.  The Cauchy horizons
 of :func:`splitting_residuals` are multiples of the period, so one
@@ -73,7 +78,14 @@ class AmbiguousExponentsError(ValueError):
 
 
 def _sweep(mset, x, start, n):
-    """``A(T^start x, k)`` at index k = 0..n, from one prefix sweep."""
+    """``A(T^start x, k)`` at index k = 0..n, from one prefix sweep.
+
+    Every sweep checks x's whole cycle against the family, since it may
+    visit only some of its symbols: a symbol out of range raises
+    ``IndexError``, an overflowed product ``ValueError``
+    (:func:`jsrkit.bounds._prefixes`).
+    """
+    x.validate_for(mset)
     return _prefixes(mset, [x.symbol(start + i) for i in range(n)])
 
 
@@ -92,8 +104,6 @@ def _theta_slopes(mset, x, horizon):
     """
     ns = list(range(x.period, horizon + 1, x.period))
     products = _sweep(mset, x, 0, ns[-1])[ns]
-    if not np.isfinite(products).all():
-        raise ValueError("matrix entries must be finite")
     with np.errstate(divide="ignore"):
         table = np.cumsum(np.log(np.linalg.svd(products, compute_uv=False)), axis=1)
     return [
@@ -109,10 +119,10 @@ def detect_p(mset, x, horizon):
     the fitted growth rate of the product of the top ``ell`` singular
     values per symbol.  Exponents inside ``[t, 2t)`` in magnitude, ``t =
     THETA_ZERO_THRESHOLD``, are refused as ambiguous rather than silently
-    classified.
+    classified.  A horizon below 4 periods raises ``ValueError``, before
+    the sweep checks the cycle and the products (:func:`_sweep`).
     """
     t = THETA_ZERO_THRESHOLD
-    x.validate_for(mset)
     r = x.period
     if horizon < 4 * r:
         raise ValueError("horizon must be at least 4 periods (%d), got %d" % (4 * r, horizon))
@@ -169,7 +179,6 @@ def finite_splitting(mset, x, p, n, phase=0):
     sum (smallest principal angle below about 4.2e-8), raises
     :class:`jsrkit.linalg.DegenerateSplittingError`.
     """
-    x.validate_for(mset)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 < p <= mset.d:
@@ -240,7 +249,6 @@ def splitting_residuals(mset, x, p, n_max):
     Cauchy table empty and its fit NaN.  A ``p`` outside ``1..d`` raises
     ``ValueError``, as in :func:`finite_splitting`.
     """
-    x.validate_for(mset)
     r = x.period
     phases = [finite_splitting(mset, x, p, n_max, phase=k) for k in range(r)]
 
@@ -372,7 +380,6 @@ def cone_propagation_check(mset, x, params, N, laps):
         raise ValueError("N must be at least 1")
     if laps < 1:
         raise ValueError("laps must be at least 1")
-    x.validate_for(mset)
     W0 = params.pair(0).W
     if W0.dim == 0:
         raise ValueError("the cone field has no slow space (p = d): nothing contracts")
@@ -447,8 +454,8 @@ class LowerBoundCertificate:
     """A spectral-radius lower bound witnessed by a single word.
 
     ``value`` equals ``rho(A_w)^(1/|w|)``, reproducible from the word
-    alone.  The Gelfand trace ``||A_w^k||^(1/(k |w|))`` is recorded for
-    k = 1..8 as a cross-check that the value is approached from above.
+    alone.  The Gelfand trace ``||A_w^k||_2^(1/(k |w|))`` is recorded
+    for k = 1..8 as a cross-check that the value is approached from above.
     """
 
     word: tuple
@@ -458,6 +465,13 @@ class LowerBoundCertificate:
 
 
 def certify_lower(mset, word):
+    """The certificate of a nonempty word (:class:`LowerBoundCertificate`).
+
+    The powers ``A_w^k``, k = 1..8, are one prefix sweep of the family
+    ``[A_w]`` (:func:`jsrkit.bounds._prefixes`), their 2-norms one batched
+    norm; a word whose product or 8th power overflows binary64 raises
+    ``ValueError``, as does an empty word.
+    """
     word = mset.check_word(word)
     if len(word) == 0:
         raise ValueError("word must be nonempty")
@@ -465,9 +479,6 @@ def certify_lower(mset, word):
     n = len(word)
     rho = linalg.spectral_radius(P)
     value = rho ** (1.0 / n)
-    gelfand = []
-    Q = np.eye(mset.d, dtype=complex)
-    for k in range(1, 9):
-        Q = Q @ P
-        gelfand.append(float(np.linalg.norm(Q, 2)) ** (1.0 / (k * n)))
+    norms = np.linalg.norm(_prefixes(bounds.MatrixSet([P]), (0,) * 8)[1:], 2, axis=(1, 2))
+    gelfand = [v ** (1.0 / (k * n)) for k, v in enumerate(norms.tolist(), start=1)]
     return LowerBoundCertificate(word=word, value=value, gelfand=gelfand, vacuous=(rho == 0.0))

@@ -189,6 +189,8 @@ class AdaptedNorm(bounds.Norm):
             for k, level in bounds._iter_levels(mset.scaled(2.0 ** -exp), depth, counter):
                 blocks.append(level * mant ** (-k))
         family = np.concatenate(blocks)
+        # not bounds._require_finite: this message names rho_hat, the
+        # input that the caller has to change
         if not np.isfinite(family).all():
             raise ValueError(
                 "rho_hat=%r scales the products of length <= %d beyond the float64 range"
@@ -479,7 +481,7 @@ def y_membership(mset, norm, pword, depth):
     values, so a rejection is sound while the excess list stays an
     indication (:class:`YMembershipReport`).
     """
-    pword.validate_for(mset)
+    pword.validate_for(mset)  # before the sandwich; the sweep below is not cocycle._sweep
     enclosure = sandwich(mset, 4, budget=BudgetCounter(10**6))
     lower, upper = enclosure.best_lower(), enclosure.best_upper()
     if lower > 1.2 or upper < 0.8:

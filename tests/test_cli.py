@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from jsrkit.bounds import BudgetCounter, MatrixSet, pruned_bounds
 from jsrkit.fileio import MatrixSetFormatError, load_matrix_set, save_matrix_set
 from jsrkit.gallery import antidiagonal_pair, golden_rotation_convergents, rank_one_pair
 
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 GOLDEN = ",".join("%d/%d" % (c.numerator, c.denominator) for c in golden_rotation_convergents())
 
 
@@ -96,6 +98,45 @@ class TestMatrixSetFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(MatrixSetFormatError, match="'s' has 1 rows"):
             load_matrix_set(str(path))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"d": 1}, "document must carry 'd' and 'matrices'"),
+            ({"d": 0, "matrices": [{"rows": [[[1, 0]]]}]}, "'d' must be a positive integer"),
+            ({"d": True, "matrices": [{"rows": [[[1, 0]]]}]}, "'d' must be a positive integer"),
+            ({"d": 1, "matrices": []}, "'matrices' must be a nonempty list"),
+            ({"d": 1, "matrices": [{"label": "a"}]}, "matrix 0 must be an object with 'rows'"),
+            ({"d": 1, "matrices": [{"label": "a", "rows": [[1.0]]}]},
+             r"matrix 'a' entry \(0, 0\) must be a \[re, im\] pair"),
+        ],
+        ids=["no-matrices", "d-zero", "d-bool", "matrices-empty", "no-rows", "bare-entry"],
+    )
+    def test_malformed_document_names_its_fault(self, tmp_path, doc, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MatrixSetFormatError, match="^%s$" % message):
+            load_matrix_set(str(path))
+
+    def test_malformed_document_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"d": 1, "matrices": []}))
+        out = tmp_path / "never.csv"
+        assert cli.main(["bounds", "--input", str(path), "--out", str(out)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "jsrkit: input: 'matrices' must be a nonempty list\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, family",
+        [("antidiagonal_pair", antidiagonal_pair), ("rank_one_pair", rank_one_pair)],
+    )
+    def test_data_fixtures_equal_the_gallery(self, name, family):
+        # the benchmark and CI read data/, the tests the gallery
+        loaded, expected = load_matrix_set(str(DATA / (name + ".json"))), family()
+        assert loaded.labels == expected.labels
+        assert len(loaded) == len(expected)
+        for A, B in zip(loaded.matrices, expected.matrices):
+            assert np.array_equal(A, B)
 
 
 class TestBoundsCommand:
@@ -684,6 +725,15 @@ class TestBinary64Edges:
         assert proc.returncode == cli.EXIT_INPUT
         assert proc.stderr == "jsrkit: input: products overflow binary64; scale the family\n"
 
+    def test_splitting_orbit_that_overflows_exits_two(self, fixtures, tmp_path, capsys):
+        # a rho_hat far below the jsr: the normalised orbit products overflow
+        out = tmp_path / "splitting.csv"
+        argv = ["splitting", "--input", fixtures["e2"], "--cycle", "0", "--rho-hat", "1e-300",
+                "--max-depth", "12", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "jsrkit: input: products overflow binary64; scale the family\n"
+        assert not out.exists()
+
 
 class TestLazyImports:
     def _modules(self, script):
@@ -744,3 +794,19 @@ class TestAtomicWrites:
         path.write_text("old")
         fileio.write_atomic(str(path), "new")
         assert path.read_text() == "new"
+
+    def test_failed_rename_removes_the_temporary_file(self, tmp_path):
+        # the temporary file exists when os.replace fails on a directory target
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            fileio.write_atomic(str(target), "text")
+        assert target.is_dir()
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_gap_svg_with_fewer_than_two_positive_gaps_is_a_placeholder(self, tmp_path):
+        path = tmp_path / "gap.svg"
+        fileio.write_gap_svg(str(path), [1, 2, 3], [0.5, 0.0, -1.0])
+        text = path.read_text()
+        assert "insufficient positive gaps to plot" in text
+        assert "polyline" not in text

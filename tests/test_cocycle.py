@@ -17,7 +17,7 @@ from jsrkit.cocycle import (
     finite_splitting,
     splitting_residuals,
 )
-from jsrkit.extremal import AdaptedNorm, EuclideanNorm
+from jsrkit.extremal import AdaptedNorm, EuclideanNorm, y_membership
 from jsrkit.gallery import antidiagonal_pair, rank_one_pair
 from jsrkit.linalg import (
     DegenerateSplittingError,
@@ -177,6 +177,14 @@ def reference_residuals(mset, x, result, n_max):
     return cocycle.SplittingDiagnostics(
         invariance, delta_hat, xi_hat, xi_r2, rate, r2, commutation, n_max, list(zip(ns[:-1], values))
     )
+
+
+class TestFastDimensionRange:
+    @pytest.mark.parametrize("p", [0, 3])
+    @pytest.mark.parametrize("build", [finite_splitting, splitting_residuals])
+    def test_p_outside_one_to_d_raises(self, diagonal_singleton, build, p):
+        with pytest.raises(ValueError, match=r"^p must lie in 1\.\.2$"):
+            build(diagonal_singleton, FIXED, p, 4)
 
 
 class TestSplittingResiduals:
@@ -530,3 +538,58 @@ class TestCertifyLower:
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             certify_lower(rank_one_pair(), ())
+
+
+# 1e200 squared overflows binary64; so does the entry k * 1e307 of the k-th
+# power of [[1, 1e307], [0, 1]] from k = 18, above the depth 4 of the
+# sandwich that normalises y_membership
+OVERFLOWING = MatrixSet([[[1e200, 0], [0, 0.5]]])
+
+
+def _tame_cone_params():
+    return ConeParams(0.5, [finite_splitting(MatrixSet([np.diag([2.0, 0.5])]), FIXED, 1, 4).pair])
+
+
+class TestProductsAlongAWord:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: OVERFLOWING.product((0, 0)),
+            lambda: cocycle_product(OVERFLOWING, FIXED, 2),
+            lambda: detect_p(OVERFLOWING, FIXED, 8),
+            lambda: finite_splitting(OVERFLOWING, FIXED, 1, 2),
+            lambda: splitting_residuals(OVERFLOWING, FIXED, 1, 4),
+            lambda: cone_params_from_splitting(OVERFLOWING, FIXED, 0.5),
+            lambda: cone_propagation_check(OVERFLOWING, FIXED, _tame_cone_params(), 2, 2),
+            lambda: certify_lower(OVERFLOWING, (0, 0)),
+            lambda: certify_lower(MatrixSet([[[1e50, 0], [0, 0.5]]]), (0,)),
+            lambda: y_membership(MatrixSet([[[1, 1e307], [0, 1]]]), EuclideanNorm(), FIXED, 40),
+        ],
+        ids=[
+            "product",
+            "cocycle_product",
+            "detect_p",
+            "finite_splitting",
+            "splitting_residuals",
+            "cone_params_from_splitting",
+            "cone_propagation_check",
+            "certify_lower",
+            "certify_lower-8th-power",
+            "y_membership",
+        ],
+    )
+    def test_overflowed_product_raises_one_value_error(self, call):
+        with pytest.raises(ValueError, match="^products overflow binary64"):
+            call()
+
+    def test_every_sweep_checks_the_whole_cycle(self):
+        # at n = 1 the splitting sweeps visit symbols 2 and 0 of the cycle only
+        with pytest.raises(IndexError, match="symbol 5 out of range"):
+            finite_splitting(antidiagonal_pair(), PeriodicWord([0, 1, 5]), 1, 1)
+
+    def test_argument_checks_run_before_the_cycle_check(self):
+        bad = PeriodicWord([0, 5])
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            finite_splitting(antidiagonal_pair(), bad, 1, 0)
+        with pytest.raises(ValueError, match="^horizon must be at least 4 periods"):
+            detect_p(antidiagonal_pair(), bad, 4)
