@@ -57,29 +57,47 @@ def _parse_gamma(text):
         raise ValueError("--gamma has a convergent with a zero denominator") from None
 
 
-def _rho_hat(cfg, mset, counter):
-    """The jsr estimate that every normalisation of a run divides by:
-    ``--rho-hat`` if given, else the midpoint of one pruned enclosure
-    (delta 0.05, depth 14) charged to ``counter``.  A midpoint that is not
-    positive, as for a nilpotent family, normalises nothing and raises
-    ``ValueError``."""
+def _rho_hat(cfg, mset, counter, cycle):
+    """The lower bound on the jsr that every normalisation of a run divides
+    by, and the meta.json entries that say where it came from.
+
+    ``--rho-hat`` if given; else the lower value of one pruned enclosure
+    (delta 0.05, depth 14) charged to ``counter``, written as
+    ``probe_enclosure``, and raised for ``splitting`` to the radius
+    ``rho(A_x)^(1/r)`` of its cycle x (``cycle``; None for a norm), written
+    as ``cycle_rho``.  Both are sound lower bounds, and for an extremal
+    cycle their maximum is the jsr.  A bound that is not positive, as for a
+    nilpotent family, normalises nothing and raises ``ValueError``."""
     if cfg.rho_hat is not None:
-        return cfg.rho_hat
+        return cfg.rho_hat, {"rho_hat": cfg.rho_hat}
     probe = bounds.pruned_bounds(mset, 0.05, max_depth=14, budget=counter)
-    rho_hat = 0.5 * (probe.lower + probe.upper)
+    meta = {"probe_enclosure": [probe.lower, probe.upper]}
+    rho_hat = probe.lower
+    if cycle is not None:
+        from . import cocycle
+
+        # on the family divided by the power of two in (upper / 2, upper],
+        # which is exact and keeps the certificate's powers A_x^k, k <= 8,
+        # from overflowing where the normalised orbit does not
+        scale = 2.0 ** (math.frexp(probe.upper)[1] - 1)
+        meta["cycle_rho"] = scale * cocycle.certify_lower(mset.scaled(1.0 / scale), cycle).value
+        rho_hat = max(rho_hat, meta["cycle_rho"])
     if not rho_hat > 0.0:
         raise ValueError("jsr probe enclosure [%g, %g]; give --rho-hat" % (probe.lower, probe.upper))
-    return rho_hat
+    return rho_hat, {"rho_hat": rho_hat} | meta
 
 
 def _make_norm(cfg, mset, counter):
-    """The run's norm; the adapted norm's probe and family are charged to ``counter``."""
+    """The run's norm and its meta.json entries; the adapted norm's probe
+    and family are charged to ``counter``."""
     if cfg.norm == "euclidean":
-        return bounds.EUCLIDEAN
+        return bounds.EUCLIDEAN, {}
     from . import extremal
 
-    rho_hat = _rho_hat(cfg, mset, counter)
-    return extremal.AdaptedNorm(mset, rho_hat=rho_hat, depth=cfg.adapted_depth, budget=counter)
+    rho_hat, meta = _rho_hat(cfg, mset, counter, None)
+    norm = extremal.AdaptedNorm(mset, rho_hat=rho_hat, depth=cfg.adapted_depth, budget=counter)
+    # its family before and after Loewner pruning
+    return norm, meta | {"full_family_size": norm.full_family_size, "family_size": norm.family_size}
 
 
 def _bounds_rows(report):
@@ -99,14 +117,9 @@ def _bounds_rows(report):
 
 
 def _report_bounds(cfg, mset, counter, fit=False):
-    norm = _make_norm(cfg, mset, counter)
+    norm, norm_meta = _make_norm(cfg, mset, counter)
     report = bounds.sandwich(mset, cfg.max_depth, norm=norm, budget=counter)
-    extra = {"norm": report.norm_label, "truncated": report.truncated}
-    if cfg.norm == "adapted":
-        # the rho_hat it normalises by, and its family before and after Loewner pruning
-        extra["rho_hat"] = norm.rho_hat
-        extra["full_family_size"] = norm.full_family_size
-        extra["family_size"] = norm.family_size
+    extra = {"norm": report.norm_label, "truncated": report.truncated} | norm_meta
     if fit and math.ceil(len(report.rows) * cfg.tail_fraction) >= 6:  # the tail fit_rate needs
         rate = bounds.fit_rate(report, cfg.tail_fraction)
         extra["fitted_rate"] = None if rate.converged else rate.r_hat
@@ -138,15 +151,15 @@ def _report_splitting(cfg, mset, counter):
     header = ["n", "cauchy_dgr"]
     word = shiftspace.PeriodicWord([int(s) for s in cfg.cycle.split(",")])
     word.validate_for(mset)  # before the rho_hat probe runs
-    rho_hat = _rho_hat(cfg, mset, counter)
+    rho_hat, extra = _rho_hat(cfg, mset, counter, word.cycle)
     working = mset.scaled(1.0 / rho_hat)
     horizon = max(4 * word.period, 2 * cfg.max_depth)
     try:
         p, thetas = cocycle.detect_p(working, word, horizon)
     except cocycle.AmbiguousExponentsError as exc:
-        return header, [], {"rho_hat": rho_hat}, str(exc)
-    extra = {"rho_hat": rho_hat, "p": p, "theta_estimates": thetas}
-    if p == 0:  # the top exponent is negative, or positive for a rho_hat below the cycle's growth
+        return header, [], extra, str(exc)
+    extra |= {"p": p, "theta_estimates": thetas}
+    if p == 0:  # the top exponent is negative, or positive for a --rho-hat below the cycle's growth
         reason = "cycle %s has no invariant splitting: its top growth exponent at rho_hat %.6g is %.3g"
         return header, [], extra, reason % (cfg.cycle, rho_hat, thetas[0])
     diag = cocycle.splitting_residuals(working, word, p, horizon)

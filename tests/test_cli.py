@@ -10,6 +10,7 @@ import pytest
 
 from jsrkit import cli, fileio
 from jsrkit.bounds import BudgetCounter, MatrixSet, pruned_bounds
+from jsrkit.cocycle import certify_lower
 from jsrkit.fileio import MatrixSetFormatError, load_matrix_set, save_matrix_set
 from jsrkit.gallery import antidiagonal_pair, golden_rotation_convergents, rank_one_pair
 
@@ -233,7 +234,9 @@ class TestBoundsCommand:
 
     def test_adapted_enclosure_of_a_complex_triple_is_sound(self, tmp_path):
         # the Nelder-Mead norm search read an upper value below the lower
-        # value 2.1278401838255179 at n=5 here, and the run exited 4
+        # value 2.1278401838255179 at n=5 here, and the run exited 4; at
+        # rho_hat = that lower value, the radius of word 0, the adapted
+        # upper value closes on it to roundoff
         rng = np.random.default_rng(5)
         mats = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         path = str(tmp_path / "triple.json")
@@ -244,8 +247,8 @@ class TestBoundsCommand:
         assert cli.main(argv) == cli.EXIT_OK
         last = out.read_text().strip().splitlines()[-1].split(",")
         lower, upper, gap = float(last[3]), float(last[4]), float(last[5])
-        assert lower <= 2.1278402 <= upper
-        assert gap <= 0.01
+        assert lower == certify_lower(MatrixSet(list(mats)), (0,)).value <= upper
+        assert gap <= 1e-9
 
     def test_worker_count_gives_identical_bytes(self, fixtures, tmp_path):
         outputs = []
@@ -291,13 +294,19 @@ class TestBudgetLedger:
         ids=["bounds", "convergence", "splitting"],
     )
     def test_every_normalisation_records_the_one_probe(self, fixtures, argv):
-        # the adapted norm and the splitting divide by the same rho_hat,
-        # written to meta.json at full precision
+        # the adapted norm and the splitting divide by the same lower bound,
+        # the probe's lower value, raised for splitting to its cycle's
+        # radius, written to meta.json at full precision
         out = fixtures["dir"] / "probe.csv"
         assert cli.main(argv + ["--input", fixtures["e2"], "--out", str(out)]) == cli.EXIT_OK
         meta = json.loads((fixtures["dir"] / "probe.csv.meta.json").read_text())
         probe = pruned_bounds(rank_one_pair(), 0.05, max_depth=14)
-        assert meta["rho_hat"] == 0.5 * (probe.lower + probe.upper)
+        assert meta["probe_enclosure"] == [probe.lower, probe.upper]
+        if argv[0] == "splitting":
+            assert meta["cycle_rho"] == certify_lower(rank_one_pair(), (0,)).value
+            assert meta["rho_hat"] == max(probe.lower, meta["cycle_rho"])
+        else:
+            assert meta["rho_hat"] == probe.lower
 
     def test_budget_env_caps_the_whole_adapted_run(self, fixtures, monkeypatch):
         # room for the probe, the family and levels 1..5 of the sandwich only
@@ -402,6 +411,59 @@ class TestInputErrors:
         meta = json.loads((tmp_path / "split.csv.meta.json").read_text())
         assert meta["rho_hat"] == 2.0
         assert meta["budget_used"] == 0  # no pruned probe when --rho-hat is given
+
+
+def seeded_pair(seed, d):
+    return MatrixSet(list(np.random.default_rng(seed).standard_normal((2, d, d))))
+
+
+class TestSplittingNormalisation:
+    """Without --rho-hat, splitting divides by the larger of two lower bounds
+    on the jsr, the probe's lower value and its cycle's radius, so that an
+    extremal cycle is normalised by the jsr itself."""
+
+    def _split(self, tmp_path, mset, cycle):
+        path, out = str(tmp_path / "family.json"), tmp_path / "split.csv"
+        save_matrix_set(mset, path)
+        argv = ["splitting", "--input", path, "--out", str(out), "--cycle", cycle, "--max-depth", "32"]
+        return cli.main(argv), json.loads((tmp_path / "split.csv.meta.json").read_text())
+
+    @pytest.mark.parametrize(
+        "seed, d, cycle",
+        [(100, 3, "1,1,1,1,1,1,1,1,0,0,0,0,1,1,1,1"), (0, 4, "0,0,0,0,0,1,1")],
+        ids=["B", "exh"],
+    )
+    def test_extremal_cycle_splits(self, tmp_path, seed, d, cycle):
+        # the word of each family's best lower value; the probe midpoint
+        # lay 5.8% and 1.8% above its radius, and both runs exited 3
+        code, meta = self._split(tmp_path, seeded_pair(seed, d), cycle)
+        assert code == cli.EXIT_OK
+        assert meta["rho_hat"] == meta["cycle_rho"] >= meta["probe_enclosure"][0]
+        assert meta["p"] == 1
+        assert meta["invariance_residual"] <= 1e-4
+
+    @pytest.mark.parametrize(
+        "seed, d, cycle, theta", [(100, 3, "0", "-0.189"), (0, 4, "0,1", "-0.0347")], ids=["B", "exh"]
+    )
+    def test_non_extremal_cycle_exits_three(self, tmp_path, capsys, seed, d, cycle, theta):
+        code, meta = self._split(tmp_path, seeded_pair(seed, d), cycle)
+        assert code == cli.EXIT_INCONCLUSIVE
+        assert meta["cycle_rho"] < meta["rho_hat"] == meta["probe_enclosure"][0]
+        assert capsys.readouterr().err.endswith(" is %s\n" % theta)
+
+    def test_cycle_radius_of_a_family_whose_powers_overflow(self, tmp_path):
+        # A_0^8 overflows binary64, so the radius is taken on the family
+        # divided by a power of two near the jsr
+        mset = MatrixSet([[[1e40, 0], [0, 1]], [[0, 1e40], [1, 0]]])
+        code, meta = self._split(tmp_path, mset, "0")
+        assert code == cli.EXIT_OK
+        assert meta["rho_hat"] == meta["cycle_rho"] == 1e40
+
+    def test_rank_one_pair_is_normalised_by_its_jsr(self, tmp_path):
+        # the probe midpoint 2.025064 read delta_hat 0.742
+        code, meta = self._split(tmp_path, rank_one_pair(), "0")
+        assert code == cli.EXIT_OK
+        assert (meta["rho_hat"], meta["delta_hat"]) == (2.0, 1)
 
 
 class TestOtherCommands:

@@ -314,6 +314,17 @@ class TestCertifiedKernel:
         assert len(report.rows) == 6
         assert report.best_upper() >= report.best_lower()
 
+    @pytest.mark.parametrize("seed", range(1000, 1008))
+    def test_enclosure_at_the_probe_lower_value_is_sound(self, seed):
+        # the CLI's rho_hat, a lower bound: the upper values close on the
+        # lower ones (to 3e-13 for seed 1004), and must not cross them, which
+        # sandwich would report with InternalInvariantError
+        mset = seeded_family(seed, 2 + seed % 2, 2 + (seed // 2) % 2, (seed // 4) % 2 == 1)
+        norm = AdaptedNorm(mset, pruned_bounds(mset, 0.05, max_depth=14).lower, 4)
+        report = sandwich(mset, 6, norm=norm)
+        assert len(report.rows) == 6
+        assert all(row.best_lower <= row.best_upper for row in report.rows)
+
     def test_values_depend_on_the_matrix_only(self):
         mset = ENSEMBLE[7]
         norm = ensemble_norm(mset)
