@@ -1,6 +1,6 @@
 """jsrkit: joint spectral radius bounds and cocycle diagnostics.
 
-A numpy library for finite families of complex matrices: exact
+A numpy library for finite families of real or complex matrices: exact
 upper/lower bound sequences and their sandwich enclosure, pruned
 branch-and-bound, finite-horizon extremal norms with certified operator
 norms, invariant splittings along periodic symbol orbits, cone

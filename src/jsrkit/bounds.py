@@ -18,8 +18,9 @@ Level kernel.  One product kernel, :func:`_extend`, forms every product:
 K words stacked row-wise into one ``(K d, d)`` matrix times a generator
 ``G_j`` give the K children ``P_i G_j`` of block j.  All m^n products of
 a level come from the previous level this way (:func:`_iter_levels`):
-with ``G_j = A_j`` each child prepends a symbol.  Entries are float64
-when every generator is real and complex128 otherwise.  Products
+with ``G_j = A_j`` each child prepends a symbol.  Entries have the dtype
+of ``MatrixSet.stack``, float64 when every generator is real and
+complex128 otherwise (:func:`jsrkit.linalg.as_matrix`).  Products
 associate left to right, ``(... (A_wn A_w(n-1)) ...) A_w1``.  A product
 that overflows binary64 reads inf or NaN, silently, and every kernel
 raises ``ValueError`` on it: the norm kernels and the power stage when
@@ -183,8 +184,9 @@ budget-capped level, and there only at exact score ties.
 Levels are computed serially on the calling thread; the ``workers``
 keyword of :func:`sandwich` is accepted and ignored.
 Argmax words at roundoff-level near-ties, such as rotations of one
-word, are the lexicographically first under this arithmetic and may
-differ from those of a complex-typed evaluation.
+word, are the lexicographically first under this association order and
+may differ from those of products associated otherwise, such as
+:meth:`MatrixSet.product`.
 """
 
 import functools
@@ -311,10 +313,13 @@ def _counter(budget):
 
 
 class MatrixSet:
-    """A finite ordered family of d x d complex matrices with labels.
+    """A finite ordered family of d x d real or complex matrices with labels.
 
-    Each matrix is the read-only copy that :func:`linalg.as_matrix`
-    makes, so the caller's arrays are left as they were.
+    The family is one read-only stack of the copies that
+    :func:`linalg.as_matrix` makes, so the caller's arrays are left as
+    they were: float64 when every matrix is real and complex128 otherwise,
+    the dtype of every product formed from it.  ``matrices`` holds its
+    views.
     """
 
     def __init__(self, matrices, labels=None):
@@ -327,7 +332,9 @@ class MatrixSet:
                 raise linalg.DimensionError(
                     "matrix %d has shape %r, expected (%d, %d)" % (i, A.shape, d, d)
                 )
-        self.matrices = mats
+        self._stack = np.stack(mats)
+        self._stack.setflags(write=False)
+        self.matrices = list(self._stack)
         self.d = d
         if labels is None:
             labels = [str(i) for i in range(len(mats))]
@@ -342,11 +349,15 @@ class MatrixSet:
         return self.matrices[i]
 
     def stack(self):
-        return np.stack(self.matrices)
+        """The family as one read-only ``(m, d, d)`` array."""
+        return self._stack
 
     def scaled(self, factor):
-        """A new set with every matrix multiplied by ``factor``."""
-        return MatrixSet([factor * A for A in self.matrices], labels=self.labels)
+        """A new set with every matrix multiplied by ``factor``; a factor
+        or a product that is not finite raises the ``ValueError`` of
+        :func:`linalg.as_matrix`, and no warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return MatrixSet(factor * self._stack, labels=self.labels)
 
     def check_word(self, word):
         """``word`` as a tuple of ints, raising ``IndexError`` on a symbol
@@ -377,7 +388,7 @@ def _prefixes(mset, word):
     overflowed binary64 raises ``ValueError`` (:func:`_require_finite`).
     """
     word = mset.check_word(word)
-    out = np.empty((len(word) + 1, mset.d, mset.d), dtype=complex)
+    out = np.empty_like(mset.stack(), shape=(len(word) + 1, mset.d, mset.d))
     out[0] = np.eye(mset.d)
     for k, i in enumerate(word):
         out[k + 1] = mset.matrices[i] @ out[k]
@@ -390,14 +401,6 @@ def _word_of_index(index, n, m):
     for k in range(n - 1, -1, -1):
         index, digits[k] = divmod(index, m)
     return tuple(digits)
-
-
-def _typed_stack(mset):
-    """The generators as one array: float64 when all are real, else complex128."""
-    stack = mset.stack()
-    if not stack.imag.any():
-        stack = np.ascontiguousarray(stack.real)
-    return stack
 
 
 # an overflowing product reads inf or NaN; the kernels raise on it (_scaled)
@@ -421,11 +424,11 @@ def _iter_levels(mset, n_max, counter):
     lexicographic order on words.  A product therefore associates left to
     right, ``((A_wn ... A_w2) A_w1)``, not as a chain of left
     multiplications; the two differ in the last bits.  The level arrays
-    have the dtype of :func:`_typed_stack`.  Level n charges m^n
+    have the dtype of ``mset.stack()``.  Level n charges m^n
     multiplications to ``counter`` before it is formed, and level n - 1
     is released before level n is yielded.
     """
-    stack = _typed_stack(mset)
+    stack = mset.stack()
     P = np.eye(mset.d, dtype=stack.dtype)[None]
     for n in range(1, n_max + 1):
         counter.charge(len(P) * len(stack))
@@ -515,7 +518,7 @@ def _levels(mset, n_max, counter):
     over the base level ``b = min(k, ceil(n_max / 2))``; a budget that
     stops a charge raises there, after the levels before it.
     """
-    stack = _typed_stack(mset)
+    stack = mset.stack()
     m, d = len(stack), mset.d
     words = max(1, LEVEL_BYTES // stack[0].nbytes)
     k = 0
@@ -875,9 +878,10 @@ def rho_plus_n(mset, n, norm=None, budget=None, ties=False):
     is computed.  A norm that returns certified upper values, such as the
     adapted norm, gives a sound upper value.  Ties are broken towards the
     lexicographically smallest word.  At roundoff-level near-ties, such
-    as rotations of one word, that is the first word under the real-typed
-    arithmetic used for real families, which may differ from the choice
-    of a complex-typed evaluation.
+    as rotations of one word, that is the first word under the level
+    kernel's left-to-right association order, which may differ from the
+    choice of products associated otherwise, such as
+    :meth:`MatrixSet.product`.
     """
     norm = EUCLIDEAN if norm is None else norm
     return _level(mset, n, norm.factor, norm.matrix_norms, budget, ties)
@@ -1054,7 +1058,7 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
     beyond roundoff raises :class:`InternalInvariantError`, as in
     :func:`sandwich`.
 
-    Products are typed as in the level kernel (float64 for real
+    Products have the dtype of ``mset.stack()`` (float64 for real
     families).  Each expanded node charges m multiplications, the root
     included.  The frontier holds transposed products, extended by
     :func:`_extend` on the transposed generators (module docstring); the
@@ -1069,7 +1073,7 @@ def pruned_bounds(mset, delta, max_depth=40, budget=None):
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     counter = _counter(budget)
-    gens = np.swapaxes(_typed_stack(mset), 1, 2)
+    gens = np.swapaxes(mset.stack(), 1, 2)
     m = len(gens)
 
     counter.charge(m)

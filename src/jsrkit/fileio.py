@@ -16,8 +16,6 @@ import math
 import os
 import tempfile
 
-import numpy as np
-
 from .bounds import MatrixSet
 
 __all__ = [
@@ -90,16 +88,13 @@ def load_matrix_set(path):
                 "matrix %r has %s rows, expected %d"
                 % (label, len(rows) if isinstance(rows, list) else "non-list", d)
             )
-        M = np.empty((d, d), dtype=complex)
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != d:
                 raise MatrixSetFormatError(
                     "matrix %r row %d has length %s, expected %d"
                     % (label, i, len(row) if isinstance(row, list) else "non-list", d)
                 )
-            for j, value in enumerate(row):
-                M[i, j] = _entry(value, label, (i, j))
-        matrices.append(M)
+        matrices.append([[_entry(z, label, (i, j)) for j, z in enumerate(row)] for i, row in enumerate(rows)])
         labels.append(label)
     return MatrixSet(matrices, labels=labels)
 
@@ -110,10 +105,7 @@ def save_matrix_set(mset, path):
         "matrices": [
             {
                 "label": mset.labels[k],
-                "rows": [
-                    [[A[i, j].real, A[i, j].imag] for j in range(mset.d)]
-                    for i in range(mset.d)
-                ],
+                "rows": [[[z.real, z.imag] for z in row] for row in A],
             }
             for k, A in enumerate(mset.matrices)
         ],
@@ -122,9 +114,14 @@ def save_matrix_set(mset, path):
 
 
 def write_atomic(path, text):
-    """Write text then rename into place; no partial file survives."""
+    """Write text then rename into place; no partial file survives.  A
+    temporary file that cannot be made raises the ``OSError`` of ``path``,
+    not of the temporary name."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jsrkit-", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jsrkit-", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small matrices.
+"""Dense real and complex linear algebra for small matrices.
 
 Spectral radii, singular values, operator norms and the Grassmannian
 geometry (subspace distances, oblique projections) that the rest of the
@@ -6,9 +6,15 @@ package is built on.  Everything here is a pure function of its inputs;
 all values are plain numpy arrays or small immutable wrappers.
 
 The two coercions, :func:`as_matrix` and :func:`as_columns`, decide who
-owns an array: each returns a read-only copy.  ``Subspace``,
-``ProjectionPair`` and ``bounds.MatrixSet`` hold what they return, so
-their arrays are frozen and the caller's arrays stay as they were.
+owns an array and its dtype: each returns a read-only copy, float64
+unless some entry has a nonzero imaginary part and complex128 then.
+``Subspace``, ``ProjectionPair`` and ``bounds.MatrixSet`` hold what they
+return, so their arrays are frozen, the caller's arrays stay as they
+were, and a real family stays real in every product, splitting and
+projection formed from them: numpy's arithmetic keeps float64 operands
+in float64, and no other function of the package chooses between the
+two.  The rule holds per array, so a subspace with a real basis is
+float64 also in a complex family.
 
 Each tolerance owns one decision, made in one place:
 
@@ -62,17 +68,26 @@ class DegenerateSplittingError(ValueError):
     """Raised when two subspaces fail to form a direct sum of C^d."""
 
 
+def _owned(A):
+    """A read-only copy of ``A``: float64 unless some entry has a nonzero
+    imaginary part, complex128 then (module docstring)."""
+    A = np.array(A, dtype=complex)
+    A = A if A.imag.any() else A.real.copy()
+    A.setflags(write=False)
+    return A
+
+
 def as_matrix(M):
-    """A read-only complex copy of ``M`` as a finite 2-d array, raising on
-    bad shape or NaN/Inf; the caller's array is left as it was."""
-    M = np.array(M, dtype=complex)
+    """A read-only copy of ``M`` as a finite 2-d array, float64 or
+    complex128 as :func:`_owned` decides, raising on bad shape or NaN/Inf;
+    the caller's array is left as it was."""
+    M = _owned(M)
     if M.ndim != 2:
         raise DimensionError("expected a matrix, got ndim=%d" % M.ndim)
     if M.shape[0] < 1 or M.shape[1] < 1:
         raise DimensionError("matrix dimensions must be at least 1")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
-    M.setflags(write=False)
     return M
 
 
@@ -85,13 +100,12 @@ def as_vector(v):
 
 
 def as_columns(V):
-    """A read-only complex copy of ``V`` as a d x r array of columns; a
-    vector is one column, and any other ndim than 1 or 2 raises.  The
-    caller's array is left as it was."""
-    V = np.array(V, dtype=complex)
+    """A read-only copy of ``V`` as a d x r array of columns, float64 or
+    complex128 as :func:`_owned` decides; a vector is one column, and any
+    other ndim than 1 or 2 raises.  The caller's array is left as it was."""
+    V = _owned(V)
     if V.ndim not in (1, 2):
         raise DimensionError("expected a vector or a d x r array, got ndim=%d" % V.ndim)
-    V.setflags(write=False)
     return V[:, None] if V.ndim == 1 else V
 
 
@@ -257,8 +271,7 @@ def projection_from_pair(V, W):
     the solved P passes the checks of :class:`ProjectionPair`.
     """
     _check_same_ambient(V, W)
-    d = V.ambient_dim
-    if V.dim + W.dim != d:
+    if V.dim + W.dim != V.ambient_dim:
         raise DimensionError("dim V + dim W must equal the ambient dimension")
     B = np.hstack([V.basis, W.basis])
     sigma = np.linalg.svd(B, compute_uv=False)
@@ -267,6 +280,6 @@ def projection_from_pair(V, W):
             "V + W is not a direct sum (smallest singular value %.3e)"
             % (0.0 if sigma.size == 0 else sigma[-1])
         )
-    target = np.hstack([V.basis, np.zeros((d, W.dim), dtype=complex)])
+    target = np.hstack([V.basis, np.zeros_like(W.basis)])
     P = target @ np.linalg.inv(B)
     return ProjectionPair(V, W, P)

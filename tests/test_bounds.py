@@ -354,7 +354,7 @@ class TestPrunedBounds:
         default = [search(mset) for mset in families]
         for mset, want in zip(families, default):
             # LEVEL_BYTES holds the children of ``block`` parents
-            word_bytes = bounds._typed_stack(mset)[0].nbytes
+            word_bytes = mset.stack()[0].nbytes
             monkeypatch.setattr(bounds, "LEVEL_BYTES", block * len(mset) * word_bytes)
             assert search(mset) == want
 
@@ -570,7 +570,7 @@ class TestLevelGenerator:
     @pytest.mark.parametrize("m, d, complex_entries", LEVEL_SHAPES)
     def test_each_symbol_block_is_one_product_of_the_stacked_level(self, m, d, complex_entries):
         mset = level_family(m, d, complex_entries)
-        stack = bounds._typed_stack(mset)
+        stack = mset.stack()
         levels = bounds._iter_levels(mset, {1: 6, 2: 7, 3: 5}[m], BudgetCounter())
         _, P = next(levels)
         assert np.array_equal(P, stack)
@@ -601,7 +601,7 @@ class TestLevelGenerator:
         # the pruned search's orientation: child j*K + i is (A_j P_i)^T;
         # both products err by at most gamma ||A_j||_F ||P_i||_F
         mset = level_family(m, d, complex_entries)
-        stack = bounds._typed_stack(mset)
+        stack = mset.stack()
         gamma = product_roundoff(d, complex_entries)
         for _, P in bounds._iter_levels(mset, 3, BudgetCounter()):
             K = len(P)
@@ -635,7 +635,7 @@ class TestLevelGenerator:
 def stream_from(monkeypatch, mset, n):
     """Set ``LEVEL_BYTES`` to hold m^(n-1) words of ``mset``: level n and
     the deeper levels stream (n = 1 streams every level from the identity)."""
-    word = bounds._typed_stack(mset)[0].nbytes
+    word = mset.stack()[0].nbytes
     monkeypatch.setattr(bounds, "LEVEL_BYTES", len(mset) ** (n - 1) * word)
 
 
@@ -657,7 +657,7 @@ real = bounds.MatrixSet(list(rng.standard_normal((2, 4, 4))))
 cplx = bounds.MatrixSet(list(rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))))
 digest, same = hashlib.sha256(), True
 for mset, k, n in ((real, 12, 16), (cplx, 6, 10)):
-    word = bounds._typed_stack(mset)[0].nbytes
+    word = mset.stack()[0].nbytes
     bounds.LEVEL_BYTES = len(mset) ** k * word
     stored = list(bounds._iter_levels(mset, n, bounds.BudgetCounter()))
     streamed = list(bounds._levels(mset, n, bounds.BudgetCounter()))
@@ -1379,3 +1379,17 @@ class TestMatrixSet:
         half = E2.scaled(0.5)
         assert half.matrices[0] == pytest.approx(0.5 * E2.matrices[0])
         assert half.labels == E2.labels
+
+    @pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan, 1e308])
+    def test_scaled_refuses_a_factor_or_product_that_is_not_finite(self, factor):
+        # inf times the zero entries is NaN and 1e308 times 4 overflows: each
+        # raises one ValueError, and no RuntimeWarning, which the suite's
+        # warning filter would turn into an error of its own
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            MatrixSet([[[4.0, 0.0], [0.0, 1.0]]]).scaled(factor)
+
+    def test_stack_is_one_read_only_array_that_the_matrices_view(self):
+        mset = rank_one_pair()
+        stack = mset.stack()
+        assert stack is mset.stack() and not stack.flags.writeable
+        assert all(np.shares_memory(A, stack) for A in mset.matrices)

@@ -787,6 +787,24 @@ class TestBinary64Edges:
         assert proc.returncode == cli.EXIT_INPUT
         assert proc.stderr == "jsrkit: input: products overflow binary64; scale the family\n"
 
+    @pytest.mark.parametrize("family, options", [
+        ("rank_one", ["--rho-hat", "1e-310"]),
+        # the probe reads [1e-310, 1e-310]: the power of two that _rho_hat
+        # divides by for the cycle's certificate, 2**-1030, inverts to inf
+        ("subnormal", []),
+    ])
+    def test_splitting_that_scales_beyond_float64_exits_two(self, fixtures, tmp_path, capsys, family, options):
+        path = fixtures["e2"]
+        if family == "subnormal":
+            path = str(tmp_path / "subnormal.json")
+            save_matrix_set(MatrixSet([[[1e-310, 0], [0, 5e-311]]]), path)
+        out = tmp_path / "splitting.csv"
+        argv = ["splitting", "--input", path, "--cycle", "0", "--max-depth", "12", "--out", str(out)]
+        assert cli.main(argv + options) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "jsrkit: input: matrix entries must be finite\n"
+        assert not out.exists()
+
     def test_splitting_orbit_that_overflows_exits_two(self, fixtures, tmp_path, capsys):
         # a rho_hat far below the jsr: the normalised orbit products overflow
         out = tmp_path / "splitting.csv"
@@ -850,6 +868,14 @@ class TestAtomicWrites:
         proc = run_cli("bounds", "--input", fixtures["e1"], "--out", str(target), "--max-depth", "3")
         assert proc.returncode != 0
         assert not target.exists()
+
+    def test_missing_directory_names_the_given_path(self, fixtures, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.csv"
+        argv = ["bounds", "--input", fixtures["e2"], "--out", str(target), "--max-depth", "3"]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("jsrkit: input: ") and err.count("\n") == 1
+        assert str(target) in err and ".jsrkit-" not in err
 
     def test_atomic_write_replaces_existing(self, tmp_path):
         path = tmp_path / "file.txt"

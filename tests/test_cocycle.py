@@ -509,6 +509,30 @@ class TestConePropagation:
             cone_propagation_check(rotation, FIXED, params, N=4, laps=3)
 
 
+def triangular_pair(imag):
+    """A pair given as complex arrays, as the matrix-set loader gives
+    ``data/``: real for ``imag`` 0, else with that imaginary part on the
+    corner of the matrix that the cycle (0,) visits."""
+    return MatrixSet(np.array([[[1.0, 1j * imag], [0.0, 0.5]], [[0.5, 0.0], [1.0, 0.25]]], dtype=complex))
+
+
+class TestOneDtypePerFamily:
+    @pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (1e-3, np.complex128)])
+    def test_every_array_of_the_family_has_its_dtype(self, imag, dtype):
+        # a real family stays real through every product and splitting;
+        # one nonzero imaginary part on its orbit makes all of them complex
+        mset = triangular_pair(imag)
+        split = finite_splitting(mset, FIXED, 1, 8)
+        arrays = [mset.stack(), *mset.matrices, mset.product((0, 1, 0)),
+                  cocycle_product(mset, FIXED, 5), split.V.basis, split.W.basis, split.pair.P]
+        assert [A.dtype for A in arrays] == [dtype] * len(arrays)
+
+    @pytest.mark.parametrize("word", [(0,), (1,)])
+    def test_swaps_certify_radius_one_exactly(self, word):
+        # a complex-typed eigvals read 0.9999999999999999 on both
+        assert certify_lower(antidiagonal_pair(), word).value == 1.0
+
+
 class TestCertifyLower:
     def test_rank_one_pair_ones_matrix(self):
         cert = certify_lower(rank_one_pair(), (1,))

@@ -279,6 +279,16 @@ class TestProjectionFromPair:
         assert np.linalg.norm(pair.P @ pair.P - pair.P, 2) < 1e-8
 
 
+class TestCoercions:
+    @pytest.mark.parametrize("coerce", [linalg.as_matrix, linalg.as_columns])
+    def test_dtype_follows_the_imaginary_parts(self, coerce):
+        # float64 unless an entry has a nonzero imaginary part; -0.0 is zero
+        real = coerce(np.array([[1.0, complex(2.0, -0.0)], [3.0, 4.0]]))
+        assert real.dtype == np.float64 and not real.flags.writeable
+        assert real.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert coerce([[1.0, 1e-300j], [0.0, 1.0]]).dtype == np.complex128
+
+
 class TestSubspace:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
