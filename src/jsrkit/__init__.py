@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": "bounds",
     "BoundsReport": "bounds",
-    "BudgetCounter": "bounds",
-    "BudgetExceededError": "bounds",
+    "BudgetCounter": "budget",
+    "BudgetExceededError": "budget",
     "MatrixSet": "bounds",
     "fit_rate": "bounds",
     "pruned_bounds": "bounds",

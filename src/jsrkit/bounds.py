@@ -191,12 +191,15 @@ may differ from those of products associated otherwise, such as
 
 import functools
 import math
-import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
+# the budget names, re-exported: bounds.BudgetCounter is budget.BudgetCounter
+from .budget import (BUDGET_ENV, DEFAULT_BUDGET, BudgetCounter, BudgetExceededError,
+                     InternalInvariantError, _counter)
 
 __all__ = [
     "BudgetExceededError",
@@ -216,9 +219,6 @@ __all__ = [
     "RateFit",
     "fit_rate",
 ]
-
-DEFAULT_BUDGET = 20_000_000
-BUDGET_ENV = "JSRKIT_BUDGET"
 
 # relative tie window for reporting near-maximal words
 TIE_RTOL = 1e-12
@@ -246,70 +246,6 @@ POWER_MIN = 8
 # whole, a deeper level streams; it also caps a screening batch, a block
 # of pruned children and a block of certified products
 LEVEL_BYTES = 4 << 20
-
-
-class BudgetExceededError(RuntimeError):
-    """Enumeration would exceed the configured multiplication budget;
-    raised by :meth:`BudgetCounter.check` only."""
-
-    def __init__(self, needed, limit, detail):
-        self.needed = needed
-        self.limit = limit
-        message = (
-            "enumeration needs %d matrix multiplications, budget is %d "
-            "(set %s to raise it)" % (needed, limit, BUDGET_ENV)
-        )
-        if detail:
-            message += "; " + detail
-        super().__init__(message)
-
-
-class InternalInvariantError(RuntimeError):
-    """An internal consistency check failed; results are not trustworthy."""
-
-
-class BudgetCounter:
-    """Counts matrix multiplications against a hard cap.
-
-    The default cap is ``DEFAULT_BUDGET`` unless the ``JSRKIT_BUDGET``
-    environment variable overrides it.  A cap that is not a non-negative
-    integer (a Python or numpy integer), given or read from the variable,
-    raises ``ValueError``.  :meth:`check` is the one budget test: it
-    raises the run's :class:`BudgetExceededError`, whose ``needed``
-    counts what the counter has already spent.  :attr:`remaining` is the
-    one reading of what is left of the cap.
-    """
-
-    def __init__(self, limit=None):
-        if limit is None:
-            env = os.environ.get(BUDGET_ENV, "")
-            if env and not env.strip().isdecimal():
-                raise ValueError("%s must be a non-negative integer, got %r" % (BUDGET_ENV, env))
-            limit = int(env) if env else DEFAULT_BUDGET
-        if not isinstance(limit, (int, np.integer)) or limit < 0:
-            raise ValueError("the budget must be a non-negative integer, got %r" % (limit,))
-        self.limit = int(limit)
-        self.used = 0
-
-    @property
-    def remaining(self):
-        """The multiplications left before the cap: ``limit - used``."""
-        return self.limit - self.used
-
-    def check(self, count, detail=""):
-        """Raise unless ``count`` more multiplications fit the cap."""
-        if self.used + count > self.limit:
-            raise BudgetExceededError(self.used + count, self.limit, detail)
-
-    def charge(self, count):
-        self.check(count)
-        self.used += count
-
-
-def _counter(budget):
-    """``budget`` if it is a :class:`BudgetCounter`, else a new counter
-    with ``budget`` as its limit (None for the default)."""
-    return budget if isinstance(budget, BudgetCounter) else BudgetCounter(budget)
 
 
 class MatrixSet:
@@ -942,7 +878,8 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     The enclosure ``best_lower <= jsr(A) <= best_upper`` holds for every
     row; the two running bounds are checked against each other and an
     :class:`InternalInvariantError` is raised if they ever cross beyond
-    roundoff.  Exhausting the multiplication budget truncates the report
+    roundoff, or ``ValueError`` if they cross at a level whose largest
+    norm lies below 2**-1022, where products underflowed.  Exhausting the multiplication budget truncates the report
     (flagged) rather than raising; level n charges m^n multiplications.
 
     Each level goes through one screen for both kernels (module
@@ -968,7 +905,14 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
             plus, minus = _level_bounds(P, fro, n, m, kernels)
             best_lower = max(best_lower, minus.value)
             best_upper = min(best_upper, plus.value)
-            _check_enclosure(best_lower, best_upper, "at n=%d" % n)
+            try:
+                _check_enclosure(best_lower, best_upper, "at n=%d" % n)
+            except InternalInvariantError:
+                # the level's products underflowed: the input is at fault, as
+                # for an overflowing product
+                if plus.value**n < sys.float_info.min:
+                    raise ValueError("products underflow binary64; scale the family") from None
+                raise
             report.rows.append(
                 BoundsRow(
                     n, plus.value, minus.value, best_lower, best_upper, best_upper - best_lower,

@@ -13,6 +13,11 @@ success, 2 input error (an OS error on a file too), 3 inconclusive
 invariant splitting), 4 internal invariant violation; stderr carries one line
 ``jsrkit: <kind>: <message>``.  The ``JSRKIT_BUDGET`` environment
 variable overrides the multiplication budget.
+
+Every command is a fresh process, so a run loads only what its command
+uses: the parser holds that command's subparser alone, and each report
+imports the modules it runs, so ``sturmian`` and ``epsilon`` never load
+numpy.
 """
 
 import argparse
@@ -20,9 +25,8 @@ import functools
 import math
 import sys
 import time
-from fractions import Fraction
 
-from . import __version__, bounds, fileio
+from . import __version__, budget, fileio
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -51,6 +55,8 @@ def _fail(kind, message, code):
 
 
 def _parse_gamma(text):
+    from fractions import Fraction
+
     try:
         return [Fraction(t) for t in text.split(",") if t.strip()]
     except ZeroDivisionError:
@@ -68,6 +74,8 @@ def _rho_hat(cfg, mset, counter, cycle):
     as ``cycle_rho``.  Both are sound lower bounds, and for an extremal
     cycle their maximum is the jsr.  A bound that is not positive, as for a
     nilpotent family, normalises nothing and raises ``ValueError``."""
+    from . import bounds
+
     if cfg.rho_hat is not None:
         return cfg.rho_hat, {"rho_hat": cfg.rho_hat}
     probe = bounds.pruned_bounds(mset, 0.05, max_depth=14, budget=counter)
@@ -90,6 +98,8 @@ def _rho_hat(cfg, mset, counter, cycle):
 def _make_norm(cfg, mset, counter):
     """The run's norm and its meta.json entries; the adapted norm's probe
     and family are charged to ``counter``."""
+    from . import bounds
+
     if cfg.norm == "euclidean":
         return bounds.EUCLIDEAN, {}
     from . import extremal
@@ -117,6 +127,8 @@ def _bounds_rows(report):
 
 
 def _report_bounds(cfg, mset, counter, fit=False):
+    from . import bounds
+
     norm, norm_meta = _make_norm(cfg, mset, counter)
     report = bounds.sandwich(mset, cfg.max_depth, norm=norm, budget=counter)
     extra = {"norm": report.norm_label, "truncated": report.truncated} | norm_meta
@@ -133,6 +145,8 @@ def _report_bounds(cfg, mset, counter, fit=False):
 
 
 def _report_pruned(cfg, mset, counter):
+    from . import bounds
+
     result = bounds.pruned_bounds(mset, cfg.delta, max_depth=cfg.max_depth, budget=counter)
     gap = result.upper - result.lower
     header = ["lower", "upper", "gap", "conclusive", "expanded", "deepest"]
@@ -241,7 +255,7 @@ def _run(cfg, report, source):
     exit 3 if the report is inconclusive."""
     started = time.monotonic()
     mset = fileio.load_matrix_set(cfg.input) if source == "input" else None
-    counter = bounds.BudgetCounter()
+    counter = budget.BudgetCounter()
     header, rows, extra, reason = report(cfg, mset, counter)
     fileio.write_csv(cfg.out, header, rows)
     meta = {
@@ -263,16 +277,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, "jsrkit: input: %s\n" % message)
 
 
-def build_parser():
+def _parser(names):
+    """The parser with the subparsers of the commands ``names`` only."""
     parser = _Parser(prog="jsrkit", description=__doc__)
     parser.add_argument("--version", action="version", version="jsrkit %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, own) in COMMANDS.items():
+    for name in names:
         cmd = sub.add_parser(name)
         for option, kwargs in OPTIONS.items():
-            if option in ("out", "max_depth") + own:
+            if option in ("out", "max_depth") + COMMANDS[name][1]:
                 cmd.add_argument("--" + option.replace("_", "-"), dest=option, **kwargs)
     return parser
+
+
+def build_parser():
+    """The parser of every command."""
+    return _parser(COMMANDS)
 
 
 def run(cfg):
@@ -289,16 +309,21 @@ def run(cfg):
     # a malformed matrix-set file raises fileio.MatrixSetFormatError, a ValueError
     except (ValueError, IndexError, OSError) as exc:
         return _fail("input", str(exc), EXIT_INPUT)
-    except bounds.BudgetExceededError as exc:
+    except budget.BudgetExceededError as exc:
         return _fail("inconclusive", str(exc), EXIT_INCONCLUSIVE)
-    except bounds.InternalInvariantError as exc:
+    except budget.InternalInvariantError as exc:
         return _fail("internal", str(exc), EXIT_INTERNAL)
     except Exception as exc:  # no partial report: writes are atomic
         return _fail("internal", "%s: %s" % (type(exc).__name__, exc), EXIT_INTERNAL)
 
 
 def main(argv=None):
-    return run(build_parser().parse_args(argv))
+    # a command named first is parsed by its subparser alone, which gives
+    # the namespace and messages of the full parser; anything else, such
+    # as --help or an unknown command, by the full parser
+    argv = sys.argv[1:] if argv is None else list(argv)
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    return run(_parser(names).parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -16,8 +16,6 @@ import math
 import os
 import tempfile
 
-from .bounds import MatrixSet
-
 __all__ = [
     "MatrixSetFormatError",
     "load_matrix_set",
@@ -96,6 +94,8 @@ def load_matrix_set(path):
                 )
         matrices.append([[_entry(z, label, (i, j)) for j, z in enumerate(row)] for i, row in enumerate(rows)])
         labels.append(label)
+    from .bounds import MatrixSet  # numpy: only the commands that read a family load it
+
     return MatrixSet(matrices, labels=labels)
 
 

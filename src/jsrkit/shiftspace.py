@@ -294,8 +294,10 @@ def periodic_approximant(system, k):
     )
 
 
-def _orbit_max_distance(x, Z, half_width):
-    """max over phases of dist(T^i x, Z), certified at this window width."""
+def _orbit_max_distance(x, Z, half_width, best):
+    """max over phases of dist(T^i x, Z), certified at this window width;
+    the phases stop once their maximum reaches ``best``, which that
+    partial maximum then reports."""
     worst = 0.0
     exact = True
     for i in range(x.period):
@@ -310,6 +312,8 @@ def _orbit_max_distance(x, Z, half_width):
             if m >= half_width:
                 exact = False  # window exhausted: d is only an upper bound
         worst = max(worst, d)
+        if worst >= best:
+            break
     return worst, exact
 
 
@@ -334,6 +338,11 @@ def epsilon_of_n(Z, n):
     is exact when every period up to n is exhaustive and no window of that
     radius ran out; otherwise it is an upper bound (``exact=False``), as
     it always is for a :class:`SturmianSystem`.
+
+    Once an orbit is held, a candidate's phases stop as soon as their
+    maximum reaches the held value: the candidate can then no longer
+    replace it, since ties keep the orbit found first, so every field of
+    the result equals that of scanning every phase of every candidate.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -344,7 +353,8 @@ def epsilon_of_n(Z, n):
     running = (math.inf, True, None)
     for k in range(1, n + 1):
         for x in candidates.get(k, ()):
-            d, exact = _orbit_max_distance(x, Z, half_width)
+            # running[0] is inf until an orbit is held: no stop before that
+            d, exact = _orbit_max_distance(x, Z, half_width, running[0])
             if d < running[0] or (d == running[0] and running[2] is None):
                 running = (d, exact, x)
         per_n.append((k, running[0]))

@@ -1205,9 +1205,18 @@ class TestCheckEnclosure:
 
     def test_underflowed_sandwich_raises(self):
         # the products of length 4 and more underflow to zero: the upper
-        # value 0 must not pass under the lower value 1.1e-90
-        with pytest.raises(bounds.InternalInvariantError, match="at n=4"):
+        # value 0 must not pass under the lower value 1.1e-90, and the
+        # input is at fault, as for overflow
+        with pytest.raises(ValueError, match="products underflow binary64; scale the family"):
             sandwich(MatrixSet(2.0**-300 * EDGE_DRAW), 8)
+
+    def test_crossing_above_the_underflow_threshold_stays_internal(self, monkeypatch):
+        # a crossing at a level whose products are normal numbers is a fault
+        mset = MatrixSet(EDGE_DRAW)
+        radii = bounds._spectral_radii
+        monkeypatch.setattr(bounds, "_spectral_radii", lambda P, cutoff: 4.0 * radii(P, cutoff))
+        with pytest.raises(bounds.InternalInvariantError, match="at n=1"):
+            sandwich(mset, 3)
 
     def test_underflowed_pruned_search_raises(self):
         with pytest.raises(bounds.InternalInvariantError, match="in the pruned search"):
@@ -1318,7 +1327,7 @@ class TestStreamedLevelEdges:
     def test_underflowed_sandwich_raises(self, start, monkeypatch):
         mset = MatrixSet(2.0**-300 * EDGE_DRAW)
         stream_from(monkeypatch, mset, start)
-        with pytest.raises(bounds.InternalInvariantError, match="at n=4"):
+        with pytest.raises(ValueError, match="products underflow binary64; scale the family"):
             sandwich(mset, 8)
 
 

@@ -55,6 +55,35 @@ def test_cli_import_leaves_scipy_unloaded(fixtures):
     assert len(out.read_text().splitlines()) == 9
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, jsrkit.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("command", ["sturmian", "epsilon"])
+def test_symbolic_commands_run_without_numpy(tmp_path, command):
+    # with numpy blocked the run succeeds and writes the bytes of a run with it
+    argv = [command, "--gamma", GOLDEN, "--max-depth", "34"]
+    blocked, free = tmp_path / "blocked.csv", tmp_path / "free.csv"
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import jsrkit.cli\n"
+        "sys.exit(jsrkit.cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out", str(blocked)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(argv + ["--out", str(free)]) == cli.EXIT_OK
+    assert blocked.read_bytes() == free.read_bytes()
+
+
 class TestMatrixSetFiles:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(51)
@@ -781,6 +810,16 @@ class TestBinary64Edges:
         assert proc.stderr.startswith("jsrkit: internal: lower bound")
         assert not (tmp_path / "pruned.csv").exists()
 
+    def test_underflowing_products_exit_two_with_one_line(self, tmp_path):
+        # the products of length 2 underflow to zero, below the lower value 1e-310
+        path = str(tmp_path / "subnormal.json")
+        save_matrix_set(MatrixSet([[[1e-310, 0], [0, 5e-311]]]), path)
+        out = tmp_path / "bounds.csv"
+        proc = run_cli("bounds", "--input", path, "--out", str(out), "--max-depth", "4")
+        assert proc.returncode == cli.EXIT_INPUT
+        assert proc.stderr == "jsrkit: input: products underflow binary64; scale the family\n"
+        assert not out.exists()
+
     def test_overflowing_products_exit_two_with_one_line(self, tmp_path):
         proc = run_cli("bounds", "--input", edge_family(tmp_path, 300), "--out",
                        str(tmp_path / "bounds.csv"), "--max-depth", "8")
@@ -853,6 +892,45 @@ class TestLazyImports:
 
         with pytest.raises(AttributeError, match="no_such_name"):
             jsrkit.no_such_name
+
+
+class TestParser:
+    """``main`` parses a named command with that command's subparser alone;
+    namespaces, exit codes and messages are those of ``build_parser``."""
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("full", [False, True])
+    def test_namespace_is_the_full_parsers(self, fixtures, monkeypatch, command, full):
+        args = [fixtures.get(a, a) for a in COMMAND_RUNS[command][0]] if full else []
+        argv = [command] + args + ["--out", "report.csv"]
+        parsed = []
+        monkeypatch.setattr(cli, "run", lambda cfg: parsed.append(cfg) or cli.EXIT_OK)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert parsed == [cli.build_parser().parse_args(argv)]
+        assert list(vars(parsed[0])) == COMMAND_CONFIG[command]
+
+    @pytest.mark.parametrize(
+        "argv, code, stream, start",
+        [
+            (["--help"], 0, "out", "usage: jsrkit [-h] [--version]"),
+            (["bounds", "--help"], 0, "out", "usage: jsrkit bounds [-h] [--input INPUT] --out OUT"),
+            (["--version"], 0, "out", "jsrkit 0.1.0\n"),
+            (["bound", "--out", "x"], 2, "err", "jsrkit: input: argument command: invalid choice: 'bound'"),
+            (["bounds", "--gamma", "1/2", "--out", "x"], 2, "err",
+             "jsrkit: input: unrecognized arguments: --gamma 1/2\n"),
+            ([], 2, "err", "jsrkit: input: the following arguments are required: command\n"),
+        ],
+    )
+    def test_exits_and_messages_are_the_full_parsers(self, capsys, argv, code, stream, start):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        got = exc.value.code, capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        want = exc.value.code, capsys.readouterr()
+        assert got == want
+        assert got[0] == code
+        assert getattr(got[1], stream).startswith(start)
 
 
 class TestAtomicWrites:

@@ -313,6 +313,75 @@ class TestTargetProtocol:
             assert (short.value, short.orbit.cycle, short.exact) == (0.0, (0,), False)
 
 
+def full_scan_epsilon(Z, n):
+    """eps(Z, n) from every phase of every candidate, with no stop: the
+    reference for the bounded scan of ``epsilon_of_n``."""
+    half_width = 2 * n
+    candidates, exhaustive_to = Z.candidates(n)
+    best, best_exact, orbit, per_n = math.inf, True, None, []
+    for k in range(1, n + 1):
+        for x in candidates.get(k, ()):
+            radii = [Z.agreement_radius(x.rotated(i), half_width) for i in range(x.period)]
+            finite = [m for m in radii if m != math.inf]
+            d = max((2.0 if m < 0 else 2.0**-m for m in finite), default=0.0)
+            if orbit is None or d < best:
+                best, best_exact, orbit = d, all(m < half_width for m in finite), x
+        per_n.append((k, best))
+    return shiftspace.EpsilonResult(best, best_exact and exhaustive_to >= n, orbit, orbit.period, per_n)
+
+
+def convergents(quotients):
+    """The convergents of the continued fraction [0; a_1, a_2, ...]."""
+    out = []
+    for k in range(1, len(quotients) + 1):
+        x = Fraction(0)
+        for a in reversed(quotients[:k]):
+            x = 1 / (a + x)
+        out.append(x)
+    return out
+
+
+class TestBoundedScan:
+    @pytest.mark.parametrize(
+        "gamma, ns",
+        [
+            (golden_rotation_convergents(), range(1, 35)),  # the CLI's epsilon run
+            (convergents([2] * 8), range(1, 31)),  # silver ratio - 2
+            (convergents([3, 1, 2, 1, 2, 1, 2, 1, 2]), range(1, 31)),
+        ],
+    )
+    def test_sturmian_systems_match_the_full_scan(self, gamma, ns):
+        system = SturmianSystem(gamma)
+        for n in ns:
+            assert epsilon_of_n(system, n) == full_scan_epsilon(system, n)
+
+    @pytest.mark.parametrize(
+        "words, ns",
+        [
+            ([[0] * 9 + [1]], range(3, 9)),
+            ([[0, 0, 1, 0, 1]], range(1, 9)),
+            ([[2, 2, 2, 2, 0]], range(1, 7)),
+            ([[0, 0, 1], [1, 1, 0, 1]], range(1, 9)),
+        ],
+    )
+    def test_exact_periodic_targets_match_the_full_scan(self, words, ns):
+        Z = PeriodicOrbitSet([PeriodicWord(w) for w in words])
+        for n in ns:
+            result = epsilon_of_n(Z, n)
+            assert result.exact
+            assert result == full_scan_epsilon(Z, n)
+
+    def test_candidates_stop_before_their_last_phase(self, monkeypatch):
+        system = SturmianSystem(golden_rotation_convergents())
+        calls = []
+        radius = system.agreement_radius
+        monkeypatch.setattr(system, "agreement_radius", lambda *args: calls.append(1) or radius(*args))
+        epsilon_of_n(system, 34)
+        candidates, _ = system.candidates(34)
+        phases = sum(x.period for words in candidates.values() for x in words)
+        assert len(calls) < phases / 4
+
+
 class TestPeriodicWord:
     def test_rotation_shifts_symbols(self):
         w = PeriodicWord([0, 1, 1])
