@@ -7,12 +7,16 @@ expands some vector), but the scaled-product norm repairs this already
 at depth 1.  Along the alternating orbit every partial product keeps
 adapted norm exactly 1; along the constant orbit the norm collapses at
 the second step, which rules that orbit out of the extremal set.
+
+Whether the products of the pair divided by a guess stay bounded is read
+from the sandwich enclosure of its jsr: growth below the jsr, bounded
+above it, and inconclusive at the jsr itself.
 """
 
 import math
 
 import jsrkit as jk
-from jsrkit.extremal import extremality_residual
+from jsrkit.extremal import extremality_residual, is_product_bounded
 from jsrkit.gallery import antidiagonal_pair
 from jsrkit.shiftspace import PeriodicWord
 
@@ -37,3 +41,9 @@ for cycle in ((0, 1), (0,), (1,)):
 print()
 print("the alternating orbit is consistent with extremality to depth 8;")
 print("constant orbits lose half their norm every two steps and are rejected")
+
+print()
+for guess in (0.9, 1.0, 1.1):
+    result = is_product_bounded(scaled, 12, guess)
+    print("products of the pair / %.1f: %s (jsr in [%.6f, %.6f])"
+          % (guess, result.verdict, result.report.best_lower(), result.report.best_upper()))

@@ -67,10 +67,10 @@ words.  A kernel value depends on its own word only, so the per-level
 values, argmax words and tie lists are those of evaluating every word.
 
 Stored and streamed levels.  :func:`_levels` is the one level generator
-of :func:`sandwich`, :func:`rho_plus_n`, :func:`rho_minus_n` and
-:func:`jsrkit.extremal.is_product_bounded`.  A level whose array fits in
-``LEVEL_BYTES`` (4 MiB, 2^15 real 4 x 4 words) is stored whole, as
-:func:`_iter_levels` forms it, and screened by its words' ``||P||_F``.
+of :func:`sandwich`, :func:`rho_plus_n` and :func:`rho_minus_n`.  A
+level whose array fits in ``LEVEL_BYTES`` (4 MiB, 2^15 real 4 x 4
+words) is stored whole, as :func:`_iter_levels` forms it, and screened
+by its words' ``||P||_F``.
 A deeper level is never formed: it is screened by Gram bounds (below),
 and it is a lazy stack whose ``P[idx]`` re-forms only the words a screen
 evaluates, from their ancestors in the last stored level k.  Each step
@@ -879,8 +879,9 @@ def sandwich(mset, N, norm=None, budget=None, workers=1):
     row; the two running bounds are checked against each other and an
     :class:`InternalInvariantError` is raised if they ever cross beyond
     roundoff, or ``ValueError`` if they cross at a level whose largest
-    norm lies below 2**-1022, where products underflowed.  Exhausting the multiplication budget truncates the report
-    (flagged) rather than raising; level n charges m^n multiplications.
+    norm lies below 2**-1022, where products underflowed.  Exhausting
+    the multiplication budget truncates the report (flagged) rather than
+    raising; level n charges m^n multiplications.
 
     Each level goes through one screen for both kernels (module
     docstring): ``F >= ||P||_F`` once per word (equal on stored levels),

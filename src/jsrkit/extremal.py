@@ -13,6 +13,12 @@ family the set of symbol sequences whose partial products keep norm one
 is the candidate extremal set; membership along a periodic word is
 checked to finite depth and reported as consistent or rejected.
 
+Product boundedness.  Whether the products of ``A / g`` stay bounded for
+a guess g is read from the sandwich enclosure of the jsr
+(:func:`is_product_bounded`): a lower value above g proves growth, an
+upper value below g proves boundedness, and an enclosure that holds g
+decides nothing.
+
 Certified operator norms.  With ``F`` the scaled products (the identity
 among them), ``|||v||| = max_f ||F_f v||`` and, for weights lambda in the
 simplex, ``|||v|||^2 >= sum_g lambda_g ||F_g v||^2 = v^H G_lambda v``.
@@ -82,7 +88,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, linalg
-from .bounds import EUCLIDEAN, BudgetCounter, BudgetExceededError, EuclideanNorm, sandwich
+from .bounds import BudgetCounter, EuclideanNorm, sandwich
 
 __all__ = [
     "EuclideanNorm",
@@ -117,6 +123,12 @@ SINGLE_MEMBER_COND = 1e4
 
 class NormalizationError(ValueError):
     """The matrix set is not normalised closely enough to jsr = 1."""
+
+
+def _require_positive_finite(value, name):
+    """Raise ``ValueError`` unless ``value`` is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError("%s must be positive and finite" % name)
 
 
 def _undominated(grams):
@@ -163,8 +175,7 @@ class AdaptedNorm(bounds.Norm):
     """
 
     def __init__(self, mset, rho_hat, depth, budget=None):
-        if not 0.0 < rho_hat < math.inf:
-            raise ValueError("rho_hat must be positive and finite")
+        _require_positive_finite(rho_hat, "rho_hat")
         if depth < 0:
             raise ValueError("depth must be non-negative")
         counter = bounds._counter(budget)
@@ -390,57 +401,59 @@ def extremality_residual(mset, norm, rho_hat):
     operator norms of one ``norm.matrix_norms`` call on the family: exact
     for :class:`EuclideanNorm`, and for :class:`AdaptedNorm` a certified
     upper value of the residual.  A true extremal norm for the
-    rho_hat-normalised family gives 0.
+    rho_hat-normalised family gives 0.  ``rho_hat`` must be positive and
+    finite.
     """
+    _require_positive_finite(rho_hat, "rho_hat")
     worst = float(norm.matrix_norms(mset.stack(), -np.inf).max())
     return ExtremalityResidual(value=max(0.0, (worst - rho_hat) / rho_hat))
 
 
-BOUNDED = "bounded-up-to-depth"
+BOUNDED = "bounded"
 GROWTH = "growth-detected"
 INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
 class ProductBoundedness:
+    """The verdict of :func:`is_product_bounded` and the
+    :class:`jsrkit.bounds.BoundsReport` it read: its rows hold the
+    witness words, and ``report.truncated`` flags a budget cut."""
+
     verdict: str
-    level_maxima: list
+    report: bounds.BoundsReport
     bound_guess: float
 
 
 def is_product_bounded(mset, depth, bound_guess, budget=None):
-    """Classify the growth of per-length maximal product norms.
+    """Whether the products of the normalised family ``A / bound_guess``
+    stay bounded, read from the depth-``depth`` sandwich enclosure
+    ``[best_lower, best_upper]`` of the jsr (:func:`jsrkit.bounds.sandwich`).
 
-    ``GROWTH`` requires both that some product norm exceeds
-    ``bound_guess`` and that the per-length maxima increase strictly over
-    the last third of the levels, which must hold at least two maxima;
-    all maxima below the guess gives
-    ``BOUNDED``; anything else (including exhausting the budget) is
-    ``INCONCLUSIVE``.
+    - ``GROWTH`` when ``best_lower > bound_guess * (1 + SCREEN_SLACK)``:
+      some word w has ``rho(A_w)^(1/|w|)`` above the guess, so the
+      normalised powers of ``A_w`` are unbounded;
+    - ``BOUNDED`` when ``best_upper < bound_guess * (1 - SCREEN_SLACK)``:
+      some level n has ``||A_w||_2 < bound_guess^n`` for every word of
+      length n, so every normalised product is bounded by the largest
+      normalised norm of the words shorter than n;
+    - ``INCONCLUSIVE`` otherwise, as when the jsr equals the guess or a
+      budget-truncated report decides neither.
 
-    ``GROWTH`` is a trend test, not a proof of unbounded products: the
-    maxima of ``[[1, 1], [0, 0.9]]`` rise towards their supremum below
-    10.05, so at depth 20 with ``bound_guess`` 5 it reads ``GROWTH``
-    although every product is bounded.
+    A truncated report that decides keeps its verdict.
+    ``bounds.SCREEN_SLACK`` bounds the kernels' relative roundoff; the
+    verdict is sound up to binary64 roundoff, as values are not rounded
+    outward.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    counter = bounds._counter(budget)
-    maxima = []
-    try:
-        for _, P, fro in bounds._levels(mset, depth, counter):
-            maxima.append(float(EUCLIDEAN.matrix_norms_batch(P, fro).max()))
-    except BudgetExceededError:
-        return ProductBoundedness(INCONCLUSIVE, maxima, bound_guess)
-    exceeded = any(v > bound_guess for v in maxima)
-    tail_start = len(maxima) - max(1, len(maxima) // 3)
-    tail = maxima[tail_start - 1 :]
-    strictly_increasing = len(tail) >= 2 and all(b > a for a, b in zip(tail, tail[1:]))
-    if exceeded and strictly_increasing:
-        return ProductBoundedness(GROWTH, maxima, bound_guess)
-    if not exceeded:
-        return ProductBoundedness(BOUNDED, maxima, bound_guess)
-    return ProductBoundedness(INCONCLUSIVE, maxima, bound_guess)
+    _require_positive_finite(bound_guess, "bound_guess")
+    report = sandwich(mset, depth, budget=budget)
+    if report.best_lower() > bound_guess * (1.0 + bounds.SCREEN_SLACK):
+        verdict = GROWTH
+    elif report.best_upper() < bound_guess * (1.0 - bounds.SCREEN_SLACK):
+        verdict = BOUNDED
+    else:
+        verdict = INCONCLUSIVE
+    return ProductBoundedness(verdict, report, bound_guess)
 
 
 @dataclass

@@ -285,13 +285,13 @@ def periodic_approximant(system, k):
     """Periodic mechanical word for the k-th convergent, phase 0.
 
     The block is s_i for i = 0..q_k-1 with rotation number p_k/q_k; its
-    shift orbit consists of all rotations of this block.
+    shift orbit consists of all rotations of this block.  At phase 0 the
+    floors of :func:`sturmian_word` are integer floors, ``s_i = ((i+1)p)
+    // q - (ip) // q``.
     """
     gamma = system.convergents[k]
-    q = gamma.denominator
-    return PeriodicWord(
-        [_mechanical_symbol(gamma, Fraction(0), i) for i in range(q)]
-    )
+    p, q = gamma.numerator, gamma.denominator
+    return PeriodicWord([(i + 1) * p // q - i * p // q for i in range(q)])
 
 
 def _orbit_max_distance(x, Z, half_width, best):

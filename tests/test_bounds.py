@@ -24,7 +24,7 @@ from jsrkit.bounds import (
     rho_plus_n,
     sandwich,
 )
-from jsrkit.extremal import AdaptedNorm, EuclideanNorm, is_product_bounded
+from jsrkit.extremal import AdaptedNorm, EuclideanNorm
 from jsrkit.gallery import antidiagonal_pair, rank_one_pair
 from jsrkit.linalg import operator_norm, spectral_radius
 
@@ -49,6 +49,23 @@ def random_family(seed, complex_entries):
     if complex_entries:
         mats = mats + 1j * rng.standard_normal((m, d, d))
     return MatrixSet(list(mats))
+
+
+def seeded_family(seed, m, d, complex_entries):
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((m, d, d))
+    if complex_entries:
+        mats = mats + 1j * rng.standard_normal((m, d, d))
+    return MatrixSet(list(mats))
+
+
+# the gallery families and seeded real and complex pairs (d <= 3)
+BRUTE_FORCE_FAMILIES = [rank_one_pair(), antidiagonal_pair(), seeded_family(4, 2, 2, False)] + [
+    seeded_family(seed, 2, d, complex_entries)
+    for seed in (0, 1)
+    for d in (2, 3)
+    for complex_entries in (False, True)
+]
 
 
 def reference_pruned(mset, delta, max_depth, counter):
@@ -127,16 +144,11 @@ class TestRhoPlus:
         E2 = rank_one_pair()
         assert rho_plus_n(E2, 2).word == (0, 0)
 
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(4)
-        mats = rng.standard_normal((2, 2, 2))
-        mset = MatrixSet(list(mats))
-        for n in (1, 2, 4):
-            oracle = max(
-                np.linalg.norm(P, 2) ** (1 / n)
-                for P in brute_force_level(mset, n).values()
-            )
-            assert rho_plus_n(mset, n).value == pytest.approx(oracle, rel=1e-12)
+    @pytest.mark.parametrize("mset", BRUTE_FORCE_FAMILIES)
+    def test_matches_brute_force(self, mset):
+        for n in range(1, 9):
+            oracle = max(np.linalg.norm(P, 2) for P in brute_force_level(mset, n).values())
+            assert rho_plus_n(mset, n).value ** n == pytest.approx(oracle, rel=1e-12)
 
     def test_budget_error_names_limit(self):
         E2 = rank_one_pair()
@@ -686,7 +698,6 @@ class TestStreamedLevels:
                 sandwich(mset, N).rows,
                 rho_plus_n(mset, N, ties=True),
                 rho_minus_n(mset, N, ties=True),
-                is_product_bounded(mset, N, 1.0).level_maxima,
             )
 
         stored = run()
@@ -1045,14 +1056,6 @@ class TestGelfandPowerStage:
                 skipped = check_power_contract(batch, cutoff)
                 assert chunks[0] == first
                 assert skipped[:len(batch) - survivors].all()
-
-
-def seeded_family(seed, m, d, complex_entries):
-    rng = np.random.default_rng(seed)
-    mats = rng.standard_normal((m, d, d))
-    if complex_entries:
-        mats = mats + 1j * rng.standard_normal((m, d, d))
-    return MatrixSet(list(mats))
 
 
 # real and complex, m in {2, 3}, d in {2, ..., 5}

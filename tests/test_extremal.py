@@ -13,6 +13,7 @@ from jsrkit.bounds import (
     rho_plus_n,
     sandwich,
 )
+from jsrkit.cocycle import certify_lower
 from jsrkit.extremal import (
     BOUNDED,
     GROWTH,
@@ -403,6 +404,11 @@ class TestLoewnerPrunedFamily:
 
 
 class TestExtremalityResidual:
+    @pytest.mark.parametrize("rho_hat", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_rho_hat_raises(self, rho_hat):
+        with pytest.raises(ValueError, match="rho_hat must be positive and finite"):
+            extremality_residual(rank_one_pair(), EuclideanNorm(), rho_hat=rho_hat)
+
     def test_euclidean_already_extremal_for_diagonal(self):
         mset = MatrixSet([np.diag([1.0, 0.5])])
         res = extremality_residual(mset, EuclideanNorm(), rho_hat=1.0)
@@ -432,42 +438,91 @@ class TestExtremalityResidual:
             previous = res.value
 
 
+def first_row(report, decides):
+    """The first row of ``report`` whose running enclosure ``decides``."""
+    return next(row for row in report.rows if decides(row))
+
+
+def rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return MatrixSet([[[c, -s], [s, c]]])
+
+
+SHEAR = MatrixSet([[[1, 1], [0, 1]]])
+# every power stays below 10.05 in 2-norm, while the level maxima rise
+# towards that supremum
+CONTRACTING_SHEAR = MatrixSet([[[1, 1], [0, 0.9]]])
+
+
 class TestProductBounded:
-    def test_rotation_is_bounded(self):
-        c, s = math.cos(1.0), math.sin(1.0)
-        rot = MatrixSet([[[c, -s], [s, c]]])
-        assert is_product_bounded(rot, 20, 2.0).verdict == BOUNDED
-
-    def test_shear_growth_detected(self):
-        shear = MatrixSet([[[1, 1], [0, 1]]])
-        assert is_product_bounded(shear, 20, 10.0).verdict == GROWTH
-
-    def test_one_level_is_no_growth(self):
-        # the matrix squares to I; one maximum above the guess is no trend
-        flip = MatrixSet([[[0, 2], [0.5, 0]]])
-        assert is_product_bounded(flip, 1, 1.5).verdict == INCONCLUSIVE
-
-    def test_budget_exhaustion_is_inconclusive(self):
-        # the budget of 100 covers levels 1-5 (62 products), not level 6
-        result = is_product_bounded(antidiagonal_pair(), 30, 2.0, budget=100)
-        assert result.verdict == INCONCLUSIVE
-        assert result.level_maxima == [2.0, 2.0, 4.0, 4.0, 8.0]
-
-    def test_scaled_antidiagonal_bounded(self, scaled_antidiagonal):
-        assert is_product_bounded(scaled_antidiagonal, 12, 4.0).verdict == BOUNDED
+    @pytest.mark.parametrize(
+        "mset, depth, guess, budget",
+        [
+            (rotation(1.0), 20, 2.0, None),
+            (SHEAR, 20, 10.0, None),
+            (CONTRACTING_SHEAR, 20, 5.0, None),
+            (antidiagonal_pair().scaled(1 / SQRT2), 12, 1.1, None),
+            (antidiagonal_pair().scaled(1 / SQRT2), 12, 4.0, None),
+            (seeded_family(0, 3, 2, True), 6, 3.0, None),
+        ],
+    )
+    def test_bounded_is_proved_at_its_level(self, mset, depth, guess, budget):
+        # the deciding level n has every ||A_w||_2 < guess**n, by brute force
+        result = is_product_bounded(mset, depth, guess, budget=budget)
+        assert result.verdict == BOUNDED
+        row = first_row(result.report, lambda row: row.best_upper < guess * (1 - bounds.SCREEN_SLACK))
+        words = itertools.product(range(len(mset)), repeat=row.n)
+        assert max(operator_norm(mset.product(w)) for w in words) < guess**row.n
 
     @pytest.mark.parametrize(
-        "mset",
-        [rank_one_pair(), antidiagonal_pair()]
-        + [seeded_family(seed, d, 2, c) for seed in (0, 1) for d in (2, 3) for c in (False, True)],
+        "mset, depth, guess, budget",
+        [
+            (antidiagonal_pair(), 30, 1.2, 100),
+            (antidiagonal_pair().scaled(1 / SQRT2), 12, 0.9, None),
+            (SHEAR, 4, 0.5, None),
+            (seeded_family(1, 3, 2, False), 6, 1.0, None),
+        ],
     )
-    def test_level_maxima_match_brute_force(self, mset):
-        maxima = is_product_bounded(mset, 8, 1.0).level_maxima
-        assert len(maxima) == 8
-        for n, value in enumerate(maxima, start=1):
-            words = itertools.product(range(len(mset)), repeat=n)
-            expected = max(operator_norm(mset.product(w)) for w in words)
-            assert value == pytest.approx(expected, rel=1e-12)
+    def test_growth_is_witnessed_by_a_word(self, mset, depth, guess, budget):
+        result = is_product_bounded(mset, depth, guess, budget=budget)
+        assert result.verdict == GROWTH
+        row = first_row(result.report, lambda row: row.best_lower > guess * (1 + bounds.SCREEN_SLACK))
+        assert certify_lower(mset, row.word_minus).value > guess
+
+    @pytest.mark.parametrize(
+        "mset, depth, guess",
+        [
+            # the jsr equals the guess: bounded for the rotation, unbounded
+            # for the shear, and no enclosure tells them apart
+            (rotation(1.0), 20, 1.0),
+            (SHEAR, 20, 1.0),
+            (antidiagonal_pair().scaled(1 / SQRT2), 12, 1.0),
+            # the matrix squares to I; one level encloses the jsr 1 in [1, 2]
+            (MatrixSet([[[0, 2], [0.5, 0]]]), 1, 1.5),
+        ],
+    )
+    def test_undecided_enclosure_is_inconclusive(self, mset, depth, guess):
+        assert is_product_bounded(mset, depth, guess).verdict == INCONCLUSIVE
+
+    def test_truncated_report_keeps_its_verdict(self):
+        # the budget of 100 covers levels 1-5 (62 products), not level 6;
+        # level 2 already has every ||A_w||_2 = 2 < 2.0**2
+        result = is_product_bounded(antidiagonal_pair(), 30, 2.0, budget=100)
+        assert result.report.truncated and len(result.report.rows) == 5
+        assert result.verdict == BOUNDED
+
+    # five levels enclose the jsr sqrt(2) exactly, at the guess; a budget
+    # below the first level leaves no row
+    @pytest.mark.parametrize("guess, budget, levels", [(SQRT2, 100, 5), (1.0, 1, 0)])
+    def test_truncated_undecided_report_is_inconclusive(self, guess, budget, levels):
+        result = is_product_bounded(antidiagonal_pair(), 30, guess, budget=budget)
+        assert result.report.truncated and len(result.report.rows) == levels
+        assert result.verdict == INCONCLUSIVE
+
+    @pytest.mark.parametrize("guess", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_guess_raises(self, guess):
+        with pytest.raises(ValueError, match="bound_guess must be positive and finite"):
+            is_product_bounded(rotation(1.0), 4, guess)
 
 
 class TestYMembership:

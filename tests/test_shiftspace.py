@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ class TestPeriodicApproximant:
         block = periodic_approximant(system, 4).cycle
         assert len(block) == 13
         assert sum(block) == 8  # one-count equals the numerator
+
+    def test_integer_floors_match_the_rational_word(self):
+        # every p/q with q < 60 in lowest terms, against sturmian_word's
+        # Fraction floors at phase 0
+        for q in range(2, 60):
+            for p in range(1, q):
+                if math.gcd(p, q) == 1:
+                    system = SimpleNamespace(convergents=[Fraction(p, q)])
+                    want = sturmian_word([Fraction(p, q)], 0, q).symbols
+                    assert periodic_approximant(system, 0).cycle == want
 
     def test_blocks_are_balanced(self):
         system = SturmianSystem(golden_rotation_convergents())
