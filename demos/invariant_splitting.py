@@ -19,8 +19,8 @@ from jsrkit.shiftspace import PeriodicWord
 mset = jk.MatrixSet([[[1.0, 1.0], [0.0, 0.5]]])
 orbit = PeriodicWord([0])
 
-p, thetas = jk.detect_p(mset, orbit, 32)
-print("singular-value growth exponents per step:", ["%.4f" % t for t in thetas])
+p, thetas = jk.detect_p(mset, orbit)
+print("cumulative growth exponents per step, from the eigenvalue moduli:", ["%.4f" % t for t in thetas])
 print("fast dimension p =", p)
 
 oracle_fast = jk.Subspace([[1], [0]])

@@ -63,6 +63,13 @@ def _parse_gamma(text):
         raise ValueError("--gamma has a convergent with a zero denominator") from None
 
 
+def _parse_cycle(text):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError("--cycle must be a comma list of symbols, got %r" % text) from None
+
+
 def _rho_hat(cfg, mset, counter, cycle):
     """The lower bound on the jsr that every normalisation of a run divides
     by, and the meta.json entries that say where it came from.
@@ -163,13 +170,13 @@ def _report_splitting(cfg, mset, counter):
     from . import cocycle, shiftspace
 
     header = ["n", "cauchy_dgr"]
-    word = shiftspace.PeriodicWord([int(s) for s in cfg.cycle.split(",")])
+    word = shiftspace.PeriodicWord(_parse_cycle(cfg.cycle))
     word.validate_for(mset)  # before the rho_hat probe runs
     rho_hat, extra = _rho_hat(cfg, mset, counter, word.cycle)
     working = mset.scaled(1.0 / rho_hat)
     horizon = max(4 * word.period, 2 * cfg.max_depth)
     try:
-        p, thetas = cocycle.detect_p(working, word, horizon)
+        p, thetas = cocycle.detect_p(working, word)
     except cocycle.AmbiguousExponentsError as exc:
         return header, [], extra, str(exc)
     extra |= {"p": p, "theta_estimates": thetas}

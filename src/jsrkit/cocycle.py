@@ -5,8 +5,9 @@ products A(x, n) form a cocycle over the cyclic shift.  When all forward
 products stay bounded the singular subspaces of long products converge
 to a splitting C^d = V(x) + W(x): V carries the directions whose image
 never collapses, W the uniformly exponentially contracted ones.  This
-module estimates the fast dimension p from singular-value growth
-exponents (:func:`detect_p`), builds the finite-horizon splitting
+module reads the fast dimension p off the exact growth exponents of
+the orbit, the log eigenvalue moduli of its cycle product per symbol
+(:func:`detect_p`), builds the finite-horizon splitting
 (push-forward of the top singular subspace at horizon 2n, bottom
 singular subspace at horizon n), measures how invariant the splittings
 of that p are (:func:`splitting_residuals`, which takes p and builds its
@@ -24,9 +25,9 @@ normalisation far below the jsr, raises ``ValueError`` ("products
 overflow binary64").  A computation that needs the products
 ``A(T^s x, n)`` for several n from one start s takes them from one
 sweep, rather than forming each from the identity, and reads them as
-one stack: the growth exponents from one batched SVD, the contraction
-values ``||A(x, n)|W||_2`` from one batched 2-norm.  The Cauchy horizons
-of :func:`splitting_residuals` are multiples of the period, so one
+one stack: ``delta_hat`` from one batched SVD, the contraction values
+``||A(x, n)|W||_2`` from one batched 2-norm.  The Cauchy horizons of
+:func:`splitting_residuals` are multiples of the period, so one
 phase-0 sweep is also the back sweep from ``T^-n x`` of each of them:
 their fast spaces are the push-forward step of :func:`finite_splitting`
 read off that sweep, with no slow space or projection.
@@ -96,38 +97,29 @@ def cocycle_product(mset, x, n, start=0):
     return _sweep(mset, x, start, n)[-1]
 
 
-def _theta_slopes(mset, x, horizon):
-    """Least-squares growth rates of cumulative log singular values.
-
-    Sampled at n = r, 2r, ..., horizon (r the period), which keeps the
-    intra-period oscillation out of the fit.
-    """
-    ns = list(range(x.period, horizon + 1, x.period))
-    products = _sweep(mset, x, 0, ns[-1])[ns]
-    with np.errstate(divide="ignore"):
-        table = np.cumsum(np.log(np.linalg.svd(products, compute_uv=False)), axis=1)
-    return [
-        float(np.polyfit(ns, col, 1)[0]) if np.all(np.isfinite(col)) else -math.inf
-        for col in table.T
-    ]
-
-
-def detect_p(mset, x, horizon):
-    """Count the non-decaying singular directions along the orbit.
+def detect_p(mset, x):
+    """Count the non-decaying directions along the orbit.
 
     Returns ``(p, theta_estimates)`` where ``theta_estimates[ell-1]`` is
-    the fitted growth rate of the product of the top ``ell`` singular
-    values per symbol.  Exponents inside ``[t, 2t)`` in magnitude, ``t =
+    the growth exponent of the product of the top ``ell`` singular values
+    per symbol.  On a periodic orbit of period r these exponents are
+    exact: ``sigma_i(A(x, r)^k)^(1/k) -> |lambda_i(A(x, r))|`` (Yamamoto
+    1967), so ``theta_estimates[ell-1]`` is ``sum_{i <= ell} log|lambda_i|
+    / r`` over the eigenvalue moduli of the cycle product in decreasing
+    order, read from one eigen-decomposition; a zero eigenvalue gives
+    ``-inf``.  Exponents inside ``[t, 2t)`` in magnitude, ``t =
     THETA_ZERO_THRESHOLD``, are refused as ambiguous rather than silently
-    classified.  A horizon below 4 periods raises ``ValueError``, before
-    the sweep checks the cycle and the products (:func:`_sweep`).
+    classified.  The sorted moduli make the increments of the exponents
+    non-increasing, so below a zero exponent a level that is neither zero
+    nor ambiguous lies at or below ``-2 t`` and the levels after it only
+    fall: p counts the leading zero exponents.  The cycle product comes from one sweep,
+    which checks the cycle and the overflow (:func:`_sweep`).
     """
     t = THETA_ZERO_THRESHOLD
-    r = x.period
-    if horizon < 4 * r:
-        raise ValueError("horizon must be at least 4 periods (%d), got %d" % (4 * r, horizon))
-    thetas = _theta_slopes(mset, x, horizon)
-    # a -inf exponent (a zero singular value) is neither ambiguous nor zero
+    moduli = np.sort(np.abs(np.linalg.eigvals(_sweep(mset, x, 0, x.period)[-1])))[::-1]
+    with np.errstate(divide="ignore"):
+        thetas = (np.cumsum(np.log(moduli)) / x.period).tolist()
+    # a -inf exponent (a zero eigenvalue) is neither ambiguous nor zero
     ambiguous = [ell + 1 for ell, th in enumerate(thetas) if t <= abs(th) < 2 * t]
     if ambiguous:
         raise AmbiguousExponentsError(
@@ -135,10 +127,6 @@ def detect_p(mset, x, horizon):
         )
     zero = [abs(th) < t for th in thetas]
     p = zero.index(False) if False in zero else len(zero)
-    if any(zero[p:]):
-        raise AmbiguousExponentsError(
-            "zero exponents reappear after a decaying level: %s" % (thetas,)
-        )
     return p, thetas
 
 
@@ -306,7 +294,7 @@ class ConeParams:
 def cone_params_from_splitting(mset, x, theta, norm=None):
     """Build the per-phase projection family for a cone field, from the
     splittings at horizon ``CONE_HORIZON``."""
-    p, _ = detect_p(mset, x, max(4 * x.period, CONE_HORIZON))
+    p, _ = detect_p(mset, x)
     pairs = [finite_splitting(mset, x, p, CONE_HORIZON, phase=k).pair for k in range(x.period)]
     return ConeParams(theta=theta, projections=pairs, norm=EUCLIDEAN if norm is None else norm)
 

@@ -96,7 +96,7 @@ def test_criterion_4_splitting_construction():
     failures = []
 
     def check(name, mset, word, oracle_fast, oracle_slow, oracle_xi, phase=0):
-        p, _ = jk.detect_p(mset, word, 32)
+        p, _ = jk.detect_p(mset, word)
         result = jk.finite_splitting(mset, word, p, 12, phase=phase)
         d_fast = grassmann_distance(result.V, oracle_fast)
         d_slow = grassmann_distance(result.W, oracle_slow)
@@ -275,7 +275,7 @@ def test_criterion_8_cone_contraction():
         ("triangular", triangular, PeriodicWord([0])),
         ("alternating", scaled, PeriodicWord([0, 1])),
     ]:
-        p, _ = jk.detect_p(mset, word, 32)
+        p, _ = jk.detect_p(mset, word)
         near = jk.finite_splitting(mset, word, p, 24).pair
         far = jk.finite_splitting(mset, word, p, 7).pair  # coarser horizon
         diff = float(np.linalg.norm(near.P - far.P, 2))

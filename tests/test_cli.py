@@ -354,6 +354,13 @@ class TestInputErrors:
         assert proc.stderr.startswith("jsrkit: input:")
         assert "zero denominator" in proc.stderr
 
+    def test_malformed_cycle_exits_two(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        argv = ["splitting", "--input", fixtures["e2"], "--cycle", "0,,1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "jsrkit: input: --cycle must be a comma list of symbols, got '0,,1'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-2", "nan"])
     @pytest.mark.parametrize("command", ["bounds", "convergence", "splitting"])
     def test_invalid_rho_hat_exits_two(self, fixtures, tmp_path, capsys, command, value):
@@ -451,10 +458,10 @@ class TestSplittingNormalisation:
     on the jsr, the probe's lower value and its cycle's radius, so that an
     extremal cycle is normalised by the jsr itself."""
 
-    def _split(self, tmp_path, mset, cycle):
+    def _split(self, tmp_path, mset, cycle, depth=32):
         path, out = str(tmp_path / "family.json"), tmp_path / "split.csv"
         save_matrix_set(mset, path)
-        argv = ["splitting", "--input", path, "--out", str(out), "--cycle", cycle, "--max-depth", "32"]
+        argv = ["splitting", "--input", path, "--out", str(out), "--cycle", cycle, "--max-depth", str(depth)]
         return cli.main(argv), json.loads((tmp_path / "split.csv.meta.json").read_text())
 
     @pytest.mark.parametrize(
@@ -471,8 +478,15 @@ class TestSplittingNormalisation:
         assert meta["p"] == 1
         assert meta["invariance_residual"] <= 1e-4
 
+    def test_extremal_cycle_splits_at_a_long_horizon(self, tmp_path):
+        # B's cycle at the horizon 1024, where its products reach roundoff
+        code, meta = self._split(tmp_path, seeded_pair(100, 3), "1,1,1,1,1,1,1,1,0,0,0,0,1,1,1,1", 512)
+        assert code == cli.EXIT_OK
+        assert meta["p"] == 1
+        assert meta["invariance_residual"] <= 1e-12
+
     @pytest.mark.parametrize(
-        "seed, d, cycle, theta", [(100, 3, "0", "-0.189"), (0, 4, "0,1", "-0.0347")], ids=["B", "exh"]
+        "seed, d, cycle, theta", [(100, 3, "0", "-0.192"), (0, 4, "0,1", "-0.0336")], ids=["B", "exh"]
     )
     def test_non_extremal_cycle_exits_three(self, tmp_path, capsys, seed, d, cycle, theta):
         code, meta = self._split(tmp_path, seeded_pair(seed, d), cycle)
@@ -747,7 +761,7 @@ class TestMetadata:
 
     @pytest.mark.parametrize(
         "matrices, options, rho_hat, theta",
-        [(None, [], math.sqrt(2), "-0.35"), ([np.diag([2.0, 3.0])], ["--rho-hat", "1"], 1.0, "1.1")],
+        [(None, [], math.sqrt(2), "-0.347"), ([np.diag([2.0, 3.0])], ["--rho-hat", "1"], 1.0, "1.1")],
         ids=["negative", "positive"],
     )
     def test_cycle_without_zero_exponent_exits_three(
@@ -770,6 +784,19 @@ class TestMetadata:
         meta = json.loads((tmp_path / "split.csv.meta.json").read_text())
         assert (meta["p"], len(meta["theta_estimates"])) == (0, 2)
         assert meta["rho_hat"] == pytest.approx(rho_hat, rel=1e-6)
+
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_triangular_matrix_splits_at_every_depth(self, tmp_path, depth):
+        # [[1, 1], [0, 1/2]] has the exponents 0 and -log 2 at every depth
+        path = str(tmp_path / "family.json")
+        save_matrix_set(MatrixSet([[[1.0, 1.0], [0.0, 0.5]]]), path)
+        out = tmp_path / "split.csv"
+        argv = ["splitting", "--input", path, "--out", str(out), "--cycle", "0", "--rho-hat", "1",
+                "--max-depth", str(depth)]
+        assert cli.main(argv) == cli.EXIT_OK
+        meta = json.loads((tmp_path / "split.csv.meta.json").read_text())
+        assert meta["p"] == 1
+        assert meta["theta_estimates"] == pytest.approx([0.0, -math.log(2.0)], abs=1e-15)
 
     def test_eigenvectors_at_a_tiny_angle_exit_two(self, tmp_path, capsys):
         # eigenvectors e1 and (cos t, sin t) meeting at t = 1e-9 radians
@@ -844,10 +871,23 @@ class TestBinary64Edges:
         assert err == "jsrkit: input: matrix entries must be finite\n"
         assert not out.exists()
 
-    def test_splitting_orbit_that_overflows_exits_two(self, fixtures, tmp_path, capsys):
-        # a rho_hat far below the jsr: the normalised orbit products overflow
+    def test_splitting_far_below_the_jsr_exits_three_on_its_top_exponent(self, fixtures, tmp_path, capsys):
+        # a rho_hat far below the jsr: the one-period product A_0 / 1e-300
+        # stays finite, and its exponent log(2e300) is positive
         out = tmp_path / "splitting.csv"
         argv = ["splitting", "--input", fixtures["e2"], "--cycle", "0", "--rho-hat", "1e-300",
+                "--max-depth", "12", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_INCONCLUSIVE
+        assert capsys.readouterr().err == (
+            "jsrkit: inconclusive: cycle 0 has no invariant splitting: its top growth exponent"
+            " at rho_hat 1e-300 is 691\n"
+        )
+        assert out.read_text().splitlines() == ["n,cauchy_dgr"]
+
+    def test_splitting_orbit_that_overflows_exits_two(self, fixtures, tmp_path, capsys):
+        # a rho_hat far below the jsr: the normalised product of the period 2 overflows
+        out = tmp_path / "splitting.csv"
+        argv = ["splitting", "--input", fixtures["e2"], "--cycle", "0,0", "--rho-hat", "1e-300",
                 "--max-depth", "12", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_INPUT
         assert capsys.readouterr().err == "jsrkit: input: products overflow binary64; scale the family\n"

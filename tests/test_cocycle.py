@@ -76,21 +76,48 @@ class TestCocycleProduct:
                 assert lhs == pytest.approx(rhs)
 
 
+def seeded_family(seed):
+    """A seeded pair of d x d matrices, d in 2..4, complex for every fourth
+    seed, and a seeded cycle of period 1..4 on it."""
+    rng = np.random.default_rng(seed)
+    shape = (2, 2 + seed % 3, 2 + seed % 3)
+    matrices = rng.standard_normal(shape)
+    if seed % 4 == 3:
+        matrices = matrices + 1j * rng.standard_normal(shape)
+    return MatrixSet(list(matrices)), PeriodicWord(rng.integers(0, 2, size=1 + seed % 4))
+
+
+def _normal_pair(seed, d):
+    return MatrixSet(list(np.random.default_rng(seed).standard_normal((2, d, d))))
+
+
+# B and exh at their extremal cycles and at a cycle below the jsr, and
+# the seeded families
+EXPONENT_CASES = [
+    (_normal_pair(100, 3), PeriodicWord([1] * 8 + [0] * 4 + [1] * 4)),
+    (_normal_pair(100, 3), FIXED),
+    (_normal_pair(0, 4), PeriodicWord([0, 0, 0, 0, 0, 1, 1])),
+    (_normal_pair(0, 4), ALTERNATING),
+] + [seeded_family(seed) for seed in range(16)]
+EXPONENT_IDS = ["B-extremal", "B-0", "exh-extremal", "exh-0-1"] + ["seed%d" % s for s in range(16)]
+
+
 class TestDetectP:
     def test_diagonal_exponents(self, diagonal_singleton):
-        p, thetas = detect_p(diagonal_singleton, FIXED, 32)
+        p, thetas = detect_p(diagonal_singleton, FIXED)
         assert p == 1
-        assert thetas[0] == pytest.approx(0.0, abs=1e-10)
-        assert thetas[1] == pytest.approx(-LOG2, abs=1e-10)
+        assert thetas[0] == pytest.approx(0.0, abs=1e-12)
+        assert thetas[1] == pytest.approx(-LOG2, abs=1e-12)
 
     def test_triangular_exponents(self, triangular_singleton):
         # eigenvalues 1 and 1/2; the volume decays at log(1/2) per step
-        p, thetas = detect_p(triangular_singleton, FIXED, 32)
+        p, thetas = detect_p(triangular_singleton, FIXED)
         assert p == 1
-        assert thetas[1] == pytest.approx(-LOG2, abs=1e-2)
+        assert thetas[0] == pytest.approx(0.0, abs=1e-12)
+        assert thetas[1] == pytest.approx(-LOG2, abs=1e-12)
 
     def test_alternating_orbit(self, scaled_antidiagonal):
-        p, thetas = detect_p(scaled_antidiagonal, ALTERNATING, 32)
+        p, thetas = detect_p(scaled_antidiagonal, ALTERNATING)
         assert p == 1
         assert thetas[0] == pytest.approx(0.0, abs=1e-12)
         assert thetas[1] == pytest.approx(-LOG2, abs=1e-12)
@@ -98,11 +125,34 @@ class TestDetectP:
     def test_near_threshold_is_refused(self):
         mset = MatrixSet([np.diag([1.0, math.exp(-0.02)])])
         with pytest.raises(AmbiguousExponentsError, match="2"):
-            detect_p(mset, FIXED, 32)
+            detect_p(mset, FIXED)
 
-    def test_short_horizon_rejected(self, diagonal_singleton):
-        with pytest.raises(ValueError):
-            detect_p(diagonal_singleton, FIXED, 3)
+    @pytest.mark.parametrize("mset, word", EXPONENT_CASES, ids=EXPONENT_IDS)
+    def test_exponents_are_the_cumulative_log_eigenvalue_moduli(self, mset, word):
+        # normalised by the cycle's radius, so that the top exponent is zero
+        mset = mset.scaled(1.0 / certify_lower(mset, word.cycle).value)
+        moduli = sorted(np.abs(np.linalg.eigvals(mset.product(word.cycle))), reverse=True)
+        with np.errstate(divide="ignore"):
+            expected = np.cumsum(np.log(moduli)) / word.period
+        p, thetas = detect_p(mset, word)
+        assert np.allclose(thetas, expected, rtol=0, atol=1e-12)
+        # complex pairs, and moduli near the radius, give p above 1
+        assert p == sum(abs(th) < cocycle.THETA_ZERO_THRESHOLD for th in expected) >= 1
+
+    @pytest.mark.parametrize("mset, word", EXPONENT_CASES, ids=EXPONENT_IDS)
+    @pytest.mark.parametrize("margin", [0.1, 1.0])
+    def test_top_exponent_is_the_log_of_the_certified_radius(self, mset, word, margin):
+        # a rho_hat above the cycle's radius: every exponent decays, none is ambiguous
+        radius = certify_lower(mset, word.cycle).value
+        rho_hat = radius * math.exp(margin)
+        p, thetas = detect_p(mset.scaled(1.0 / rho_hat), word)
+        assert p == 0
+        assert abs(thetas[0] - math.log(radius / rho_hat)) <= 1e-12
+
+    def test_shear_reads_two_zero_exponents(self):
+        # [[1, 1], [0, 1]]: both eigenvalues 1, while ||A^n|| grows like n
+        p, thetas = detect_p(MatrixSet([[[1.0, 1.0], [0.0, 1.0]]]), FIXED)
+        assert (p, thetas) == (2, [0.0, 0.0])
 
 
 class TestFiniteSplitting:
@@ -568,6 +618,8 @@ class TestCertifyLower:
 # power of [[1, 1e307], [0, 1]] from k = 18, above the depth 4 of the
 # sandwich that normalises y_membership
 OVERFLOWING = MatrixSet([[[1e200, 0], [0, 0.5]]])
+# detect_p sweeps one period only: the cycle 0, 0 overflows within it
+DOUBLE = PeriodicWord([0, 0])
 
 
 def _tame_cone_params():
@@ -580,10 +632,10 @@ class TestProductsAlongAWord:
         [
             lambda: OVERFLOWING.product((0, 0)),
             lambda: cocycle_product(OVERFLOWING, FIXED, 2),
-            lambda: detect_p(OVERFLOWING, FIXED, 8),
+            lambda: detect_p(OVERFLOWING, DOUBLE),
             lambda: finite_splitting(OVERFLOWING, FIXED, 1, 2),
             lambda: splitting_residuals(OVERFLOWING, FIXED, 1, 4),
-            lambda: cone_params_from_splitting(OVERFLOWING, FIXED, 0.5),
+            lambda: cone_params_from_splitting(OVERFLOWING, DOUBLE, 0.5),
             lambda: cone_propagation_check(OVERFLOWING, FIXED, _tame_cone_params(), 2, 2),
             lambda: certify_lower(OVERFLOWING, (0, 0)),
             lambda: certify_lower(MatrixSet([[[1e50, 0], [0, 0.5]]]), (0,)),
@@ -615,5 +667,3 @@ class TestProductsAlongAWord:
         bad = PeriodicWord([0, 5])
         with pytest.raises(ValueError, match="^n must be at least 1$"):
             finite_splitting(antidiagonal_pair(), bad, 1, 0)
-        with pytest.raises(ValueError, match="^horizon must be at least 4 periods"):
-            detect_p(antidiagonal_pair(), bad, 4)
