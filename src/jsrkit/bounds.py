@@ -33,12 +33,13 @@ per-level maxima are exact but screened by
 
 for k = 2, 4, 8 (Gelfand's formula; the power bound is not below
 ``||P||_2`` in general, as ``P = I`` shows).  ``||P||_F``, or on a
-streamed level an upper bound of it (below), is computed for every word
-in one pass.  One screen, :func:`_screen_level`, serves every kernel of
-a level at once: a norm of the protocol (:class:`Norm`), whose values
-its ``factor`` L bounds by ``L ||P||_F`` (1 for the exact Euclidean
-norm ``||P||_2 = sqrt(lambda_max(P^H P))``, by batched Gram matrices and
-``eigvalsh``), and the spectral radii, with L = 1.  The ``SCREEN_SEED``
+streamed level an upper bound of it (below), is read for every word,
+one block at a time (:class:`_Bounds`).  One screen,
+:func:`_screen_level`, serves every kernel of a level at once: a norm
+of the protocol (:class:`Norm`), whose values its ``factor`` L bounds
+by ``L ||P||_F`` (1 for the exact Euclidean norm ``||P||_2 =
+sqrt(lambda_max(P^H P))``, by batched Gram matrices and ``eigvalsh``),
+and the spectral radii, with L = 1.  The ``SCREEN_SEED``
 words of largest ``||P||_F`` go to every kernel first, with the cutoff
 ``-inf``; the others, in batches read once for all kernels, only while
 their ``||P||_F`` reaches ``c / L``, where the cutoff ``c`` is that
@@ -70,12 +71,20 @@ Stored and streamed levels.  :func:`_levels` is the one level generator
 of :func:`sandwich`, :func:`rho_plus_n` and :func:`rho_minus_n`.  A
 level whose array fits in ``LEVEL_BYTES`` (4 MiB, 2^15 real 4 x 4
 words) is stored whole, as :func:`_iter_levels` forms it, and screened
-by its words' ``||P||_F``.
+by its words' ``||P||_F``, one block of bounds.
 A deeper level is never formed: it is screened by Gram bounds (below),
-and it is a lazy stack whose ``P[idx]`` re-forms only the words a screen
-evaluates, from their ancestors in the last stored level k.  Each step
-extends every word by every generator in one :func:`_extend` and keeps
-one child per word, and the BLAS forms each entry of a row-stacked
+formed one block of at most as many words as ``LEVEL_BYTES`` holds at a
+time, and it is a lazy stack whose ``P[idx]`` re-forms only the
+words a screen evaluates, from their ancestors in the last stored level
+k.  The screen reads the blocks twice: once for the ``SCREEN_SEED``
+words of largest bound, kept as a running top, and once, after the seed
+is evaluated, for the words that reach the lowest kernel threshold.
+Both passes compare the raw inner products with a threshold inverted
+conservatively (:meth:`_GramBounds.floor`), and add the slack, take the
+root and scale only the raw values they keep, which they then test
+exactly; so they pass the words a whole-level bound array would.  Each
+step of re-forming extends every word by every generator in one
+:func:`_extend` and keeps one child per word, and the BLAS forms each entry of a row-stacked
 product from its own row and column in an order that does not depend on
 the number of rows (the tests check this for one and two threads), so
 re-formed words carry the bits of stored ones and every result equals
@@ -87,10 +96,10 @@ Gram bounds.  Word ``q*K + i`` of a streamed level n is ``R = B_i M_q``:
 m^b words, N the deepest level asked for) and ``M_q = G_q1 ... G_qs`` the
 product along the s = n - b digits of q base m, least significant first.
 Since ``||B M||_F^2 = <B^H B, M M^H>``, the real inner product of two
-Gram matrices, one real GEMM of the Gram rows of the m^s suffixes
-against those of the K base words gives every word's square in
-lexicographic order, for m^n d^2 multiply-adds and no word formed.  The
-bound adds a slack before the root,
+Gram matrices, one real GEMM per block, of the Gram rows of the block's
+suffixes against those of the K base words, gives the block's squares
+in lexicographic order, for m^n d^2 multiply-adds per pass over the
+level and no word formed.  The bound adds a slack before the root,
 
     F = sqrt(fl(<fl(B^H B), fl(M M^H)>) + C_s T V),
     T = max_i ||B_i||_F^2,  V = max_q ||N_q||_F^2,  N_q = |G_q1| ... |G_qs|,
@@ -128,9 +137,12 @@ word) and the scaled copies and squares of the power stage, one block
 of children in the pruned search, and one block of ``F_f M`` products
 in the certified kernel of the adapted norm.  A streamed level adds the
 Gram rows of the base level, about one stored level, its suffix
-products, which fit in ``LEVEL_BYTES`` while N <= 2k, and 8 bytes per
-word in two full-length arrays: its bounds and the index array of the
-screen's seed selection.
+products, which fit in ``LEVEL_BYTES`` while N <= 2k, and one block of
+raw bounds, 8 bytes for each word that ``LEVEL_BYTES`` holds.  The screen's
+list of the words that reach its threshold holds 16 bytes per word
+listed: where nothing can be screened (below ``SCREEN_FLOOR``, after a
+NaN value, or where every word ties, as in the rank-one pair) it lists
+every word of the level.
 
 Gelfand power stage.  Given the running cutoff c, ``eigvals`` runs only
 on the words whose power bound reaches c.  Each word is first scaled by
@@ -424,35 +436,95 @@ def _gram_rows(Q):
     return gram.view(np.float64) if np.iscomplexobj(gram) else gram
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _gram_bounds(gram, M, N, slack):
-    """Upper bounds of ``||fl(B_i M_q)||_F`` for every one of K base words
-    ``B_i`` and suffix product ``M_q``, at ``q*K + i`` (module docstring).
+class _Bounds:
+    """Upper bounds ``F >= ||P||_F`` of a level's words, read one block at a time.
 
-    ``gram`` is ``(rows, top, e)``: the Gram rows of the base words scaled
-    by ``2**-e`` and their largest squared Frobenius norm.  ``N`` holds the
-    products of ``|G_j|`` along the suffixes, and ``slack`` is ``C_s``.
-    One real GEMM of the scaled Gram rows of ``M_q^H`` and ``B_i``, the
-    level's slack, a root and the scale give every bound."""
-    rows, top, e = gram
-    N, f = _unit_scaled(N)
-    out = _gram_rows(np.swapaxes(M * np.ldexp(1.0, -f), 1, 2).conj()) @ rows.T
-    out += slack * top * _frobenius_norms(N).max() ** 2
-    np.sqrt(out, out=out)
-    return np.ldexp(out, e + f, out=out).reshape(-1)
+    A block is ``(start, raw)``: raw values of the words ``start, start +
+    1, ...``, in an array that the next block may overwrite.  The screen
+    (:func:`_screen_level`) compares raw values with :meth:`floor` of a
+    threshold and applies :meth:`finish` to the raw values it keeps only.
+    Bounds given whole, those of a stored level, are their own raw values
+    and form one block; :class:`_GramBounds` reads a streamed level's.
+    """
+
+    def __init__(self, values):
+        self.values = np.asarray(values)
+
+    def blocks(self):
+        """The blocks in word order."""
+        yield 0, self.values
+
+    def finish(self, raw):
+        """The bounds of the words with raw values ``raw``."""
+        return raw
+
+    def floor(self, threshold):
+        """A value such that every raw value below it finishes below ``threshold``."""
+        return threshold
+
+
+class _GramBounds(_Bounds):
+    """The Gram bounds of a streamed level (module docstring), read as
+    blocks of ``per_block`` suffixes, ``per_block * K`` words, into one
+    buffer.
+
+    ``gram`` is ``(rows, top, e)``: the Gram rows of the K base words
+    ``B_i`` scaled by ``2**-e`` and their largest squared Frobenius norm.
+    ``M`` holds the suffix products ``M_q``, ``N`` the products of
+    ``|G_j|`` along them, and ``slack`` is ``C_s``.  The raw value of word
+    ``q*K + i`` is the real inner product of the scaled Gram rows of
+    ``M_q^H`` and ``B_i``, one real GEMM per block; :meth:`finish` adds
+    the level's slack, takes the root and undoes the scales.
+    """
+
+    def __init__(self, gram, M, N, slack, per_block):
+        self.base, top, e = gram
+        N, f = _unit_scaled(N)
+        self.suffixes = _gram_rows(np.swapaxes(M * np.ldexp(1.0, -f), 1, 2).conj())
+        self.slack = slack * top * _frobenius_norms(N).max() ** 2
+        self.scale, self.per_block = e + f, per_block
+
+    def blocks(self):
+        K = len(self.base)
+        buffer = np.empty(min(self.per_block, len(self.suffixes)) * K)
+        for q in range(0, len(self.suffixes), self.per_block):
+            suffixes = self.suffixes[q:q + self.per_block]
+            raw = buffer[:len(suffixes) * K]
+            # an overflowing product reads inf or NaN, and keeps its word
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(suffixes, self.base.T, out=raw.reshape(len(suffixes), K))
+            yield q * K, raw
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def finish(self, raw):
+        out = raw + self.slack
+        np.sqrt(out, out=out)
+        return np.ldexp(out, self.scale, out=out)
+
+    @np.errstate(over="ignore")
+    def floor(self, threshold):
+        """``t'**2 - c``, ``t'`` the threshold scaled by ``2**-scale`` and c
+        the slack, less ``SCREEN_SLACK * (t'**2 + c)``: a raw value r whose
+        bound reaches the threshold has ``r >= t'**2 - c - 3u t'**2``, u =
+        2**-53, and the margin exceeds that term and the roundoff of this
+        one by far."""
+        square = np.ldexp(threshold, -self.scale) ** 2
+        return square - self.slack - SCREEN_SLACK * (square + self.slack)
 
 
 def _levels(mset, n_max, counter):
-    """Yield ``(n, P_n, F_n)`` for n = 1..n_max, with ``F_n >= ||P_n||_F``
-    per word: the level generator of every exhaustive-level consumer
-    (module docstring).
+    """Yield ``(n, P_n, F_n)`` for n = 1..n_max, with ``F_n`` a
+    :class:`_Bounds` of ``||P_n||_F`` per word: the level generator of
+    every exhaustive-level consumer (module docstring).
 
     Levels whose array fits in ``LEVEL_BYTES`` come from
-    :func:`_iter_levels`, with ``F_n = ||P_n||_F``.  Each deeper level n
-    charges m^n to ``counter`` and is yielded as a :class:`_StreamedLevel`
-    over the last stored level k, with the bounds of :func:`_gram_bounds`
-    over the base level ``b = min(k, ceil(n_max / 2))``; a budget that
-    stops a charge raises there, after the levels before it.
+    :func:`_iter_levels`, with ``F_n = ||P_n||_F`` in one block.  Each
+    deeper level n charges m^n to ``counter`` and is yielded as a
+    :class:`_StreamedLevel` over the last stored level k, with the
+    :class:`_GramBounds` over the base level ``b = min(k, ceil(n_max /
+    2))``, in blocks of whole suffixes that hold at most as many words as
+    ``LEVEL_BYTES`` (one suffix if that holds fewer than ``m^b``); a
+    budget that stops a charge raises there, after the levels before it.
     """
     stack = mset.stack()
     m, d = len(stack), mset.d
@@ -465,18 +537,19 @@ def _levels(mset, n_max, counter):
     for n, P in _iter_levels(mset, k, counter):
         if n == b:
             base = P
-        yield n, P, _frobenius_norms(P)
+        yield n, P, _Bounds(_frobenius_norms(P))
     if k == n_max:
         return
     B, e = _unit_scaled(base)
     gram = _gram_rows(B), _frobenius_norms(B).max() ** 2, e
+    per_block = max(1, words // len(B))
     M, N, moduli = np.eye(d, dtype=stack.dtype)[None], np.eye(d)[None], np.abs(stack)
     for n in range(k + 1, n_max + 1):
         counter.charge(m**n)
         while len(N) < m ** (n - b):
             M, N = _extend(M, stack), _extend(N, moduli)
         slack = _gram_slack(d, np.iscomplexobj(stack), n - b)
-        yield n, _StreamedLevel(P, stack, n - k), _gram_bounds(gram, M, N, slack)
+        yield n, _StreamedLevel(P, stack, n - k), _GramBounds(gram, M, N, slack, per_block)
 
 
 def _require_finite(values):
@@ -638,19 +711,83 @@ def _once(kernel, Q, bound, cutoff):
     return np.repeat(values, np.diff(heads, append=len(Q)))
 
 
+def _top(values, size):
+    """Positions, in increasing order, of the ``size`` largest of the
+    nonempty array ``values``: NaN ranks above every number, and of equal
+    values the first positions win."""
+    k = max(len(values) - size, 0)
+    top = np.argpartition(values, k)[k:]
+    v = values[top[0]]
+    tied = values == v if v == v else values != values
+    if np.count_nonzero(tied) > np.count_nonzero(tied[top]):
+        # the selection chose among the values tied at its least
+        above = top[~tied[top]]
+        top = np.concatenate([above, np.flatnonzero(tied)[:len(top) - len(above)]])
+    return np.sort(top)
+
+
+def _seed(fro):
+    """The ``SCREEN_SEED`` words of largest raw value in the blocks of
+    ``fro``, ties to the lowest index, as ``(idx, bound)`` in decreasing
+    bound: one pass that keeps a running top.  Once the top is full, a
+    block offers it only the raw values at or above its least."""
+    idx, raw = np.empty(0, dtype=np.intp), np.empty(0)
+    for start, block in fro.blocks():
+        if len(raw) < SCREEN_SEED:
+            pos = _top(block, SCREEN_SEED)
+        else:
+            pos = np.flatnonzero(~(block < np.fmin.reduce(raw)))
+        idx, raw = np.concatenate([idx, start + pos]), np.concatenate([raw, block[pos]])
+        if len(raw) > SCREEN_SEED:
+            top = _top(raw, SCREEN_SEED)
+            idx, raw = idx[top], raw[top]
+    bound = fro.finish(raw)
+    order = np.argsort(-bound, kind="stable")
+    return idx[order], bound[order]
+
+
+def _reaching(fro, threshold, seed):
+    """The words of ``fro`` outside ``seed`` whose bounds reach
+    ``threshold`` or are NaN, as ``(idx, bound)`` in decreasing bound,
+    stable: one pass that finishes only the raw values at or above
+    ``fro.floor(threshold)``."""
+    low = fro.floor(threshold)
+    idx, bound = [], []
+    for start, block in fro.blocks():
+        reach = ~(block < low)
+        reach[seed[(seed >= start) & (seed < start + len(block))] - start] = False
+        pos = np.flatnonzero(reach)
+        values = fro.finish(block[pos])
+        keep = ~(values < threshold)
+        idx.append(pos[keep] + start)
+        bound.append(values[keep])
+    # where every word reaches, each of these holds one entry per word
+    del reach, pos, values, keep
+    idx = np.concatenate(idx)
+    bound = np.concatenate(bound)
+    order = np.argsort(-bound, kind="stable")
+    idx = idx[order]
+    return idx, bound[order]
+
+
 def _screen_level(fro, kernels, P):
     """The values of each kernel on the words of ``P`` that can reach its maximum.
 
     ``kernels`` holds ``(factor, kernel)`` pairs and ``fro`` upper bounds
-    of the words' Frobenius norms (the norms themselves on stored levels):
-    ``factor * fro[i]`` must bound ``kernel(P[i])`` from above up to
-    roundoff.  ``P`` is indexed by integer arrays only, so it may be a
-    lazy stack.  The ``SCREEN_SEED`` words of largest ``fro`` are selected
-    once and evaluated first, as ``kernel(seed, -inf)``.  One list holds
-    the other words whose ``fro`` reaches the lowest of the kernels'
+    of the words' Frobenius norms, a :class:`_Bounds` or an array (the
+    norms themselves on stored levels): ``factor * fro[i]`` must bound
+    ``kernel(P[i])`` from above up to roundoff.  ``P`` is indexed by
+    integer arrays only, so it may be a lazy stack.  Two passes over the
+    blocks of ``fro`` read its bounds (:func:`_seed`,
+    :func:`_reaching`), and no array holds one entry per word unless that
+    many words reach the threshold.  The ``SCREEN_SEED`` words of largest
+    ``fro`` are evaluated first, as ``kernel(seed, -inf)``.  One list
+    holds the other words whose ``fro`` reaches the lowest of the kernels'
     thresholds ``c / factor``, in decreasing ``fro``, ``c`` being a
-    kernel's running maximum less ``SCREEN_SLACK`` (:func:`_screen_cutoff`;
-    nothing is screened below ``SCREEN_FLOOR``).  It is read out of ``P``
+    kernel's running maximum less ``SCREEN_SLACK``
+    (:func:`_screen_cutoff`).  Where nothing can be screened, below
+    ``SCREEN_FLOOR``, after a NaN value, or where every word ties, that
+    list holds every other word of the level.  It is read out of ``P``
     once per batch of the words that fit in ``LEVEL_BYTES``, each kernel
     evaluates the words of the batch that reach its own threshold, as
     ``kernel(words, c)``, and the list is filtered after every batch.  A
@@ -667,23 +804,21 @@ def _screen_level(fro, kernels, P):
     Returns one ``(idx, values)`` pair per kernel: the distinct indices
     it evaluated, in no particular order, and their values.
     """
-    total = len(fro)
-    size = min(SCREEN_SEED, total)
-    batch = np.argpartition(fro, total - size)[total - size:]
-    batch = batch[np.argsort(-fro[batch], kind="stable")]
-    Q, bound = P[batch], fro[batch]
+    if not isinstance(fro, _Bounds):
+        fro = _Bounds(fro)
+    batch, bound = _seed(fro)
+    size = len(batch)
+    Q = P[batch]
     cap = max(size, LEVEL_BYTES * size // Q.nbytes)
     found = [([batch], [_once(kernel, Q, bound, -np.inf)]) for _, kernel in kernels]
     # a NaN value makes ``best`` NaN: its cutoff screens nothing
     best = [values[0].max() for _, values in found]
     cuts = [_screen_cutoff(b, factor) for b, (factor, _) in zip(best, kernels)]
-    reach = ~(fro < min(t for _, t in cuts))
-    reach[batch] = False
-    rest = np.nonzero(reach)[0]
-    rest = rest[np.argsort(-fro[rest], kind="stable")]
+    rest, rest_bound = _reaching(fro, min(t for _, t in cuts), batch)
     while len(rest):
         batch, rest = rest[:cap], rest[cap:]
-        Q, bound = P[batch], fro[batch]
+        bound, rest_bound = rest_bound[:cap], rest_bound[cap:]
+        Q = P[batch]
         for j, (factor, kernel) in enumerate(kernels):
             cutoff, threshold = cuts[j]
             reach = ~(bound < threshold)
@@ -697,7 +832,8 @@ def _screen_level(fro, kernels, P):
             found[j][1].append(values)
             best[j] = np.max([best[j], values.max()])
             cuts[j] = _screen_cutoff(best[j], factor)
-        rest = rest[~(fro[rest] < min(t for _, t in cuts))]
+        keep = ~(rest_bound < min(t for _, t in cuts))
+        rest, rest_bound = rest[keep], rest_bound[keep]
     del Q, bound  # the last batch goes before the values are joined
     return [(np.concatenate(idx), np.concatenate(values)) for idx, values in found]
 

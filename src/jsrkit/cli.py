@@ -61,6 +61,8 @@ def _parse_gamma(text):
         return [Fraction(t) for t in text.split(",") if t.strip()]
     except ZeroDivisionError:
         raise ValueError("--gamma has a convergent with a zero denominator") from None
+    except ValueError:
+        raise ValueError("--gamma must be a comma list of fractions, got %r" % text) from None
 
 
 def _parse_cycle(text):

@@ -17,7 +17,6 @@ finest approximant, with its own candidate orbits.
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -77,21 +76,37 @@ class PeriodicWord:
         return "PeriodicWord(%r)" % (self.cycle,)
 
 
-@dataclass(frozen=True)
 class ShiftPoint:
     """A finite window onto a point of the full shift.
 
     ``symbols[origin]`` is the symbol at position 0; position i is
-    available for -origin <= i < len(symbols) - origin.
+    available for -origin <= i < len(symbols) - origin.  Immutable, and
+    equal to another point with the same fields.
     """
 
-    symbols: tuple
-    origin: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not 0 <= self.origin < len(self.symbols):
+    def __init__(self, symbols, origin):
+        symbols = tuple(symbols)
+        if not 0 <= origin < len(symbols):
             raise ValueError("origin must lie inside the window")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "origin", origin)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a ShiftPoint" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of a ShiftPoint" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.symbols, self.origin) == (other.symbols, other.origin)
+
+    def __hash__(self):
+        return hash((self.symbols, self.origin))
+
+    def __repr__(self):
+        return "ShiftPoint(symbols=%r, origin=%r)" % (self.symbols, self.origin)
 
     def symbol(self, i):
         j = self.origin + i
@@ -317,15 +332,26 @@ def _orbit_max_distance(x, Z, half_width, best):
     return worst, exact
 
 
-@dataclass
 class EpsilonResult:
-    """Best sup-distance to Z over periodic orbits of period <= n."""
+    """Best sup-distance to Z over periodic orbits of period <= n, with
+    the running best ``(k, value)`` per period k in ``per_n``; equal to
+    another result with the same fields."""
 
-    value: float
-    exact: bool
-    orbit: PeriodicWord
-    period: int
-    per_n: list = None
+    def __init__(self, value, exact, orbit, period, per_n):
+        self.value, self.exact, self.orbit, self.period, self.per_n = value, exact, orbit, period, per_n
+
+    def _fields(self):
+        return self.value, self.exact, self.orbit, self.period, self.per_n
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "EpsilonResult(value=%r, exact=%r, orbit=%r, period=%r, per_n=%r)" % self._fields()
 
 
 def epsilon_of_n(Z, n):

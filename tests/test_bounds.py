@@ -644,6 +644,11 @@ class TestLevelGenerator:
 
 
 
+def joined(fro):
+    """The bounds of a :class:`bounds._Bounds` as one array, block by block."""
+    return np.concatenate([fro.finish(raw) for _, raw in fro.blocks()])
+
+
 def stream_from(monkeypatch, mset, n):
     """Set ``LEVEL_BYTES`` to hold m^(n-1) words of ``mset``: level n and
     the deeper levels stream (n = 1 streams every level from the identity)."""
@@ -677,6 +682,7 @@ for mset, k, n in ((real, 12, 16), (cplx, 6, 10)):
         size = len(P)
         same &= isinstance(S, bounds._StreamedLevel) and len(S) == size
         norms = bounds._frobenius_norms(P)
+        fro = np.concatenate([fro.finish(raw) for _, raw in fro.blocks()])
         same &= bool((fro >= norms).all() and (fro - norms <= 1e-6 * norms.max()).all())
         for idx in ([size - 1], [5, 5, 0, 5], np.arange(size // 3, size // 3 + 999),
                     rng.integers(0, size, 3000), np.arange(size)[::-1]):
@@ -787,6 +793,79 @@ class TestStreamedLevels:
             tracemalloc.stop()
         assert len(report.rows) == 18
         assert peak < 12 * 2**20
+
+    def test_a_streamed_level_holds_no_array_per_word(self, monkeypatch):
+        # 2**10 stored words: level 18 has 4 times the words of level 16,
+        # but its screen reads its bounds one block at a time. The peak
+        # runs from the generator forming a level through its screen
+        stream_from(monkeypatch, EXHAUSTIVE_FAMILY, 11)
+        levels = bounds._levels(EXHAUSTIVE_FAMILY, 18, BudgetCounter())
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for n in range(1, 19):
+                tracemalloc.reset_peak()
+                _, P, fro = next(levels)
+                bounds._level_bounds(P, fro, n, 2, both_kernels())
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(P, bounds._StreamedLevel)
+        assert peaks[18] < 2 * peaks[16]
+
+
+class Blocked(bounds._Bounds):
+    """Bounds given whole, read in blocks of ``size`` words."""
+
+    def __init__(self, values, size):
+        super().__init__(values)
+        self.size = size
+
+    def blocks(self):
+        for start in range(0, len(self.values), self.size):
+            yield start, self.values[start:start + self.size]
+
+
+class TestBlockEdges:
+    @pytest.mark.parametrize("later", [None, np.inf, np.nan])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_blocks_screen_as_one(self, later, ties):
+        # 1,000 words in blocks of 100, the largest bound on the last word
+        # of the second block; ties put 100 equal bounds across the edge of
+        # the seed's selection and of blocks 3 and 4
+        rng = np.random.default_rng(3)
+        values = rng.lognormal(0.0, 0.3, 1000)
+        bound = values * (1.0 + rng.uniform(0.0, 0.5, 1000))
+        bound[199] = 2.0 * bound.max()
+        values[199] = bound[199]
+        if ties:
+            bound[250:350] = np.sort(bound)[-60]
+            values[250:350] = 0.5 * bound[250:350]
+        if later is not None:
+            bound[745] = later
+        kernels = [(1.0, lambda Q, cutoff: values[Q]), (3.0, lambda Q, cutoff: values[Q])]
+        whole = bounds._screen_level(bound, kernels, RecordedStack(1000, []))
+        blocked = bounds._screen_level(Blocked(bound, 100), kernels, RecordedStack(1000, []))
+        for (idx, got), (want_idx, want) in zip(blocked, whole):
+            assert np.array_equal(np.sort(idx), np.sort(want_idx))
+            assert np.array_equal(got[np.argsort(idx)], want[np.argsort(want_idx)])
+            assert 199 in idx and (later is None or 745 in idx)
+
+    @pytest.mark.parametrize("mset", [EXHAUSTIVE_FAMILY, SCREEN_FAMILIES[3]])
+    def test_raw_values_below_the_floor_finish_below_the_threshold(self, mset, monkeypatch):
+        # the deepest level streams in blocks; thresholds at its bounds and
+        # at the edge of the level maximum's slack
+        stream_from(monkeypatch, mset, 5)
+        for _, _, fro in bounds._levels(mset, 9, BudgetCounter()):
+            pass
+        assert isinstance(fro, bounds._GramBounds) and len(list(fro.blocks())) >= 3
+        raw = np.concatenate([block.copy() for _, block in fro.blocks()])
+        bound = fro.finish(raw)
+        rng = np.random.default_rng(0)
+        for threshold in np.concatenate([rng.choice(bound, 100), bound.max() * (1.0 - rng.uniform(0, 1e-7, 100))]):
+            low = fro.floor(threshold)
+            assert not (bound[raw < low] >= threshold).any()
+            assert fro.finish(np.array([np.nextafter(low, -np.inf)]))[0] < threshold
 
 
 class RecordedStack:
@@ -1024,14 +1103,17 @@ class TestGelfandPowerStage:
         # the exhaustive-level family at N=18: 1,081 eigvals words and two
         # argpartition selections per level before both kernels shared one
         # screen and the radius kernel ordered its eigvals, 317 words with
-        # the stage's early stop, 266 with every word squared to P**8
+        # the stage's early stop, 266 with every word squared to P**8.
+        # Levels 1-15 are stored, one block each; levels 16-18 stream in
+        # blocks of 2**15 words, and a selection reads one block at most
         words, selections = [], []
         eigvals, argpartition = np.linalg.eigvals, np.argpartition
         monkeypatch.setattr(np.linalg, "eigvals", lambda Q: words.append(len(Q)) or eigvals(Q))
         monkeypatch.setattr(np, "argpartition", lambda a, k: selections.append(len(a)) or argpartition(a, k))
         assert len(sandwich(EXHAUSTIVE_FAMILY, 18).rows) == 18
         assert sum(words) <= 300
-        assert sorted(selections) == [2**n for n in range(1, 19)]
+        assert selections[:15] == [2**n for n in range(1, 16)]
+        assert max(selections[15:]) <= 2**15
 
     def test_empty_batch(self):
         assert bounds._spectral_radii(np.zeros((0, 3, 3)), 1.0).shape == (0,)
@@ -1314,7 +1396,7 @@ class TestStreamedLevelEdges:
         for (n, S, fro), P in zip(levels[start - 1:], stored[start - 1:]):
             assert isinstance(S, bounds._StreamedLevel)
             assert np.array_equal(S[np.arange(len(P))], P)
-            assert (fro >= scaled_frobenius(P)).all()
+            assert (joined(fro) >= scaled_frobenius(P)).all()
 
     @pytest.mark.parametrize("start", [1, 3])
     @pytest.mark.parametrize("run", [lambda mset: sandwich(mset, 8), lambda mset: rho_minus_n(mset, 8)],

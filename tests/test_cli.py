@@ -67,14 +67,17 @@ def test_cli_import_leaves_numpy_unloaded():
 
 @pytest.mark.parametrize("command", ["sturmian", "epsilon"])
 def test_symbolic_commands_run_without_numpy(tmp_path, command):
-    # with numpy blocked the run succeeds and writes the bytes of a run with it
+    # with numpy blocked the run succeeds and writes the bytes of a run
+    # with it; it loads no dataclasses either
     argv = [command, "--gamma", GOLDEN, "--max-depth", "34"]
     blocked, free = tmp_path / "blocked.csv", tmp_path / "free.csv"
     script = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "import jsrkit.cli\n"
-        "sys.exit(jsrkit.cli.main(sys.argv[1:]))\n"
+        "code = jsrkit.cli.main(sys.argv[1:])\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses loaded'\n"
+        "sys.exit(code)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv, "--out", str(blocked)], capture_output=True, text=True
@@ -353,6 +356,13 @@ class TestInputErrors:
         assert proc.returncode == 2
         assert proc.stderr.startswith("jsrkit: input:")
         assert "zero denominator" in proc.stderr
+
+    @pytest.mark.parametrize("gamma", ["1/2,abc", "1/2,1.5.2", "1/2,/3"])
+    def test_malformed_gamma_exits_two(self, tmp_path, capsys, gamma):
+        out = tmp_path / "never.csv"
+        assert cli.main(["epsilon", "--gamma", gamma, "--out", str(out)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "jsrkit: input: --gamma must be a comma list of fractions, got %r\n" % gamma
+        assert not out.exists()
 
     def test_malformed_cycle_exits_two(self, fixtures, tmp_path, capsys):
         out = tmp_path / "never.csv"

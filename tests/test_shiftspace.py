@@ -419,3 +419,13 @@ class TestPeriodicWord:
     def test_shift_point_origin_validation(self):
         with pytest.raises(ValueError):
             ShiftPoint((0, 1), 5)
+
+    def test_shift_point_is_a_frozen_value(self):
+        x = ShiftPoint([0, 1, 1], 1)
+        assert x == ShiftPoint((0, 1, 1), 1) and hash(x) == hash(ShiftPoint((0, 1, 1), 1))
+        assert x != ShiftPoint((0, 1, 1), 2) and x != (0, 1, 1)
+        assert repr(x) == "ShiftPoint(symbols=(0, 1, 1), origin=1)"
+        with pytest.raises(AttributeError):
+            x.origin = 0
+        with pytest.raises(AttributeError):
+            del x.symbols
